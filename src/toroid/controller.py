@@ -13,6 +13,7 @@ them from as many threads as they like.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
@@ -20,9 +21,36 @@ from pathlib import Path
 from .errors import ConfigError, ZeroSupplyError
 from .numerics import UNIT, Amount, Rate
 
-# Natural-log precision (decimal digits).  Decimal ln is correctly rounded,
-# so the floored ppb result is identical on every platform.
+# Natural-log precision (decimal digits) of the exact volume response.
+# Decimal ln is correctly rounded, so _volume_rate_exact floors to the same
+# ppb on every platform.  It is the fallback of volume_rate's float fast
+# path and the oracle the tests hold that fast path to.
 _LN_PRECISION = 50
+
+# The fast path runs only where its inputs are exact: both counts below
+# 2**53, so each converts to a float exactly and v / v_prev is one correctly
+# rounded division; |k_v| below 2**40 ppb, so with |ln(v / v_prev)| < 37 the
+# estimate stays below 2**46, far below 2**53 where floats lose fractions.
+# At |k_v| >= 2**40 the guard below is at least 1 and could never pass.
+_FAST_COUNT_LIMIT = 2**53
+_FAST_GAIN_LIMIT = 2**40
+
+# Guard band of the fast path (Ziv's rounding test).  Write x = v / v_prev,
+# K = k_v in ppb (an integer, exact as a float), u = 2**-53 and the target
+# T = K ln x.  The estimate carries three errors:
+#   - the quotient: q = fl(x) = x (1 + d), |d| <= u, so |ln q - ln x| <= 1.01 u;
+#   - libm: L = log(q) is trusted only to |L - ln q| <= 2**-44 (1 + |ln q|),
+#     an absolute and a relative budget of at least 256 ulp, far above the
+#     few-ulp error of any real libm;
+#   - the product: est = fl(L K) = L K (1 + e), |e| <= u.
+# With |K| |L| <= |est| (1 + 2u) these sum to
+#   |est - T| <= |K| |L - ln x| + u |est| (1 + 2u) < (|K| + |est|) 2**-43.
+# The guard (|K| + |est|) 2**-40 is eight times that bound, which also
+# absorbs the rounding of est -+ guard (relative u) and the oracle's own
+# 50-digit error.  So when floor(est - guard) == floor(est + guard) == n,
+# both T and the oracle's value lie in [n, n + 1), and n is the oracle's
+# result.
+_GUARD_SCALE = 2.0**-40
 
 # Combined rate never goes below -0.99: one period can never wipe more
 # than 99% of supply, whatever the configuration.
@@ -121,15 +149,41 @@ def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     conservatively deepened by at most one ppb.  Zero when the counts are
     equal; sign otherwise matches the direction of the change, except that
     sub-ppb positive responses floor to zero.
+
+    The result always equals _volume_rate_exact, the 50-digit Decimal
+    evaluation.  A float estimate from math.log is returned when its guard
+    band, proved to exceed the estimate's worst-case error, floors to one
+    integer; otherwise, and for counts or gains outside the fast path's
+    exact range, the Decimal path computes the result.
     """
     v = max(m.v, 1)
     v_prev = max(m.v_prev, 1)
     if v == v_prev:
         return Rate(0)
+    k = cfg.k_v.ppb
+    if (
+        v < _FAST_COUNT_LIMIT
+        and v_prev < _FAST_COUNT_LIMIT
+        and -_FAST_GAIN_LIMIT < k < _FAST_GAIN_LIMIT
+    ):
+        est = math.log(v / v_prev) * k
+        guard = (abs(k) + abs(est)) * _GUARD_SCALE
+        low = math.floor(est - guard)
+        if low == math.floor(est + guard):
+            return Rate(low)
+    return _volume_rate_exact(v, v_prev, k)
+
+
+def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
+    """k_ppb * ln(v / v_prev) floored to an integer, ln at _LN_PRECISION digits.
+
+    The fallback of volume_rate and the oracle its fast path is tested
+    against.  Counts must be positive.
+    """
     with localcontext() as ctx:
         ctx.prec = _LN_PRECISION
         ln_ratio = (Decimal(v) / Decimal(v_prev)).ln()
-        scaled = ln_ratio * cfg.k_v.ppb
+        scaled = ln_ratio * k_ppb
         return Rate(int(scaled.to_integral_value(rounding=ROUND_FLOOR)))
 
 

@@ -108,4 +108,4 @@ class NonMonotoneDatesError(MarketDataError):
 
 
 class NonPositivePriceError(MarketDataError):
-    pass
+    """A price was zero, negative, NaN or infinite."""

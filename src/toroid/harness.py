@@ -75,8 +75,10 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
             price = float(fields[1])
         except ValueError as exc:
             raise MarketDataError(f"bad price {fields[1]!r}", line=lineno) from exc
-        if price <= 0:
-            raise NonPositivePriceError(f"price must be > 0, got {fields[1]}", line=lineno)
+        if not 0 < price < math.inf:
+            raise NonPositivePriceError(
+                f"price must be finite and > 0, got {fields[1]}", line=lineno
+            )
         try:
             tx_count = int(fields[2])
         except ValueError as exc:
@@ -140,7 +142,8 @@ def run_backtest(
         supply = ledger.rebase(breakdown.r_combined)
         minted_before = market.arb_minted_cum
         market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
-        if market.trd_price > (cfg.peg_ratio.ppb / UNIT) * market.base_price:
+        # Written so that a NaN price fails the check too.
+        if not market.trd_price <= (cfg.peg_ratio.ppb / UNIT) * market.base_price:
             raise InvariantViolationError("TRD price escaped the peg ceiling")
         if arb_injection:
             newly_minted = market.arb_minted_cum - minted_before

@@ -141,9 +141,6 @@ class Rate:
         return Rate(-self.ppb)
 
 
-ZERO_RATE = Rate(0)
-
-
 @dataclass(frozen=True, slots=True)
 class Index:
     """Cumulative rebase factor Pi(1 + r_i) as an exact positive rational."""

@@ -1,5 +1,7 @@
+import pytest
+
 from toroid.cli import EXIT_INPUT, EXIT_OK, main
-from toroid.harness import SERIES_CSV_HEADER
+from toroid.harness import MARKET_CSV_HEADER, SERIES_CSV_HEADER
 
 
 class TestSimulate:
@@ -65,6 +67,26 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_is_input_error(
+        self, tmp_path, default_cfg_path, price, capsys
+    ):
+        data = tmp_path / "m.csv"
+        data.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n2017-01-02,{price},5\n")
+        out = tmp_path / "o.csv"
+        code = main(
+            [
+                "simulate",
+                "--data", str(data),
+                "--config", str(default_cfg_path),
+                "--initial-supply", "10000",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "line 3" in capsys.readouterr().err
 
     def test_bad_flag_is_input_error(self):
         assert main(["simulate", "--bogus"]) == EXIT_INPUT

@@ -1,9 +1,13 @@
+import math
 import random
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toroid import controller
 from toroid.controller import (
     HARD_FLOOR_PPB,
     PeriodMetrics,
@@ -20,8 +24,25 @@ from toroid.errors import ConfigError, ZeroSupplyError
 from toroid.numerics import UNIT, Amount, Rate
 
 
+# The 50-digit Decimal evaluation, bound before any test replaces it.
+ORACLE = controller._volume_rate_exact
+
+
 def metrics(v: int, v_prev: int, s_tokens: int, t: int = 0) -> PeriodMetrics:
     return PeriodMetrics(t=t, v=v, v_prev=v_prev, s=Amount.from_tokens(s_tokens))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch) -> list[tuple[int, int, int]]:
+    """Arguments of every call volume_rate makes to its Decimal fallback."""
+    calls: list[tuple[int, int, int]] = []
+
+    def spy(v: int, v_prev: int, k_ppb: int) -> Rate:
+        calls.append((v, v_prev, k_ppb))
+        return ORACLE(v, v_prev, k_ppb)
+
+    monkeypatch.setattr(controller, "_volume_rate_exact", spy)
+    return calls
 
 
 class TestInitialRate:
@@ -107,6 +128,87 @@ class TestVolumeRate:
     def test_gain_scales_response(self):
         cfg = RebaseConfig(k_v=Rate.from_decimal("0.2"))
         assert volume_rate(metrics(1000, 500, 1), cfg) == Rate(138_629_436)
+
+
+class TestVolumeRateOracle:
+    """The float fast path must floor exactly as the Decimal oracle does."""
+
+    COUNTS = st.one_of(
+        st.integers(1, 1000),
+        st.integers(2**53 - 4, 2**53 + 4),
+        st.integers(1, 10**18),
+    )
+
+    def test_exhaustive_small_counts(self, cfg, exact_calls):
+        k = cfg.k_v.ppb
+        pairs = [(v, p) for v in range(1, 111) for p in range(1, 111) if v != p]
+        for v, v_prev in pairs:
+            got = volume_rate(metrics(v, v_prev, 1), cfg)
+            assert got == ORACLE(v, v_prev, k), (v, v_prev)
+        # the grid exercises the fast path, not only the fallback
+        assert 0 < len(exact_calls) < len(pairs) // 100
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        v=COUNTS,
+        v_prev=COUNTS,
+        k=st.one_of(
+            st.integers(10**7, 10**9),
+            st.integers(-(10**9), -(10**7)),
+            st.integers(-10, 10),
+            st.integers(2**40 - 4, 2**40 + 4),
+            st.integers(-(2**40) - 4, -(2**40) + 4),
+            st.integers(-(10**18), 10**18),
+        ),
+    )
+    def test_matches_oracle(self, v, v_prev, k):
+        got = volume_rate(metrics(v, v_prev, 1), RebaseConfig(k_v=Rate(k)))
+        assert got == ORACLE(v, v_prev, k)
+
+    @pytest.mark.parametrize(
+        "v, v_prev, k, unguarded_error",
+        [
+            # default gain: the estimate sits 2.5e-4 from an integer
+            (3, 98, 100_000_000, 0),
+            # the unguarded estimate floors one too high
+            (968, 651, 2**39, 1),
+            (406, 95, -(2**39), 1),
+        ],
+    )
+    def test_ambiguous_floor_falls_back(
+        self, v, v_prev, k, unguarded_error, exact_calls
+    ):
+        oracle = ORACLE(v, v_prev, k)
+        assert math.floor(math.log(v / v_prev) * k) - oracle.ppb == unguarded_error
+        got = volume_rate(metrics(v, v_prev, 1), RebaseConfig(k_v=Rate(k)))
+        assert got == oracle
+        assert exact_calls == [(v, v_prev, k)]
+
+    @pytest.mark.parametrize(
+        "v, v_prev",
+        [
+            (2**53, 2**53 - 1),
+            (3, 2**53 + 1),
+            # past the float range: a float quotient overflows or vanishes
+            (10**400, 7),
+            (7, 10**400),
+        ],
+        ids=["v=2**53", "v_prev=2**53+1", "v=1e400", "v_prev=1e400"],
+    )
+    def test_large_count_falls_back(self, cfg, v, v_prev, exact_calls):
+        got = volume_rate(metrics(v, v_prev, 1), cfg)
+        assert got == ORACLE(v, v_prev, cfg.k_v.ppb)
+        assert exact_calls == [(v, v_prev, cfg.k_v.ppb)]
+
+    # 1e15 is the config value k_v = 1000000; at it an unguarded estimate
+    # floors one too high.  10**400 does not convert to a float at all.
+    @pytest.mark.parametrize(
+        "k", [2**40, -(2**40), 10**15, -(10**400)], ids=["2**40", "-2**40", "1e15", "-1e400"]
+    )
+    def test_gain_past_bound_falls_back(self, k, exact_calls):
+        got = volume_rate(metrics(783, 65, 1), RebaseConfig(k_v=Rate(k)))
+        assert got == ORACLE(783, 65, k)
+        assert exact_calls == [(783, 65, k)]
 
 
 class TestCombineComponents:

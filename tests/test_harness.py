@@ -6,6 +6,7 @@ import pytest
 
 from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
 from toroid.errors import (
+    InvariantViolationError,
     MarketDataError,
     NonMonotoneDatesError,
     NonPositivePriceError,
@@ -59,6 +60,14 @@ class TestLoadMarketCsv:
         p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,-1,1\n")
         with pytest.raises(NonPositivePriceError):
             load_market_csv(p)
+
+    @pytest.mark.parametrize("price", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_price(self, tmp_path, price):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n2017-01-02,{price},1\n")
+        with pytest.raises(NonPositivePriceError) as err:
+            load_market_csv(p)
+        assert err.value.line == 3
 
     def test_bad_field_reports_line(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -190,6 +199,13 @@ class TestRunBacktest:
                 Amount.from_tokens(10_000),
                 gas_cost_trd_override=Amount(1),
             )
+
+    def test_nan_price_fails_peg_check(self, cfg):
+        # rows built in code skip the parser's finiteness check
+        rows = flat_rows(3)
+        rows[1] = replace(rows[1], price=float("nan"))
+        with pytest.raises(InvariantViolationError):
+            run_backtest(rows, cfg, Amount.from_tokens(10_000))
 
     def test_empty_rows_rejected(self, cfg):
         with pytest.raises(MarketDataError):
