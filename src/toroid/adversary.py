@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .controller import PeriodMetrics, RebaseConfig, combined_rate
-from .errors import InvariantViolationError, NonDivisibleCollateralError
+from .controller import RebaseConfig
+from .errors import InvariantViolationError
+from .harness import PeriodRecord, step_period
 from .ledger import Ledger
-from .market import MarketState, initial_market, step_price
+from .market import initial_market
 from .numerics import UNIT, Amount, format_raw
 
 _ATTACKER = "attacker"
@@ -71,23 +72,14 @@ def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
     return Amount(v * cfg.gas_cost_base.raw)
 
 
-def _collateral_for(minted: Amount, cfg: RebaseConfig) -> Amount:
-    scaled = minted.raw * cfg.peg_ratio.ppb
-    if scaled % UNIT != 0:
-        raise NonDivisibleCollateralError(
-            f"{minted.tokens()} TRD has no exact collateral at the peg"
-        )
-    return Amount(scaled // UNIT)
-
-
 def _seed_ledger(scenario: SybilScenario, cfg: RebaseConfig) -> Ledger:
     ledger = Ledger(cfg.peg_ratio, start_period=scenario.start_period)
     honest = scenario.start_supply - scenario.attacker_holdings
     if honest.raw > 0:
-        ledger.open_account(_collateral_for(honest, cfg), account_id=_GENESIS)
+        ledger.open_account(ledger.collateral_for(honest), account_id=_GENESIS)
     if scenario.attacker_holdings.raw > 0:
         ledger.open_account(
-            _collateral_for(scenario.attacker_holdings, cfg), account_id=_ATTACKER
+            ledger.collateral_for(scenario.attacker_holdings), account_id=_ATTACKER
         )
     return ledger
 
@@ -107,20 +99,25 @@ def _extra(post_attack: Amount, counterfactual: Amount, what: str) -> Amount:
     return post_attack - counterfactual
 
 
-def _run_flat_arm(
-    scenario: SybilScenario, cfg: RebaseConfig, inject: bool
-) -> Ledger:
+def _run_arm(
+    scenario: SybilScenario,
+    cfg: RebaseConfig,
+    buy_period: int,
+    sell_period: int,
+    inject: bool,
+) -> tuple[Ledger, PeriodRecord]:
+    """Run periods 1..sell_period on a flat market, injecting after buy_period."""
     ledger = _seed_ledger(scenario, cfg)
+    market = initial_market(1.0, cfg)
+    supply = ledger.total_supply()
     v_prev = scenario.baseline_v
-    for _ in range(scenario.periods):
-        v = scenario.baseline_v + (scenario.delta_v_per_period if inject else 0)
-        metrics = PeriodMetrics(
-            t=ledger.current_period, v=v, v_prev=v_prev, s=ledger.total_supply()
-        )
-        breakdown = combined_rate(metrics, cfg)
-        ledger.rebase(breakdown.r_combined)
+    for p in range(1, sell_period + 1):
+        inject_now = inject and buy_period < p
+        v = scenario.baseline_v + (scenario.delta_v_per_period if inject_now else 0)
+        record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
+        market, supply = record.market, record.supply
         v_prev = v
-    return ledger
+    return ledger, record
 
 
 def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
@@ -129,11 +126,9 @@ def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
     Both arms see an identical flat market (return 1 every period); the
     only difference is the injected transaction count.
     """
-    attacked = _run_flat_arm(scenario, cfg, inject=True)
-    baseline = _run_flat_arm(scenario, cfg, inject=False)
-    extra_supply = _extra(
-        attacked.total_supply(), baseline.total_supply(), "total supply"
-    )
+    attacked, attacked_end = _run_arm(scenario, cfg, 0, scenario.periods, inject=True)
+    baseline, baseline_end = _run_arm(scenario, cfg, 0, scenario.periods, inject=False)
+    extra_supply = _extra(attacked_end.supply, baseline_end.supply, "total supply")
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
@@ -147,29 +142,6 @@ def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
         net_profit_base=net,
         profitable=net > 0,
     )
-
-
-def _run_priced_arm(
-    scenario: SybilScenario,
-    cfg: RebaseConfig,
-    buy_period: int,
-    sell_period: int,
-    inject: bool,
-) -> tuple[Ledger, MarketState]:
-    ledger = _seed_ledger(scenario, cfg)
-    market = initial_market(1.0, cfg)
-    v_prev = scenario.baseline_v
-    for p in range(1, sell_period + 1):
-        inject_now = inject and buy_period < p
-        v = scenario.baseline_v + (scenario.delta_v_per_period if inject_now else 0)
-        metrics = PeriodMetrics(
-            t=ledger.current_period, v=v, v_prev=v_prev, s=ledger.total_supply()
-        )
-        breakdown = combined_rate(metrics, cfg)
-        supply = ledger.rebase(breakdown.r_combined)
-        market = step_price(market, 1.0, breakdown.r_combined, cfg, supply)
-        v_prev = v
-    return ledger, market
 
 
 def run_pump_and_dump(
@@ -191,19 +163,18 @@ def run_pump_and_dump(
         raise ValueError("buy_period must be >= 0")
     if not buy_period < sell_period <= scenario.periods:
         raise ValueError("need buy_period < sell_period <= periods")
-    attacked, market = _run_priced_arm(
+    attacked, attacked_end = _run_arm(
         scenario, cfg, buy_period, sell_period, inject=True
     )
-    baseline, _ = _run_priced_arm(
+    baseline, baseline_end = _run_arm(
         scenario, cfg, buy_period, sell_period, inject=False
     )
-    extra_supply = _extra(
-        attacked.total_supply(), baseline.total_supply(), "total supply"
-    )
+    extra_supply = _extra(attacked_end.supply, baseline_end.supply, "total supply")
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
     # Sale price in base coin per TRD, taken exactly from the float pair.
+    market = attacked_end.market
     sale = Fraction(market.trd_price) / Fraction(market.base_price)
     gain = Amount(int(extra_holdings.raw * sale))
     cost = sybil_cost(

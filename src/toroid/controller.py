@@ -68,7 +68,6 @@ class RebaseConfig:
     peg_ratio                   base coin per TRD (the one-way peg ceiling)
     gas_cap_enabled             clamp the volume response to the gas cap
     floor_zero_during_bootstrap forbid negative rebasement while bootstrapping
-    period_seconds              wall-clock length of one period
     """
 
     t0: int = 10
@@ -78,7 +77,6 @@ class RebaseConfig:
     peg_ratio: Rate = Rate(100_000_000)
     gas_cap_enabled: bool = True
     floor_zero_during_bootstrap: bool = True
-    period_seconds: int = 86400
 
     def __post_init__(self) -> None:
         if self.t0 < 1:
@@ -89,8 +87,6 @@ class RebaseConfig:
             raise ConfigError("gas_cost_base must be positive")
         if self.bootstrap_periods < 0:
             raise ConfigError("bootstrap_periods must be >= 0")
-        if self.period_seconds < 1:
-            raise ConfigError("period_seconds must be >= 1")
 
     def gas_cost_trd(self) -> Amount:
         """Per-transaction gas cost converted to TRD at the peg, flooring."""
@@ -233,7 +229,6 @@ _CONFIG_KEYS = (
     "peg_ratio",
     "gas_cap_enabled",
     "floor_zero_during_bootstrap",
-    "period_seconds",
 )
 
 _TRUE_WORDS = {"true", "yes", "1", "on"}
@@ -277,8 +272,6 @@ def parse_config(text: str) -> RebaseConfig:
             kwargs["t0"] = int(values["t0"])
         if "bootstrap_periods" in values:
             kwargs["bootstrap_periods"] = int(values["bootstrap_periods"])
-        if "period_seconds" in values:
-            kwargs["period_seconds"] = int(values["period_seconds"])
         if "k_v" in values:
             kwargs["k_v"] = Rate.from_decimal(values["k_v"])
         if "peg_ratio" in values:
@@ -313,6 +306,5 @@ def dump_config(cfg: RebaseConfig) -> str:
         f"gas_cap_enabled = {'true' if cfg.gas_cap_enabled else 'false'}",
         "floor_zero_during_bootstrap = "
         + ("true" if cfg.floor_zero_during_bootstrap else "false"),
-        f"period_seconds = {cfg.period_seconds}",
     ]
     return "\n".join(lines) + "\n"

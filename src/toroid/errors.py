@@ -82,13 +82,17 @@ class ExceedsCollateralError(LedgerError):
 
 
 class SnapshotError(LedgerError):
-    """A ledger snapshot could not be parsed."""
+    """A ledger snapshot could not be parsed or breaks a ledger invariant."""
 
 
 # --- market -----------------------------------------------------------------
 
 class NonPositiveReturnError(ToroidError):
     """Market returns must be strictly positive multiplicative factors."""
+
+
+class NonFinitePriceError(ToroidError):
+    """A market return or price was infinite, or overflowed to infinity."""
 
 
 # --- harness ----------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each input row is one period of base-coin price and transaction count.
 The loop computes the market return, feeds the transaction count to the
 controller, rebases the ledger, steps the price model, and emits one
-series row.  Identical inputs produce byte-identical output files.
+series row.  step_period is that one period, shared with the attack
+arms.  Identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .controller import PeriodMetrics, RebaseConfig, combined_rate
+from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
 from .errors import (
     InvariantViolationError,
     MarketDataError,
@@ -21,7 +22,7 @@ from .errors import (
     NonPositivePriceError,
 )
 from .ledger import Ledger
-from .market import initial_market, step_price
+from .market import MarketState, initial_market, step_price
 from .numerics import UNIT, Amount, Rate
 
 MARKET_CSV_HEADER = "date,price,tx_count"
@@ -93,6 +94,40 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
     return rows
 
 
+@dataclass(frozen=True, slots=True)
+class PeriodRecord:
+    """What one period produced: its rates, the market after it, the supply."""
+
+    breakdown: RateBreakdown
+    market: MarketState
+    supply: Amount
+
+
+def step_period(
+    ledger: Ledger,
+    market: MarketState,
+    cfg: RebaseConfig,
+    v: int,
+    v_prev: int,
+    market_return: float,
+    supply: Amount,
+) -> PeriodRecord:
+    """Run one period: set the rate from the counts, rebase, move the price.
+
+    supply is the ledger's total at period start.  Callers carry the supply
+    the previous period returned rather than rescanning every account, so
+    they must pass ledger.total_supply() again after minting outside it.
+    """
+    metrics = PeriodMetrics(t=ledger.current_period, v=v, v_prev=v_prev, s=supply)
+    breakdown = combined_rate(metrics, cfg)
+    supply = ledger.rebase(breakdown.r_combined)
+    market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
+    # Written so that a NaN price fails the check too.
+    if not market.trd_price <= (cfg.peg_ratio.ppb / UNIT) * market.base_price:
+        raise InvariantViolationError("TRD price escaped the peg ceiling")
+    return PeriodRecord(breakdown, market, supply)
+
+
 def run_backtest(
     rows: list[MarketRow],
     cfg: RebaseConfig,
@@ -112,42 +147,24 @@ def run_backtest(
         raise MarketDataError("no market rows")
     if initial_supply.raw <= 0:
         raise ValueError("initial supply must be positive")
-    if gas_cost_trd_override is not None:
-        cost_base = gas_cost_trd_override.raw * cfg.peg_ratio.ppb
-        if cost_base % UNIT != 0 or cost_base == 0:
-            raise ValueError(
-                "gas cost override must convert exactly at the peg"
-            )
-        cfg = replace(cfg, gas_cost_base=Amount(cost_base // UNIT))
-
     ledger = Ledger(cfg.peg_ratio)
-    genesis_collateral = initial_supply.raw * cfg.peg_ratio.ppb
-    if genesis_collateral % UNIT != 0:
-        raise ValueError("initial supply has no exact collateral at the peg")
-    ledger.open_account(Amount(genesis_collateral // UNIT), account_id=_GENESIS)
+    if gas_cost_trd_override is not None:
+        cfg = replace(cfg, gas_cost_base=ledger.collateral_for(gas_cost_trd_override))
+    ledger.open_account(ledger.collateral_for(initial_supply), account_id=_GENESIS)
 
     market = initial_market(rows[0].price, cfg)
-    v_prev = rows[0].tx_count
-    prev_price = rows[0].price
+    supply = ledger.total_supply()
     out: list[SeriesRow] = []
-    for row in rows[1:]:
-        market_return = row.price / prev_price
-        metrics = PeriodMetrics(
-            t=ledger.current_period,
-            v=row.tx_count,
-            v_prev=v_prev,
-            s=ledger.total_supply(),
+    for prev, row in zip(rows, rows[1:]):
+        record = step_period(
+            ledger, market, cfg, row.tx_count, prev.tx_count,
+            row.price / prev.price, supply,
         )
-        breakdown = combined_rate(metrics, cfg)
-        supply = ledger.rebase(breakdown.r_combined)
-        minted_before = market.arb_minted_cum
-        market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
-        # Written so that a NaN price fails the check too.
-        if not market.trd_price <= (cfg.peg_ratio.ppb / UNIT) * market.base_price:
-            raise InvariantViolationError("TRD price escaped the peg ceiling")
+        supply = record.supply
         if arb_injection:
-            newly_minted = market.arb_minted_cum - minted_before
-            supply = _inject_arbitrage(ledger, cfg, newly_minted, supply)
+            newly_minted = record.market.arb_minted_cum - market.arb_minted_cum
+            supply = _inject_arbitrage(ledger, newly_minted, supply)
+        market, breakdown = record.market, record.breakdown
         out.append(
             SeriesRow(
                 date=row.date,
@@ -160,26 +177,20 @@ def run_backtest(
                 tx_count=row.tx_count,
             )
         )
-        v_prev = row.tx_count
-        prev_price = row.price
     return out
 
 
-def _inject_arbitrage(
-    ledger: Ledger, cfg: RebaseConfig, minted: Amount, supply: Amount
-) -> Amount:
+def _inject_arbitrage(ledger: Ledger, minted: Amount, supply: Amount) -> Amount:
     """Feed the clamp's notional mint into a dedicated arbitrageur account.
 
     The mint is rounded down to the nearest amount with exact collateral
     at the peg; a zero result leaves the ledger untouched.
     """
-    if minted.raw == 0:
-        return supply
-    step = UNIT // math.gcd(cfg.peg_ratio.ppb, UNIT)
+    step = UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT)
     rounded = minted.raw - minted.raw % step
     if rounded == 0:
         return supply
-    collateral = Amount(rounded * cfg.peg_ratio.ppb // UNIT)
+    collateral = ledger.collateral_for(Amount(rounded))
     if _ARBITRAGEUR in ledger.accounts:
         ledger.deposit(_ARBITRAGEUR, collateral)
     else:

@@ -91,6 +91,15 @@ class Ledger:
             )
         return Amount(scaled // self.peg_ratio.ppb)
 
+    def collateral_for(self, minted: Amount) -> Amount:
+        """Collateral that mints exactly minted TRD; the inverse of _minted_for."""
+        scaled = minted.raw * self.peg_ratio.ppb
+        if scaled % UNIT != 0:
+            raise NonDivisibleCollateralError(
+                f"{minted.tokens()} TRD has no exact collateral at the peg"
+            )
+        return Amount(scaled // UNIT)
+
     def _to_shares_ceil(self, amount: Amount) -> Amount:
         """Shares granted when tokens enter; ceiling keeps entry balances exact."""
         num, den = self.index.num, self.index.den
@@ -267,6 +276,10 @@ class Ledger:
                 shares, collateral, minted, created = (int(x) for x in fields[1:])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
+            if account_id in ledger.accounts:
+                raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
+            if collateral * UNIT != minted * peg_ratio.ppb:
+                raise SnapshotError(f"line {lineno}: collateral is not minted * peg")
             ledger.accounts[account_id] = Account(
                 id=account_id,
                 shares=Amount(shares),

@@ -13,11 +13,12 @@ they are never fed back into balance arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .controller import RebaseConfig
-from .errors import NonPositiveFactorError, NonPositiveReturnError
+from .errors import NonFinitePriceError, NonPositiveFactorError, NonPositiveReturnError
 from .numerics import UNIT, Amount, Rate
 
 
@@ -46,7 +47,8 @@ def step_price(
     """Advance one period: demand moves cap by the return, rebasement dilutes.
 
     supply is the post-rebase total; it sizes the notional arbitrage mint
-    whenever the peg clamp binds.
+    whenever the peg clamp binds.  Raises NonFinitePriceError when the
+    return, the base price or the implied TRD price is infinite.
     """
     if market_return <= 0:
         raise NonPositiveReturnError(f"market return must be > 0, got {market_return}")
@@ -56,6 +58,10 @@ def step_price(
     growth = factor / UNIT
     base_price = state.base_price * market_return
     implied = state.trd_price * market_return / growth
+    # The clamp below cannot size an infinite excess.  A NaN passes on to
+    # the peg check in harness.step_period.
+    if math.isinf(base_price) or math.isinf(implied):
+        raise NonFinitePriceError(f"price overflowed: base {base_price}, TRD {implied}")
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
     arb_minted = state.arb_minted_cum
     if implied > ceiling:

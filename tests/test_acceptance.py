@@ -334,6 +334,8 @@ class TestAcceptance:
             assert code == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        golden = sample_market_path.parents[1] / "benchmarks" / "golden"
+        assert outputs[0] == (golden / "simulate.csv").read_bytes()
 
         regenerated = render_market_csv(generate_sample_market())
         committed = sample_market_path.read_text(encoding="utf-8")

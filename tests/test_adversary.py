@@ -84,11 +84,11 @@ class TestRunSybil:
     def test_counterfactual_arms_identical_without_injection(self, cfg):
         # with delta_v = 0 the attack arm and the baseline arm are the
         # same simulation; their final ledgers must match bit for bit
-        from toroid.adversary import _run_flat_arm
+        from toroid.adversary import _run_arm
 
         sc = scenario(0, periods=4, baseline_v=250, holdings=3_000)
-        attacked = _run_flat_arm(sc, cfg, inject=True)
-        baseline = _run_flat_arm(sc, cfg, inject=False)
+        attacked, _ = _run_arm(sc, cfg, 0, sc.periods, inject=True)
+        baseline, _ = _run_arm(sc, cfg, 0, sc.periods, inject=False)
         assert attacked.snapshot() == baseline.snapshot()
 
     def test_unprotected_controller_is_exploitable(self, cfg):

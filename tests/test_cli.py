@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from toroid.cli import EXIT_INPUT, EXIT_OK, main
 from toroid.harness import MARKET_CSV_HEADER, SERIES_CSV_HEADER
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+PUMP_DUMP = ["pump-dump", "--delta-v", "100000", "--periods", "6", "--baseline-v", "100",
+             "--supply", "10000", "--holdings", "5000", "--buy", "2", "--sell", "3"]
 
 
 class TestSimulate:
@@ -88,6 +94,32 @@ class TestSimulate:
         assert not out.exists()
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "2017-01-01,1e-300,100\n2017-01-02,1e300,100\n",
+            "2017-01-01,1.7e308,1000000\n2017-01-02,1.7e308,1\n",
+        ],
+    )
+    def test_overflowing_price_is_input_error(
+        self, tmp_path, default_cfg_path, rows, capsys
+    ):
+        data = tmp_path / "m.csv"
+        data.write_text(f"{MARKET_CSV_HEADER}\n{rows}")
+        code = main(
+            [
+                "simulate",
+                "--data", str(data),
+                "--config", str(default_cfg_path),
+                "--initial-supply", "10000",
+                "--out", str(tmp_path / "o.csv"),
+                "--no-gas-cap",
+                "--no-bootstrap-floor",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "price overflowed" in capsys.readouterr().err
+
     def test_bad_flag_is_input_error(self):
         assert main(["simulate", "--bogus"]) == EXIT_INPUT
 
@@ -96,6 +128,29 @@ class TestSimulate:
 
 
 class TestAttack:
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            (
+                "attack-sybil.csv",
+                ["sybil", "--delta-v", "10000", "--periods", "1",
+                 "--baseline-v", "0", "--supply", "10000", "--holdings", "10000"],
+            ),
+            ("attack-pump-dump.csv", PUMP_DUMP),
+            ("attack-pump-dump-no-gas-cap.csv", PUMP_DUMP + ["--no-gas-cap"]),
+        ],
+    )
+    def test_readme_commands_match_golden(
+        self, tmp_path, default_cfg_path, golden, args
+    ):
+        # the README's attack commands, byte for byte against the goldens
+        out = tmp_path / golden
+        code = main(
+            ["attack", *args, "--config", str(default_cfg_path), "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_sybil_writes_report(self, tmp_path, default_cfg_path, capsys):
         out = tmp_path / "report.csv"
         code = main(

@@ -341,7 +341,6 @@ class TestConfigFiles:
             peg_ratio=Rate.from_decimal("0.5"),
             gas_cap_enabled=False,
             floor_zero_during_bootstrap=False,
-            period_seconds=3600,
         )
         assert parse_config(dump_config(cfg)) == cfg
 

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from toroid import harness
 from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
 from toroid.errors import (
     InvariantViolationError,
     MarketDataError,
+    NonDivisibleCollateralError,
+    NonFinitePriceError,
     NonMonotoneDatesError,
     NonPositivePriceError,
 )
@@ -18,6 +21,7 @@ from toroid.harness import (
     load_market_csv,
     read_series_csv,
     run_backtest,
+    step_period,
     write_series_csv,
 )
 from toroid.numerics import UNIT, Amount, Rate
@@ -192,7 +196,7 @@ class TestRunBacktest:
         assert quiet[-1].trd_supply.raw < fed[-1].trd_supply.raw
 
     def test_bad_override_rejected(self, cfg):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonDivisibleCollateralError):
             run_backtest(
                 flat_rows(2),
                 cfg,
@@ -206,6 +210,49 @@ class TestRunBacktest:
         rows[1] = replace(rows[1], price=float("nan"))
         with pytest.raises(InvariantViolationError):
             run_backtest(rows, cfg, Amount.from_tokens(10_000))
+
+    @pytest.mark.parametrize(
+        "prices, counts",
+        [((1e-300, 1e300), (100, 100)), ((1.7e308, 1.7e308), (1_000_000, 1))],
+    )
+    def test_overflowing_price_rejected(self, prices, counts):
+        # the first pair's return overflows; in the second only the TRD
+        # price does, once the volume crash drives the rate to -99%
+        cfg = RebaseConfig(gas_cap_enabled=False, floor_zero_during_bootstrap=False)
+        rows = [
+            MarketRow(dt.date(2020, 1, 1 + i), price, tx)
+            for i, (price, tx) in enumerate(zip(prices, counts))
+        ]
+        with pytest.raises(NonFinitePriceError):
+            run_backtest(rows, cfg, Amount.from_tokens(10_000))
+
+    def test_carried_supply_matches_ledger_scan(self, sample_market_path, monkeypatch):
+        # periods take the supply the previous one reported instead of
+        # rescanning the ledger; with arbitrage mints landing between
+        # periods, every carried and reported supply must equal a full scan
+        cfg = RebaseConfig(
+            k_v=Rate.from_decimal("1"), t0=10**6, floor_zero_during_bootstrap=False
+        )
+        carried, scanned, ledgers = [], [], []
+
+        def scanning(ledger, market, cfg, v, v_prev, market_return, supply):
+            carried.append(supply)
+            scanned.append(ledger.total_supply())
+            ledgers.append(ledger)
+            return step_period(ledger, market, cfg, v, v_prev, market_return, supply)
+
+        monkeypatch.setattr(harness, "step_period", scanning)
+        series = run_backtest(
+            load_market_csv(sample_market_path),
+            cfg,
+            Amount.from_tokens(10_000),
+            arb_injection=True,
+        )
+        ledger = ledgers[-1]
+        assert "arb" in ledger.accounts
+        assert carried == scanned
+        reported = [row.trd_supply for row in series]
+        assert reported == scanned[1:] + [ledger.total_supply()]
 
     def test_empty_rows_rejected(self, cfg):
         with pytest.raises(MarketDataError):

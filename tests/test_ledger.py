@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from toroid.errors import (
     NonDivisibleCollateralError,
     NonPositiveFactorError,
     SelfTransferError,
+    SnapshotError,
     UnknownAccountError,
     ZeroCollateralError,
 )
@@ -62,6 +64,26 @@ class TestOpenAccount:
     def test_id_with_comma_rejected(self):
         with pytest.raises(ValueError):
             fresh().open_account(Amount.from_tokens(1), account_id="a,b")
+
+
+class TestCollateralFor:
+    @pytest.mark.parametrize("peg", ["0.1", "0.3", "1", "2.5", "0.000000007"])
+    @pytest.mark.parametrize("minted_raw", [1, 7, 10**9, 123_456_789_000, 10**18])
+    def test_open_and_deposit_mint_exactly(self, peg, minted_raw):
+        ledger = Ledger(Rate.from_decimal(peg))
+        # scale by the smallest amount that has exact collateral at this peg
+        step = UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT)
+        want = Amount(minted_raw * step)
+        account_id, minted = ledger.open_account(ledger.collateral_for(want))
+        assert minted == want
+        assert ledger.deposit(account_id, ledger.collateral_for(want)) == want
+        assert ledger.balance_of(account_id) == Amount(2 * want.raw)
+
+    def test_inexact_collateral_rejected(self):
+        ledger = Ledger(Rate.from_decimal("0.3"))
+        with pytest.raises(NonDivisibleCollateralError):
+            ledger.collateral_for(Amount(1))
+        assert ledger.collateral_for(Amount(10)) == Amount(3)
 
 
 class TestDeposit:
@@ -288,6 +310,26 @@ class TestSnapshot:
         new_id, _ = restored.open_account(Amount.from_tokens(1))
         assert new_id not in ledger.accounts
         assert restored.balance_of(new_id) == Amount.from_tokens(10)
+
+    def test_duplicate_account_rejected(self):
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1), account_id="x")
+        text = ledger.snapshot()
+        # the same row twice would count its collateral twice
+        with pytest.raises(SnapshotError, match="duplicate"):
+            Ledger.restore(text + text.splitlines()[1] + "\n", PEG)
+
+    def test_collateral_off_peg_rejected(self):
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1), account_id="x")
+        text = ledger.snapshot()
+        tampered = text.replace(",1000000000,10000000000,", ",1000000001,10000000000,")
+        assert tampered != text
+        with pytest.raises(SnapshotError, match="peg"):
+            Ledger.restore(tampered, PEG)
+        # an untouched snapshot restored at another peg breaks the same rule
+        with pytest.raises(SnapshotError, match="peg"):
+            Ledger.restore(text, Rate.from_decimal("0.2"))
 
 
 class TestRandomizedInvariants:

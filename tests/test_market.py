@@ -4,7 +4,11 @@ import statistics
 
 import pytest
 
-from toroid.errors import NonPositiveFactorError, NonPositiveReturnError
+from toroid.errors import (
+    NonFinitePriceError,
+    NonPositiveFactorError,
+    NonPositiveReturnError,
+)
 from toroid.harness import load_market_csv, run_backtest
 from toroid.market import MarketState, initial_market, step_price
 from toroid.numerics import UNIT, Amount, Rate
@@ -51,6 +55,20 @@ class TestStepPrice:
         state = initial_market(100.0, cfg)
         with pytest.raises(NonPositiveFactorError):
             step_price(state, 1.0, Rate(-UNIT), cfg, Amount.from_tokens(1))
+
+    @pytest.mark.parametrize(
+        "base_price, market_return, rate",
+        [
+            (100.0, math.inf, Rate(0)),  # infinite return
+            (math.inf, 1.0, Rate(0)),  # infinite base price
+            (1e300, 1e10, Rate(0)),  # base price overflows
+            (1.7e308, 1.0, Rate(-990_000_000)),  # only the TRD price overflows
+        ],
+    )
+    def test_overflowing_price_rejected(self, cfg, base_price, market_return, rate):
+        state = initial_market(base_price, cfg)
+        with pytest.raises(NonFinitePriceError):
+            step_price(state, market_return, rate, cfg, Amount.from_tokens(1))
 
 
 class TestPegCeiling:
