@@ -92,7 +92,7 @@ class NonPositiveReturnError(ToroidError):
 
 
 class NonFinitePriceError(ToroidError):
-    """A market return or price was infinite, or overflowed to infinity."""
+    """A market return or price was NaN or infinite, or overflowed to infinity."""
 
 
 # --- harness ----------------------------------------------------------------

@@ -32,10 +32,15 @@ from .errors import (
     UnknownAccountError,
     ZeroCollateralError,
 )
-from .numerics import UNIT, Amount, Index, Rate, apply_index, grow_index
+from .numerics import UNIT, Amount, Index, Rate, format_raw, grow_index
 
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
+
+
+def _valid_id(account_id: str) -> bool:
+    """An id the snapshot's comma- and line-separated format round-trips."""
+    return "," not in account_id and account_id.splitlines() == [account_id]
 
 
 @dataclass
@@ -100,18 +105,18 @@ class Ledger:
             )
         return Amount(scaled // UNIT)
 
-    def _to_shares_ceil(self, amount: Amount) -> Amount:
-        """Shares granted when tokens enter; ceiling keeps entry balances exact."""
-        num, den = self.index.num, self.index.den
-        return Amount(-((-amount.raw * SHARE_SCALE * den) // num))
+    def _to_shares_ceil(self, raw: int) -> int:
+        """Shares granted when raw tokens enter; ceiling keeps entry balances exact."""
+        return -((-raw * SHARE_SCALE * self.index.den) // self.index.num)
 
-    def _to_shares_floor(self, amount: Amount) -> Amount:
-        """Shares removed when tokens leave; flooring never debits extra."""
-        num, den = self.index.num, self.index.den
-        return Amount(amount.raw * SHARE_SCALE * den // num)
+    def _to_shares_floor(self, raw: int) -> int:
+        """Shares removed when raw tokens leave; flooring never debits extra."""
+        return raw * SHARE_SCALE * self.index.den // self.index.num
 
-    def _shares_to_balance(self, shares: Amount) -> Amount:
-        return Amount(apply_index(shares, self.index).raw // SHARE_SCALE)
+    def _balance_raw(self, shares: int) -> int:
+        # One floor over den * SHARE_SCALE equals flooring by den, then by
+        # SHARE_SCALE, so this is the balance apply_index would give.
+        return shares * self.index.num // (self.index.den * SHARE_SCALE)
 
     # -- queries -------------------------------------------------------
 
@@ -122,13 +127,12 @@ class Ledger:
             raise UnknownAccountError(f"unknown account {account_id!r}") from None
 
     def balance_of(self, account_id: str) -> Amount:
-        return self._shares_to_balance(self._get(account_id).shares)
+        return Amount(self._balance_raw(self._get(account_id).shares.raw))
 
     def total_supply(self) -> Amount:
-        total = 0
-        for account in self.accounts.values():
-            total += self._shares_to_balance(account.shares).raw
-        return Amount(total)
+        """Exact sum of every floored balance, in one integer pass."""
+        num, den = self.index.num, self.index.den * SHARE_SCALE
+        return Amount(sum(a.shares.raw * num // den for a in self.accounts.values()))
 
     # -- operations ------------------------------------------------------
 
@@ -142,18 +146,23 @@ class Ledger:
         if account_id is None:
             account_id = f"a{self._next_account_seq}"
             self._next_account_seq += 1
-        if "," in account_id or "\n" in account_id:
-            raise ValueError(f"account id may not contain ',' or newline: {account_id!r}")
+        if not _valid_id(account_id):
+            raise ValueError(
+                f"account id may not be empty or contain ',' or a line break: {account_id!r}"
+            )
         if account_id in self.accounts:
             raise ValueError(f"account id already exists: {account_id!r}")
-        self.accounts[account_id] = Account(
+        # The account is stored last, once every value that can overflow
+        # has been built and checked.
+        account = Account(
             id=account_id,
-            shares=self._to_shares_ceil(minted),
+            shares=Amount(self._to_shares_ceil(minted.raw)),
             collateral=collateral,
             minted=minted,
             created_period=self.current_period,
         )
         self.total_collateral += collateral
+        self.accounts[account_id] = account
         return account_id, minted
 
     def deposit(self, account_id: str, collateral: Amount) -> Amount:
@@ -162,10 +171,13 @@ class Ledger:
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot deposit zero collateral")
         minted = self._minted_for(collateral)
-        account.shares += self._to_shares_ceil(minted)
-        account.collateral += collateral
-        account.minted += minted
-        self.total_collateral += collateral
+        # Every new value is built, and so checked, before any is stored.
+        account.shares, account.collateral, account.minted, self.total_collateral = (
+            Amount(account.shares.raw + self._to_shares_ceil(minted.raw)),
+            account.collateral + collateral,
+            account.minted + minted,
+            self.total_collateral + collateral,
+        )
         return minted
 
     def transfer(self, src: str, dst: str, amount: Amount) -> None:
@@ -174,14 +186,19 @@ class Ledger:
             raise SelfTransferError(f"cannot transfer {src!r} to itself")
         sender = self._get(src)
         receiver = self._get(dst)
-        if self.balance_of(src).raw < amount.raw:
+        balance = self._balance_raw(sender.shares.raw)
+        if balance < amount.raw:
             raise InsufficientBalanceError(
-                f"{src!r} holds {self.balance_of(src).tokens()} TRD, "
+                f"{src!r} holds {format_raw(balance)} TRD, "
                 f"cannot send {amount.tokens()}"
             )
-        moved = self._to_shares_floor(amount)
-        sender.shares -= moved
-        receiver.shares += moved
+        moved = self._to_shares_floor(amount.raw)
+        # Both share counts are built before either is stored, so an
+        # overflow on the receiver leaves the sender untouched.
+        sender.shares, receiver.shares = (
+            Amount(sender.shares.raw - moved),
+            Amount(receiver.shares.raw + moved),
+        )
         self.tx_count_this_period += 1
 
     def rebase(self, r: Rate) -> Amount:
@@ -217,13 +234,13 @@ class Ledger:
                 f"minimum holding is {self.min_holding_periods}"
             )
         burned = self._minted_for(collateral_out)
-        balance = self.balance_of(account_id)
-        if balance.raw < burned.raw:
+        balance = self._balance_raw(account.shares.raw)
+        if balance < burned.raw:
             raise InsufficientForRefundError(
-                f"{account_id!r} holds {balance.tokens()} TRD, "
+                f"{account_id!r} holds {format_raw(balance)} TRD, "
                 f"refund requires burning {burned.tokens()}"
             )
-        account.shares -= self._to_shares_floor(burned)
+        account.shares = Amount(account.shares.raw - self._to_shares_floor(burned.raw))
         account.minted -= burned
         account.collateral -= collateral_out
         self.total_collateral -= collateral_out
@@ -261,6 +278,8 @@ class Ledger:
             num, den, period, tx_this, tx_prev = (int(x) for x in header)
         except ValueError as exc:
             raise SnapshotError(f"bad header: {lines[0]!r}") from exc
+        if tx_this < 0 or tx_prev < 0:
+            raise SnapshotError(f"negative tx counter: {lines[0]!r}")
         ledger = cls(peg_ratio, min_holding_periods, start_period=period)
         ledger.index = Index(num, den)
         ledger.tx_count_this_period = tx_this
@@ -276,6 +295,10 @@ class Ledger:
                 shares, collateral, minted, created = (int(x) for x in fields[1:])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
+            if not _valid_id(account_id):
+                raise SnapshotError(f"line {lineno}: bad account id {account_id!r}")
+            if created < 0:
+                raise SnapshotError(f"line {lineno}: negative created_period: {line!r}")
             if account_id in ledger.accounts:
                 raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
             if collateral * UNIT != minted * peg_ratio.ppb:

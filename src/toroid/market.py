@@ -48,7 +48,7 @@ def step_price(
 
     supply is the post-rebase total; it sizes the notional arbitrage mint
     whenever the peg clamp binds.  Raises NonFinitePriceError when the
-    return, the base price or the implied TRD price is infinite.
+    return, the base price or the implied TRD price is infinite or NaN.
     """
     if market_return <= 0:
         raise NonPositiveReturnError(f"market return must be > 0, got {market_return}")
@@ -58,10 +58,12 @@ def step_price(
     growth = factor / UNIT
     base_price = state.base_price * market_return
     implied = state.trd_price * market_return / growth
-    # The clamp below cannot size an infinite excess.  A NaN passes on to
-    # the peg check in harness.step_period.
-    if math.isinf(base_price) or math.isinf(implied):
-        raise NonFinitePriceError(f"price overflowed: base {base_price}, TRD {implied}")
+    # The clamp below cannot size an infinite excess, and a NaN compares
+    # false against the ceiling.
+    if not (math.isfinite(base_price) and math.isfinite(implied)):
+        raise NonFinitePriceError(
+            f"price overflowed or is NaN: base {base_price}, TRD {implied}"
+        )
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
     arb_minted = state.arb_minted_cum
     if implied > ceiling:

@@ -24,6 +24,8 @@ from toroid.harness import (
     step_period,
     write_series_csv,
 )
+from toroid.ledger import Ledger
+from toroid.market import initial_market
 from toroid.numerics import UNIT, Amount, Rate
 
 
@@ -208,8 +210,23 @@ class TestRunBacktest:
         # rows built in code skip the parser's finiteness check
         rows = flat_rows(3)
         rows[1] = replace(rows[1], price=float("nan"))
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(NonFinitePriceError):
             run_backtest(rows, cfg, Amount.from_tokens(10_000))
+
+    @pytest.mark.parametrize("excess", [2.0, float("nan")])
+    def test_step_period_checks_peg_ceiling(self, cfg, monkeypatch, excess):
+        # a price model that lets the TRD price escape the ceiling, or go
+        # NaN, is an internal fault the kernel must still catch
+        def escaping(state, market_return, r, cfg, supply):
+            ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
+            return replace(state, trd_price=ceiling * excess)
+
+        monkeypatch.setattr(harness, "step_price", escaping)
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount.from_tokens(1_000))
+        market = initial_market(100.0, cfg)
+        with pytest.raises(InvariantViolationError):
+            step_period(ledger, market, cfg, 0, 0, 1.0, ledger.total_supply())
 
     @pytest.mark.parametrize(
         "prices, counts",

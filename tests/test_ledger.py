@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toroid.errors import (
+    AmountOverflowError,
     ExceedsCollateralError,
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
@@ -12,17 +15,28 @@ from toroid.errors import (
     NonPositiveFactorError,
     SelfTransferError,
     SnapshotError,
+    ToroidError,
     UnknownAccountError,
     ZeroCollateralError,
 )
 from toroid.ledger import SHARE_SCALE, Ledger
-from toroid.numerics import UNIT, Amount, Rate, apply_index, one_plus
+from toroid.numerics import MAX_RAW, UNIT, Amount, Rate, apply_index, one_plus
 
 PEG = Rate.from_decimal("0.1")
 
 
 def fresh() -> Ledger:
     return Ledger(PEG)
+
+
+def grown_ledger() -> Ledger:
+    """A ledger whose index is ~10^12, so near-MAX_RAW minted amounts fit
+    in few shares and an overflow hits the collateral side first."""
+    ledger = fresh()
+    ledger.open_account(Amount(10))
+    for _ in range(4):
+        ledger.rebase(Rate(10**12))
+    return ledger
 
 
 class TestOpenAccount:
@@ -65,6 +79,39 @@ class TestOpenAccount:
         with pytest.raises(ValueError):
             fresh().open_account(Amount.from_tokens(1), account_id="a,b")
 
+    @pytest.mark.parametrize("account_id", ["a\rb", "a\x0bb", "a\u2028b", "a\n", ""])
+    def test_id_with_line_break_rejected(self, account_id):
+        # snapshot() could write such an id but restore() could not read it
+        ledger = fresh()
+        with pytest.raises(ValueError):
+            ledger.open_account(Amount.from_tokens(1), account_id=account_id)
+        assert ledger.accounts == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(account_id=st.text())
+    def test_accepted_ids_round_trip(self, account_id):
+        ledger = fresh()
+        try:
+            ledger.open_account(Amount.from_tokens(1), account_id=account_id)
+        except ValueError:
+            return
+        text = ledger.snapshot()
+        assert Ledger.restore(text, PEG).snapshot() == text
+
+    def test_collateral_overflow_leaves_ledger_unchanged(self):
+        # at a high index the shares fit while the collateral total does not
+        ledger = grown_ledger()
+        big = Amount(MAX_RAW // 10 - 1)
+        for _ in range(10):
+            ledger.open_account(big)
+        before = ledger.snapshot()
+        with pytest.raises(AmountOverflowError):
+            ledger.open_account(big, account_id="x")
+        assert ledger.snapshot() == before
+        assert ledger.total_collateral.raw == sum(
+            a.collateral.raw for a in ledger.accounts.values()
+        )
+
 
 class TestCollateralFor:
     @pytest.mark.parametrize("peg", ["0.1", "0.3", "1", "2.5", "0.000000007"])
@@ -94,6 +141,19 @@ class TestDeposit:
         assert minted == Amount.from_tokens(5)
         assert ledger.balance_of(account_id) == Amount.from_tokens(15)
         assert ledger.accounts[account_id].minted == Amount.from_tokens(15)
+
+    def test_minted_overflow_leaves_ledger_unchanged(self):
+        # the shares and collateral fit, the minted total does not; no part
+        # of the deposit may be stored, or collateral != minted * peg
+        ledger = grown_ledger()
+        a, _ = ledger.open_account(Amount(MAX_RAW // 10 - 1))
+        before = ledger.snapshot()
+        with pytest.raises(AmountOverflowError):
+            ledger.deposit(a, Amount(MAX_RAW // 10 - 1))
+        assert ledger.snapshot() == before
+        assert ledger.total_collateral.raw == sum(
+            acct.collateral.raw for acct in ledger.accounts.values()
+        )
 
     def test_zero_deposit_rejected(self):
         ledger = fresh()
@@ -148,6 +208,20 @@ class TestTransfer:
         ledger.transfer(a, b, Amount.from_tokens(1))
         received = ledger.balance_of(b) - before
         assert UNIT - 1 <= received.raw <= UNIT
+
+    def test_receiver_overflow_leaves_ledger_unchanged(self):
+        # both wallets hold just under MAX_RAW shares; half of one cannot fit
+        # in the other, and the sender must not be debited regardless
+        ledger = fresh()
+        collateral = Amount(MAX_RAW // (10 * SHARE_SCALE * UNIT // PEG.ppb) * 10)
+        a, _ = ledger.open_account(collateral)
+        b, _ = ledger.open_account(collateral)
+        assert ledger.accounts[a].shares.raw > MAX_RAW // 2
+        before = ledger.snapshot()
+        half = Amount(ledger.balance_of(a).raw // 2)
+        with pytest.raises(AmountOverflowError):
+            ledger.transfer(a, b, half)
+        assert ledger.snapshot() == before
 
     def test_supply_neutral_within_one_raw(self):
         ledger = fresh()
@@ -330,6 +404,111 @@ class TestSnapshot:
         # an untouched snapshot restored at another peg breaks the same rule
         with pytest.raises(SnapshotError, match="peg"):
             Ledger.restore(text, Rate.from_decimal("0.2"))
+
+    def test_bad_account_id_rejected(self):
+        # the only id the line and comma split can leave that open_account
+        # would refuse is the empty one
+        text = fresh().snapshot() + ",10000000000000000000,1000000000,10000000000,0\n"
+        with pytest.raises(SnapshotError, match="account id"):
+            Ledger.restore(text, PEG)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,1,0,-1,0\n",
+            "1,1,0,0,-1\n",
+            "1,1,0,0,0\nx,10000000000000000000,1000000000,10000000000,-1\n",
+        ],
+    )
+    def test_negative_counter_or_period_rejected(self, text):
+        with pytest.raises(SnapshotError, match="negative"):
+            Ledger.restore(text, PEG)
+
+
+# One operation: (kind, a, b, c); a and b pick accounts by position, and c
+# sizes the operation (collateral, a ppm share of a balance, or a ppb rate,
+# taken mod 10^9 above +100%).
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["open", "deposit", "transfer", "withdraw", "rebase"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.integers(-900_000_000, 10**12),
+    ),
+    max_size=40,
+)
+# Twelve rebases at 1 + 0.123456789 push the exact index past 2^128.
+RENORMALISING_OPS = [("open", 0, 0, 10**12)] + [("rebase", 0, 0, 123_456_789)] * 12
+
+
+def replay_checking_supply(ops) -> int:
+    """Apply ops, checking after each that total_supply() is the exact sum
+    of balances and of the per-account apply_index oracle, and that a
+    refused operation changes nothing.  Returns how many rebases
+    renormalised the index."""
+    ledger = fresh()
+    ids: list[str] = []
+    renormalised = 0
+    for kind, a, b, c in ops:
+        if kind == "open":
+            ids.append(ledger.open_account(Amount(abs(c) + 1))[0])
+        elif ids:
+            src, dst = ids[a % len(ids)], ids[b % len(ids)]
+            ppm = abs(c) % (10**6 + 1)
+            before = ledger.snapshot()
+            try:
+                if kind == "deposit":
+                    ledger.deposit(src, Amount(abs(c) + 1))
+                elif kind == "transfer":
+                    amount = ledger.balance_of(src).raw * ppm // 10**6
+                    ledger.transfer(src, dst, Amount(amount))
+                elif kind == "withdraw":
+                    out = ledger.accounts[src].collateral.raw * ppm // 10**6
+                    ledger.withdraw(src, Amount(out))
+                else:
+                    r = Rate(c if c <= UNIT else c % UNIT)
+                    exact = ledger.index.value() * (UNIT + r.ppb) / UNIT
+                    assert ledger.rebase(r) == ledger.total_supply()
+                    renormalised += ledger.index.value() != exact
+            except ToroidError:
+                assert ledger.snapshot() == before
+        supply = ledger.total_supply().raw
+        assert supply == sum(ledger.balance_of(i).raw for i in ledger.accounts)
+        assert supply == sum(
+            apply_index(acct.shares, ledger.index).raw // SHARE_SCALE
+            for acct in ledger.accounts.values()
+        )
+    return renormalised
+
+
+class TestExactSupply:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=OPS)
+    @example(ops=RENORMALISING_OPS)
+    def test_supply_is_exact_sum_of_balances(self, ops):
+        replay_checking_supply(ops)
+
+    def test_renormalising_sequence_renormalises(self):
+        assert replay_checking_supply(RENORMALISING_OPS) > 0
+
+    def test_thousand_accounts_match_oracle(self):
+        rng = random.Random(4_000_001)
+        ledger = fresh()
+        ids = [
+            ledger.open_account(Amount(rng.randrange(1, 10**13)))[0] for _ in range(1_000)
+        ]
+        for _ in range(20):
+            for _ in range(200):
+                src, dst = rng.sample(ids, 2)
+                amount = Amount(rng.randrange(0, ledger.balance_of(src).raw + 1))
+                ledger.transfer(src, dst, amount)
+            ledger.rebase(Rate(rng.randrange(-300_000_000, 400_000_000)))
+            balances = [
+                apply_index(ledger.accounts[i].shares, ledger.index).raw // SHARE_SCALE
+                for i in ids
+            ]
+            assert [ledger.balance_of(i).raw for i in ids] == balances
+            assert ledger.total_supply().raw == sum(balances)
 
 
 class TestRandomizedInvariants:

@@ -63,6 +63,7 @@ class TestStepPrice:
             (math.inf, 1.0, Rate(0)),  # infinite base price
             (1e300, 1e10, Rate(0)),  # base price overflows
             (1.7e308, 1.0, Rate(-990_000_000)),  # only the TRD price overflows
+            (100.0, math.nan, Rate(0)),  # NaN return
         ],
     )
     def test_overflowing_price_rejected(self, cfg, base_price, market_return, rate):
