@@ -11,6 +11,7 @@ price any sale could fetch.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .controller import RebaseConfig
 from .errors import InvariantViolationError
 from .harness import PeriodRecord, step_period
 from .ledger import Ledger
-from .market import initial_market
+from .market import MarketState, initial_market
 from .numerics import UNIT, Amount, format_raw
 
 _ATTACKER = "attacker"
@@ -52,6 +53,8 @@ class SybilScenario:
             raise ValueError("transaction counts must be >= 0")
         if self.attacker_holdings.raw > self.start_supply.raw:
             raise ValueError("attacker cannot hold more than the total supply")
+        if self.start_period < 0:
+            raise ValueError("start_period must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +123,27 @@ def _run_arm(
     return ledger, record
 
 
-def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
-    """Flat-market Sybil attack: inject volume, value the gain at the peg.
+def _price_attack(
+    scenario: SybilScenario,
+    cfg: RebaseConfig,
+    buy: int,
+    sell: int,
+    sale_price: Callable[[MarketState], Fraction],
+) -> AttackReport:
+    """Run both arms over periods 1..sell and price the attack.
 
-    Both arms see an identical flat market (return 1 every period); the
-    only difference is the injected transaction count.
+    The attacker's extra TRD is valued at sale_price of the attacked arm's
+    final market, in base coin per TRD; the cost is the gas of every
+    transaction injected after buy through sell.
     """
-    attacked, attacked_end = _run_arm(scenario, cfg, 0, scenario.periods, inject=True)
-    baseline, baseline_end = _run_arm(scenario, cfg, 0, scenario.periods, inject=False)
+    attacked, attacked_end = _run_arm(scenario, cfg, buy, sell, inject=True)
+    baseline, baseline_end = _run_arm(scenario, cfg, buy, sell, inject=False)
     extra_supply = _extra(attacked_end.supply, baseline_end.supply, "total supply")
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
-    gain = Amount(extra_holdings.raw * cfg.peg_ratio.ppb // UNIT)
-    cost = sybil_cost(scenario.delta_v_per_period * scenario.periods, cfg)
+    gain = Amount(int(extra_holdings.raw * sale_price(attacked_end.market)))
+    cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
     net = gain.raw - cost.raw
     return AttackReport(
         cost_base=cost,
@@ -142,6 +152,16 @@ def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
         net_profit_base=net,
         profitable=net > 0,
     )
+
+
+def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
+    """Flat-market Sybil attack: inject volume, value the gain at the peg.
+
+    Both arms see an identical flat market (return 1 every period); the
+    only difference is the injected transaction count.
+    """
+    peg = Fraction(cfg.peg_ratio.ppb, UNIT)
+    return _price_attack(scenario, cfg, 0, scenario.periods, lambda _: peg)
 
 
 def run_pump_and_dump(
@@ -163,30 +183,10 @@ def run_pump_and_dump(
         raise ValueError("buy_period must be >= 0")
     if not buy_period < sell_period <= scenario.periods:
         raise ValueError("need buy_period < sell_period <= periods")
-    attacked, attacked_end = _run_arm(
-        scenario, cfg, buy_period, sell_period, inject=True
-    )
-    baseline, baseline_end = _run_arm(
-        scenario, cfg, buy_period, sell_period, inject=False
-    )
-    extra_supply = _extra(attacked_end.supply, baseline_end.supply, "total supply")
-    extra_holdings = _extra(
-        _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
-    )
     # Sale price in base coin per TRD, taken exactly from the float pair.
-    market = attacked_end.market
-    sale = Fraction(market.trd_price) / Fraction(market.base_price)
-    gain = Amount(int(extra_holdings.raw * sale))
-    cost = sybil_cost(
-        scenario.delta_v_per_period * (sell_period - buy_period), cfg
-    )
-    net = gain.raw - cost.raw
-    return AttackReport(
-        cost_base=cost,
-        extra_supply_trd=extra_supply,
-        attacker_gain_base=gain,
-        net_profit_base=net,
-        profitable=net > 0,
+    return _price_attack(
+        scenario, cfg, buy_period, sell_period,
+        lambda market: Fraction(market.trd_price) / Fraction(market.base_price),
     )
 
 

@@ -148,8 +148,14 @@ def _build_scenario(args: argparse.Namespace, cfg: RebaseConfig) -> SybilScenari
     )
 
 
-def _report_out(args, scenario, report, default_id: str) -> int:
-    scenario_id = args.id if args.id is not None else default_id
+def _cmd_attack(args: argparse.Namespace) -> int:
+    cfg = _load_cfg(args)
+    scenario = _build_scenario(args, cfg)
+    if args.attack_kind == "sybil":
+        report = run_sybil(scenario, cfg)
+    else:
+        report = run_pump_and_dump(scenario, args.buy, args.sell, cfg)
+    scenario_id = args.id if args.id is not None else args.attack_kind
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_reports_csv([(scenario_id, scenario, report)]))
     verdict = "PROFITABLE" if report.profitable else "not profitable"
@@ -159,20 +165,6 @@ def _report_out(args, scenario, report, default_id: str) -> int:
         f"net {format_raw(report.net_profit_base)} base -> {verdict}"
     )
     return EXIT_OK
-
-
-def _cmd_attack_sybil(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    scenario = _build_scenario(args, cfg)
-    report = run_sybil(scenario, cfg)
-    return _report_out(args, scenario, report, "sybil")
-
-
-def _cmd_attack_pump_dump(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    scenario = _build_scenario(args, cfg)
-    report = run_pump_and_dump(scenario, args.buy, args.sell, cfg)
-    return _report_out(args, scenario, report, "pump-dump")
 
 
 def _cmd_ledger_demo(args: argparse.Namespace) -> int:
@@ -226,9 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "attack":
-            if args.attack_kind == "sybil":
-                return _cmd_attack_sybil(args)
-            return _cmd_attack_pump_dump(args)
+            return _cmd_attack(args)
         if args.command == "ledger":
             return _cmd_ledger_demo(args)
         raise AssertionError(f"unhandled command {args.command!r}")

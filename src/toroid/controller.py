@@ -14,11 +14,11 @@ them from as many threads as they like.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
-from .errors import ConfigError, ZeroSupplyError
+from .errors import AmountOverflowError, ConfigError, ZeroSupplyError
 from .numerics import UNIT, Amount, Rate
 
 # Natural-log precision (decimal digits) of the exact volume response.
@@ -183,20 +183,15 @@ def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
         return Rate(int(scaled.to_integral_value(rounding=ROUND_FLOOR)))
 
 
-def clamp_rate(r_vol: Rate, r_gas_cap: Rate) -> Rate:
-    """Clamp the volume response into [-r_gas_cap, +r_gas_cap]."""
-    return Rate(max(-r_gas_cap.ppb, min(r_gas_cap.ppb, r_vol.ppb)))
-
-
 def combine_components(
     t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
 ) -> Rate:
     """Assemble the combined rate from already-computed components."""
+    body = r_vol.ppb
     if cfg.gas_cap_enabled:
-        body = clamp_rate(r_vol, r_gas_cap)
-    else:
-        body = r_vol
-    combined = r_initial.ppb + body.ppb
+        # Clamp the volume response into [-r_gas_cap, +r_gas_cap].
+        body = max(-r_gas_cap.ppb, min(r_gas_cap.ppb, body))
+    combined = r_initial.ppb + body
     if cfg.floor_zero_during_bootstrap and t < cfg.bootstrap_periods:
         combined = max(combined, 0)
     return Rate(max(combined, HARD_FLOOR_PPB))
@@ -221,36 +216,38 @@ def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:
 
 # --- configuration files ------------------------------------------------
 
-_CONFIG_KEYS = (
-    "t0",
-    "bootstrap_periods",
-    "k_v",
-    "gas_cost_base",
-    "peg_ratio",
-    "gas_cap_enabled",
-    "floor_zero_during_bootstrap",
-)
-
 _TRUE_WORDS = {"true", "yes", "1", "on"}
 _FALSE_WORDS = {"false", "no", "0", "off"}
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     word = raw.lower()
     if word in _TRUE_WORDS:
         return True
     if word in _FALSE_WORDS:
         return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+# How a value of each RebaseConfig field type is read from and written to
+# the config format, keyed by the type of the field's default.
+_CODECS = {
+    int: (int, str),
+    bool: (_parse_bool, lambda b: "true" if b else "false"),
+    Rate: (Rate.from_decimal, Rate.decimal),
+    Amount: (Amount.from_tokens, Amount.tokens),
+}
 
 
 def parse_config(text: str) -> RebaseConfig:
     """Parse flat key = value configuration text.
 
-    Rates are decimal strings, amounts are decimal token counts, and
-    unknown keys are rejected.  Blank lines and '#' comments are ignored.
+    The keys are exactly RebaseConfig's fields.  Rates are decimal strings,
+    amounts are decimal token counts, and unknown keys are rejected.  Blank
+    lines and '#' comments are ignored.
     """
-    values: dict[str, str] = {}
+    defaults = {f.name: f.default for f in fields(RebaseConfig)}
+    kwargs: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -259,35 +256,15 @@ def parse_config(text: str) -> RebaseConfig:
         if not eq:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in kwargs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = raw
-
-    kwargs: dict[str, object] = {}
-    try:
-        if "t0" in values:
-            kwargs["t0"] = int(values["t0"])
-        if "bootstrap_periods" in values:
-            kwargs["bootstrap_periods"] = int(values["bootstrap_periods"])
-        if "k_v" in values:
-            kwargs["k_v"] = Rate.from_decimal(values["k_v"])
-        if "peg_ratio" in values:
-            kwargs["peg_ratio"] = Rate.from_decimal(values["peg_ratio"])
-        if "gas_cost_base" in values:
-            kwargs["gas_cost_base"] = Amount.from_tokens(values["gas_cost_base"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "gas_cap_enabled" in values:
-        kwargs["gas_cap_enabled"] = _parse_bool(
-            "gas_cap_enabled", values["gas_cap_enabled"]
-        )
-    if "floor_zero_during_bootstrap" in values:
-        kwargs["floor_zero_during_bootstrap"] = _parse_bool(
-            "floor_zero_during_bootstrap", values["floor_zero_during_bootstrap"]
-        )
+        read = _CODECS[type(defaults[key])][0]
+        try:
+            kwargs[key] = read(raw.strip())
+        except (ValueError, AmountOverflowError) as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return RebaseConfig(**kwargs)
 
 
@@ -297,14 +274,7 @@ def load_config(path: str | Path) -> RebaseConfig:
 
 def dump_config(cfg: RebaseConfig) -> str:
     """Render a config back to the flat key = value format."""
-    lines = [
-        f"t0 = {cfg.t0}",
-        f"bootstrap_periods = {cfg.bootstrap_periods}",
-        f"k_v = {cfg.k_v.decimal()}",
-        f"gas_cost_base = {cfg.gas_cost_base.tokens()}",
-        f"peg_ratio = {cfg.peg_ratio.decimal()}",
-        f"gas_cap_enabled = {'true' if cfg.gas_cap_enabled else 'false'}",
-        "floor_zero_during_bootstrap = "
-        + ("true" if cfg.floor_zero_during_bootstrap else "false"),
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.name} = {_CODECS[type(f.default)][1](getattr(cfg, f.name))}\n"
+        for f in fields(RebaseConfig)
+    )

@@ -22,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    AmountOverflowError,
     ExceedsCollateralError,
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
     InsufficientForRefundError,
+    NegativeAmountError,
     NonDivisibleCollateralError,
+    NonPositiveFactorError,
     SelfTransferError,
     SnapshotError,
     UnknownAccountError,
@@ -75,6 +78,8 @@ class Ledger:
             raise ValueError("peg_ratio must be positive")
         if min_holding_periods < 0:
             raise ValueError("min_holding_periods must be >= 0")
+        if start_period < 0:
+            raise ValueError("start_period must be >= 0")
         self.peg_ratio = peg_ratio
         self.min_holding_periods = min_holding_periods
         self.accounts: dict[str, Account] = {}
@@ -273,18 +278,20 @@ class Ledger:
             raise SnapshotError("empty snapshot")
         header = lines[0].split(",")
         if len(header) != 5:
-            raise SnapshotError(f"bad header: {lines[0]!r}")
+            raise SnapshotError(f"line 1: bad header: {lines[0]!r}")
         try:
             num, den, period, tx_this, tx_prev = (int(x) for x in header)
         except ValueError as exc:
-            raise SnapshotError(f"bad header: {lines[0]!r}") from exc
-        if tx_this < 0 or tx_prev < 0:
-            raise SnapshotError(f"negative tx counter: {lines[0]!r}")
+            raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
+        if min(period, tx_this, tx_prev) < 0:
+            raise SnapshotError(f"line 1: negative period or tx counter: {lines[0]!r}")
         ledger = cls(peg_ratio, min_holding_periods, start_period=period)
-        ledger.index = Index(num, den)
+        try:
+            ledger.index = Index(num, den)
+        except NonPositiveFactorError as exc:
+            raise SnapshotError(f"line 1: {exc}") from exc
         ledger.tx_count_this_period = tx_this
         ledger.tx_count_prev_period = tx_prev
-        total_collateral = 0
         max_seq = 0
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
@@ -297,22 +304,28 @@ class Ledger:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
             if not _valid_id(account_id):
                 raise SnapshotError(f"line {lineno}: bad account id {account_id!r}")
-            if created < 0:
-                raise SnapshotError(f"line {lineno}: negative created_period: {line!r}")
+            if not 0 <= created <= period:
+                raise SnapshotError(
+                    f"line {lineno}: created_period {created} is negative or after "
+                    f"period {period}"
+                )
             if account_id in ledger.accounts:
                 raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
             if collateral * UNIT != minted * peg_ratio.ppb:
                 raise SnapshotError(f"line {lineno}: collateral is not minted * peg")
-            ledger.accounts[account_id] = Account(
-                id=account_id,
-                shares=Amount(shares),
-                collateral=Amount(collateral),
-                minted=Amount(minted),
-                created_period=created,
-            )
-            total_collateral += collateral
-            if account_id.startswith("a") and account_id[1:].isdigit():
+            try:
+                account = Account(
+                    id=account_id,
+                    shares=Amount(shares),
+                    collateral=Amount(collateral),
+                    minted=Amount(minted),
+                    created_period=created,
+                )
+                ledger.total_collateral += account.collateral
+            except (NegativeAmountError, AmountOverflowError) as exc:
+                raise SnapshotError(f"line {lineno}: {exc}") from exc
+            ledger.accounts[account_id] = account
+            if account_id[:1] == "a" and account_id[1:].isdecimal():
                 max_seq = max(max_seq, int(account_id[1:]))
-        ledger.total_collateral = Amount(total_collateral)
         ledger._next_account_seq = max_seq + 1
         return ledger

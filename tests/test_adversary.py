@@ -113,6 +113,10 @@ class TestRunSybil:
         with pytest.raises(ValueError):
             scenario(1, periods=0)
 
+    def test_start_period_must_be_non_negative(self, cfg):
+        with pytest.raises(ValueError, match="start_period"):
+            scenario(1, start_period=-1)
+
 
 class TestRunPumpAndDump:
     def test_no_injection_no_profit(self, cfg):

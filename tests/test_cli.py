@@ -1,11 +1,41 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toroid.cli import EXIT_INPUT, EXIT_OK, main
 from toroid.harness import MARKET_CSV_HEADER, SERIES_CSV_HEADER
 
-GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "benchmarks" / "golden"
+DEFAULT_CFG = ROOT / "data" / "default.cfg"
+
+
+def sybil_argv(delta_v, periods, baseline_v, supply, holdings, start, no_cap):
+    argv = ["attack", "sybil", "--delta-v", delta_v, "--periods", str(periods),
+            "--baseline-v", baseline_v, "--supply", supply]
+    if holdings is not None:
+        argv += ["--holdings", holdings]
+    if start is not None:
+        argv += ["--start-period", str(start)]
+    return argv + ["--no-gas-cap"] * no_cap
+
+
+COUNT_ARG = st.integers(-3, 10**13).map(str)
+TOKENS_ARG = st.integers(0, 10**31).map(str) | st.sampled_from(
+    ["0.000000001", "0.5", "-1", "1e3", "x", ""]
+)
+SYBIL_ARGV = st.builds(
+    sybil_argv,
+    COUNT_ARG,
+    st.integers(-1, 8),
+    COUNT_ARG,
+    TOKENS_ARG,
+    st.none() | TOKENS_ARG,
+    st.none() | st.integers(-15, 10**6),
+    st.booleans(),
+)
 PUMP_DUMP = ["pump-dump", "--delta-v", "100000", "--periods", "6", "--baseline-v", "100",
              "--supply", "10000", "--holdings", "5000", "--buy", "2", "--sell", "3"]
 
@@ -190,6 +220,27 @@ class TestAttack:
         assert code == EXIT_OK
         assert out.read_text().splitlines()[1].endswith(",true")
         assert "PROFITABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("start", ["-10", "-3"])
+    def test_negative_start_period_is_input_error(
+        self, tmp_path, default_cfg_path, start, capsys
+    ):
+        # -10 divided by zero in initial_rate (t + t0 == 0); -3 ran silently
+        # with a bootstrap rate the paper never defines
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("100", 2, "0", "10000", None, start, False)
+        code = main(argv + ["--config", str(default_cfg_path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "start_period must be >= 0" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=SYBIL_ARGV)
+    @example(argv=sybil_argv("100", 2, "0", "10000", None, -10, False))
+    def test_any_sybil_arguments_exit_0_or_1(self, argv, tmp_path_factory):
+        work = tmp_path_factory.getbasetemp()
+        options = ["--config", str(DEFAULT_CFG), "--out", str(work / "fuzz.csv")]
+        assert main(argv + options) in (EXIT_OK, EXIT_INPUT)
 
     def test_bad_window_is_input_error(self, tmp_path, default_cfg_path):
         code = main(

@@ -1,10 +1,10 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid import controller
@@ -21,7 +21,7 @@ from toroid.controller import (
     volume_rate,
 )
 from toroid.errors import ConfigError, ZeroSupplyError
-from toroid.numerics import UNIT, Amount, Rate
+from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
 
 # The 50-digit Decimal evaluation, bound before any test replaces it.
@@ -328,6 +328,38 @@ class TestControllerProperties:
             assert extra_base <= m.v * cfg.gas_cost_base.raw + 1
 
 
+_BIG = 10**30
+VALID_CONFIGS = st.builds(
+    RebaseConfig,
+    t0=st.integers(1, _BIG),
+    bootstrap_periods=st.integers(0, _BIG),
+    k_v=st.builds(Rate, st.integers(-_BIG, _BIG)),
+    gas_cost_base=st.builds(Amount, st.integers(1, MAX_RAW)),
+    peg_ratio=st.builds(Rate, st.integers(1, _BIG)),
+    gas_cap_enabled=st.booleans(),
+    floor_zero_during_bootstrap=st.booleans(),
+)
+# Config-shaped text: real and unknown keys with values that are valid,
+# out of range, malformed or arbitrary.
+NUMBER = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.integers(0, 45).map("7".__mul__),
+    st.sampled_from(["", ".", ".5", ".0000000001", ".1000000000"]),
+)
+CONFIG_LINE = st.builds(
+    "{} {} {}".format,
+    st.sampled_from([f.name for f in fields(RebaseConfig)] + ["velocity"]),
+    st.sampled_from(["=", "=", "=", ""]),
+    st.one_of(
+        NUMBER,
+        st.sampled_from(["true", "off", "maybe", "nan", "1e3", "1_0", " 7 # note"]),
+        st.text(max_size=8),
+    ),
+)
+CONFIG_TEXT = st.lists(CONFIG_LINE, max_size=3).map("\n".join)
+
+
 class TestConfigFiles:
     def test_defaults_from_empty(self):
         assert parse_config("") == RebaseConfig()
@@ -363,6 +395,47 @@ class TestConfigFiles:
     def test_bad_number(self):
         with pytest.raises(ConfigError):
             parse_config("k_v = fast")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("k_v = fast", "line 1: k_v: "),
+            ("t0 = 3\ngas_cap_enabled = maybe", "line 2: gas_cap_enabled: "),
+            ("gas_cost_base = 1" + "0" * 40, "line 1: gas_cost_base: "),
+        ],
+    )
+    def test_bad_value_names_line_and_key(self, text, where):
+        # the last one overflowed Amount and escaped without line or key
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(where)
+
+    def test_defaults_dump_byte_stable(self, default_cfg_path):
+        assert dump_config(RebaseConfig()) == (
+            "t0 = 10\n"
+            "bootstrap_periods = 90\n"
+            "k_v = 0.100000000\n"
+            "gas_cost_base = 0.000400000\n"
+            "peg_ratio = 0.100000000\n"
+            "gas_cap_enabled = true\n"
+            "floor_zero_during_bootstrap = true\n"
+        )
+        assert parse_config(default_cfg_path.read_text()) == RebaseConfig()
+
+    @settings(max_examples=120, deadline=None)
+    @given(text=st.one_of(st.text(), CONFIG_TEXT))
+    @example(text="gas_cost_base = 1" + "0" * 40)
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert parse_config(dump_config(cfg)) == cfg
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=VALID_CONFIGS)
+    def test_dump_parse_round_trip(self, cfg):
+        assert parse_config(dump_config(cfg)) == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,11 @@
 import datetime as dt
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toroid import harness
 from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
@@ -37,7 +40,50 @@ def flat_rows(periods: int, price: float = 100.0, tx: int = 0) -> list[MarketRow
     ]
 
 
+def edited_market_text(rows, edits) -> str:
+    """A market file of rows in date order, then with each (row, field,
+    value) edit written over one field."""
+    fields = [[str(date), repr(price), str(n)] for date, price, n in sorted(rows)]
+    for row, field, value in edits:
+        fields[row % len(fields)][field] = value
+    return "\n".join([MARKET_CSV_HEADER, *map(",".join, fields)])
+
+
+# Market files one or two field edits away from a valid one.
+MARKET_TEXT = st.builds(
+    edited_market_text,
+    st.lists(
+        st.tuples(st.dates(), st.floats(0.01, 1e6), st.integers(0, 10**20)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.integers(0, 2),
+            st.sampled_from(
+                ["2017-01-01", "20170103", "2017-02-30", "", "0", "-1", "1.5", "x",
+                 "nan", "inf", "1e400", "1e-400", "1,2"]
+            ),
+        ),
+        max_size=2,
+    ),
+)
+
+
 class TestLoadMarketCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.one_of(st.text(), MARKET_TEXT))
+    def test_any_text_loads_or_raises_market_data_error(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz-market.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            rows = load_market_csv(path)
+        except MarketDataError:
+            return
+        assert all(0 < r.price < math.inf and r.tx_count >= 0 for r in rows)
+        assert all(b.date > a.date for a, b in zip(rows, rows[1:]))
+
     def test_single_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,1000.0,250000\n")

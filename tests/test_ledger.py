@@ -52,6 +52,10 @@ class TestOpenAccount:
         with pytest.raises(ZeroCollateralError):
             fresh().open_account(Amount(0))
 
+    def test_negative_start_period_rejected(self):
+        with pytest.raises(ValueError, match="start_period"):
+            Ledger(PEG, start_period=-1)
+
     def test_entry_after_growth_converts_at_current_index(self):
         # 0.1 base at index 11/10 mints 1 TRD; the share count at raw
         # granularity is floor(1e9 * 10 / 11)
@@ -89,6 +93,7 @@ class TestOpenAccount:
 
     @settings(max_examples=200, deadline=None)
     @given(account_id=st.text())
+    @example(account_id="a\u00b2")  # isdigit() but not int(): restore raised ValueError
     def test_accepted_ids_round_trip(self, account_id):
         ledger = fresh()
         try:
@@ -359,6 +364,41 @@ class TestTimestampInsulation:
             assert ledger.balance_of(account_id) == minted
 
 
+def edited_snapshot(collaterals, rates, edits) -> str:
+    """Snapshot of a ledger with the given accounts and rebases, then with
+    each (line, field, value) edit written over one field."""
+    ledger = fresh()
+    rates = iter(rates)
+    for collateral in collaterals:
+        ledger.open_account(Amount(collateral))
+        ledger.rebase(Rate(next(rates, 0)))
+    rows = [line.split(",") for line in ledger.snapshot().splitlines()]
+    for line, field, value in edits:
+        rows[line % len(rows)][field] = value
+    return "\n".join(",".join(row) for row in rows)
+
+
+# Snapshots one or two field edits away from a valid one, with values in
+# range, negative, oversized or malformed.
+SNAPSHOT_TEXT = st.builds(
+    edited_snapshot,
+    st.lists(st.integers(1, 10**15), max_size=4),
+    st.lists(st.integers(-500_000_000, UNIT), max_size=4),
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.integers(0, 4),
+            st.one_of(
+                st.integers(-2, 12),
+                st.integers(-(2**130), 2**130),
+                st.sampled_from([MAX_RAW, MAX_RAW + 1]),
+            ).map(str) | st.text(max_size=3),
+        ),
+        max_size=2,
+    ),
+)
+
+
 class TestSnapshot:
     def test_round_trip_bit_exact(self):
         ledger = fresh()
@@ -423,6 +463,53 @@ class TestSnapshot:
     def test_negative_counter_or_period_rejected(self, text):
         with pytest.raises(SnapshotError, match="negative"):
             Ledger.restore(text, PEG)
+
+    def test_negative_header_period_rejected(self):
+        with pytest.raises(SnapshotError, match="line 1: negative period"):
+            Ledger.restore("1,1,-3,0,0\n", PEG)
+
+    def test_account_created_after_period_rejected(self):
+        # restored, withdraw would report the account as -4 periods old
+        text = "1,1,5,0,0\nx,10000000000000000000,1000000000,10000000000,9\n"
+        with pytest.raises(SnapshotError, match="line 2: created_period 9"):
+            Ledger.restore(text, PEG)
+
+    @pytest.mark.parametrize("header", ["0,1,0,0,0", "1,0,0,0,0", "-2,3,0,0,0"])
+    def test_non_positive_index_term_rejected(self, header):
+        with pytest.raises(SnapshotError, match="line 1: index"):
+            Ledger.restore(header + "\n", PEG)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "x,-1,0,0,0",
+            "x,1,-1,-10,0",
+            f"x,{MAX_RAW + 1},0,0,0",
+            f"x,1,{MAX_RAW // 10 + 1},{(MAX_RAW // 10 + 1) * 10},0",
+        ],
+    )
+    def test_amount_out_of_range_rejected(self, row):
+        with pytest.raises(SnapshotError, match="line 3: amount"):
+            Ledger.restore(f"1,1,0,0,0\nok,1,0,0,0\n{row}\n", PEG)
+
+    def test_total_collateral_overflow_rejected(self):
+        minted = MAX_RAW // 10 * 10
+        row = f",1,{minted // 10},{minted},0\n"
+        text = "1,1,0,0,0\n" + "".join(f"{i}{row}" for i in "abcdefghijk")
+        with pytest.raises(SnapshotError, match="line 12: amount exceeds"):
+            Ledger.restore(text, PEG)
+
+    @settings(max_examples=120, deadline=None)
+    @given(text=st.one_of(st.text(), SNAPSHOT_TEXT))
+    def test_any_snapshot_restores_or_raises_snapshot_error(self, text):
+        try:
+            ledger = Ledger.restore(text, PEG)
+        except SnapshotError:
+            return
+        assert Ledger.restore(ledger.snapshot(), PEG).snapshot() == ledger.snapshot()
+        assert ledger.total_collateral.raw == sum(
+            a.collateral.raw for a in ledger.accounts.values()
+        )
 
 
 # One operation: (kind, a, b, c); a and b pick accounts by position, and c
