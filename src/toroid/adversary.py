@@ -1,12 +1,13 @@
 """Prices manipulation attacks and renders a profitability verdict.
 
-Each attack runs two simulations from bit-identical initial ledgers: one
-with the injected transaction volume, one without.  Whatever the attacker
-gained is the difference between the two runs, so honest dynamics cancel
-exactly.  The accounting deliberately favors the attacker: injected
-transactions cost exactly the configured gas and nothing else (no fees,
-no slippage), and Sybil gains are valued at the peg ceiling, the best
-price any sale could fetch.
+Each attack runs two simulations from bit-identical ledgers: one with the
+injected transaction volume, one without.  They share the seeding and
+every period before injection starts, and fork there.  Whatever the
+attacker gained is the difference between the two runs, so honest
+dynamics cancel exactly.  The accounting deliberately favors the
+attacker: injected transactions cost exactly the configured gas and
+nothing else (no fees, no slippage), and Sybil gains are valued at the
+peg ceiling, the best price any sale could fetch.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 
 from .controller import RebaseConfig
 from .errors import InvariantViolationError
-from .harness import PeriodRecord, step_period
-from .ledger import Ledger
+from .harness import step_period
+from .ledger import Ledger, _valid_id
 from .market import MarketState, initial_market
 from .numerics import UNIT, Amount, format_raw
 
@@ -102,25 +103,25 @@ def _extra(post_attack: Amount, counterfactual: Amount, what: str) -> Amount:
     return post_attack - counterfactual
 
 
-def _run_arm(
-    scenario: SybilScenario,
+def _step_flat(
+    ledger: Ledger,
+    market: MarketState,
+    supply: Amount,
     cfg: RebaseConfig,
-    buy_period: int,
-    sell_period: int,
-    inject: bool,
-) -> tuple[Ledger, PeriodRecord]:
-    """Run periods 1..sell_period on a flat market, injecting after buy_period."""
-    ledger = _seed_ledger(scenario, cfg)
-    market = initial_market(1.0, cfg)
-    supply = ledger.total_supply()
-    v_prev = scenario.baseline_v
-    for p in range(1, sell_period + 1):
-        inject_now = inject and buy_period < p
-        v = scenario.baseline_v + (scenario.delta_v_per_period if inject_now else 0)
+    periods: int,
+    v: int,
+    v_prev: int,
+) -> tuple[MarketState, Amount]:
+    """Run that many periods on a flat market at v transactions each.
+
+    v_prev is the count of the period before the first; returns the market
+    and the supply after the last period.
+    """
+    for _ in range(periods):
         record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
         market, supply = record.market, record.supply
         v_prev = v
-    return ledger, record
+    return market, supply
 
 
 def _price_attack(
@@ -132,17 +133,28 @@ def _price_attack(
 ) -> AttackReport:
     """Run both arms over periods 1..sell and price the attack.
 
-    The attacker's extra TRD is valued at sale_price of the attacked arm's
+    The arms are the same simulation up to buy, so periods 1..buy run once
+    on one ledger, which then forks: the attacked arm injects in every
+    period after buy through sell, the counterfactual does not.  The
+    attacker's extra TRD is valued at sale_price of the attacked arm's
     final market, in base coin per TRD; the cost is the gas of every
-    transaction injected after buy through sell.
+    injected transaction.
     """
-    attacked, attacked_end = _run_arm(scenario, cfg, buy, sell, inject=True)
-    baseline, baseline_end = _run_arm(scenario, cfg, buy, sell, inject=False)
-    extra_supply = _extra(attacked_end.supply, baseline_end.supply, "total supply")
+    attacked = _seed_ledger(scenario, cfg)
+    b = scenario.baseline_v
+    market, supply = _step_flat(
+        attacked, initial_market(1.0, cfg), attacked.total_supply(), cfg, buy, b, b
+    )
+    baseline = attacked.copy()
+    attacked_market, attacked_supply = _step_flat(
+        attacked, market, supply, cfg, sell - buy, b + scenario.delta_v_per_period, b
+    )
+    _, baseline_supply = _step_flat(baseline, market, supply, cfg, sell - buy, b, b)
+    extra_supply = _extra(attacked_supply, baseline_supply, "total supply")
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
-    gain = Amount(int(extra_holdings.raw * sale_price(attacked_end.market)))
+    gain = Amount(int(extra_holdings.raw * sale_price(attacked_market)))
     cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
     net = gain.raw - cost.raw
     return AttackReport(
@@ -199,9 +211,18 @@ ATTACK_CSV_HEADER = (
 def render_reports_csv(
     entries: list[tuple[str, SybilScenario, AttackReport]],
 ) -> str:
-    """Render attack reports as CSV rows under ATTACK_CSV_HEADER."""
+    """Render attack reports as CSV rows under ATTACK_CSV_HEADER.
+
+    A scenario id must be one non-empty CSV field: an empty id, or one with
+    a comma or a line break, raises ValueError.
+    """
     lines = [ATTACK_CSV_HEADER]
     for scenario_id, scenario, report in entries:
+        if not _valid_id(scenario_id):
+            raise ValueError(
+                "scenario id may not be empty or contain ',' or a line break: "
+                f"{scenario_id!r}"
+            )
         lines.append(
             ",".join(
                 (

@@ -156,8 +156,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     else:
         report = run_pump_and_dump(scenario, args.buy, args.sell, cfg)
     scenario_id = args.id if args.id is not None else args.attack_kind
+    # Rendered before --out is opened, so a refused id leaves no file.
+    text = render_reports_csv([(scenario_id, scenario, report)])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_reports_csv([(scenario_id, scenario, report)]))
+        fh.write(text)
     verdict = "PROFITABLE" if report.profitable else "not profitable"
     print(
         f"{scenario_id}: cost {report.cost_base.tokens()} base, "

@@ -80,17 +80,20 @@ class RebaseConfig:
 
     def __post_init__(self) -> None:
         if self.t0 < 1:
-            raise ConfigError(f"t0 must be >= 1, got {self.t0}")
+            raise ConfigError(f"t0: must be >= 1, got {self.t0}")
         if self.peg_ratio.ppb <= 0:
-            raise ConfigError("peg_ratio must be positive")
+            raise ConfigError("peg_ratio: must be positive")
         if self.gas_cost_base.raw <= 0:
-            raise ConfigError("gas_cost_base must be positive")
+            raise ConfigError("gas_cost_base: must be positive")
         if self.bootstrap_periods < 0:
-            raise ConfigError("bootstrap_periods must be >= 0")
+            raise ConfigError("bootstrap_periods: must be >= 0")
 
     def gas_cost_trd(self) -> Amount:
         """Per-transaction gas cost converted to TRD at the peg, flooring."""
-        return Amount(self.gas_cost_base.raw * UNIT // self.peg_ratio.ppb)
+        return Amount(self._gas_cost_trd_raw())
+
+    def _gas_cost_trd_raw(self) -> int:
+        return self.gas_cost_base.raw * UNIT // self.peg_ratio.ppb
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +138,7 @@ def gas_cap_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     """
     if m.s.raw == 0:
         raise ZeroSupplyError("gas cap undefined at zero supply")
-    return Rate(m.v * cfg.gas_cost_trd().raw * UNIT // m.s.raw)
+    return Rate(m.v * cfg._gas_cost_trd_raw() * UNIT // m.s.raw)
 
 
 def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
@@ -206,12 +209,7 @@ def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:
     r_i = initial_rate(m.t, cfg)
     r_v = volume_rate(m, cfg)
     r_cap = gas_cap_rate(m, cfg)
-    return RateBreakdown(
-        r_initial=r_i,
-        r_vol=r_v,
-        r_gas_cap=r_cap,
-        r_combined=combine_components(m.t, r_i, r_v, r_cap, cfg),
-    )
+    return RateBreakdown(r_i, r_v, r_cap, combine_components(m.t, r_i, r_v, r_cap, cfg))
 
 
 # --- configuration files ------------------------------------------------
@@ -265,6 +263,12 @@ def parse_config(text: str) -> RebaseConfig:
             kwargs[key] = read(raw.strip())
         except (ValueError, AmountOverflowError) as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
+        try:
+            # Every range check involves one field, so the defaults with
+            # this one value replaced fail exactly when the value does.
+            RebaseConfig(**{key: kwargs[key]})
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return RebaseConfig(**kwargs)
 
 

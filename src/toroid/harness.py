@@ -118,8 +118,9 @@ def step_period(
     the previous period returned rather than rescanning every account, so
     they must pass ledger.total_supply() again after minting outside it.
     """
-    metrics = PeriodMetrics(t=ledger.current_period, v=v, v_prev=v_prev, s=supply)
-    breakdown = combined_rate(metrics, cfg)
+    breakdown = combined_rate(
+        PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
+    )
     supply = ledger.rebase(breakdown.r_combined)
     market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
     # Written so that a NaN price fails the check too.

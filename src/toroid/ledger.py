@@ -40,6 +40,12 @@ from .numerics import UNIT, Amount, Index, Rate, format_raw, grow_index
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
 
+# Longest digit run of an "a<seq>" id that restore reads into the auto-id
+# sequence.  Python converts ints of up to 640 digits whatever its digit
+# limit is set to, so the next sequence number, at most 10**639, always
+# formats.  A longer id can never equal a formatted sequence number.
+_SEQ_DIGITS_MAX = 639
+
 
 def _valid_id(account_id: str) -> bool:
     """An id the snapshot's comma- and line-separated format round-trips."""
@@ -89,6 +95,22 @@ class Ledger:
         self.tx_count_prev_period = 0
         self.total_collateral = Amount(0)
         self._next_account_seq = 1
+
+    def copy(self) -> Ledger:
+        """An independent ledger in the same state.
+
+        Accounts are copied; their Amount fields and the Index are immutable
+        values, so both ledgers share them.
+        """
+        clone = object.__new__(type(self))
+        vars(clone).update(vars(self))
+        clone.accounts = {
+            account_id: Account(
+                a.id, a.shares, a.collateral, a.minted, a.created_period
+            )
+            for account_id, a in self.accounts.items()
+        }
+        return clone
 
     # -- conversions -------------------------------------------------
 
@@ -325,7 +347,12 @@ class Ledger:
             except (NegativeAmountError, AmountOverflowError) as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
             ledger.accounts[account_id] = account
-            if account_id[:1] == "a" and account_id[1:].isdecimal():
-                max_seq = max(max_seq, int(account_id[1:]))
+            digits = account_id[1:]
+            if (
+                account_id[:1] == "a"
+                and digits.isdecimal()
+                and len(digits) <= _SEQ_DIGITS_MAX
+            ):
+                max_seq = max(max_seq, int(digits))
         ledger._next_account_seq = max_seq + 1
         return ledger

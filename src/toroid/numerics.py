@@ -38,8 +38,8 @@ _RENORM_DEN = 10**30
 _RENORM_MIN_NUM = 10**27
 
 
-def _parse_fixed(text: str, *, scale: int, allow_sign: bool) -> int:
-    """Parse a decimal string into an integer scaled by 10^scale digits."""
+def _parse_fixed(text: str, *, allow_sign: bool) -> int:
+    """Parse a decimal string into an integer count of 10^-9 units."""
     s = text.strip()
     if not s:
         raise ValueError("empty decimal string")
@@ -56,24 +56,17 @@ def _parse_fixed(text: str, *, scale: int, allow_sign: bool) -> int:
     whole = whole or "0"
     if not whole.isdigit() or (frac and not frac.isdigit()):
         raise ValueError(f"malformed decimal string: {text!r}")
-    if len(frac) > scale:
-        extra = frac[scale:]
-        if extra.strip("0"):
-            raise ValueError(f"more than {scale} fractional digits: {text!r}")
-        frac = frac[:scale]
-    frac = frac.ljust(scale, "0")
-    return sign * (int(whole) * 10**scale + int(frac or "0"))
-
-
-def _format_fixed(value: int, *, scale: int) -> str:
-    sign = "-" if value < 0 else ""
-    whole, frac = divmod(abs(value), 10**scale)
-    return f"{sign}{whole}.{frac:0{scale}d}"
+    if len(frac) > 9:
+        if frac[9:].strip("0"):
+            raise ValueError(f"more than 9 fractional digits: {text!r}")
+        frac = frac[:9]
+    return sign * (int(whole) * UNIT + int(frac.ljust(9, "0")))
 
 
 def format_raw(value: int) -> str:
     """Render a signed raw nano-unit count as a decimal token string."""
-    return _format_fixed(value, scale=9)
+    whole, frac = divmod(abs(value), UNIT)
+    return f"-{whole}.{frac:09d}" if value < 0 else f"{whole}.{frac:09d}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -99,11 +92,11 @@ class Amount:
         """Build from a whole-token count or decimal token string."""
         if isinstance(tokens, int):
             return cls(tokens * UNIT)
-        return cls(_parse_fixed(tokens, scale=9, allow_sign=False))
+        return cls(_parse_fixed(tokens, allow_sign=False))
 
     def tokens(self) -> str:
         """Render as a decimal token string with nine fractional digits."""
-        return _format_fixed(self.raw, scale=9)
+        return format_raw(self.raw)
 
     def __add__(self, other: Amount) -> Amount:
         return Amount(self.raw + other.raw)
@@ -131,11 +124,11 @@ class Rate:
 
     @classmethod
     def from_decimal(cls, text: str) -> Rate:
-        return cls(_parse_fixed(text, scale=9, allow_sign=True))
+        return cls(_parse_fixed(text, allow_sign=True))
 
     def decimal(self) -> str:
         """Render as a signed decimal string with nine fractional digits."""
-        return _format_fixed(self.ppb, scale=9)
+        return format_raw(self.ppb)
 
     def __neg__(self) -> Rate:
         return Rate(-self.ppb)

@@ -1,17 +1,26 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toroid.adversary import (
     ATTACK_CSV_HEADER,
+    AttackReport,
     SybilScenario,
     render_reports_csv,
     run_pump_and_dump,
     run_sybil,
     sybil_cost,
 )
-from toroid.numerics import Amount
+from toroid.controller import RebaseConfig
+from toroid.errors import InvariantViolationError, ToroidError
+from toroid.harness import step_period
+from toroid.ledger import Ledger
+from toroid.market import initial_market
+from toroid.numerics import UNIT, Amount, Rate
 
 
 def scenario(
@@ -84,11 +93,15 @@ class TestRunSybil:
     def test_counterfactual_arms_identical_without_injection(self, cfg):
         # with delta_v = 0 the attack arm and the baseline arm are the
         # same simulation; their final ledgers must match bit for bit
-        from toroid.adversary import _run_arm
+        from toroid.adversary import _seed_ledger, _step_flat
 
         sc = scenario(0, periods=4, baseline_v=250, holdings=3_000)
-        attacked, _ = _run_arm(sc, cfg, 0, sc.periods, inject=True)
-        baseline, _ = _run_arm(sc, cfg, 0, sc.periods, inject=False)
+        attacked = _seed_ledger(sc, cfg)
+        baseline = attacked.copy()
+        start = (initial_market(1.0, cfg), attacked.total_supply())
+        b = sc.baseline_v
+        _step_flat(attacked, *start, cfg, sc.periods, b + sc.delta_v_per_period, b)
+        _step_flat(baseline, *start, cfg, sc.periods, b, b)
         assert attacked.snapshot() == baseline.snapshot()
 
     def test_unprotected_controller_is_exploitable(self, cfg):
@@ -179,3 +192,115 @@ class TestReportRendering:
         report = run_sybil(sc, cfg)
         text = render_reports_csv([("s", sc, report)])
         assert ",-4.000000000,false" in text.splitlines()[1]
+
+    @pytest.mark.parametrize("scenario_id", ["", "x,y", "x\nz", "x\r", "a\u2028b"])
+    def test_id_that_breaks_the_csv_rejected(self, cfg, scenario_id):
+        # "x,y\nz" was written as a row "x,y" and a row "z,10000,..."
+        sc = scenario(10_000)
+        report = run_sybil(sc, cfg)
+        with pytest.raises(ValueError, match="scenario id"):
+            render_reports_csv([("ok", sc, report), (scenario_id, sc, report)])
+
+
+# --- the fork against two independently seeded arms --------------------------
+
+
+def reference_report(sc, cfg, buy, sell, sale_price):
+    """Price an attack the direct way: seed two ledgers, step both arms.
+
+    Each arm runs periods 1..sell from its own ledger; the attacked arm
+    injects after buy.  This is the unforked computation the adversary's
+    shared pre-injection periods must reproduce on every field.
+    """
+
+    def arm(inject):
+        ledger = Ledger(cfg.peg_ratio, start_period=sc.start_period)
+        honest = sc.start_supply - sc.attacker_holdings
+        if honest.raw:
+            ledger.open_account(ledger.collateral_for(honest), account_id="genesis")
+        if sc.attacker_holdings.raw:
+            ledger.open_account(
+                ledger.collateral_for(sc.attacker_holdings), account_id="attacker"
+            )
+        market, supply = initial_market(1.0, cfg), ledger.total_supply()
+        v_prev = sc.baseline_v
+        for p in range(1, sell + 1):
+            v = sc.baseline_v + (sc.delta_v_per_period if inject and p > buy else 0)
+            record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
+            market, supply, v_prev = record.market, record.supply, v
+        held = ledger.balance_of("attacker").raw if "attacker" in ledger.accounts else 0
+        return market, supply.raw, held
+
+    market, supply, held = arm(True)
+    _, base_supply, base_held = arm(False)
+    if supply < base_supply or held < base_held:
+        raise InvariantViolationError("injected volume reduced supply or balance")
+    gain = int((held - base_held) * sale_price(market))
+    cost = sc.delta_v_per_period * (sell - buy) * cfg.gas_cost_base.raw
+    return AttackReport(
+        cost_base=Amount(cost),
+        extra_supply_trd=Amount(supply - base_supply),
+        attacker_gain_base=Amount(gain),
+        net_profit_base=gain - cost,
+        profitable=gain > cost,
+    )
+
+
+def outcome(price, *args):
+    try:
+        return price(*args)
+    except ToroidError as exc:
+        return type(exc)
+
+
+@st.composite
+def attack_cases(draw):
+    cfg = RebaseConfig(
+        k_v=draw(
+            st.just(Rate(100_000_000)) | st.builds(Rate, st.integers(0, 3 * UNIT))
+        ),
+        gas_cost_base=draw(
+            st.just(Amount(400_000)) | st.builds(Amount, st.integers(1, 10 * UNIT))
+        ),
+        peg_ratio=draw(
+            st.just(Rate(100_000_000)) | st.builds(Rate, st.integers(1, 2 * UNIT))
+        ),
+        gas_cap_enabled=draw(st.booleans()),
+    )
+    supply = draw(st.integers(1, 10**7))
+    periods = draw(st.integers(1, 6))
+    sc = SybilScenario(
+        delta_v_per_period=draw(st.integers(0, 10**6)),
+        periods=periods,
+        baseline_v=draw(st.integers(0, 2_000)),
+        start_supply=Amount.from_tokens(supply),
+        attacker_holdings=Amount.from_tokens(draw(st.integers(0, supply))),
+        # inside the default 90-period bootstrap window and after it
+        start_period=draw(st.integers(0, 400)),
+    )
+    buy = draw(st.integers(0, periods - 1))
+    sell = draw(st.integers(buy + 1, periods))
+    return cfg, sc, buy, sell
+
+
+class TestForkMatchesTwoArms:
+    @settings(max_examples=300, deadline=None)
+    @given(case=attack_cases())
+    def test_sybil(self, case):
+        cfg, sc, _, _ = case
+        peg = Fraction(cfg.peg_ratio.ppb, UNIT)
+        assert outcome(run_sybil, sc, cfg) == outcome(
+            reference_report, sc, cfg, 0, sc.periods, lambda _: peg
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=attack_cases())
+    def test_pump_and_dump(self, case):
+        cfg, sc, buy, sell = case
+
+        def sale_price(market):
+            return Fraction(market.trd_price) / Fraction(market.base_price)
+
+        assert outcome(run_pump_and_dump, sc, buy, sell, cfg) == outcome(
+            reference_report, sc, cfg, buy, sell, sale_price
+        )

@@ -234,6 +234,21 @@ class TestAttack:
         assert not out.exists()
         assert "start_period must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario_id", ["x,y\nz", "", "a\rb"])
+    def test_id_that_breaks_the_csv_is_input_error(
+        self, tmp_path, default_cfg_path, scenario_id, capsys
+    ):
+        # "x,y\nz" wrote a row "x,y" and a row "z,100,2,..." and exited 0
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("100", 2, "0", "10000", None, None, False)
+        code = main(
+            argv + ["--config", str(default_cfg_path), "--id", scenario_id,
+                    "--out", str(out)]
+        )
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "scenario id" in capsys.readouterr().err
+
     @settings(max_examples=60, deadline=None)
     @given(argv=SYBIL_ARGV)
     @example(argv=sybil_argv("100", 2, "0", "10000", None, -10, False))

@@ -402,10 +402,15 @@ class TestConfigFiles:
             ("k_v = fast", "line 1: k_v: "),
             ("t0 = 3\ngas_cap_enabled = maybe", "line 2: gas_cap_enabled: "),
             ("gas_cost_base = 1" + "0" * 40, "line 1: gas_cost_base: "),
+            ("\n\nt0 = 0", "line 3: t0: "),
+            ("k_v = 0.2\npeg_ratio = 0", "line 2: peg_ratio: "),
+            ("gas_cost_base = 0", "line 1: gas_cost_base: "),
+            ("# window\nbootstrap_periods = -1", "line 2: bootstrap_periods: "),
         ],
     )
     def test_bad_value_names_line_and_key(self, text, where):
-        # the last one overflowed Amount and escaped without line or key
+        # the overflowing Amount and the out-of-range values (the last four)
+        # escaped without line or key
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert str(info.value).startswith(where)

@@ -399,6 +399,52 @@ SNAPSHOT_TEXT = st.builds(
 )
 
 
+def busy_ledger() -> Ledger:
+    ledger = fresh()
+    for tokens in (1, "2.5", 4):
+        ledger.open_account(Amount.from_tokens(tokens))
+    ledger.rebase(Rate.from_decimal("0.05"))
+    return ledger
+
+
+# Between them these change every part of a ledger's state: account
+# fields, the account set, index, period, counters, collateral and the
+# auto-id sequence.
+FORK_OPS = {
+    "transfer": lambda led: led.transfer("a1", "a2", Amount.from_tokens(3)),
+    "deposit": lambda led: led.deposit("a3", Amount.from_tokens("0.7")),
+    "withdraw": lambda led: led.withdraw("a2", Amount.from_tokens(1)),
+    "open": lambda led: led.open_account(Amount.from_tokens(2)),
+    "rebase": lambda led: led.rebase(Rate.from_decimal("-0.02")),
+}
+
+
+class TestCopy:
+    def test_copy_has_the_same_state(self):
+        ledger = busy_ledger()
+        clone = ledger.copy()
+        assert clone.snapshot() == ledger.snapshot()
+        assert clone.total_collateral == ledger.total_collateral
+        assert clone.total_supply() == ledger.total_supply()
+        assert clone.open_account(Amount.from_tokens(1)) == ledger.open_account(
+            Amount.from_tokens(1)
+        )
+
+    @pytest.mark.parametrize("mutated", ["original", "copy"])
+    @pytest.mark.parametrize("op", sorted(FORK_OPS))
+    def test_either_side_leaves_the_other_unchanged(self, mutated, op):
+        ledger = busy_ledger()
+        clone = ledger.copy()
+        target, other = (ledger, clone) if mutated == "original" else (clone, ledger)
+        before, collateral = other.snapshot(), other.total_collateral
+        FORK_OPS[op](target)
+        assert target.snapshot() != before
+        assert other.snapshot() == before
+        assert other.total_collateral == collateral
+        # the untouched side still hands out the auto id it would have
+        assert other.open_account(Amount.from_tokens(1))[0] == "a4"
+
+
 class TestSnapshot:
     def test_round_trip_bit_exact(self):
         ledger = fresh()
@@ -424,6 +470,18 @@ class TestSnapshot:
         new_id, _ = restored.open_account(Amount.from_tokens(1))
         assert new_id not in ledger.accounts
         assert restored.balance_of(new_id) == Amount.from_tokens(10)
+
+    @pytest.mark.parametrize("digits", [639, 640, 5_000])
+    def test_long_auto_style_id_restores(self, digits):
+        # 5,000 digits passed the int-string limit and restore raised
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1), account_id="a" + "9" * digits)
+        text = ledger.snapshot()
+        restored = Ledger.restore(text, PEG)
+        assert restored.snapshot() == text
+        new_id, _ = restored.open_account(Amount.from_tokens(1))
+        assert new_id not in ledger.accounts
+        assert new_id == ("a1" + "0" * 639 if digits == 639 else "a1")
 
     def test_duplicate_account_rejected(self):
         ledger = fresh()

@@ -1,7 +1,10 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toroid.errors import (
     AmountOverflowError,
@@ -16,6 +19,7 @@ from toroid.numerics import (
     Index,
     Rate,
     apply_index,
+    format_raw,
     grow_index,
     mul_amount_rate,
     one_plus,
@@ -72,6 +76,31 @@ class TestRate:
         # +/- 10.0 rates against large amounts stay inside capacity
         big = Amount(10**18)
         assert mul_amount_rate(big, Rate(10**10)).raw == 10**19
+
+
+def decimal_string(value: int) -> str:
+    """value / 10^9 with nine fractional digits, by exact Decimal scaling."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return format(Decimal(value).scaleb(-9), "f")
+
+
+class TestFixedPointStrings:
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.integers(-MAX_RAW, MAX_RAW))
+    @example(value=0)
+    @example(value=-1)
+    @example(value=-UNIT)
+    @example(value=UNIT - 1)
+    @example(value=MAX_RAW)
+    @example(value=-MAX_RAW)
+    def test_strings_match_decimal_and_parse_back(self, value):
+        text = decimal_string(value)
+        assert Rate(value).decimal() == format_raw(value) == text
+        assert Rate.from_decimal(text).ppb == value
+        if value >= 0:
+            assert Amount(value).tokens() == text
+            assert Amount.from_tokens(text).raw == value
 
 
 class TestMulAmountRate:
