@@ -39,7 +39,6 @@ from .numerics import (
     Rate,
     apply_index,
     grow_index,
-    mul_amount_rate,
     one_plus,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "initial_rate",
     "load_config",
     "load_market_csv",
-    "mul_amount_rate",
     "one_plus",
     "parse_config",
     "read_series_csv",

@@ -25,10 +25,6 @@ class NegativeAmountError(ToroidError):
     """An amount would become negative (amounts are unsigned)."""
 
 
-class NegativeResultError(ToroidError):
-    """A rate product would produce a negative amount (factor below zero)."""
-
-
 class NonPositiveFactorError(ToroidError):
     """A growth factor (1 + r) was zero or negative."""
 

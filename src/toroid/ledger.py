@@ -40,12 +40,6 @@ from .numerics import UNIT, Amount, Index, Rate, format_raw, grow_index
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
 
-# Longest digit run of an "a<seq>" id that restore reads into the auto-id
-# sequence.  Python converts ints of up to 640 digits whatever its digit
-# limit is set to, so the next sequence number, at most 10**639, always
-# formats.  A longer id can never equal a formatted sequence number.
-_SEQ_DIGITS_MAX = 639
-
 
 def _valid_id(account_id: str) -> bool:
     """An id the snapshot's comma- and line-separated format round-trips."""
@@ -91,8 +85,6 @@ class Ledger:
         self.accounts: dict[str, Account] = {}
         self.index = Index.identity()
         self.current_period = start_period
-        self.tx_count_this_period = 0
-        self.tx_count_prev_period = 0
         self.total_collateral = Amount(0)
         self._next_account_seq = 1
 
@@ -166,13 +158,20 @@ class Ledger:
     def open_account(
         self, collateral: Amount, account_id: str | None = None
     ) -> tuple[str, Amount]:
-        """Open a wallet by locking collateral; returns (id, minted TRD)."""
+        """Open a wallet by locking collateral; returns (id, minted TRD).
+
+        Without an account_id the wallet gets the lowest "a<n>" not yet
+        taken, so the auto id depends only on the set of accounts.
+        """
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot open an account with zero collateral")
         minted = self._minted_for(collateral)
+        seq = self._next_account_seq
         if account_id is None:
-            account_id = f"a{self._next_account_seq}"
-            self._next_account_seq += 1
+            while f"a{seq}" in self.accounts:
+                seq += 1
+            account_id = f"a{seq}"
+            seq += 1
         if not _valid_id(account_id):
             raise ValueError(
                 f"account id may not be empty or contain ',' or a line break: {account_id!r}"
@@ -190,6 +189,7 @@ class Ledger:
         )
         self.total_collateral += collateral
         self.accounts[account_id] = account
+        self._next_account_seq = seq
         return account_id, minted
 
     def deposit(self, account_id: str, collateral: Amount) -> Amount:
@@ -208,7 +208,7 @@ class Ledger:
         return minted
 
     def transfer(self, src: str, dst: str, amount: Amount) -> None:
-        """Move TRD between wallets; counts toward this period's volume."""
+        """Move TRD between wallets."""
         if src == dst:
             raise SelfTransferError(f"cannot transfer {src!r} to itself")
         sender = self._get(src)
@@ -226,17 +226,14 @@ class Ledger:
             Amount(sender.shares.raw - moved),
             Amount(receiver.shares.raw + moved),
         )
-        self.tx_count_this_period += 1
 
     def rebase(self, r: Rate) -> Amount:
-        """Close the period: grow the index by (1 + r), roll the tx counters.
+        """Close the period: grow the index by (1 + r).
 
         Every balance scales by (1 + r) to within one raw unit; shares are
         untouched.  Returns the new total supply.
         """
         self.index = grow_index(self.index, r)
-        self.tx_count_prev_period = self.tx_count_this_period
-        self.tx_count_this_period = 0
         self.current_period += 1
         return self.total_supply()
 
@@ -276,10 +273,14 @@ class Ledger:
     # -- snapshots -----------------------------------------------------
 
     def snapshot(self) -> str:
-        """Serialize full state; the round trip is bit-exact."""
+        """Serialize full state; the round trip is bit-exact.
+
+        Line 1 is v2,peg_ppb,min_holding_periods,index_num,index_den,period;
+        each further line is id,shares,collateral,minted,created_period.
+        """
         lines = [
-            f"{self.index.num},{self.index.den},{self.current_period},"
-            f"{self.tx_count_this_period},{self.tx_count_prev_period}"
+            f"v2,{self.peg_ratio.ppb},{self.min_holding_periods},"
+            f"{self.index.num},{self.index.den},{self.current_period}"
         ]
         for account in self.accounts.values():
             lines.append(
@@ -289,32 +290,23 @@ class Ledger:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def restore(
-        cls,
-        text: str,
-        peg_ratio: Rate,
-        min_holding_periods: int = 1,
-    ) -> Ledger:
+    def restore(cls, text: str) -> Ledger:
+        """Rebuild a snapshot()'s ledger; bad text raises SnapshotError with its line."""
         lines = text.splitlines()
         if not lines:
             raise SnapshotError("empty snapshot")
-        header = lines[0].split(",")
-        if len(header) != 5:
-            raise SnapshotError(f"line 1: bad header: {lines[0]!r}")
+        version, *header = lines[0].split(",")
+        if version != "v2" or len(header) != 5:
+            raise SnapshotError(f"line 1: not a v2 header: {lines[0]!r}")
         try:
-            num, den, period, tx_this, tx_prev = (int(x) for x in header)
+            peg, holding, num, den, period = (int(x) for x in header)
         except ValueError as exc:
             raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
-        if min(period, tx_this, tx_prev) < 0:
-            raise SnapshotError(f"line 1: negative period or tx counter: {lines[0]!r}")
-        ledger = cls(peg_ratio, min_holding_periods, start_period=period)
         try:
+            ledger = cls(Rate(peg), holding, start_period=period)
             ledger.index = Index(num, den)
-        except NonPositiveFactorError as exc:
+        except (ValueError, NonPositiveFactorError) as exc:
             raise SnapshotError(f"line 1: {exc}") from exc
-        ledger.tx_count_this_period = tx_this
-        ledger.tx_count_prev_period = tx_prev
-        max_seq = 0
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
             if len(fields) != 5:
@@ -333,7 +325,7 @@ class Ledger:
                 )
             if account_id in ledger.accounts:
                 raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
-            if collateral * UNIT != minted * peg_ratio.ppb:
+            if collateral * UNIT != minted * peg:
                 raise SnapshotError(f"line {lineno}: collateral is not minted * peg")
             try:
                 account = Account(
@@ -347,12 +339,4 @@ class Ledger:
             except (NegativeAmountError, AmountOverflowError) as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
             ledger.accounts[account_id] = account
-            digits = account_id[1:]
-            if (
-                account_id[:1] == "a"
-                and digits.isdecimal()
-                and len(digits) <= _SEQ_DIGITS_MAX
-            ):
-                max_seq = max(max_seq, int(digits))
-        ledger._next_account_seq = max_seq + 1
         return ledger

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import (
     AmountOverflowError,
     NegativeAmountError,
-    NegativeResultError,
     NonPositiveFactorError,
 )
 
@@ -108,9 +107,6 @@ class Amount:
             )
         return Amount(self.raw - other.raw)
 
-    def is_zero(self) -> bool:
-        return self.raw == 0
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class Rate:
@@ -129,9 +125,6 @@ class Rate:
     def decimal(self) -> str:
         """Render as a signed decimal string with nine fractional digits."""
         return format_raw(self.ppb)
-
-    def __neg__(self) -> Rate:
-        return Rate(-self.ppb)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,21 +147,6 @@ class Index:
     def value(self) -> Fraction:
         """Exact represented value, for diagnostics and test oracles."""
         return Fraction(self.num, self.den)
-
-
-def mul_amount_rate(a: Amount, r: Rate) -> Amount:
-    """Scale an amount by a rate, flooring to raw units.
-
-    The product must be non-negative: scaling by a negative factor (as
-    happens when a multiplier 1 + r goes below zero) is refused rather
-    than wrapped into an unsigned amount.
-    """
-    prod = a.raw * r.ppb
-    if prod < 0:
-        raise NegativeResultError(
-            f"scaling {a.raw} raw by {r.ppb} ppb would be negative"
-        )
-    return Amount(prod // UNIT)
 
 
 def one_plus(r: Rate) -> Index:

@@ -221,6 +221,27 @@ class TestAttack:
         assert out.read_text().splitlines()[1].endswith(",true")
         assert "PROFITABLE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "holdings, net, verdict",
+        [
+            ("3333333", "-0.000020000", "not profitable"),
+            ("3400000", "4.000000000", "PROFITABLE"),
+            ("5000000", "100.000000000", "PROFITABLE"),
+        ],
+    )
+    def test_honest_volume_sybil_pays_above_share_d_over_b_plus_d(
+        self, tmp_path, default_cfg_path, holdings, net, verdict, capsys
+    ):
+        # b = 10^6 honest and d = 5 * 10^5 injected transactions: the gas cap
+        # allows (b + d) * g / s while the attacker pays d * g, so the attack
+        # breaks even at a share h / s = d / (b + d) = 1/3 of the supply
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("500000", 1, "1000000", "10000000", holdings, None, False)
+        code = main(argv + ["--config", str(default_cfg_path), "--out", str(out)])
+        assert code == EXIT_OK
+        assert f"net {net} base -> {verdict}\n" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1].split(",")[6] == net
+
     @pytest.mark.parametrize("start", ["-10", "-3"])
     def test_negative_start_period_is_input_error(
         self, tmp_path, default_cfg_path, start, capsys

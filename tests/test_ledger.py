@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -101,7 +102,29 @@ class TestOpenAccount:
         except ValueError:
             return
         text = ledger.snapshot()
-        assert Ledger.restore(text, PEG).snapshot() == text
+        assert Ledger.restore(text).snapshot() == text
+
+    def test_auto_id_skips_taken_ids(self):
+        # an explicit "a2" made the second auto open raise "already exists"
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1), account_id="a2")
+        assert ledger.open_account(Amount.from_tokens(1))[0] == "a1"
+        assert ledger.open_account(Amount.from_tokens(1))[0] == "a3"
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.none() | st.integers(1, 8).map("a{}".format), max_size=10))
+    def test_auto_id_is_lowest_free_and_survives_restore(self, ids):
+        ledger = fresh()
+        for account_id in ids + [None]:
+            lowest = next(
+                f"a{n}" for n in itertools.count(1) if f"a{n}" not in ledger.accounts
+            )
+            if account_id is None:
+                restored = Ledger.restore(ledger.snapshot())
+                assert restored.open_account(Amount.from_tokens(1))[0] == lowest
+                assert ledger.open_account(Amount.from_tokens(1))[0] == lowest
+            elif account_id not in ledger.accounts:
+                ledger.open_account(Amount.from_tokens(1), account_id=account_id)
 
     def test_collateral_overflow_leaves_ledger_unchanged(self):
         # at a high index the shares fit while the collateral total does not
@@ -112,10 +135,14 @@ class TestOpenAccount:
         before = ledger.snapshot()
         with pytest.raises(AmountOverflowError):
             ledger.open_account(big, account_id="x")
+        with pytest.raises(AmountOverflowError):
+            ledger.open_account(big)
         assert ledger.snapshot() == before
         assert ledger.total_collateral.raw == sum(
             a.collateral.raw for a in ledger.accounts.values()
         )
+        # the refused auto open took no id
+        assert ledger.open_account(Amount(1))[0] == "a12"
 
 
 class TestCollateralFor:
@@ -179,7 +206,6 @@ class TestTransfer:
         ledger.transfer(a, b, Amount.from_tokens(10))
         assert ledger.balance_of(a) == Amount(0)
         assert ledger.balance_of(b) == Amount.from_tokens(20)
-        assert ledger.tx_count_this_period == 1
 
     def test_insufficient_balance(self):
         ledger = fresh()
@@ -270,10 +296,7 @@ class TestRebase:
         b, _ = ledger.open_account(Amount.from_tokens(1))
         ledger.transfer(a, b, Amount(5))
         ledger.transfer(b, a, Amount(5))
-        assert ledger.tx_count_this_period == 2
         ledger.rebase(Rate(0))
-        assert ledger.tx_count_prev_period == 2
-        assert ledger.tx_count_this_period == 0
         assert ledger.current_period == 1
 
     def test_non_positive_factor(self):
@@ -374,7 +397,8 @@ def edited_snapshot(collaterals, rates, edits) -> str:
         ledger.rebase(Rate(next(rates, 0)))
     rows = [line.split(",") for line in ledger.snapshot().splitlines()]
     for line, field, value in edits:
-        rows[line % len(rows)][field] = value
+        row = rows[line % len(rows)]
+        row[field % len(row)] = value
     return "\n".join(",".join(row) for row in rows)
 
 
@@ -387,7 +411,7 @@ SNAPSHOT_TEXT = st.builds(
     st.lists(
         st.tuples(
             st.integers(0, 4),
-            st.integers(0, 4),
+            st.integers(0, 5),
             st.one_of(
                 st.integers(-2, 12),
                 st.integers(-(2**130), 2**130),
@@ -408,8 +432,8 @@ def busy_ledger() -> Ledger:
 
 
 # Between them these change every part of a ledger's state: account
-# fields, the account set, index, period, counters, collateral and the
-# auto-id sequence.
+# fields, the account set, index, period, collateral and the auto-id
+# sequence.
 FORK_OPS = {
     "transfer": lambda led: led.transfer("a1", "a2", Amount.from_tokens(3)),
     "deposit": lambda led: led.deposit("a3", Amount.from_tokens("0.7")),
@@ -455,18 +479,32 @@ class TestSnapshot:
         ledger.rebase(Rate.from_decimal("-0.01"))
         ledger.deposit(b, Amount.from_tokens("0.1"))
         text = ledger.snapshot()
-        restored = Ledger.restore(text, PEG)
+        restored = Ledger.restore(text)
         assert restored.snapshot() == text
         assert restored.index == ledger.index
         assert restored.total_supply() == ledger.total_supply()
         assert restored.total_collateral == ledger.total_collateral
         assert restored.balance_of(a) == ledger.balance_of(a)
 
+    def test_peg_and_holding_period_travel_with_the_snapshot(self):
+        # restore used to take the peg as an argument and reset the holding
+        # period to 1, so this withdrawal at age 1 went through
+        ledger = Ledger(Rate.from_decimal("0.2"), min_holding_periods=5)
+        a, minted = ledger.open_account(Amount.from_tokens(1))
+        ledger.rebase(Rate(0))
+        restored = Ledger.restore(ledger.snapshot())
+        assert restored.peg_ratio == Rate.from_decimal("0.2")
+        assert restored.min_holding_periods == 5
+        assert minted == Amount.from_tokens(5)
+        assert restored.open_account(Amount.from_tokens(1))[1] == minted
+        with pytest.raises(HoldingPeriodNotMetError):
+            restored.withdraw(a, Amount.from_tokens(1))
+
     def test_restored_ledger_keeps_working(self):
         ledger = fresh()
         a, _ = ledger.open_account(Amount.from_tokens(1))
         ledger.rebase(Rate.from_decimal("0.1"))
-        restored = Ledger.restore(ledger.snapshot(), PEG)
+        restored = Ledger.restore(ledger.snapshot())
         new_id, _ = restored.open_account(Amount.from_tokens(1))
         assert new_id not in ledger.accounts
         assert restored.balance_of(new_id) == Amount.from_tokens(10)
@@ -477,11 +515,11 @@ class TestSnapshot:
         ledger = fresh()
         ledger.open_account(Amount.from_tokens(1), account_id="a" + "9" * digits)
         text = ledger.snapshot()
-        restored = Ledger.restore(text, PEG)
+        restored = Ledger.restore(text)
         assert restored.snapshot() == text
         new_id, _ = restored.open_account(Amount.from_tokens(1))
         assert new_id not in ledger.accounts
-        assert new_id == ("a1" + "0" * 639 if digits == 639 else "a1")
+        assert new_id == "a1"
 
     def test_duplicate_account_rejected(self):
         ledger = fresh()
@@ -489,7 +527,7 @@ class TestSnapshot:
         text = ledger.snapshot()
         # the same row twice would count its collateral twice
         with pytest.raises(SnapshotError, match="duplicate"):
-            Ledger.restore(text + text.splitlines()[1] + "\n", PEG)
+            Ledger.restore(text + text.splitlines()[1] + "\n")
 
     def test_collateral_off_peg_rejected(self):
         ledger = fresh()
@@ -498,44 +536,55 @@ class TestSnapshot:
         tampered = text.replace(",1000000000,10000000000,", ",1000000001,10000000000,")
         assert tampered != text
         with pytest.raises(SnapshotError, match="peg"):
-            Ledger.restore(tampered, PEG)
-        # an untouched snapshot restored at another peg breaks the same rule
+            Ledger.restore(tampered)
+        # the same rows under another peg in the header break the same rule
+        repegged = text.replace(f"v2,{PEG.ppb},", "v2,200000000,", 1)
+        assert repegged != text
         with pytest.raises(SnapshotError, match="peg"):
-            Ledger.restore(text, Rate.from_decimal("0.2"))
+            Ledger.restore(repegged)
 
     def test_bad_account_id_rejected(self):
         # the only id the line and comma split can leave that open_account
         # would refuse is the empty one
         text = fresh().snapshot() + ",10000000000000000000,1000000000,10000000000,0\n"
         with pytest.raises(SnapshotError, match="account id"):
-            Ledger.restore(text, PEG)
+            Ledger.restore(text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "1,1,0,-1,0\n",
-            "1,1,0,0,-1\n",
-            "1,1,0,0,0\nx,10000000000000000000,1000000000,10000000000,-1\n",
-        ],
-    )
-    def test_negative_counter_or_period_rejected(self, text):
-        with pytest.raises(SnapshotError, match="negative"):
-            Ledger.restore(text, PEG)
+    def test_negative_created_period_rejected(self):
+        text = "v2,100000000,1,1,1,0\nx,10000000000000000000,1000000000,10000000000,-1\n"
+        with pytest.raises(SnapshotError, match="line 2: created_period -1 is negative"):
+            Ledger.restore(text)
 
     def test_negative_header_period_rejected(self):
-        with pytest.raises(SnapshotError, match="line 1: negative period"):
-            Ledger.restore("1,1,-3,0,0\n", PEG)
+        with pytest.raises(SnapshotError, match="line 1: start_period must be >= 0"):
+            Ledger.restore("v2,100000000,1,1,1,-3\n")
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ("1,1,0,0,0", "not a v2 header"),  # v1: num,den,period and two counters
+            ("v2,100000000,1,1,1", "not a v2 header"),
+            ("v2,100000000,1,1,1,0,0", "not a v2 header"),
+            ("v2,0.1,1,1,1,0", "bad header"),
+            ("v2,0,1,1,1,0", "peg_ratio must be positive"),
+            ("v2,-100000000,1,1,1,0", "peg_ratio must be positive"),
+            ("v2,100000000,-1,1,1,0", "min_holding_periods must be >= 0"),
+        ],
+    )
+    def test_bad_header_rejected(self, header, error):
+        with pytest.raises(SnapshotError, match=f"line 1: {error}"):
+            Ledger.restore(header + "\n")
 
     def test_account_created_after_period_rejected(self):
         # restored, withdraw would report the account as -4 periods old
-        text = "1,1,5,0,0\nx,10000000000000000000,1000000000,10000000000,9\n"
+        text = "v2,100000000,1,1,1,5\nx,10000000000000000000,1000000000,10000000000,9\n"
         with pytest.raises(SnapshotError, match="line 2: created_period 9"):
-            Ledger.restore(text, PEG)
+            Ledger.restore(text)
 
-    @pytest.mark.parametrize("header", ["0,1,0,0,0", "1,0,0,0,0", "-2,3,0,0,0"])
-    def test_non_positive_index_term_rejected(self, header):
+    @pytest.mark.parametrize("index", ["0,1", "1,0", "-2,3"])
+    def test_non_positive_index_term_rejected(self, index):
         with pytest.raises(SnapshotError, match="line 1: index"):
-            Ledger.restore(header + "\n", PEG)
+            Ledger.restore(f"v2,100000000,1,{index},0\n")
 
     @pytest.mark.parametrize(
         "row",
@@ -548,23 +597,23 @@ class TestSnapshot:
     )
     def test_amount_out_of_range_rejected(self, row):
         with pytest.raises(SnapshotError, match="line 3: amount"):
-            Ledger.restore(f"1,1,0,0,0\nok,1,0,0,0\n{row}\n", PEG)
+            Ledger.restore(f"v2,100000000,1,1,1,0\nok,1,0,0,0\n{row}\n")
 
     def test_total_collateral_overflow_rejected(self):
         minted = MAX_RAW // 10 * 10
         row = f",1,{minted // 10},{minted},0\n"
-        text = "1,1,0,0,0\n" + "".join(f"{i}{row}" for i in "abcdefghijk")
+        text = "v2,100000000,1,1,1,0\n" + "".join(f"{i}{row}" for i in "abcdefghijk")
         with pytest.raises(SnapshotError, match="line 12: amount exceeds"):
-            Ledger.restore(text, PEG)
+            Ledger.restore(text)
 
     @settings(max_examples=120, deadline=None)
     @given(text=st.one_of(st.text(), SNAPSHOT_TEXT))
     def test_any_snapshot_restores_or_raises_snapshot_error(self, text):
         try:
-            ledger = Ledger.restore(text, PEG)
+            ledger = Ledger.restore(text)
         except SnapshotError:
             return
-        assert Ledger.restore(ledger.snapshot(), PEG).snapshot() == ledger.snapshot()
+        assert Ledger.restore(ledger.snapshot()).snapshot() == ledger.snapshot()
         assert ledger.total_collateral.raw == sum(
             a.collateral.raw for a in ledger.accounts.values()
         )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from toroid.errors import (
     AmountOverflowError,
     NegativeAmountError,
-    NegativeResultError,
     NonPositiveFactorError,
 )
 from toroid.numerics import (
@@ -21,7 +20,6 @@ from toroid.numerics import (
     apply_index,
     format_raw,
     grow_index,
-    mul_amount_rate,
     one_plus,
 )
 
@@ -72,11 +70,6 @@ class TestRate:
             r = Rate(ppb)
             assert Rate.from_decimal(r.decimal()) == r
 
-    def test_wide_range_products(self):
-        # +/- 10.0 rates against large amounts stay inside capacity
-        big = Amount(10**18)
-        assert mul_amount_rate(big, Rate(10**10)).raw == 10**19
-
 
 def decimal_string(value: int) -> str:
     """value / 10^9 with nine fractional digits, by exact Decimal scaling."""
@@ -101,41 +94,6 @@ class TestFixedPointStrings:
         if value >= 0:
             assert Amount(value).tokens() == text
             assert Amount.from_tokens(text).raw == value
-
-
-class TestMulAmountRate:
-    def test_exact_decimal(self):
-        # 1 token at 10% is exactly 0.1 token
-        assert mul_amount_rate(Amount(UNIT), Rate(100_000_000)).raw == 10**8
-
-    def test_floor_of_almost_one(self):
-        # floor(3 * 333333333 / 1e9) = floor(0.999999999) = 0
-        assert mul_amount_rate(Amount(3), Rate(333_333_333)).raw == 0
-
-    def test_zero_rate(self):
-        assert mul_amount_rate(Amount(12345), Rate(0)).raw == 0
-
-    def test_negative_product_refused(self):
-        with pytest.raises(NegativeResultError):
-            mul_amount_rate(Amount(1), Rate(-1))
-        # factor (1 + r) with r < -1.0 is negative
-        with pytest.raises(NegativeResultError):
-            mul_amount_rate(Amount(UNIT), Rate(UNIT - 2 * UNIT - 1))
-
-    def test_overflow_propagates(self):
-        with pytest.raises(AmountOverflowError):
-            mul_amount_rate(Amount(MAX_RAW), Rate(2 * UNIT))
-
-    def test_floor_monotone_in_amount(self):
-        rng = random.Random(101)
-        for _ in range(2000):
-            a = rng.randrange(0, 10**15)
-            b = a + rng.randrange(0, 10**12)
-            r = Rate(rng.randrange(0, 2 * UNIT))
-            assert (
-                mul_amount_rate(Amount(a), r).raw
-                <= mul_amount_rate(Amount(b), r).raw
-            )
 
 
 class TestApplyIndex:
