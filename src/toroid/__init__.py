@@ -26,7 +26,6 @@ from .harness import (
     MarketRow,
     SeriesRow,
     load_market_csv,
-    read_series_csv,
     run_backtest,
     write_series_csv,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "load_market_csv",
     "one_plus",
     "parse_config",
-    "read_series_csv",
     "render_reports_csv",
     "run_backtest",
     "run_pump_and_dump",

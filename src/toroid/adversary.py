@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .controller import RebaseConfig
-from .errors import InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
 from .harness import step_period
 from .ledger import Ledger, _valid_id
 from .market import MarketState, initial_market
@@ -138,8 +138,13 @@ def _price_attack(
     period after buy through sell, the counterfactual does not.  The
     attacker's extra TRD is valued at sale_price of the attacked arm's
     final market, in base coin per TRD; the cost is the gas of every
-    injected transaction.
+    injected transaction.  A negative k_v, which would make injected
+    volume shrink the supply, raises ConfigError.
     """
+    if cfg.k_v.ppb < 0:
+        raise ConfigError(
+            f"k_v: attack pricing needs k_v >= 0, got {cfg.k_v.decimal()}"
+        )
     attacked = _seed_ledger(scenario, cfg)
     b = scenario.baseline_v
     market, supply = _step_flat(

@@ -45,9 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="toroid", description="Toroid stablecoin simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser(
-        "simulate", help="run a historical backtest", parents=[], add_help=True
-    )
+    sim = sub.add_parser("simulate", help="run a historical backtest")
     sim.add_argument("--data", required=True, help="input market CSV")
     sim.add_argument("--config", required=True, help="controller config file")
     sim.add_argument("--initial-supply", required=True, metavar="TRD")
@@ -56,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override per-transaction gas cost, in TRD")
     sim.add_argument("--no-gas-cap", action="store_true")
     sim.add_argument("--no-bootstrap-floor", action="store_true")
-    sim.add_argument("--arb-injection", action="store_true",
-                     help="feed clamp-driven arbitrage mints into the ledger")
 
     attack = sub.add_parser("attack", help="price a manipulation scenario")
     attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
@@ -112,13 +108,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     override = (
         Amount.from_tokens(args.gas_cost_trd) if args.gas_cost_trd else None
     )
-    series = run_backtest(
-        rows,
-        cfg,
-        initial_supply,
-        gas_cost_trd_override=override,
-        arb_injection=args.arb_injection,
-    )
+    series = run_backtest(rows, cfg, initial_supply, gas_cost_trd_override=override)
     write_series_csv(series, args.out)
     if series:
         last = series[-1]

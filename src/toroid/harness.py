@@ -2,9 +2,10 @@
 
 Each input row is one period of base-coin price and transaction count.
 The loop computes the market return, feeds the transaction count to the
-controller, rebases the ledger, steps the price model, and emits one
-series row.  step_period is that one period, shared with the attack
-arms.  Identical inputs produce byte-identical output files.
+controller, rebases the ledger, steps the price model, mints whatever
+arbitrage the peg clamp implied, and emits one series row.  step_period
+is that one period, shared with the attack arms.  Identical inputs
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
 
 @dataclass(frozen=True, slots=True)
 class PeriodRecord:
-    """What one period produced: its rates, the market after it, the supply."""
+    """What one period produced: its rates, the market and supply after it."""
 
     breakdown: RateBreakdown
     market: MarketState
@@ -114,9 +115,9 @@ def step_period(
 ) -> PeriodRecord:
     """Run one period: set the rate from the counts, rebase, move the price.
 
-    supply is the ledger's total at period start.  Callers carry the supply
-    the previous period returned rather than rescanning every account, so
-    they must pass ledger.total_supply() again after minting outside it.
+    When the peg clamp binds, its arbitrage mint is deposited into the
+    "arb" account.  supply is the ledger's total at period start, as the
+    previous period returned it, so no caller rescans every account.
     """
     breakdown = combined_rate(
         PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
@@ -126,6 +127,8 @@ def step_period(
     # Written so that a NaN price fails the check too.
     if not market.trd_price <= (cfg.peg_ratio.ppb / UNIT) * market.base_price:
         raise InvariantViolationError("TRD price escaped the peg ceiling")
+    if market.arb_minted.raw:
+        supply = _inject_arbitrage(ledger, market.arb_minted, supply)
     return PeriodRecord(breakdown, market, supply)
 
 
@@ -134,7 +137,6 @@ def run_backtest(
     cfg: RebaseConfig,
     initial_supply: Amount,
     gas_cost_trd_override: Amount | None = None,
-    arb_injection: bool = False,
 ) -> list[SeriesRow]:
     """Drive the controller, ledger and market over a historical series.
 
@@ -161,11 +163,7 @@ def run_backtest(
             ledger, market, cfg, row.tx_count, prev.tx_count,
             row.price / prev.price, supply,
         )
-        supply = record.supply
-        if arb_injection:
-            newly_minted = record.market.arb_minted_cum - market.arb_minted_cum
-            supply = _inject_arbitrage(ledger, newly_minted, supply)
-        market, breakdown = record.market, record.breakdown
+        market, breakdown, supply = record.market, record.breakdown, record.supply
         out.append(
             SeriesRow(
                 date=row.date,
@@ -182,7 +180,7 @@ def run_backtest(
 
 
 def _inject_arbitrage(ledger: Ledger, minted: Amount, supply: Amount) -> Amount:
-    """Feed the clamp's notional mint into a dedicated arbitrageur account.
+    """Feed the clamp's mint into a dedicated arbitrageur account.
 
     The mint is rounded down to the nearest amount with exact collateral
     at the peg; a zero result leaves the ledger untouched.
@@ -199,10 +197,6 @@ def _inject_arbitrage(ledger: Ledger, minted: Amount, supply: Amount) -> Amount:
     return ledger.total_supply()
 
 
-def _format_price(price: float) -> str:
-    return f"{price:.9f}"
-
-
 def write_series_csv(rows: list[SeriesRow], path: str | Path) -> None:
     """Write series rows; rates are nine-decimal fixed strings.
 
@@ -214,7 +208,7 @@ def write_series_csv(rows: list[SeriesRow], path: str | Path) -> None:
             ",".join(
                 (
                     row.date.isoformat(),
-                    _format_price(row.trd_price),
+                    f"{row.trd_price:.9f}",
                     row.trd_supply.tokens(),
                     row.r_initial.decimal(),
                     row.r_vol.decimal(),
@@ -226,32 +220,3 @@ def write_series_csv(rows: list[SeriesRow], path: str | Path) -> None:
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
-
-def read_series_csv(path: str | Path) -> list[SeriesRow]:
-    """Parse a series file written by write_series_csv."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != SERIES_CSV_HEADER:
-        raise MarketDataError(f"expected header {SERIES_CSV_HEADER!r}", line=1)
-    rows: list[SeriesRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise MarketDataError(f"expected 8 fields, got {len(fields)}", line=lineno)
-        try:
-            rows.append(
-                SeriesRow(
-                    date=dt.date.fromisoformat(fields[0]),
-                    trd_price=float(fields[1]),
-                    trd_supply=Amount.from_tokens(fields[2]),
-                    r_initial=Rate.from_decimal(fields[3]),
-                    r_vol=Rate.from_decimal(fields[4]),
-                    r_gas_cap=Rate.from_decimal(fields[5]),
-                    r_combined=Rate.from_decimal(fields[6]),
-                    tx_count=int(fields[7]),
-                )
-            )
-        except ValueError as exc:
-            raise MarketDataError(str(exc), line=lineno) from exc
-    return rows

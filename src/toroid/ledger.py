@@ -46,6 +46,14 @@ def _valid_id(account_id: str) -> bool:
     return "," not in account_id and account_id.splitlines() == [account_id]
 
 
+def _canonical_int(field: str) -> int:
+    """Read an integer only as str() spells it: no '+', pad, '_' or leading 0."""
+    value = int(field)
+    if str(value) != field:
+        raise ValueError(f"not a canonical integer: {field!r}")
+    return value
+
+
 @dataclass
 class Account:
     """One wallet: share units, locked collateral, and the refund obligation.
@@ -299,7 +307,7 @@ class Ledger:
         if version != "v2" or len(header) != 5:
             raise SnapshotError(f"line 1: not a v2 header: {lines[0]!r}")
         try:
-            peg, holding, num, den, period = (int(x) for x in header)
+            peg, holding, num, den, period = map(_canonical_int, header)
         except ValueError as exc:
             raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
         try:
@@ -313,7 +321,7 @@ class Ledger:
                 raise SnapshotError(f"line {lineno}: expected 5 fields: {line!r}")
             account_id = fields[0]
             try:
-                shares, collateral, minted, created = (int(x) for x in fields[1:])
+                shares, collateral, minted, created = map(_canonical_int, fields[1:])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
             if not _valid_id(account_id):

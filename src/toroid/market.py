@@ -4,11 +4,12 @@ Market cap follows an input return series while each rebasement dilutes
 the per-token price by exactly 1/(1 + r) in the same period.  The peg is
 a pure ceiling: whenever the implied TRD price would exceed peg_ratio
 times the base-coin price, arbitrageurs fund the contract for cheap TRD,
-so the price is clamped there and the supply that such funding would have
-minted is recorded.
+so the price is clamped there and the supply that such funding mints is
+recorded.
 
-Prices are diagnostic floats, deliberately outside the fixed-point core;
-they are never fed back into balance arithmetic.
+Prices are floats, deliberately outside the fixed-point core.  The one
+place they reach balance arithmetic is that mint: the period kernel
+rounds it down to an amount with exact collateral and deposits it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .numerics import UNIT, Amount, Rate
 class MarketState:
     trd_price: float
     base_price: float
-    arb_minted_cum: Amount = Amount(0)
+    arb_minted: Amount = Amount(0)
 
 
 def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
@@ -46,7 +47,7 @@ def step_price(
 ) -> MarketState:
     """Advance one period: demand moves cap by the return, rebasement dilutes.
 
-    supply is the post-rebase total; it sizes the notional arbitrage mint
+    supply is the post-rebase total; it sizes this period's arbitrage mint
     whenever the peg clamp binds.  Raises NonFinitePriceError when the
     return, the base price or the implied TRD price is infinite or NaN.
     """
@@ -65,16 +66,8 @@ def step_price(
             f"price overflowed or is NaN: base {base_price}, TRD {implied}"
         )
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-    arb_minted = state.arb_minted_cum
     if implied > ceiling:
         # Supply that would dilute the implied price back down to the peg.
         excess = Fraction(implied) / Fraction(ceiling) - 1
-        arb_minted += Amount(int(supply.raw * excess))
-        trd_price = ceiling
-    else:
-        trd_price = implied
-    return MarketState(
-        trd_price=trd_price,
-        base_price=base_price,
-        arb_minted_cum=arb_minted,
-    )
+        return MarketState(ceiling, base_price, Amount(int(supply.raw * excess)))
+    return MarketState(implied, base_price)

@@ -16,7 +16,7 @@ from toroid.adversary import (
     sybil_cost,
 )
 from toroid.controller import RebaseConfig
-from toroid.errors import InvariantViolationError, ToroidError
+from toroid.errors import ConfigError, InvariantViolationError, ToroidError
 from toroid.harness import step_period
 from toroid.ledger import Ledger
 from toroid.market import initial_market
@@ -130,6 +130,14 @@ class TestRunSybil:
         with pytest.raises(ValueError, match="start_period"):
             scenario(1, start_period=-1)
 
+    def test_negative_k_v_is_config_error(self, cfg):
+        # injected volume shrank the supply, and the check on it raised the
+        # invariant error reserved for internal faults
+        negative = replace(cfg, k_v=Rate.from_decimal("-0.1"))
+        sc = scenario(1_000, baseline_v=100, holdings=5_000)
+        with pytest.raises(ConfigError, match="k_v >= 0, got -0.100000000"):
+            run_sybil(sc, negative)
+
 
 class TestRunPumpAndDump:
     def test_no_injection_no_profit(self, cfg):
@@ -173,6 +181,12 @@ class TestRunPumpAndDump:
             run_pump_and_dump(sc, 1, 5, cfg)
         with pytest.raises(ValueError):
             run_pump_and_dump(sc, -1, 2, cfg)
+
+    def test_negative_k_v_is_config_error(self, cfg):
+        negative = replace(cfg, k_v=Rate.from_decimal("-0.1"))
+        sc = scenario(100_000, periods=6, baseline_v=100, holdings=5_000)
+        with pytest.raises(ConfigError, match="k_v >= 0, got -0.100000000"):
+            run_pump_and_dump(sc, 2, 3, negative)
 
 
 class TestReportRendering:

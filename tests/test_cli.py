@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid.cli import EXIT_INPUT, EXIT_OK, main
+from toroid import harness
+from toroid.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from toroid.harness import MARKET_CSV_HEADER, SERIES_CSV_HEADER
+from toroid.numerics import UNIT
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "benchmarks" / "golden"
@@ -150,6 +156,62 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert "price overflowed" in capsys.readouterr().err
 
+    def test_one_row_writes_header_only(self, tmp_path, default_cfg_path, capsys):
+        data = tmp_path / "m.csv"
+        data.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n")
+        out = tmp_path / "o.csv"
+        code = main(
+            [
+                "simulate",
+                "--data", str(data),
+                "--config", str(default_cfg_path),
+                "--initial-supply", "10000",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert out.read_text() == SERIES_CSV_HEADER + "\n"
+        assert capsys.readouterr().out == (
+            f"0 periods -> {out} (need at least two input rows)\n"
+        )
+
+    def test_zero_initial_supply_is_input_error(
+        self, tmp_path, sample_market_path, default_cfg_path, capsys
+    ):
+        code = main(
+            [
+                "simulate",
+                "--data", str(sample_market_path),
+                "--config", str(default_cfg_path),
+                "--initial-supply", "0",
+                "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "initial supply must be positive" in capsys.readouterr().err
+
+    def test_escaped_peg_is_invariant_exit(
+        self, tmp_path, sample_market_path, default_cfg_path, monkeypatch, capsys
+    ):
+        # a price model that lets the TRD price escape the ceiling is an
+        # internal fault, the one class of error that exits 2
+        def escaping(state, market_return, r, cfg, supply):
+            ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
+            return replace(state, trd_price=ceiling * 2)
+
+        monkeypatch.setattr(harness, "step_price", escaping)
+        code = main(
+            [
+                "simulate",
+                "--data", str(sample_market_path),
+                "--config", str(default_cfg_path),
+                "--initial-supply", "10000",
+                "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith("invariant violation:")
+
     def test_bad_flag_is_input_error(self):
         assert main(["simulate", "--bogus"]) == EXIT_INPUT
 
@@ -255,6 +317,24 @@ class TestAttack:
         assert not out.exists()
         assert "start_period must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            sybil_argv("1000", 1, "100", "10000", "5000", None, False),
+            ["attack", *PUMP_DUMP],
+        ],
+        ids=["sybil", "pump-dump"],
+    )
+    def test_negative_k_v_is_input_error(self, tmp_path, argv, capsys):
+        # both attacks exited 2 with "injected volume reduced total supply"
+        config = tmp_path / "neg.cfg"
+        config.write_text(DEFAULT_CFG.read_text().replace("k_v = 0.1", "k_v = -0.1"))
+        out = tmp_path / "r.csv"
+        code = main(argv + ["--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "k_v: attack pricing needs k_v >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario_id", ["x,y\nz", "", "a\rb"])
     def test_id_that_breaks_the_csv_is_input_error(
         self, tmp_path, default_cfg_path, scenario_id, capsys
@@ -303,3 +383,25 @@ class TestLedgerDemo:
         assert "rule 2" in out
         assert "rules 3-4" in out
         assert "supply" in out
+
+
+class TestEntryPoints:
+    @staticmethod
+    def run_module(*args: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_datagen_regenerates_bundled_market(self, tmp_path, sample_market_path):
+        out = tmp_path / "m.csv"
+        done = self.run_module("toroid.datagen", str(out))
+        assert done.returncode == 0
+        assert "wrote 500 rows" in done.stdout
+        assert out.read_bytes() == sample_market_path.read_bytes()
+
+    def test_package_runs_as_module(self):
+        done = self.run_module("toroid", "ledger", "demo")
+        assert done.returncode == 0
+        assert "rule 1" in done.stdout

@@ -22,7 +22,6 @@ from toroid.harness import (
     SERIES_CSV_HEADER,
     MarketRow,
     load_market_csv,
-    read_series_csv,
     run_backtest,
     step_period,
     write_series_csv,
@@ -128,6 +127,18 @@ class TestLoadMarketCsv:
             load_market_csv(p)
         assert err.value.line == 3
 
+    def test_bad_price_reports_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n2017-01-02,abc,1\n")
+        with pytest.raises(MarketDataError, match="line 3: bad price 'abc'"):
+            load_market_csv(p)
+
+    def test_blank_line_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n \n2017-01-02,20,2\n")
+        rows = load_market_csv(p)
+        assert [(r.price, r.tx_count) for r in rows] == [(10.0, 1), (20.0, 2)]
+
     def test_negative_tx_count(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,-5\n")
@@ -225,23 +236,27 @@ class TestRunBacktest:
         )
         assert capped[-1].trd_supply.raw < uncapped[-1].trd_supply.raw
 
-    def test_arb_injection_feeds_ledger(self):
+    def test_step_period_mints_clamp_arbitrage(self):
         # crash the volume with the cap off and no bootstrap floor: the
         # negative rebasement pushes the implied price over the peg, the
-        # clamp binds, and the recorded mint lands in an arbitrage account
+        # clamp binds, and its mint lands in an arbitrage account
         cfg = RebaseConfig(
             gas_cap_enabled=False, floor_zero_during_bootstrap=False, t0=10**6
         )
-        start = dt.date(2021, 1, 1)
-        rows = [
-            MarketRow(start + dt.timedelta(days=i), 100.0, tx)
-            for i, tx in enumerate([100_000, 1, 1, 1])
-        ]
-        quiet = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        fed = run_backtest(
-            rows, cfg, Amount.from_tokens(10_000), arb_injection=True
-        )
-        assert quiet[-1].trd_supply.raw < fed[-1].trd_supply.raw
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
+        market = initial_market(100.0, cfg)
+        supply = ledger.total_supply()
+        record = step_period(ledger, market, cfg, 1, 100_000, 1.0, supply)
+        assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
+        assert record.market.arb_minted.raw > 0
+        assert "arb" in ledger.accounts
+        assert record.supply == ledger.total_supply()
+        arb = ledger.accounts["arb"]
+        assert arb.collateral.raw * UNIT == arb.minted.raw * cfg.peg_ratio.ppb
+        # rounded down to a multiple of 10 raw, the least with exact
+        # collateral at the 0.1 peg
+        assert 0 <= record.market.arb_minted.raw - arb.minted.raw < 10
 
     def test_bad_override_rejected(self, cfg):
         with pytest.raises(NonDivisibleCollateralError):
@@ -291,8 +306,9 @@ class TestRunBacktest:
 
     def test_carried_supply_matches_ledger_scan(self, sample_market_path, monkeypatch):
         # periods take the supply the previous one reported instead of
-        # rescanning the ledger; with arbitrage mints landing between
-        # periods, every carried and reported supply must equal a full scan
+        # rescanning the ledger; with the kernel's arbitrage mints landing
+        # in some periods, every carried and reported supply must equal a
+        # full scan
         cfg = RebaseConfig(
             k_v=Rate.from_decimal("1"), t0=10**6, floor_zero_during_bootstrap=False
         )
@@ -309,7 +325,6 @@ class TestRunBacktest:
             load_market_csv(sample_market_path),
             cfg,
             Amount.from_tokens(10_000),
-            arb_injection=True,
         )
         ledger = ledgers[-1]
         assert "arb" in ledger.accounts
@@ -335,15 +350,6 @@ class TestSeriesCsv:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == SERIES_CSV_HEADER
-
-    def test_round_trip_is_byte_stable(self, cfg, tmp_path, sample_market_path):
-        rows = load_market_csv(sample_market_path)[:80]
-        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        first = tmp_path / "first.csv"
-        second = tmp_path / "second.csv"
-        write_series_csv(series, first)
-        write_series_csv(read_series_csv(first), second)
-        assert first.read_bytes() == second.read_bytes()
 
     def test_repeated_runs_byte_identical(self, cfg, tmp_path, sample_market_path):
         rows = load_market_csv(sample_market_path)

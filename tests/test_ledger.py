@@ -575,6 +575,21 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match=f"line 1: {error}"):
             Ledger.restore(header + "\n")
 
+    @pytest.mark.parametrize(
+        "spelling", ["1_0", "+1", " 1", "1 ", "01", "00", "-0", "\u0661"]
+    )
+    def test_non_canonical_integer_rejected(self, spelling):
+        # int() reads every one of these, so each restored to a ledger
+        # whose snapshot differed from the text
+        with pytest.raises(SnapshotError, match="line 1: bad header"):
+            Ledger.restore(f"v2,100000000,{spelling},1,1,0\n")
+        with pytest.raises(SnapshotError, match="line 2: bad integer"):
+            Ledger.restore(f"v2,100000000,1,1,1,0\nx,{spelling},0,0,0\n")
+
+    def test_short_row_rejected(self):
+        with pytest.raises(SnapshotError, match="line 2: expected 5 fields"):
+            Ledger.restore("v2,100000000,1,1,1,0\nx,1,0,0\n")
+
     def test_account_created_after_period_rejected(self):
         # restored, withdraw would report the account as -4 periods old
         text = "v2,100000000,1,1,1,5\nx,10000000000000000000,1000000000,10000000000,9\n"
@@ -608,12 +623,15 @@ class TestSnapshot:
 
     @settings(max_examples=120, deadline=None)
     @given(text=st.one_of(st.text(), SNAPSHOT_TEXT))
+    @example(text="v2,100000000,01,1,1,0\n")  # restored as holding period 1
     def test_any_snapshot_restores_or_raises_snapshot_error(self, text):
         try:
             ledger = Ledger.restore(text)
         except SnapshotError:
             return
         assert Ledger.restore(ledger.snapshot()).snapshot() == ledger.snapshot()
+        if text == "\n".join(text.splitlines()) + "\n":
+            assert ledger.snapshot() == text
         assert ledger.total_collateral.raw == sum(
             a.collateral.raw for a in ledger.accounts.values()
         )

@@ -20,7 +20,7 @@ class TestStepPrice:
         after = step_price(state, 1.0, Rate(0), cfg, Amount.from_tokens(10_000))
         assert after.trd_price == state.trd_price
         assert after.base_price == state.base_price
-        assert after.arb_minted_cum == Amount(0)
+        assert after.arb_minted == Amount(0)
 
     def test_rebasement_absorbs_matching_growth(self, cfg):
         # market +10% while supply grows +10%: the price is unchanged
@@ -33,14 +33,14 @@ class TestStepPrice:
 
     def test_clamp_at_peg_records_arbitrage(self, cfg):
         # start at the ceiling; a negative rebasement pushes the implied
-        # price above it, so the clamp binds and the notional mint that
+        # price above it, so the clamp binds and the arbitrage mint that
         # would dilute the price back down is recorded
         supply = Amount.from_tokens(10_000)
         state = initial_market(100.0, cfg)
         after = step_price(state, 1.0, Rate.from_decimal("-0.2"), cfg, supply)
         assert after.trd_price == pytest.approx(10.0, rel=1e-12)
         # implied / ceiling = 1 / 0.8: the mint is ~2500 TRD
-        assert after.arb_minted_cum.raw == pytest.approx(
+        assert after.arb_minted.raw == pytest.approx(
             Amount.from_tokens(2_500).raw, rel=1e-9
         )
 

@@ -48,6 +48,11 @@ class TestAmount:
         with pytest.raises(ValueError):
             Amount.from_tokens("0.0000000001")
 
+    @pytest.mark.parametrize("text", ["+", "."])
+    def test_rejects_sign_or_point_alone(self, text):
+        with pytest.raises(ValueError, match="malformed decimal string"):
+            Amount.from_tokens(text)
+
     def test_subtraction_never_wraps(self):
         with pytest.raises(NegativeAmountError):
             Amount(1) - Amount(2)
