@@ -18,13 +18,12 @@ from fractions import Fraction
 
 from .controller import RebaseConfig
 from .errors import ConfigError, InvariantViolationError
-from .harness import step_period
+from .harness import _GENESIS, step_period
 from .ledger import Ledger, _valid_id
 from .market import MarketState, initial_market
 from .numerics import UNIT, Amount, format_raw
 
 _ATTACKER = "attacker"
-_GENESIS = "genesis"
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,8 +35,7 @@ class SybilScenario:
     baseline_v          honest transactions per period
     start_supply        total TRD at scenario start (attacker included)
     attacker_holdings   TRD the attacker acquired before the attack
-    start_period        period ordinal at scenario start (default is
-                        just past the standard bootstrap window)
+    start_period        period ordinal at scenario start
     """
 
     delta_v_per_period: int
@@ -45,7 +43,7 @@ class SybilScenario:
     baseline_v: int
     start_supply: Amount
     attacker_holdings: Amount
-    start_period: int = 90
+    start_period: int
 
     def __post_init__(self) -> None:
         if self.periods < 1:

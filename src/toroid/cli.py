@@ -22,7 +22,13 @@ from .adversary import (
     run_sybil,
 )
 from .controller import RebaseConfig, load_config
-from .errors import InvariantViolationError, ToroidError
+from .errors import (
+    AmountOverflowError,
+    ConfigError,
+    InvariantViolationError,
+    NonDivisibleCollateralError,
+    ToroidError,
+)
 from .harness import load_market_csv, run_backtest, write_series_csv
 from .ledger import Ledger
 from .numerics import Amount, Rate, format_raw
@@ -51,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--initial-supply", required=True, metavar="TRD")
     sim.add_argument("--out", required=True, help="output series CSV")
     sim.add_argument("--gas-cost-trd", metavar="TRD", default=None,
-                     help="override per-transaction gas cost, in TRD")
+                     help="set the config's gas cost, stated in TRD at the peg")
     sim.add_argument("--no-gas-cap", action="store_true")
     sim.add_argument("--no-bootstrap-floor", action="store_true")
 
@@ -98,17 +104,22 @@ def _load_cfg(args: argparse.Namespace) -> RebaseConfig:
         cfg = replace(cfg, gas_cap_enabled=False)
     if getattr(args, "no_bootstrap_floor", False):
         cfg = replace(cfg, floor_zero_during_bootstrap=False)
+    if getattr(args, "gas_cost_trd", None) is not None:
+        try:
+            gas_trd = Amount.from_tokens(args.gas_cost_trd)
+            if gas_trd.raw == 0:
+                raise ValueError("must be positive")
+            gas_base = Ledger(cfg.peg_ratio).collateral_for(gas_trd)
+        except (ValueError, AmountOverflowError, NonDivisibleCollateralError) as exc:
+            raise ConfigError(f"--gas-cost-trd: {exc}") from exc
+        cfg = replace(cfg, gas_cost_base=gas_base)
     return cfg
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     rows = load_market_csv(args.data)
-    initial_supply = Amount.from_tokens(args.initial_supply)
-    override = (
-        Amount.from_tokens(args.gas_cost_trd) if args.gas_cost_trd else None
-    )
-    series = run_backtest(rows, cfg, initial_supply, gas_cost_trd_override=override)
+    series = run_backtest(rows, cfg, Amount.from_tokens(args.initial_supply))
     write_series_csv(series, args.out)
     if series:
         last = series[-1]
@@ -190,7 +201,7 @@ def _cmd_ledger_demo(args: argparse.Namespace) -> int:
     show(f"period closes with +10% rebasement, supply now {supply.tokens()} TRD")
 
     ledger.transfer(alice, bob, Amount.from_tokens(1))
-    show("alice sends bob 1 TRD (counts toward next period's volume)")
+    show("alice sends bob 1 TRD: balances move, supply and collateral do not")
 
     burned = ledger.withdraw(alice, Amount.from_tokens("1.5"))
     show(

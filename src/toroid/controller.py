@@ -88,11 +88,8 @@ class RebaseConfig:
         if self.bootstrap_periods < 0:
             raise ConfigError("bootstrap_periods: must be >= 0")
 
-    def gas_cost_trd(self) -> Amount:
-        """Per-transaction gas cost converted to TRD at the peg, flooring."""
-        return Amount(self._gas_cost_trd_raw())
-
     def _gas_cost_trd_raw(self) -> int:
+        """Per-transaction gas cost in raw TRD at the peg, flooring."""
         return self.gas_cost_base.raw * UNIT // self.peg_ratio.ppb
 
 

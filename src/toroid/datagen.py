@@ -14,7 +14,7 @@ Twister is bit-exact everywhere, uniform sums use only IEEE-754
 additions, and the exponential runs through Decimal (correctly rounded)
 before prices are quantized to nine decimals.
 
-Regenerate the bundled file with:  python -m toroid.datagen
+Regenerate the bundled file with:  python -m toroid.datagen [PATH]
 """
 
 from __future__ import annotations
@@ -27,31 +27,27 @@ from pathlib import Path
 
 from .harness import MARKET_CSV_HEADER
 
-DEFAULT_PERIODS = 500
-DEFAULT_SEED = 7
-DEFAULT_START_DATE = dt.date(2017, 1, 1)
-DEFAULT_START_PRICE = Decimal("100.000000000")
+PERIODS = 500
+SEED = 7
+START_DATE = dt.date(2017, 1, 1)
+START_PRICE = Decimal("100.000000000")
 DRIFT = Decimal("0.0015")
 VOL = Decimal("0.05")
 TX_SCALE = 4.0
 TX_NOISE = 0.10
 
 _CENT = Decimal("0.000000001")
+_BUNDLED = Path(__file__).resolve().parents[2] / "data" / "sample_market.csv"
 
 
-def generate_sample_market(
-    periods: int = DEFAULT_PERIODS,
-    seed: int = DEFAULT_SEED,
-    start_date: dt.date = DEFAULT_START_DATE,
-    start_price: Decimal = DEFAULT_START_PRICE,
-) -> list[tuple[dt.date, Decimal, int]]:
-    """Build (date, price, tx_count) tuples for the synthetic series."""
-    rng = random.Random(seed)
-    rows: list[tuple[dt.date, Decimal, int]] = []
-    price = start_price
+def sample_market_csv() -> str:
+    """The bundled series as date,price,tx_count CSV text, PERIODS rows."""
+    rng = random.Random(SEED)
+    lines = [MARKET_CSV_HEADER]
+    price = START_PRICE
     with localcontext() as ctx:
         ctx.prec = 40
-        for t in range(periods):
+        for t in range(PERIODS):
             if t > 0:
                 z = sum(rng.random() for _ in range(12)) - 6.0
                 log_return = DRIFT + VOL * Decimal(z)
@@ -60,33 +56,30 @@ def generate_sample_market(
                 )
             wobble = 1.0 + TX_NOISE * (rng.random() - 0.5)
             tx_count = max(1, int(TX_SCALE * (t + 10) * float(price) * wobble))
-            rows.append((start_date + dt.timedelta(days=t), price, tx_count))
-    return rows
-
-
-def render_market_csv(rows: list[tuple[dt.date, Decimal, int]]) -> str:
-    lines = [MARKET_CSV_HEADER]
-    for date, price, tx_count in rows:
-        lines.append(f"{date.isoformat()},{price},{tx_count}")
+            date = START_DATE + dt.timedelta(days=t)
+            lines.append(f"{date.isoformat()},{price},{tx_count}")
     return "\n".join(lines) + "\n"
 
 
-def write_sample_market(path: str | Path) -> int:
-    """Generate the default series into path; returns the row count."""
-    rows = generate_sample_market()
-    Path(path).write_text(render_market_csv(rows), encoding="utf-8", newline="")
-    return len(rows)
+def main(argv: list[str] | None = None) -> int:
+    """Write the series to the one PATH given, else to the bundled file.
 
-
-def main(argv: list[str] | None = None) -> None:
+    Returns the exit code: 1 after a usage line for an option or a second
+    argument, or after an error for a path that cannot be written.
+    """
     args = sys.argv[1:] if argv is None else argv
-    if args:
-        target = Path(args[0])
-    else:
-        target = Path(__file__).resolve().parents[2] / "data" / "sample_market.csv"
-    count = write_sample_market(target)
-    print(f"wrote {count} rows to {target}")
+    if len(args) > 1 or (args and args[0].startswith("-")):
+        print("usage: python -m toroid.datagen [PATH]", file=sys.stderr)
+        return 1
+    target = Path(args[0]) if args else _BUNDLED
+    try:
+        target.write_text(sample_market_csv(), encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {PERIODS} rows to {target}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

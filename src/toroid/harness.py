@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
@@ -136,23 +136,20 @@ def run_backtest(
     rows: list[MarketRow],
     cfg: RebaseConfig,
     initial_supply: Amount,
-    gas_cost_trd_override: Amount | None = None,
 ) -> list[SeriesRow]:
     """Drive the controller, ledger and market over a historical series.
 
     The first row seeds the starting price and previous-period volume; one
     output row is emitted per subsequent input row.  A genesis account
     holding initial_supply against equivalent collateral seeds the ledger.
-    gas_cost_trd_override restates the per-transaction gas cost in TRD,
-    overriding the configured base-coin cost.
+    cfg is used as given: a gas cost stated in TRD is converted into
+    cfg.gas_cost_base by the caller (the CLI does it for --gas-cost-trd).
     """
     if not rows:
         raise MarketDataError("no market rows")
     if initial_supply.raw <= 0:
         raise ValueError("initial supply must be positive")
     ledger = Ledger(cfg.peg_ratio)
-    if gas_cost_trd_override is not None:
-        cfg = replace(cfg, gas_cost_base=ledger.collateral_for(gas_cost_trd_override))
     ledger.open_account(ledger.collateral_for(initial_supply), account_id=_GENESIS)
 
     market = initial_market(rows[0].price, cfg)

@@ -15,7 +15,7 @@ from dataclasses import replace
 from toroid.adversary import SybilScenario, run_pump_and_dump, run_sybil, sybil_cost
 from toroid.cli import EXIT_OK, main
 from toroid.controller import PeriodMetrics, RebaseConfig, gas_cap_rate, initial_rate
-from toroid.datagen import generate_sample_market, render_market_csv
+from toroid.datagen import sample_market_csv
 from toroid.errors import InsufficientForRefundError
 from toroid.harness import load_market_csv, run_backtest
 from toroid.ledger import SHARE_SCALE, Ledger
@@ -261,17 +261,12 @@ class TestAcceptance:
 
     def test_7_bundled_backtest_properties(self, sample_market_path):
         started = time.perf_counter()
-        cfg = RebaseConfig()
+        # 0.01 base is 0.1 TRD at the 0.1 peg, the README's --gas-cost-trd
+        cfg = RebaseConfig(gas_cost_base=Amount.from_tokens("0.01"))
         rows = load_market_csv(sample_market_path)
         supply0 = Amount.from_tokens(10_000)
-        gas_trd = Amount.from_tokens("0.1")
-        capped = run_backtest(rows, cfg, supply0, gas_cost_trd_override=gas_trd)
-        uncapped = run_backtest(
-            rows,
-            replace(cfg, gas_cap_enabled=False),
-            supply0,
-            gas_cost_trd_override=gas_trd,
-        )
+        capped = run_backtest(rows, cfg, supply0)
+        uncapped = run_backtest(rows, replace(cfg, gas_cap_enabled=False), supply0)
 
         # (a) volatility ordering: the controller damps daily log returns
         input_returns = [
@@ -337,7 +332,7 @@ class TestAcceptance:
         golden = sample_market_path.parents[1] / "benchmarks" / "golden"
         assert outputs[0] == (golden / "simulate.csv").read_bytes()
 
-        regenerated = render_market_csv(generate_sample_market())
+        regenerated = sample_market_csv()
         committed = sample_market_path.read_text(encoding="utf-8")
         assert regenerated == committed
         _report(8, "repeated simulate runs and data regeneration are byte-identical", started)

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid.adversary import (
@@ -15,7 +15,7 @@ from toroid.adversary import (
     run_sybil,
     sybil_cost,
 )
-from toroid.controller import RebaseConfig
+from toroid.controller import RebaseConfig, _volume_rate_exact
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
 from toroid.harness import step_period
 from toroid.ledger import Ledger
@@ -125,6 +125,18 @@ class TestRunSybil:
     def test_periods_must_be_positive(self, cfg):
         with pytest.raises(ValueError):
             scenario(1, periods=0)
+
+    def test_start_period_has_no_default(self):
+        # the start period is the scenario's own, not a copy of the
+        # default bootstrap window
+        with pytest.raises(TypeError, match="start_period"):
+            SybilScenario(
+                delta_v_per_period=1,
+                periods=1,
+                baseline_v=0,
+                start_supply=Amount.from_tokens(1),
+                attacker_holdings=Amount(0),
+            )
 
     def test_start_period_must_be_non_negative(self, cfg):
         with pytest.raises(ValueError, match="start_period"):
@@ -318,3 +330,128 @@ class TestForkMatchesTwoArms:
         assert outcome(run_pump_and_dump, sc, buy, sell, cfg) == outcome(
             reference_report, sc, cfg, buy, sell, sale_price
         )
+
+
+# --- a one-period Sybil against an integer oracle ----------------------------
+
+# Raw base units of gain either side of break-even where the oracle's
+# verdict is not asserted.  Each arm floors the attacker's balance once, so
+# the extra holdings sit within one raw TRD of h * (r_att - r_cf) / UNIT;
+# valued at a peg of at most 2 base per TRD and floored to base units, the
+# gain sits in (G - 3, G + 2) around the exact value G.
+VERDICT_SLACK = 3
+
+
+def oracle_rate(cfg, t, v, v_prev, s):
+    """The period's rate in ppb, rebuilt from its terms without combined_rate."""
+    low, high = max(v_prev, 1), max(v, 1)
+    r_vol = 0 if low == high else _volume_rate_exact(high, low, cfg.k_v.ppb).ppb
+    gas_trd = cfg.gas_cost_base.raw * UNIT // cfg.peg_ratio.ppb
+    cap = v * gas_trd * UNIT // s
+    body = max(-cap, min(cap, r_vol)) if cfg.gas_cap_enabled else r_vol
+    r = UNIT // (t + cfg.t0) + body
+    if cfg.floor_zero_during_bootstrap and t < cfg.bootstrap_periods:
+        r = max(r, 0)
+    return max(r, -990_000_000)  # the -99% hard floor
+
+
+def sybil_oracle(sc, cfg):
+    """(extra supply, edge) of a one-period Sybil, in integers.
+
+    An arm that rebases supply s at rate r ends at s + s * r // UNIT when one
+    account holds everything; split over two floored balances it can end
+    one raw unit lower, so the difference of the arms is exact to one raw
+    unit.  edge is h * (r_att - r_cf) * peg - d * g * UNIT**2, the exact
+    gain less the cost in raw base units times UNIT**2: the attack pays
+    when it is positive.
+    """
+    s, h = sc.start_supply.raw, sc.attacker_holdings.raw
+    b, d, t = sc.baseline_v, sc.delta_v_per_period, sc.start_period
+    r_att = oracle_rate(cfg, t, b + d, b, s)
+    r_cf = oracle_rate(cfg, t, b, b, s)
+    extra = s * r_att // UNIT - s * r_cf // UNIT
+    edge = (
+        h * (r_att - r_cf) * cfg.peg_ratio.ppb
+        - d * cfg.gas_cost_base.raw * UNIT**2
+    )
+    return extra, edge
+
+
+@st.composite
+def one_period_sybils(draw):
+    cfg = RebaseConfig(
+        t0=draw(st.just(10) | st.integers(1, 1_000)),
+        bootstrap_periods=draw(st.just(90) | st.integers(0, 400)),
+        k_v=draw(
+            st.just(Rate(100_000_000)) | st.builds(Rate, st.integers(0, 3 * UNIT))
+        ),
+        gas_cost_base=draw(
+            st.just(Amount(400_000)) | st.builds(Amount, st.integers(1, 10 * UNIT))
+        ),
+        # at most 2 base per TRD, the bound VERDICT_SLACK assumes
+        peg_ratio=draw(
+            st.just(Rate(100_000_000)) | st.builds(Rate, st.integers(1, 2 * UNIT))
+        ),
+        gas_cap_enabled=draw(st.booleans()),
+        floor_zero_during_bootstrap=draw(st.booleans()),
+    )
+    supply = draw(st.integers(1, 10**7))
+    sc = SybilScenario(
+        delta_v_per_period=draw(st.integers(0, 10**6)),
+        periods=1,
+        # honest volume of the same order as the injection
+        baseline_v=draw(st.integers(0, 10**6)),
+        start_supply=Amount.from_tokens(supply),
+        attacker_holdings=Amount.from_tokens(
+            draw(st.just(supply) | st.integers(0, supply))
+        ),
+        # inside the bootstrap window and after it
+        start_period=draw(st.integers(0, 400)),
+    )
+    return cfg, sc
+
+
+def quiet_burst():
+    # no honest volume: the cap allows d * g, exactly the cost, so an
+    # attacker holding everything sits at break-even (edge 0)
+    sc = SybilScenario(
+        delta_v_per_period=10_000,
+        periods=1,
+        baseline_v=0,
+        start_supply=Amount.from_tokens(10_000),
+        attacker_holdings=Amount.from_tokens(10_000),
+        start_period=90,
+    )
+    return RebaseConfig(), sc
+
+
+def readme_break_even(holdings):
+    # b = 10^6 honest, d = 5 * 10^5 injected: the break-even share is 1/3
+    sc = SybilScenario(
+        delta_v_per_period=500_000,
+        periods=1,
+        baseline_v=1_000_000,
+        start_supply=Amount.from_tokens(10_000_000),
+        attacker_holdings=Amount.from_tokens(holdings),
+        start_period=90,
+    )
+    return RebaseConfig(), sc
+
+
+class TestOnePeriodSybilOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=one_period_sybils())
+    @example(case=readme_break_even(3_333_333))
+    @example(case=readme_break_even(3_400_000))
+    @example(case=readme_break_even(10_000_000))
+    @example(case=quiet_burst())
+    def test_run_sybil_matches_oracle(self, case):
+        cfg, sc = case
+        report = run_sybil(sc, cfg)
+        extra, edge = sybil_oracle(sc, cfg)
+        assert abs(report.extra_supply_trd.raw - extra) <= 1
+        assert report.cost_base.raw == sc.delta_v_per_period * cfg.gas_cost_base.raw
+        if edge > VERDICT_SLACK * UNIT**2:
+            assert report.profitable
+        elif edge < -VERDICT_SLACK * UNIT**2:
+            assert not report.profitable

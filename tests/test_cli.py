@@ -98,6 +98,76 @@ class TestSimulate:
         assert main(base + ["--out", str(b), "--no-gas-cap"]) == EXIT_OK
         assert a.read_bytes() != b.read_bytes()
 
+    @staticmethod
+    def simulate_with_gas(out, gas: str) -> int:
+        return main(
+            [
+                "simulate",
+                "--data", str(ROOT / "data" / "sample_market.csv"),
+                "--config", str(DEFAULT_CFG),
+                "--initial-supply", "10000",
+                "--out", str(out),
+                "--gas-cost-trd", gas,
+            ]
+        )
+
+    def test_gas_cost_trd_is_a_config_edit(self, tmp_path, sample_market_path):
+        # 0.1 TRD at the 0.1 peg is 0.01 base: the flag and the config key
+        # it sets give the same bytes
+        config = tmp_path / "gas.cfg"
+        config.write_text(
+            DEFAULT_CFG.read_text().replace(
+                "gas_cost_base = 0.0004", "gas_cost_base = 0.01"
+            )
+        )
+        by_key = tmp_path / "key.csv"
+        code = main(
+            [
+                "simulate",
+                "--data", str(sample_market_path),
+                "--config", str(config),
+                "--initial-supply", "10000",
+                "--out", str(by_key),
+            ]
+        )
+        assert code == EXIT_OK
+        by_flag = tmp_path / "flag.csv"
+        assert self.simulate_with_gas(by_flag, "0.1") == EXIT_OK
+        assert by_flag.read_bytes() == by_key.read_bytes()
+
+    @pytest.mark.parametrize(
+        "gas, message",
+        [
+            ("", "empty decimal string"),
+            ("0", "must be positive"),
+            ("-1", "negative value not allowed"),
+            ("1e3", "malformed decimal string"),
+            ("1" + "0" * 30, "amount exceeds capacity"),
+        ],
+        ids=["empty", "zero", "negative", "exponent", "overflow"],
+    )
+    def test_bad_gas_cost_trd_is_input_error(self, tmp_path, gas, message, capsys):
+        # "" ran as if the flag were absent, and "0" blamed gas_cost_base,
+        # a config key the user never set
+        out = tmp_path / "o.csv"
+        assert self.simulate_with_gas(out, gas) == EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: --gas-cost-trd: {message}" in err
+        assert "gas_cost_base" not in err
+
+    def test_gas_cost_trd_without_exact_collateral_is_input_error(
+        self, tmp_path, capsys
+    ):
+        # one raw TRD at the 0.1 peg is a tenth of a raw base unit
+        out = tmp_path / "o.csv"
+        assert self.simulate_with_gas(out, "0.000000001") == EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: --gas-cost-trd: 0.000000001 TRD has no exact collateral "
+            "at the peg\n"
+        )
+
     def test_missing_data_file_is_input_error(self, tmp_path, default_cfg_path):
         code = main(
             [
@@ -383,6 +453,7 @@ class TestLedgerDemo:
         assert "rule 2" in out
         assert "rules 3-4" in out
         assert "supply" in out
+        assert "balances move, supply and collateral do not" in out
 
 
 class TestEntryPoints:
@@ -400,6 +471,29 @@ class TestEntryPoints:
         assert done.returncode == 0
         assert "wrote 500 rows" in done.stdout
         assert out.read_bytes() == sample_market_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args", [["--help"], ["-"], ["a.csv", "b.csv"]], ids=["help", "dash", "two"]
+    )
+    def test_datagen_usage_error_writes_nothing(self, tmp_path, args):
+        # "--help" wrote the series to a file named --help, and a second
+        # path was silently ignored
+        done = subprocess.run(
+            [sys.executable, "-m", "toroid.datagen", *args],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr == "usage: python -m toroid.datagen [PATH]\n"
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_datagen_unwritable_path_is_input_error(self, tmp_path):
+        done = self.run_module("toroid.datagen", str(tmp_path / "no" / "m.csv"))
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
     def test_package_runs_as_module(self):
         done = self.run_module("toroid", "ledger", "demo")

@@ -88,7 +88,7 @@ class TestGasCapRate:
 
     def test_gas_cost_trd_conversion(self, cfg):
         # 0.0004 base at peg 0.1 is 0.004 TRD
-        assert cfg.gas_cost_trd() == Amount.from_tokens("0.004")
+        assert cfg._gas_cost_trd_raw() == Amount.from_tokens("0.004").raw
 
 
 class TestVolumeRate:

@@ -12,7 +12,6 @@ from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
 from toroid.errors import (
     InvariantViolationError,
     MarketDataError,
-    NonDivisibleCollateralError,
     NonFinitePriceError,
     NonMonotoneDatesError,
     NonPositivePriceError,
@@ -209,9 +208,8 @@ class TestRunBacktest:
         plain = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         boosted = run_backtest(
             rows,
-            cfg,
+            replace(cfg, gas_cost_base=Amount.from_tokens("0.01")),
             Amount.from_tokens(10_000),
-            gas_cost_trd_override=Amount.from_tokens("0.1"),
         )
         assert boosted[0].r_gas_cap.ppb == 25 * plain[0].r_gas_cap.ppb
 
@@ -257,15 +255,6 @@ class TestRunBacktest:
         # rounded down to a multiple of 10 raw, the least with exact
         # collateral at the 0.1 peg
         assert 0 <= record.market.arb_minted.raw - arb.minted.raw < 10
-
-    def test_bad_override_rejected(self, cfg):
-        with pytest.raises(NonDivisibleCollateralError):
-            run_backtest(
-                flat_rows(2),
-                cfg,
-                Amount.from_tokens(10_000),
-                gas_cost_trd_override=Amount(1),
-            )
 
     def test_nan_price_fails_peg_check(self, cfg):
         # rows built in code skip the parser's finiteness check

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -112,11 +113,11 @@ class TestVolatilityReduction:
         # the simulated token's daily log returns are tighter than the
         # input series' own
         rows = load_market_csv(sample_market_path)
+        # 0.01 base is 0.1 TRD at the 0.1 peg, the README's --gas-cost-trd
         series = run_backtest(
             rows,
-            cfg,
+            replace(cfg, gas_cost_base=Amount.from_tokens("0.01")),
             Amount.from_tokens(10_000),
-            gas_cost_trd_override=Amount.from_tokens("0.1"),
         )
         input_returns = [
             math.log(rows[i + 1].price / rows[i].price) for i in range(len(rows) - 1)
