@@ -24,7 +24,7 @@ from .controller import (
 from .errors import ToroidError
 from .harness import (
     MarketRow,
-    SeriesRow,
+    PeriodRecord,
     load_market_csv,
     run_backtest,
     write_series_csv,
@@ -52,10 +52,10 @@ __all__ = [
     "MarketRow",
     "MarketState",
     "PeriodMetrics",
+    "PeriodRecord",
     "Rate",
     "RateBreakdown",
     "RebaseConfig",
-    "SeriesRow",
     "SybilScenario",
     "ToroidError",
     "UNIT",

@@ -122,10 +122,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     series = run_backtest(rows, cfg, Amount.from_tokens(args.initial_supply))
     write_series_csv(series, args.out)
     if series:
-        last = series[-1]
+        _, last = series[-1]
         print(
             f"{len(series)} periods -> {args.out}; final supply "
-            f"{last.trd_supply.tokens()} TRD, final price {last.trd_price:.9f}"
+            f"{last.supply.tokens()} TRD, final price {last.market.trd_price:.9f}"
         )
     else:
         print(f"0 periods -> {args.out} (need at least two input rows)")

@@ -88,7 +88,7 @@ class NonPositiveReturnError(ToroidError):
 
 
 class NonFinitePriceError(ToroidError):
-    """A market return or price was NaN or infinite, or overflowed to infinity."""
+    """A price or return was NaN or infinite, or the peg ceiling underflowed to 0."""
 
 
 # --- harness ----------------------------------------------------------------

@@ -3,9 +3,9 @@
 Each input row is one period of base-coin price and transaction count.
 The loop computes the market return, feeds the transaction count to the
 controller, rebases the ledger, steps the price model, mints whatever
-arbitrage the peg clamp implied, and emits one series row.  step_period
-is that one period, shared with the attack arms.  Identical inputs
-produce byte-identical output files.
+arbitrage the peg clamp implied, and pairs the row with the period's
+PeriodRecord.  step_period is that one period, shared with the attack
+arms.  Identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ledger import Ledger
 from .market import MarketState, initial_market, step_price
-from .numerics import UNIT, Amount, Rate
+from .numerics import UNIT, Amount
 
 MARKET_CSV_HEADER = "date,price,tx_count"
 SERIES_CSV_HEADER = (
@@ -42,20 +42,8 @@ class MarketRow:
     tx_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesRow:
-    date: dt.date
-    trd_price: float
-    trd_supply: Amount
-    r_initial: Rate
-    r_vol: Rate
-    r_gas_cap: Rate
-    r_combined: Rate
-    tx_count: int
-
-
 def load_market_csv(path: str | Path) -> list[MarketRow]:
-    """Parse a date,price,tx_count file; dates must strictly increase."""
+    """Parse a date,price,tx_count file; dates are YYYY-MM-DD, strictly increasing."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != MARKET_CSV_HEADER:
@@ -71,6 +59,9 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
             raise MarketDataError(f"expected 3 fields, got {len(fields)}", line=lineno)
         try:
             date = dt.date.fromisoformat(fields[0].strip())
+            # Newer Pythons also parse "20170101" and "2017-W01-1".
+            if date.isoformat() != fields[0].strip():
+                raise ValueError("not YYYY-MM-DD")
         except ValueError as exc:
             raise MarketDataError(f"bad date {fields[0]!r}", line=lineno) from exc
         try:
@@ -97,7 +88,12 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
 
 @dataclass(frozen=True, slots=True)
 class PeriodRecord:
-    """What one period produced: its rates, the market and supply after it."""
+    """What one period produced: its rates, the market and supply after it.
+
+    run_backtest pairs one with each input row after the first;
+    market.arb_minted is the clamp's mint before it was rounded down to
+    exact collateral and deposited.
+    """
 
     breakdown: RateBreakdown
     market: MarketState
@@ -136,14 +132,15 @@ def run_backtest(
     rows: list[MarketRow],
     cfg: RebaseConfig,
     initial_supply: Amount,
-) -> list[SeriesRow]:
+) -> list[tuple[MarketRow, PeriodRecord]]:
     """Drive the controller, ledger and market over a historical series.
 
-    The first row seeds the starting price and previous-period volume; one
-    output row is emitted per subsequent input row.  A genesis account
-    holding initial_supply against equivalent collateral seeds the ledger.
-    cfg is used as given: a gas cost stated in TRD is converted into
-    cfg.gas_cost_base by the caller (the CLI does it for --gas-cost-trd).
+    The first row seeds the starting price and previous-period volume;
+    every later row is returned paired with the PeriodRecord step_period
+    produced for it.  A genesis account holding initial_supply against
+    equivalent collateral seeds the ledger.  cfg is used as given: a gas
+    cost stated in TRD is converted into cfg.gas_cost_base by the caller
+    (the CLI does it for --gas-cost-trd).
     """
     if not rows:
         raise MarketDataError("no market rows")
@@ -154,25 +151,14 @@ def run_backtest(
 
     market = initial_market(rows[0].price, cfg)
     supply = ledger.total_supply()
-    out: list[SeriesRow] = []
+    out: list[tuple[MarketRow, PeriodRecord]] = []
     for prev, row in zip(rows, rows[1:]):
         record = step_period(
             ledger, market, cfg, row.tx_count, prev.tx_count,
             row.price / prev.price, supply,
         )
-        market, breakdown, supply = record.market, record.breakdown, record.supply
-        out.append(
-            SeriesRow(
-                date=row.date,
-                trd_price=market.trd_price,
-                trd_supply=supply,
-                r_initial=breakdown.r_initial,
-                r_vol=breakdown.r_vol,
-                r_gas_cap=breakdown.r_gas_cap,
-                r_combined=breakdown.r_combined,
-                tx_count=row.tx_count,
-            )
-        )
+        market, supply = record.market, record.supply
+        out.append((row, record))
     return out
 
 
@@ -194,26 +180,28 @@ def _inject_arbitrage(ledger: Ledger, minted: Amount, supply: Amount) -> Amount:
     return ledger.total_supply()
 
 
-def write_series_csv(rows: list[SeriesRow], path: str | Path) -> None:
-    """Write series rows; rates are nine-decimal fixed strings.
+def write_series_csv(
+    series: list[tuple[MarketRow, PeriodRecord]], path: str | Path
+) -> None:
+    """Write run_backtest's pairs; rates are nine-decimal fixed strings.
 
     Output is byte-stable: fixed header, fixed formatting, "\\n" endings.
     """
     lines = [SERIES_CSV_HEADER]
-    for row in rows:
+    for row, record in series:
+        rates = record.breakdown
         lines.append(
             ",".join(
                 (
                     row.date.isoformat(),
-                    f"{row.trd_price:.9f}",
-                    row.trd_supply.tokens(),
-                    row.r_initial.decimal(),
-                    row.r_vol.decimal(),
-                    row.r_gas_cap.decimal(),
-                    row.r_combined.decimal(),
+                    f"{record.market.trd_price:.9f}",
+                    record.supply.tokens(),
+                    rates.r_initial.decimal(),
+                    rates.r_vol.decimal(),
+                    rates.r_gas_cap.decimal(),
+                    rates.r_combined.decimal(),
                     str(row.tx_count),
                 )
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-

@@ -239,11 +239,18 @@ class Ledger:
         """Close the period: grow the index by (1 + r).
 
         Every balance scales by (1 + r) to within one raw unit; shares are
-        untouched.  Returns the new total supply.
+        untouched.  Returns the new total supply.  A total that overflows
+        raises AmountOverflowError and leaves the ledger as it was.
         """
-        self.index = grow_index(self.index, r)
+        previous = self.index
+        self.index = grow_index(previous, r)
+        try:
+            supply = self.total_supply()
+        except AmountOverflowError:
+            self.index = previous
+            raise
         self.current_period += 1
-        return self.total_supply()
+        return supply
 
     def withdraw(self, account_id: str, collateral_out: Amount) -> Amount:
         """Release collateral, burning the proportional originally-minted TRD.

@@ -49,7 +49,8 @@ def step_price(
 
     supply is the post-rebase total; it sizes this period's arbitrage mint
     whenever the peg clamp binds.  Raises NonFinitePriceError when the
-    return, the base price or the implied TRD price is infinite or NaN.
+    return, the base price or the implied TRD price is infinite or NaN,
+    or when the peg ceiling underflows to zero on a subnormal base price.
     """
     if market_return <= 0:
         raise NonPositiveReturnError(f"market return must be > 0, got {market_return}")
@@ -66,6 +67,8 @@ def step_price(
             f"price overflowed or is NaN: base {base_price}, TRD {implied}"
         )
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
+    if ceiling == 0:
+        raise NonFinitePriceError(f"peg ceiling underflowed to 0 at base {base_price}")
     if implied > ceiling:
         # Supply that would dilute the implied price back down to the peg.
         excess = Fraction(implied) / Fraction(ceiling) - 1

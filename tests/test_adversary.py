@@ -126,6 +126,11 @@ class TestRunSybil:
         with pytest.raises(ValueError):
             scenario(1, periods=0)
 
+    @pytest.mark.parametrize("delta_v, baseline_v", [(-1, 0), (0, -1)])
+    def test_transaction_counts_must_be_non_negative(self, delta_v, baseline_v):
+        with pytest.raises(ValueError, match="transaction counts"):
+            scenario(delta_v, baseline_v=baseline_v)
+
     def test_start_period_has_no_default(self):
         # the start period is the scenario's own, not a copy of the
         # default bootstrap window

@@ -28,6 +28,11 @@ def sybil_argv(delta_v, periods, baseline_v, supply, holdings, start, no_cap):
     return argv + ["--no-gas-cap"] * no_cap
 
 
+def simulate_argv(data, out) -> list[str]:
+    return ["simulate", "--data", str(data), "--config", str(DEFAULT_CFG),
+            "--initial-supply", "10000", "--out", str(out)]
+
+
 COUNT_ARG = st.integers(-3, 10**13).map(str)
 TOKENS_ARG = st.integers(0, 10**31).map(str) | st.sampled_from(
     ["0.000000001", "0.5", "-1", "1e3", "x", ""]
@@ -225,6 +230,46 @@ class TestSimulate:
         )
         assert code == EXIT_INPUT
         assert "price overflowed" in capsys.readouterr().err
+
+    def test_subnormal_price_is_input_error(self, tmp_path, capsys):
+        # a subnormal base price underflows the peg ceiling to 0, which the
+        # clamp's mint would divide by
+        data = tmp_path / "m.csv"
+        data.write_text(
+            f"{MARKET_CSV_HEADER}\n2020-01-01,1.5e-320,0\n"
+            "2020-01-02,2.5e-323,1\n2020-01-03,1.5e-323,0\n"
+        )
+        code = main(simulate_argv(data, tmp_path / "o.csv"))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: peg ceiling underflowed to 0")
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prices=st.lists(
+            st.floats(0, exclude_min=True, allow_infinity=False), min_size=1, max_size=6
+        ),
+        counts=st.lists(st.integers(0, 10**12), min_size=6, max_size=6),
+        flags=st.lists(st.sampled_from(["--no-gas-cap", "--no-bootstrap-floor"]),
+                       unique=True),
+    )
+    @example(prices=[1.5e-320, 2.5e-323, 1.5e-323], counts=[0, 1, 0, 0, 0, 0], flags=[])
+    def test_any_positive_prices_exit_0_or_1(
+        self, prices, counts, flags, tmp_path_factory
+    ):
+        work = tmp_path_factory.getbasetemp()
+        data = work / "fuzz-market.csv"
+        data.write_text(
+            "\n".join(
+                [MARKET_CSV_HEADER]
+                + [f"2020-01-{i + 1:02d},{p!r},{n}"
+                   for i, (p, n) in enumerate(zip(prices, counts))]
+            )
+        )
+        assert main(simulate_argv(data, work / "fuzz.csv") + flags) in (
+            EXIT_OK, EXIT_INPUT
+        )
 
     def test_one_row_writes_header_only(self, tmp_path, default_cfg_path, capsys):
         data = tmp_path / "m.csv"
@@ -427,6 +472,16 @@ class TestAttack:
         work = tmp_path_factory.getbasetemp()
         options = ["--config", str(DEFAULT_CFG), "--out", str(work / "fuzz.csv")]
         assert main(argv + options) in (EXIT_OK, EXIT_INPUT)
+
+    @pytest.mark.parametrize("flag", ["--delta-v", "--baseline-v"])
+    def test_negative_transaction_count_is_input_error(self, tmp_path, flag, capsys):
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("100", 1, "0", "10000", None, None, False)
+        argv[argv.index(flag) + 1] = "-1"
+        code = main(argv + ["--config", str(DEFAULT_CFG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert "transaction counts must be >= 0" in capsys.readouterr().err
 
     def test_bad_window_is_input_error(self, tmp_path, default_cfg_path):
         code = main(

@@ -90,6 +90,17 @@ class TestLoadMarketCsv:
             MarketRow(date=dt.date(2017, 1, 1), price=1000.0, tx_count=250000)
         ]
 
+    @pytest.mark.parametrize("date", ["20170101", "2017-W01-1"])
+    def test_only_canonical_dates(self, tmp_path, date):
+        # newer Pythons' fromisoformat parses these; the file must mean
+        # the same on every supported one
+        p = tmp_path / "m.csv"
+        p.write_text(f"{MARKET_CSV_HEADER}\n{date},10,1\n")
+        with pytest.raises(MarketDataError, match=f"line 2: bad date '{date}'"):
+            load_market_csv(p)
+        p.write_text(f"{MARKET_CSV_HEADER}\n2017-01-01,10,1\n")
+        assert load_market_csv(p)[0].date == dt.date(2017, 1, 1)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("day,px,n\n")
@@ -160,30 +171,43 @@ class TestRunBacktest:
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert len(series) == 4
         exact = Fraction(10_000 * UNIT)
-        for t, row in enumerate(series):
+        for t, (_, record) in enumerate(series):
             r_ppb = UNIT // (t + cfg.t0)
             exact *= Fraction(UNIT + r_ppb, UNIT)
-            assert row.r_initial == Rate(r_ppb)
-            assert row.r_vol == Rate(0)
-            assert row.r_combined == Rate(r_ppb)
-            assert row.trd_supply.raw == exact.__floor__()
+            assert record.breakdown.r_initial == Rate(r_ppb)
+            assert record.breakdown.r_vol == Rate(0)
+            assert record.breakdown.r_combined == Rate(r_ppb)
+            assert record.supply.raw == exact.__floor__()
 
     def test_price_diluted_by_same_chain(self, cfg):
         rows = flat_rows(5)
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         expected = 10.0  # peg ceiling at launch: 0.1 * 100
-        for t, row in enumerate(series):
+        for t, (_, record) in enumerate(series):
             expected = expected / ((UNIT + UNIT // (t + cfg.t0)) / UNIT)
-            assert row.trd_price == pytest.approx(expected, rel=1e-12)
+            assert record.market.trd_price == pytest.approx(expected, rel=1e-12)
 
     def test_single_row_yields_no_periods(self, cfg):
         assert run_backtest(flat_rows(1), cfg, Amount.from_tokens(10_000)) == []
 
-    def test_rows_carry_input_counts(self, cfg, sample_market_path):
+    def test_rows_carry_input_counts(self, cfg, sample_market_path, monkeypatch):
+        # each pair is an input row and the record the kernel returned for
+        # that row's count, not a copy of either
         rows = load_market_csv(sample_market_path)[:50]
+        calls = []
+
+        def capturing(ledger, market, cfg, v, v_prev, market_return, supply):
+            record = step_period(ledger, market, cfg, v, v_prev, market_return, supply)
+            calls.append((v, record))
+            return record
+
+        monkeypatch.setattr(harness, "step_period", capturing)
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        assert [s.tx_count for s in series] == [r.tx_count for r in rows[1:]]
-        assert [s.date for s in series] == [r.date for r in rows[1:]]
+        assert len(series) == len(calls) == len(rows) - 1
+        for (row, record), input_row, (v, returned) in zip(series, rows[1:], calls):
+            assert row is input_row
+            assert v == row.tx_count
+            assert record is returned
 
     def test_series_rates_rederivable_in_isolation(self, cfg, sample_market_path):
         # every emitted row must agree with a fresh controller evaluation
@@ -192,15 +216,12 @@ class TestRunBacktest:
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         supply = Amount.from_tokens(10_000)
         v_prev = rows[0].tx_count
-        for t, row in enumerate(series):
+        for t, (row, record) in enumerate(series):
             bd = combined_rate(
                 PeriodMetrics(t=t, v=row.tx_count, v_prev=v_prev, s=supply), cfg
             )
-            assert bd.r_initial == row.r_initial
-            assert bd.r_vol == row.r_vol
-            assert bd.r_gas_cap == row.r_gas_cap
-            assert bd.r_combined == row.r_combined
-            supply = row.trd_supply
+            assert bd == record.breakdown
+            supply = record.supply
             v_prev = row.tx_count
 
     def test_gas_override_changes_cap(self, cfg):
@@ -211,7 +232,9 @@ class TestRunBacktest:
             replace(cfg, gas_cost_base=Amount.from_tokens("0.01")),
             Amount.from_tokens(10_000),
         )
-        assert boosted[0].r_gas_cap.ppb == 25 * plain[0].r_gas_cap.ppb
+        boosted_cap = boosted[0][1].breakdown.r_gas_cap
+        plain_cap = plain[0][1].breakdown.r_gas_cap
+        assert boosted_cap.ppb == 25 * plain_cap.ppb
 
     def test_gas_cap_contrast_on_volume_ramp(self, cfg):
         # volume doubling daily: the uncapped controller chases the ramp
@@ -226,13 +249,14 @@ class TestRunBacktest:
             rows, replace(cfg, gas_cap_enabled=False), Amount.from_tokens(10_000)
         )
         assert all(
-            abs(r.r_combined.ppb - r.r_initial.ppb) <= r.r_gas_cap.ppb for r in capped
+            abs(b.r_combined.ppb - b.r_initial.ppb) <= b.r_gas_cap.ppb
+            for b in (r.breakdown for _, r in capped)
         )
         assert any(
-            abs(r.r_combined.ppb - r.r_initial.ppb) > r.r_gas_cap.ppb
-            for r in uncapped
+            abs(b.r_combined.ppb - b.r_initial.ppb) > b.r_gas_cap.ppb
+            for b in (r.breakdown for _, r in uncapped)
         )
-        assert capped[-1].trd_supply.raw < uncapped[-1].trd_supply.raw
+        assert capped[-1][1].supply.raw < uncapped[-1][1].supply.raw
 
     def test_step_period_mints_clamp_arbitrage(self):
         # crash the volume with the cap off and no bootstrap floor: the
@@ -255,6 +279,24 @@ class TestRunBacktest:
         # rounded down to a multiple of 10 raw, the least with exact
         # collateral at the 0.1 peg
         assert 0 <= record.market.arb_minted.raw - arb.minted.raw < 10
+
+    def test_step_period_skips_arbitrage_that_rounds_to_zero(self):
+        # the clamp's mint of 4 raw has no exact collateral at the 0.1
+        # peg, so it rounds down to nothing and no account opens
+        cfg = RebaseConfig(
+            gas_cap_enabled=False, floor_zero_during_bootstrap=False, t0=10**12
+        )
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(ledger.collateral_for(Amount.from_tokens(5)),
+                            account_id="genesis")
+        market = initial_market(100.0, cfg)
+        record = step_period(
+            ledger, market, cfg, 999_999_999, 10**9, 1.0, ledger.total_supply()
+        )
+        assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
+        assert record.market.arb_minted == Amount(4)
+        assert "arb" not in ledger.accounts
+        assert record.supply == ledger.total_supply()
 
     def test_nan_price_fails_peg_check(self, cfg):
         # rows built in code skip the parser's finiteness check
@@ -318,7 +360,7 @@ class TestRunBacktest:
         ledger = ledgers[-1]
         assert "arb" in ledger.accounts
         assert carried == scanned
-        reported = [row.trd_supply for row in series]
+        reported = [record.supply for _, record in series]
         assert reported == scanned[1:] + [ledger.total_supply()]
 
     def test_empty_rows_rejected(self, cfg):

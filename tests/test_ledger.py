@@ -304,6 +304,20 @@ class TestRebase:
         with pytest.raises(NonPositiveFactorError):
             ledger.rebase(Rate(-UNIT))
 
+    def test_overflowing_rebase_leaves_ledger_unchanged(self):
+        # a refused rebase keeps the index and the period, or every later
+        # total_supply() would overflow too
+        ledger = Ledger(Rate(UNIT))
+        ledger.open_account(Amount(MAX_RAW // 10**9 - 10))
+        ledger.rebase(Rate(2 * UNIT))
+        before = ledger.snapshot()
+        with pytest.raises(AmountOverflowError):
+            ledger.rebase(Rate(10**18))
+        assert ledger.snapshot() == before
+        assert ledger.current_period == 1
+        assert ledger.rebase(Rate(UNIT)) == ledger.total_supply()
+        assert ledger.current_period == 2
+
 
 class TestWithdraw:
     def test_interest_stays_after_full_withdrawal(self):

@@ -122,8 +122,6 @@ class TestVolatilityReduction:
         input_returns = [
             math.log(rows[i + 1].price / rows[i].price) for i in range(len(rows) - 1)
         ]
-        trd_returns = [
-            math.log(series[i + 1].trd_price / series[i].trd_price)
-            for i in range(len(series) - 1)
-        ]
+        trd_prices = [record.market.trd_price for _, record in series]
+        trd_returns = [math.log(b / a) for a, b in zip(trd_prices, trd_prices[1:])]
         assert statistics.pstdev(trd_returns) < statistics.pstdev(input_returns)
