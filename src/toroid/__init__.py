@@ -31,15 +31,7 @@ from .harness import (
 )
 from .ledger import Account, Ledger
 from .market import MarketState, initial_market, step_price
-from .numerics import (
-    UNIT,
-    Amount,
-    Index,
-    Rate,
-    apply_index,
-    grow_index,
-    one_plus,
-)
+from .numerics import UNIT, Amount, Index, Rate, grow_index
 
 __version__ = "0.1.0"
 
@@ -59,7 +51,6 @@ __all__ = [
     "SybilScenario",
     "ToroidError",
     "UNIT",
-    "apply_index",
     "combined_rate",
     "gas_cap_rate",
     "grow_index",
@@ -67,7 +58,6 @@ __all__ = [
     "initial_rate",
     "load_config",
     "load_market_csv",
-    "one_plus",
     "parse_config",
     "render_reports_csv",
     "run_backtest",

@@ -88,7 +88,11 @@ class NonPositiveReturnError(ToroidError):
 
 
 class NonFinitePriceError(ToroidError):
-    """A price or return was NaN or infinite, or the peg ceiling underflowed to 0."""
+    """A price or return was NaN or infinite, or a price underflowed to 0.
+
+    Two prices can underflow: the peg ceiling on a subnormal base price,
+    and the implied TRD price when a tiny ceiling is divided by 1 + r.
+    """
 
 
 # --- harness ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     NonPositivePriceError,
 )
 from .ledger import Ledger
-from .market import MarketState, initial_market, step_price
+from .market import MarketState, initial_market, peg_ceiling, step_price
 from .numerics import UNIT, Amount
 
 MARKET_CSV_HEADER = "date,price,tx_count"
@@ -121,7 +121,7 @@ def step_period(
     supply = ledger.rebase(breakdown.r_combined)
     market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
     # Written so that a NaN price fails the check too.
-    if not market.trd_price <= (cfg.peg_ratio.ppb / UNIT) * market.base_price:
+    if not market.trd_price <= peg_ceiling(cfg, market.base_price):
         raise InvariantViolationError("TRD price escaped the peg ceiling")
     if market.arb_minted.raw:
         supply = _inject_arbitrage(ledger, market.arb_minted, supply)

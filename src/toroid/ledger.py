@@ -142,7 +142,7 @@ class Ledger:
 
     def _balance_raw(self, shares: int) -> int:
         # One floor over den * SHARE_SCALE equals flooring by den, then by
-        # SHARE_SCALE, so this is the balance apply_index would give.
+        # SHARE_SCALE: floor(floor(shares * num / den) / SHARE_SCALE).
         return shares * self.index.num // (self.index.den * SHARE_SCALE)
 
     # -- queries -------------------------------------------------------

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .controller import RebaseConfig
-from .errors import NonFinitePriceError, NonPositiveFactorError, NonPositiveReturnError
-from .numerics import UNIT, Amount, Rate
+from .errors import NonFinitePriceError, NonPositiveReturnError
+from .numerics import UNIT, Amount, Rate, growth_factor
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,12 +30,21 @@ class MarketState:
     arb_minted: Amount = Amount(0)
 
 
+def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
+    """The one-way peg: TRD never trades above peg_ratio units of base coin.
+
+    Raises NonFinitePriceError when the ceiling underflows to zero on a
+    subnormal base price, since no positive TRD price would fit under it.
+    """
+    ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
+    if ceiling == 0:
+        raise NonFinitePriceError(f"peg ceiling underflowed to 0 at base {base_price}")
+    return ceiling
+
+
 def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
     """Launch state: TRD starts at its ceiling, one peg ratio of base coin."""
-    return MarketState(
-        trd_price=(cfg.peg_ratio.ppb / UNIT) * base_price,
-        base_price=base_price,
-    )
+    return MarketState(trd_price=peg_ceiling(cfg, base_price), base_price=base_price)
 
 
 def step_price(
@@ -50,14 +59,13 @@ def step_price(
     supply is the post-rebase total; it sizes this period's arbitrage mint
     whenever the peg clamp binds.  Raises NonFinitePriceError when the
     return, the base price or the implied TRD price is infinite or NaN,
-    or when the peg ceiling underflows to zero on a subnormal base price.
+    and when either underflows to zero: the peg ceiling on a subnormal
+    base price, or the implied TRD price when a tiny ceiling is divided
+    by 1 + r.
     """
     if market_return <= 0:
         raise NonPositiveReturnError(f"market return must be > 0, got {market_return}")
-    factor = UNIT + r.ppb
-    if factor <= 0:
-        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
-    growth = factor / UNIT
+    growth = growth_factor(r) / UNIT
     base_price = state.base_price * market_return
     implied = state.trd_price * market_return / growth
     # The clamp below cannot size an infinite excess, and a NaN compares
@@ -66,9 +74,9 @@ def step_price(
         raise NonFinitePriceError(
             f"price overflowed or is NaN: base {base_price}, TRD {implied}"
         )
-    ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-    if ceiling == 0:
-        raise NonFinitePriceError(f"peg ceiling underflowed to 0 at base {base_price}")
+    ceiling = peg_ceiling(cfg, base_price)
+    if implied == 0:
+        raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
     if implied > ceiling:
         # Supply that would dilute the implied price back down to the peg.
         excess = Fraction(implied) / Fraction(ceiling) - 1

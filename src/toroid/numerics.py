@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AmountOverflowError,
@@ -144,23 +143,13 @@ class Index:
     def identity(cls) -> Index:
         return cls(1, 1)
 
-    def value(self) -> Fraction:
-        """Exact represented value, for diagnostics and test oracles."""
-        return Fraction(self.num, self.den)
 
-
-def one_plus(r: Rate) -> Index:
-    """The multiplier (1 + r) as an exact index factor."""
+def growth_factor(r: Rate) -> int:
+    """The multiplier (1 + r) scaled by UNIT; raises unless 1 + r > 0."""
     factor = UNIT + r.ppb
     if factor <= 0:
         raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
-    g = math.gcd(factor, UNIT)
-    return Index(factor // g, UNIT // g)
-
-
-def apply_index(shares: Amount, idx: Index) -> Amount:
-    """Convert share units to token units at the given index, flooring."""
-    return Amount(shares.raw * idx.num // idx.den)
+    return factor
 
 
 def grow_index(idx: Index, r: Rate) -> Index:
@@ -171,10 +160,7 @@ def grow_index(idx: Index, r: Rate) -> Index:
     onto a fixed denominator, and only when doing so keeps the relative
     error below 5e-28.  Growing at r = 0 is an exact identity.
     """
-    factor = UNIT + r.ppb
-    if factor <= 0:
-        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
-    num = idx.num * factor
+    num = idx.num * growth_factor(r)
     den = idx.den * UNIT
     g = math.gcd(num, den)
     num //= g

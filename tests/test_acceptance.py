@@ -20,7 +20,9 @@ from toroid.errors import InsufficientForRefundError
 from toroid.harness import load_market_csv, run_backtest
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.market import initial_market, step_price
-from toroid.numerics import UNIT, Amount, Rate, apply_index, one_plus
+from toroid.numerics import UNIT, Amount, Rate
+
+from oracles import apply_index, one_plus
 
 PEG = Rate(100_000_000)
 

@@ -1,0 +1,92 @@
+"""The byte contract on every supported interpreter.
+
+Each Python 3.10-3.13 that starts on this host runs the README's
+simulate command, its three attack commands and the sample series
+generator in one stdlib-only subprocess, and every file it writes must
+match the committed bytes.  An interpreter that is missing, or that is
+found but does not start (a version shim with no version behind it), is
+skipped by name.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "benchmarks" / "golden"
+CFG = ["--config", "data/default.cfg"]
+PUMP_DUMP = ["attack", "pump-dump", "--delta-v", "100000", "--periods", "6",
+             "--baseline-v", "100", "--supply", "10000", "--holdings", "5000",
+             "--buy", "2", "--sell", "3", *CFG]
+
+# Output file name -> the README command that writes it, without --out.
+README_RUNS = {
+    "simulate.csv": ["simulate", "--data", "data/sample_market.csv", *CFG,
+                     "--initial-supply", "10000", "--gas-cost-trd", "0.1"],
+    "attack-sybil.csv": ["attack", "sybil", "--delta-v", "10000", "--periods", "1",
+                         "--baseline-v", "0", "--supply", "10000",
+                         "--holdings", "10000", *CFG],
+    "attack-pump-dump.csv": PUMP_DUMP,
+    "attack-pump-dump-no-gas-cap.csv": [*PUMP_DUMP, "--no-gas-cap"],
+}
+EXPECTED = {name: GOLDEN / name for name in README_RUNS} | {
+    "sample_market.csv": ROOT / "data" / "sample_market.csv"
+}
+
+# Run with -S, so nothing but the standard library and src/ is importable.
+CHILD = """
+import json, sys
+from pathlib import Path
+from toroid import cli, datagen
+out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
+for name, argv in runs.items():
+    if cli.main([*argv, "--out", str(out / name)]) != 0:
+        sys.exit(f"{name}: nonzero exit")
+if datagen.main([str(out / "sample_market.csv")]) != 0:
+    sys.exit("sample_market.csv: nonzero exit")
+"""
+
+
+def _candidates(minor: int) -> list[str]:
+    found = [sys.executable, shutil.which(f"python3.{minor}")]
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found += sorted(str(p) for p in pyenv.glob(f"versions/3.{minor}.*/bin/python"))
+    return [exe for exe in found if exe]
+
+
+def _interpreter(minor: int) -> str | None:
+    """The first candidate that starts and reports version 3.minor."""
+    for exe in _candidates(minor):
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.split() == ["3", str(minor)]:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13], ids=lambda m: f"python3.{m}")
+def test_outputs_byte_identical(minor, tmp_path):
+    exe = _interpreter(minor)
+    if exe is None:
+        pytest.skip(f"no Python 3.{minor} interpreter starts here")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(
+        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    differ = [
+        name for name, path in EXPECTED.items()
+        if (tmp_path / name).read_bytes() != path.read_bytes()
+    ]
+    assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 from toroid import harness
 from toroid.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
-from toroid.harness import MARKET_CSV_HEADER, SERIES_CSV_HEADER
-from toroid.numerics import UNIT
+from toroid.controller import load_config
+from toroid.harness import (
+    MARKET_CSV_HEADER,
+    SERIES_CSV_HEADER,
+    load_market_csv,
+    run_backtest,
+)
+from toroid.numerics import UNIT, Amount
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "benchmarks" / "golden"
@@ -255,6 +261,10 @@ class TestSimulate:
                        unique=True),
     )
     @example(prices=[1.5e-320, 2.5e-323, 1.5e-323], counts=[0, 1, 0, 0, 0, 0], flags=[])
+    # the first peg ceiling underflows to 0
+    @example(prices=[5e-324, 1e-16, 100.0], counts=[0, 1, 0, 0, 0, 0], flags=[])
+    # the ceiling is 5e-324, but the price divided by 1 + r rounds to 0
+    @example(prices=[5e-323, 5e-323], counts=[1, 10**12, 0, 0, 0, 0], flags=[])
     def test_any_positive_prices_exit_0_or_1(
         self, prices, counts, flags, tmp_path_factory
     ):
@@ -267,9 +277,38 @@ class TestSimulate:
                    for i, (p, n) in enumerate(zip(prices, counts))]
             )
         )
-        assert main(simulate_argv(data, work / "fuzz.csv") + flags) in (
-            EXIT_OK, EXIT_INPUT
-        )
+        code = main(simulate_argv(data, work / "fuzz.csv") + flags)
+        assert code in (EXIT_OK, EXIT_INPUT)
+        if code == EXIT_OK:
+            # The CSV prints a tiny price as 0.000000000, so read the floats.
+            cfg = replace(
+                load_config(DEFAULT_CFG),
+                gas_cap_enabled="--no-gas-cap" not in flags,
+                floor_zero_during_bootstrap="--no-bootstrap-floor" not in flags,
+            )
+            series = run_backtest(load_market_csv(data), cfg, Amount.from_tokens(10_000))
+            assert all(record.market.trd_price > 0 for _, record in series)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["2020-01-01,5e-324,0", "2020-01-02,1e-16,1", "2020-01-03,100,0"],
+             "peg ceiling underflowed to 0"),
+            (["2020-01-01,5e-323,1", "2020-01-02,5e-323,1000000000000"],
+             "TRD price underflowed to 0"),
+        ],
+    )
+    def test_zero_price_is_input_error(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "m.csv"
+        data.write_text("\n".join([MARKET_CSV_HEADER, *rows]) + "\n")
+        out = tmp_path / "o.csv"
+        assert main(simulate_argv(data, out)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_one_row_writes_header_only(self, tmp_path, default_cfg_path, capsys):
         data = tmp_path / "m.csv"

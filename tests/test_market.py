@@ -11,7 +11,7 @@ from toroid.errors import (
     NonPositiveReturnError,
 )
 from toroid.harness import load_market_csv, run_backtest
-from toroid.market import MarketState, initial_market, step_price
+from toroid.market import MarketState, initial_market, peg_ceiling, step_price
 from toroid.numerics import UNIT, Amount, Rate
 
 
@@ -72,8 +72,26 @@ class TestStepPrice:
         with pytest.raises(NonFinitePriceError):
             step_price(state, market_return, rate, cfg, Amount.from_tokens(1))
 
+    def test_implied_price_underflow_rejected(self, cfg):
+        # the ceiling is 5e-324, nonzero, but dividing the price by
+        # 1 + r = 3.86 rounds it to 0.0
+        state = MarketState(trd_price=5e-324, base_price=5e-323)
+        assert peg_ceiling(cfg, state.base_price) == 5e-324
+        with pytest.raises(NonFinitePriceError, match="TRD price underflowed to 0"):
+            step_price(state, 1.0, Rate(2_860_000_000), cfg, Amount.from_tokens(1))
+
 
 class TestPegCeiling:
+    def test_ceiling_is_peg_times_base(self, cfg):
+        assert peg_ceiling(cfg, 100.0) == (cfg.peg_ratio.ppb / UNIT) * 100.0
+        assert peg_ceiling(replace(cfg, peg_ratio=Rate(UNIT)), 5e-324) == 5e-324
+
+    @pytest.mark.parametrize("base_price", [5e-324, 1e-323])
+    def test_underflowing_ceiling_rejected_at_launch(self, cfg, base_price):
+        # 0.1 of the smallest subnormals rounds to 0: no positive price fits
+        with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed to 0"):
+            initial_market(base_price, cfg)
+
     def test_price_never_exceeds_peg_over_random_series(self, cfg):
         rng = random.Random(9090)
         for _ in range(200):

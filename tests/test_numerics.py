@@ -11,17 +11,9 @@ from toroid.errors import (
     NegativeAmountError,
     NonPositiveFactorError,
 )
-from toroid.numerics import (
-    MAX_RAW,
-    UNIT,
-    Amount,
-    Index,
-    Rate,
-    apply_index,
-    format_raw,
-    grow_index,
-    one_plus,
-)
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
+
+from oracles import apply_index, index_value, one_plus
 
 
 class TestAmount:
@@ -154,7 +146,7 @@ class TestGrowIndex:
             ppb = rng.randrange(-50_000_000, 120_000_000)
             idx = grow_index(idx, Rate(ppb))
             exact *= Fraction(UNIT + ppb, UNIT)
-            drift = abs(idx.value() - exact) / exact
+            drift = abs(index_value(idx) - exact) / exact
             assert drift <= Fraction(1, 10**15)
 
     def test_one_plus(self):
