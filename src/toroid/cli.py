@@ -176,11 +176,11 @@ def _cmd_ledger_demo(args: argparse.Namespace) -> int:
 
     def show(step: str) -> None:
         print(f"== {step}")
-        for account in ledger.accounts.values():
+        for account_id, account in ledger.accounts.items():
             print(
-                f"   {account.id}: balance {ledger.balance_of(account.id).tokens()} TRD, "
+                f"   {account_id}: balance {ledger.balance_of(account_id).tokens()} TRD, "
                 f"collateral {account.collateral.tokens()} base, "
-                f"minted {account.minted.tokens()} TRD"
+                f"minted {ledger.minted_for(account.collateral).tokens()} TRD"
             )
         print(
             f"   supply {ledger.total_supply().tokens()} TRD, "

@@ -12,9 +12,9 @@ floor error of a share conversion sits nine decimal digits under one raw
 unit and whole-raw arithmetic (mint, burn, rebase of round amounts) comes
 out exact at token precision.
 
-Collateral bookkeeping is pure integer addition: collateral is always
-exactly minted * peg_ratio, deposits and withdrawals move both sides in
-exact proportion, and nothing else ever touches them.
+Collateral is the only stored amount.  The peg is fixed, so an account's
+refund obligation is always minted_for(collateral) and needs no column of
+its own; deposits and withdrawals are pure integer addition on collateral.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ from .numerics import UNIT, Amount, Index, Rate, format_raw, grow_index
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
 
+# Periods an account must exist before it may withdraw: the paper's
+# minimum investment period ("for example one day") is one period here.
+MIN_HOLDING_PERIODS = 1
+
 
 def _valid_id(account_id: str) -> bool:
     """An id the snapshot's comma- and line-separated format round-trips."""
@@ -56,16 +60,14 @@ def _canonical_int(field: str) -> int:
 
 @dataclass
 class Account:
-    """One wallet: share units, locked collateral, and the refund obligation.
+    """One wallet: share units and locked collateral.
 
-    collateral == minted * peg_ratio holds exactly at all times; partial
-    withdrawals reduce both in proportion.
+    Its id is the key it sits under in Ledger.accounts, and its refund
+    obligation is Ledger.minted_for(collateral).
     """
 
-    id: str
     shares: Amount
     collateral: Amount
-    minted: Amount
     created_period: int
 
 
@@ -76,20 +78,12 @@ class Ledger:
     scenarios in parallel by giving each its own Ledger.
     """
 
-    def __init__(
-        self,
-        peg_ratio: Rate,
-        min_holding_periods: int = 1,
-        start_period: int = 0,
-    ):
+    def __init__(self, peg_ratio: Rate, start_period: int = 0):
         if peg_ratio.ppb <= 0:
             raise ValueError("peg_ratio must be positive")
-        if min_holding_periods < 0:
-            raise ValueError("min_holding_periods must be >= 0")
         if start_period < 0:
             raise ValueError("start_period must be >= 0")
         self.peg_ratio = peg_ratio
-        self.min_holding_periods = min_holding_periods
         self.accounts: dict[str, Account] = {}
         self.index = Index.identity()
         self.current_period = start_period
@@ -105,17 +99,18 @@ class Ledger:
         clone = object.__new__(type(self))
         vars(clone).update(vars(self))
         clone.accounts = {
-            account_id: Account(
-                a.id, a.shares, a.collateral, a.minted, a.created_period
-            )
+            account_id: Account(a.shares, a.collateral, a.created_period)
             for account_id, a in self.accounts.items()
         }
         return clone
 
     # -- conversions -------------------------------------------------
 
-    def _minted_for(self, collateral: Amount) -> Amount:
-        """TRD minted for collateral; must divide exactly at the peg."""
+    def minted_for(self, collateral: Amount) -> Amount:
+        """TRD minted for collateral, and so its refund obligation.
+
+        Must divide exactly at the peg; the inverse of collateral_for.
+        """
         scaled = collateral.raw * UNIT
         if scaled % self.peg_ratio.ppb != 0:
             raise NonDivisibleCollateralError(
@@ -124,7 +119,7 @@ class Ledger:
         return Amount(scaled // self.peg_ratio.ppb)
 
     def collateral_for(self, minted: Amount) -> Amount:
-        """Collateral that mints exactly minted TRD; the inverse of _minted_for."""
+        """Collateral that mints exactly minted TRD; the inverse of minted_for."""
         scaled = minted.raw * self.peg_ratio.ppb
         if scaled % UNIT != 0:
             raise NonDivisibleCollateralError(
@@ -173,7 +168,7 @@ class Ledger:
         """
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot open an account with zero collateral")
-        minted = self._minted_for(collateral)
+        minted = self.minted_for(collateral)
         seq = self._next_account_seq
         if account_id is None:
             while f"a{seq}" in self.accounts:
@@ -189,10 +184,8 @@ class Ledger:
         # The account is stored last, once every value that can overflow
         # has been built and checked.
         account = Account(
-            id=account_id,
             shares=Amount(self._to_shares_ceil(minted.raw)),
             collateral=collateral,
-            minted=minted,
             created_period=self.current_period,
         )
         self.total_collateral += collateral
@@ -205,12 +198,14 @@ class Ledger:
         account = self._get(account_id)
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot deposit zero collateral")
-        minted = self._minted_for(collateral)
-        # Every new value is built, and so checked, before any is stored.
-        account.shares, account.collateral, account.minted, self.total_collateral = (
+        minted = self.minted_for(collateral)
+        new_collateral = account.collateral + collateral
+        # The whole obligation must stay an Amount; it and every new value
+        # are built, and so checked, before any is stored.
+        self.minted_for(new_collateral)
+        account.shares, account.collateral, self.total_collateral = (
             Amount(account.shares.raw + self._to_shares_ceil(minted.raw)),
-            account.collateral + collateral,
-            account.minted + minted,
+            new_collateral,
             self.total_collateral + collateral,
         )
         return minted
@@ -267,12 +262,12 @@ class Ledger:
                 f"cannot release {collateral_out.tokens()}"
             )
         age = self.current_period - account.created_period
-        if age < self.min_holding_periods:
+        if age < MIN_HOLDING_PERIODS:
             raise HoldingPeriodNotMetError(
                 f"{account_id!r} is {age} periods old, "
-                f"minimum holding is {self.min_holding_periods}"
+                f"minimum holding is {MIN_HOLDING_PERIODS}"
             )
-        burned = self._minted_for(collateral_out)
+        burned = self.minted_for(collateral_out)
         balance = self._balance_raw(account.shares.raw)
         if balance < burned.raw:
             raise InsufficientForRefundError(
@@ -280,7 +275,6 @@ class Ledger:
                 f"refund requires burning {burned.tokens()}"
             )
         account.shares = Amount(account.shares.raw - self._to_shares_floor(burned.raw))
-        account.minted -= burned
         account.collateral -= collateral_out
         self.total_collateral -= collateral_out
         return burned
@@ -290,17 +284,17 @@ class Ledger:
     def snapshot(self) -> str:
         """Serialize full state; the round trip is bit-exact.
 
-        Line 1 is v2,peg_ppb,min_holding_periods,index_num,index_den,period;
-        each further line is id,shares,collateral,minted,created_period.
+        Line 1 is v3,peg_ppb,index_num,index_den,period; each further line
+        is id,shares,collateral,created_period.
         """
         lines = [
-            f"v2,{self.peg_ratio.ppb},{self.min_holding_periods},"
+            f"v3,{self.peg_ratio.ppb},"
             f"{self.index.num},{self.index.den},{self.current_period}"
         ]
-        for account in self.accounts.values():
+        for account_id, account in self.accounts.items():
             lines.append(
-                f"{account.id},{account.shares.raw},{account.collateral.raw},"
-                f"{account.minted.raw},{account.created_period}"
+                f"{account_id},{account.shares.raw},{account.collateral.raw},"
+                f"{account.created_period}"
             )
         return "\n".join(lines) + "\n"
 
@@ -311,24 +305,24 @@ class Ledger:
         if not lines:
             raise SnapshotError("empty snapshot")
         version, *header = lines[0].split(",")
-        if version != "v2" or len(header) != 5:
-            raise SnapshotError(f"line 1: not a v2 header: {lines[0]!r}")
+        if version != "v3" or len(header) != 4:
+            raise SnapshotError(f"line 1: not a v3 header: {lines[0]!r}")
         try:
-            peg, holding, num, den, period = map(_canonical_int, header)
+            peg, num, den, period = map(_canonical_int, header)
         except ValueError as exc:
             raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
         try:
-            ledger = cls(Rate(peg), holding, start_period=period)
+            ledger = cls(Rate(peg), start_period=period)
             ledger.index = Index(num, den)
         except (ValueError, NonPositiveFactorError) as exc:
             raise SnapshotError(f"line 1: {exc}") from exc
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
-            if len(fields) != 5:
-                raise SnapshotError(f"line {lineno}: expected 5 fields: {line!r}")
+            if len(fields) != 4:
+                raise SnapshotError(f"line {lineno}: expected 4 fields: {line!r}")
             account_id = fields[0]
             try:
-                shares, collateral, minted, created = map(_canonical_int, fields[1:])
+                shares, collateral, created = map(_canonical_int, fields[1:])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
             if not _valid_id(account_id):
@@ -340,18 +334,19 @@ class Ledger:
                 )
             if account_id in ledger.accounts:
                 raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
-            if collateral * UNIT != minted * peg:
-                raise SnapshotError(f"line {lineno}: collateral is not minted * peg")
             try:
                 account = Account(
-                    id=account_id,
                     shares=Amount(shares),
                     collateral=Amount(collateral),
-                    minted=Amount(minted),
                     created_period=created,
                 )
+                ledger.minted_for(account.collateral)
                 ledger.total_collateral += account.collateral
-            except (NegativeAmountError, AmountOverflowError) as exc:
+            except (
+                NegativeAmountError,
+                AmountOverflowError,
+                NonDivisibleCollateralError,
+            ) as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
             ledger.accounts[account_id] = account
         return ledger

@@ -141,6 +141,7 @@ class TestAcceptance:
     def _run_ledger_sequence(rng: random.Random) -> None:
         ledger = Ledger(PEG)
         expected_collateral = 0
+        expected_minted = 0
         ids: list[str] = []
         for _ in range(rng.randrange(4, 9)):
             op = rng.random()
@@ -149,12 +150,13 @@ class TestAcceptance:
                 account_id, minted = ledger.open_account(collateral)
                 ids.append(account_id)
                 expected_collateral += collateral.raw
+                expected_minted += minted.raw
                 # creation-timestamp insulation: all prior rebasements are
                 # invisible to a new account, its balance is what it minted
                 assert ledger.balance_of(account_id) == minted
             elif op < 0.5:
                 collateral = Amount(rng.randrange(1, 10**7) * 100)
-                ledger.deposit(rng.choice(ids), collateral)
+                expected_minted += ledger.deposit(rng.choice(ids), collateral).raw
                 expected_collateral += collateral.raw
             elif op < 0.68:
                 src, dst = rng.sample(ids, 2)
@@ -187,7 +189,7 @@ class TestAcceptance:
                 burned = out * UNIT // PEG.ppb
                 if ledger.balance_of(account_id).raw < burned:
                     continue
-                ledger.withdraw(account_id, Amount(out))
+                expected_minted -= ledger.withdraw(account_id, Amount(out)).raw
                 expected_collateral -= out
 
         # exact collateral conservation and the peg obligation
@@ -195,9 +197,12 @@ class TestAcceptance:
         assert ledger.total_collateral.raw == sum(
             a.collateral.raw for a in ledger.accounts.values()
         )
-        assert ledger.total_collateral.raw == sum(
-            a.minted.raw * PEG.ppb // UNIT for a in ledger.accounts.values()
+        # the obligations the collateral implies are exactly what the
+        # operations minted and burned
+        assert expected_minted == sum(
+            ledger.minted_for(a.collateral).raw for a in ledger.accounts.values()
         )
+        assert ledger.total_collateral.raw * UNIT == expected_minted * PEG.ppb
         # conservation: individual balances never exceed what the share
         # pool implies, and trail it by at most one raw unit per account
         implied = (

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toroid import adversary
 from toroid.adversary import (
     ATTACK_CSV_HEADER,
     AttackReport,
@@ -460,3 +461,58 @@ class TestOnePeriodSybilOracle:
             assert report.profitable
         elif edge < -VERDICT_SLACK * UNIT**2:
             assert not report.profitable
+
+
+# --- the arms' shared tail -----------------------------------------------------
+
+
+@st.composite
+def multi_period_attacks(draw):
+    cfg, sc = draw(one_period_sybils())
+    sc = replace(sc, periods=draw(st.integers(1, 8)))
+    buy = draw(st.integers(0, sc.periods - 1))
+    sell = draw(st.integers(buy + 1, sc.periods))
+    return cfg, sc, buy, sell
+
+
+def arms(price, *args):
+    """(attacked, baseline): the (current_period, record) of every period
+    each arm stepped, captured from the adversary's step_period calls.
+
+    The attacked arm's list starts with the periods shared before the fork.
+    """
+    calls = {}
+
+    def capturing(ledger, *rest):
+        period = ledger.current_period
+        record = step_period(ledger, *rest)
+        calls.setdefault(ledger, []).append((period, record))
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "step_period", capturing)
+        price(*args)
+    attacked, baseline = calls.values()
+    return attacked, baseline
+
+
+class TestSharedTail:
+    @settings(max_examples=200, deadline=None)
+    @given(case=multi_period_attacks())
+    def test_arms_agree_after_the_first_injected_period(self, case):
+        cfg, sc, buy, sell = case
+        for price, args, start, end in (
+            (run_sybil, (sc, cfg), 0, sc.periods),
+            (run_pump_and_dump, (sc, buy, sell, cfg), buy, sell),
+        ):
+            attacked, baseline = arms(price, *args)
+            assert len(attacked) == end
+            assert len(baseline) == end - start
+            # once v == v_prev in both arms the volume term is zero, so
+            # each applies r_initial(t) with the same floors
+            for (t_att, att), (t_cf, cf) in zip(attacked[start + 1 :], baseline[1:]):
+                assert t_att == t_cf
+                assert att.breakdown.r_combined == cf.breakdown.r_combined
+            # every rate is >= 0 on a flat market, so the peg clamp never mints
+            for _, record in attacked + baseline:
+                assert record.market.arb_minted == Amount(0)

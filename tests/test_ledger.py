@@ -174,11 +174,13 @@ class TestDeposit:
         minted = ledger.deposit(account_id, Amount.from_tokens("0.5"))
         assert minted == Amount.from_tokens(5)
         assert ledger.balance_of(account_id) == Amount.from_tokens(15)
-        assert ledger.accounts[account_id].minted == Amount.from_tokens(15)
+        collateral = ledger.accounts[account_id].collateral
+        assert ledger.minted_for(collateral) == Amount.from_tokens(15)
 
     def test_minted_overflow_leaves_ledger_unchanged(self):
-        # the shares and collateral fit, the minted total does not; no part
-        # of the deposit may be stored, or collateral != minted * peg
+        # the shares and collateral fit, the obligation minted_for(collateral)
+        # does not; no part of the deposit may be stored, or the account
+        # would hold collateral with no refund obligation at the peg
         ledger = grown_ledger()
         a, _ = ledger.open_account(Amount(MAX_RAW // 10 - 1))
         before = ledger.snapshot()
@@ -334,7 +336,7 @@ class TestWithdraw:
         assert ledger.balance_of(account_id) == Amount.from_tokens(1)
         account = ledger.accounts[account_id]
         assert account.collateral == Amount(0)
-        assert account.minted == Amount(0)
+        assert ledger.minted_for(account.collateral) == Amount(0)
         assert ledger.total_collateral == Amount(0)
 
     def test_negative_interest_blocks_full_withdrawal(self):
@@ -347,8 +349,9 @@ class TestWithdraw:
         burned = ledger.withdraw(account_id, Amount.from_tokens("0.8"))
         assert burned == Amount.from_tokens(8)
         assert ledger.balance_of(account_id) == Amount(0)
-        assert ledger.accounts[account_id].minted == Amount.from_tokens(2)
-        assert ledger.accounts[account_id].collateral == Amount.from_tokens("0.2")
+        collateral = ledger.accounts[account_id].collateral
+        assert collateral == Amount.from_tokens("0.2")
+        assert ledger.minted_for(collateral) == Amount.from_tokens(2)
 
     def test_holding_period(self):
         ledger = fresh()
@@ -378,11 +381,11 @@ class TestWithdraw:
         ledger = fresh()
         account_id, _ = ledger.open_account(Amount.from_tokens(2))
         ledger.rebase(Rate.from_decimal("0.05"))
-        ledger.withdraw(account_id, Amount.from_tokens("0.7"))
+        burned = ledger.withdraw(account_id, Amount.from_tokens("0.7"))
         account = ledger.accounts[account_id]
-        assert account.minted == Amount.from_tokens(13)
+        assert burned == Amount.from_tokens(7)
         assert account.collateral == Amount.from_tokens("1.3")
-        assert account.collateral.raw == account.minted.raw * PEG.ppb // UNIT
+        assert ledger.minted_for(account.collateral) == Amount.from_tokens(13)
 
 
 class TestTimestampInsulation:
@@ -503,18 +506,18 @@ class TestSnapshot:
         assert restored.balance_of(a) == ledger.balance_of(a)
 
     def test_peg_and_holding_period_travel_with_the_snapshot(self):
-        # restore used to take the peg as an argument and reset the holding
-        # period to 1, so this withdrawal at age 1 went through
-        ledger = Ledger(Rate.from_decimal("0.2"), min_holding_periods=5)
+        # restore used to take the peg as an argument; the holding rule
+        # rides on each row's created_period and the header's period
+        ledger = Ledger(Rate.from_decimal("0.2"))
         a, minted = ledger.open_account(Amount.from_tokens(1))
-        ledger.rebase(Rate(0))
         restored = Ledger.restore(ledger.snapshot())
         assert restored.peg_ratio == Rate.from_decimal("0.2")
-        assert restored.min_holding_periods == 5
         assert minted == Amount.from_tokens(5)
         assert restored.open_account(Amount.from_tokens(1))[1] == minted
         with pytest.raises(HoldingPeriodNotMetError):
             restored.withdraw(a, Amount.from_tokens(1))
+        restored.rebase(Rate(0))
+        assert restored.withdraw(a, Amount.from_tokens(1)) == minted
 
     def test_restored_ledger_keeps_working(self):
         ledger = fresh()
@@ -546,45 +549,54 @@ class TestSnapshot:
             Ledger.restore(text + text.splitlines()[1] + "\n")
 
     def test_collateral_off_peg_rejected(self):
+        # at the 0.3 peg, 1 raw of collateral has no exact obligation
+        with pytest.raises(SnapshotError, match="line 2: .* not an exact multiple"):
+            Ledger.restore("v3,300000000,1,1,0\nx,1,1,0\n")
+        # every raw collateral is exact at the 0.1 peg, but not every one
+        # stays exact under another peg in the header
         ledger = fresh()
         ledger.open_account(Amount.from_tokens(1), account_id="x")
         text = ledger.snapshot()
-        tampered = text.replace(",1000000000,10000000000,", ",1000000001,10000000000,")
-        assert tampered != text
-        with pytest.raises(SnapshotError, match="peg"):
-            Ledger.restore(tampered)
-        # the same rows under another peg in the header break the same rule
-        repegged = text.replace(f"v2,{PEG.ppb},", "v2,200000000,", 1)
+        repegged = text.replace(f"v3,{PEG.ppb},", "v3,300000000,", 1)
         assert repegged != text
-        with pytest.raises(SnapshotError, match="peg"):
+        with pytest.raises(SnapshotError, match="line 2: .* not an exact multiple"):
             Ledger.restore(repegged)
+
+    def test_snapshot_writes_v3(self):
+        # header v3,peg_ppb,index_num,index_den,period; rows
+        # id,shares,collateral,created_period
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1), account_id="x")
+        assert ledger.snapshot() == (
+            "v3,100000000,1,1,0\nx,10000000000000000000,1000000000,0\n"
+        )
 
     def test_bad_account_id_rejected(self):
         # the only id the line and comma split can leave that open_account
         # would refuse is the empty one
-        text = fresh().snapshot() + ",10000000000000000000,1000000000,10000000000,0\n"
+        text = fresh().snapshot() + ",10000000000000000000,1000000000,0\n"
         with pytest.raises(SnapshotError, match="account id"):
             Ledger.restore(text)
 
     def test_negative_created_period_rejected(self):
-        text = "v2,100000000,1,1,1,0\nx,10000000000000000000,1000000000,10000000000,-1\n"
+        text = "v3,100000000,1,1,0\nx,10000000000000000000,1000000000,-1\n"
         with pytest.raises(SnapshotError, match="line 2: created_period -1 is negative"):
             Ledger.restore(text)
 
     def test_negative_header_period_rejected(self):
         with pytest.raises(SnapshotError, match="line 1: start_period must be >= 0"):
-            Ledger.restore("v2,100000000,1,1,1,-3\n")
+            Ledger.restore("v3,100000000,1,1,-3\n")
 
     @pytest.mark.parametrize(
         "header, error",
         [
-            ("1,1,0,0,0", "not a v2 header"),  # v1: num,den,period and two counters
-            ("v2,100000000,1,1,1", "not a v2 header"),
-            ("v2,100000000,1,1,1,0,0", "not a v2 header"),
-            ("v2,0.1,1,1,1,0", "bad header"),
-            ("v2,0,1,1,1,0", "peg_ratio must be positive"),
-            ("v2,-100000000,1,1,1,0", "peg_ratio must be positive"),
-            ("v2,100000000,-1,1,1,0", "min_holding_periods must be >= 0"),
+            ("1,1,0,0,0", "not a v3 header"),  # v1: num,den,period and two counters
+            ("v2,100000000,1,1,1,0", "not a v3 header"),  # v2: holding period after peg
+            ("v3,100000000,1,1", "not a v3 header"),
+            ("v3,100000000,1,1,0,0", "not a v3 header"),
+            ("v3,0.1,1,1,0", "bad header"),
+            ("v3,0,1,1,0", "peg_ratio must be positive"),
+            ("v3,-100000000,1,1,0", "peg_ratio must be positive"),
         ],
     )
     def test_bad_header_rejected(self, header, error):
@@ -598,48 +610,48 @@ class TestSnapshot:
         # int() reads every one of these, so each restored to a ledger
         # whose snapshot differed from the text
         with pytest.raises(SnapshotError, match="line 1: bad header"):
-            Ledger.restore(f"v2,100000000,{spelling},1,1,0\n")
+            Ledger.restore(f"v3,100000000,{spelling},1,0\n")
         with pytest.raises(SnapshotError, match="line 2: bad integer"):
-            Ledger.restore(f"v2,100000000,1,1,1,0\nx,{spelling},0,0,0\n")
+            Ledger.restore(f"v3,100000000,1,1,0\nx,{spelling},0,0\n")
 
     def test_short_row_rejected(self):
-        with pytest.raises(SnapshotError, match="line 2: expected 5 fields"):
-            Ledger.restore("v2,100000000,1,1,1,0\nx,1,0,0\n")
+        with pytest.raises(SnapshotError, match="line 2: expected 4 fields"):
+            Ledger.restore("v3,100000000,1,1,0\nx,1,0\n")
 
     def test_account_created_after_period_rejected(self):
         # restored, withdraw would report the account as -4 periods old
-        text = "v2,100000000,1,1,1,5\nx,10000000000000000000,1000000000,10000000000,9\n"
+        text = "v3,100000000,1,1,5\nx,10000000000000000000,1000000000,9\n"
         with pytest.raises(SnapshotError, match="line 2: created_period 9"):
             Ledger.restore(text)
 
     @pytest.mark.parametrize("index", ["0,1", "1,0", "-2,3"])
     def test_non_positive_index_term_rejected(self, index):
         with pytest.raises(SnapshotError, match="line 1: index"):
-            Ledger.restore(f"v2,100000000,1,{index},0\n")
+            Ledger.restore(f"v3,100000000,{index},0\n")
 
     @pytest.mark.parametrize(
         "row",
         [
-            "x,-1,0,0,0",
-            "x,1,-1,-10,0",
-            f"x,{MAX_RAW + 1},0,0,0",
-            f"x,1,{MAX_RAW // 10 + 1},{(MAX_RAW // 10 + 1) * 10},0",
+            "x,-1,0,0",
+            "x,1,-1,0",
+            f"x,{MAX_RAW + 1},0,0",
+            # the collateral fits, its obligation at the 0.1 peg does not
+            f"x,1,{MAX_RAW // 10 + 1},0",
         ],
     )
     def test_amount_out_of_range_rejected(self, row):
         with pytest.raises(SnapshotError, match="line 3: amount"):
-            Ledger.restore(f"v2,100000000,1,1,1,0\nok,1,0,0,0\n{row}\n")
+            Ledger.restore(f"v3,100000000,1,1,0\nok,1,0,0\n{row}\n")
 
     def test_total_collateral_overflow_rejected(self):
-        minted = MAX_RAW // 10 * 10
-        row = f",1,{minted // 10},{minted},0\n"
-        text = "v2,100000000,1,1,1,0\n" + "".join(f"{i}{row}" for i in "abcdefghijk")
+        row = f",1,{MAX_RAW // 10},0\n"
+        text = "v3,100000000,1,1,0\n" + "".join(f"{i}{row}" for i in "abcdefghijk")
         with pytest.raises(SnapshotError, match="line 12: amount exceeds"):
             Ledger.restore(text)
 
     @settings(max_examples=120, deadline=None)
     @given(text=st.one_of(st.text(), SNAPSHOT_TEXT))
-    @example(text="v2,100000000,01,1,1,0\n")  # restored as holding period 1
+    @example(text="v3,100000000,01,1,0\n")  # restored as index 1/1
     def test_any_snapshot_restores_or_raises_snapshot_error(self, text):
         try:
             ledger = Ledger.restore(text)
@@ -669,15 +681,14 @@ OPS = st.lists(
 RENORMALISING_OPS = [("open", 0, 0, 10**12)] + [("rebase", 0, 0, 123_456_789)] * 12
 
 
-def replay_checking_supply(ops) -> int:
-    """Apply ops, checking after each that total_supply() is the exact sum
-    of balances and of the per-account apply_index oracle, and that a
-    refused operation changes nothing.  Returns how many rebases
+def replay(ops):
+    """Apply ops to a fresh ledger, checking that a refused operation
+    changes nothing; yields the ledger after each op, with whether that op
     renormalised the index."""
     ledger = fresh()
     ids: list[str] = []
-    renormalised = 0
     for kind, a, b, c in ops:
+        renormalised = False
         if kind == "open":
             ids.append(ledger.open_account(Amount(abs(c) + 1))[0])
         elif ids:
@@ -697,9 +708,19 @@ def replay_checking_supply(ops) -> int:
                     r = Rate(c if c <= UNIT else c % UNIT)
                     exact = index_value(ledger.index) * (UNIT + r.ppb) / UNIT
                     assert ledger.rebase(r) == ledger.total_supply()
-                    renormalised += index_value(ledger.index) != exact
+                    renormalised = index_value(ledger.index) != exact
             except ToroidError:
                 assert ledger.snapshot() == before
+        yield ledger, renormalised
+
+
+def replay_checking_supply(ops) -> int:
+    """Replay ops, checking after each that total_supply() is the exact sum
+    of balances and of the per-account apply_index oracle.  Returns how
+    many rebases renormalised the index."""
+    renormalised = 0
+    for ledger, renormalised_now in replay(ops):
+        renormalised += renormalised_now
         supply = ledger.total_supply().raw
         assert supply == sum(ledger.balance_of(i).raw for i in ledger.accounts)
         assert supply == sum(
@@ -739,6 +760,18 @@ class TestExactSupply:
             assert ledger.total_supply().raw == sum(balances)
 
 
+class TestSnapshotRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=OPS)
+    @example(ops=RENORMALISING_OPS)
+    def test_restore_and_copy_give_back_every_ledger(self, ops):
+        for ledger, _ in replay(ops):
+            text = ledger.snapshot()
+            for twin in (Ledger.restore(text), ledger.copy()):
+                assert twin.snapshot() == text
+                assert twin.total_collateral == ledger.total_collateral
+
+
 class TestRandomizedInvariants:
     """Seeded operation-sequence fuzzing of the conservation rules.
 
@@ -749,6 +782,7 @@ class TestRandomizedInvariants:
     def _run_sequence(self, rng: random.Random) -> None:
         ledger = fresh()
         expected_collateral = 0
+        expected_minted = 0
         ids: list[str] = []
         for _ in range(rng.randrange(4, 11)):
             op = rng.random()
@@ -757,11 +791,12 @@ class TestRandomizedInvariants:
                 account_id, minted = ledger.open_account(collateral)
                 ids.append(account_id)
                 expected_collateral += collateral.raw
+                expected_minted += minted.raw
                 # entry balance equals the minted amount exactly
                 assert ledger.balance_of(account_id) == minted
             elif op < 0.5:
                 collateral = Amount(rng.randrange(1, 10**7) * 100)
-                ledger.deposit(rng.choice(ids), collateral)
+                expected_minted += ledger.deposit(rng.choice(ids), collateral).raw
                 expected_collateral += collateral.raw
             elif op < 0.7:
                 src, dst = rng.sample(ids, 2)
@@ -803,7 +838,7 @@ class TestRandomizedInvariants:
                 burned = Amount(out.raw * UNIT // PEG.ppb)
                 if ledger.balance_of(account_id).raw < burned.raw:
                     continue
-                ledger.withdraw(account_id, out)
+                expected_minted -= ledger.withdraw(account_id, out).raw
                 expected_collateral -= out.raw
 
         # collateral conservation is exact
@@ -811,10 +846,12 @@ class TestRandomizedInvariants:
         assert ledger.total_collateral.raw == sum(
             a.collateral.raw for a in ledger.accounts.values()
         )
-        # peg obligation: minted TRD is always exactly backed
-        assert ledger.total_collateral.raw == sum(
-            a.minted.raw * PEG.ppb // UNIT for a in ledger.accounts.values()
+        # peg obligation: the obligations the collateral implies are
+        # exactly what the operations minted and burned
+        assert expected_minted == sum(
+            ledger.minted_for(a.collateral).raw for a in ledger.accounts.values()
         )
+        assert ledger.total_collateral.raw * UNIT == expected_minted * PEG.ppb
         # conservation: balances match the share pool within floor dust
         implied = apply_index(
             Amount(sum(a.shares.raw for a in ledger.accounts.values())), ledger.index
