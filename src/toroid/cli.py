@@ -38,20 +38,14 @@ EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors instead of 2."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="toroid", description="Toroid stablecoin simulator")
+    parser = argparse.ArgumentParser(
+        prog="toroid", description="Toroid stablecoin simulator"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a historical backtest")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--data", required=True, help="input market CSV")
     sim.add_argument("--config", required=True, help="controller config file")
     sim.add_argument("--initial-supply", required=True, metavar="TRD")
@@ -59,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gas-cost-trd", metavar="TRD", default=None,
                      help="set the config's gas cost, stated in TRD at the peg")
     sim.add_argument("--no-gas-cap", action="store_true")
-    sim.add_argument("--no-bootstrap-floor", action="store_true")
 
     attack = sub.add_parser("attack", help="price a manipulation scenario")
+    attack.set_defaults(run=_cmd_attack)
     attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
 
     def add_attack_common(p: argparse.ArgumentParser) -> None:
@@ -92,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="period the position unwinds")
 
     ledger = sub.add_parser("ledger", help="ledger utilities")
+    ledger.set_defaults(run=_cmd_ledger_demo)
     ledger_sub = ledger.add_subparsers(dest="ledger_kind", required=True)
     ledger_sub.add_parser("demo", help="walk through the peg rules")
 
@@ -100,10 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args: argparse.Namespace) -> RebaseConfig:
     cfg = load_config(args.config)
-    if getattr(args, "no_gas_cap", False):
+    if args.no_gas_cap:
         cfg = replace(cfg, gas_cap_enabled=False)
-    if getattr(args, "no_bootstrap_floor", False):
-        cfg = replace(cfg, floor_zero_during_bootstrap=False)
     if getattr(args, "gas_cost_trd", None) is not None:
         try:
             gas_trd = Amount.from_tokens(args.gas_cost_trd)
@@ -216,15 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "attack":
-            return _cmd_attack(args)
-        if args.command == "ledger":
-            return _cmd_ledger_demo(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

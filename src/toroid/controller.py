@@ -61,13 +61,12 @@ HARD_FLOOR_PPB = -990_000_000
 class RebaseConfig:
     """All controller constants.
 
-    t0                          initial-rate offset: first period grows 1/t0
-    bootstrap_periods           length of the incentive bootstrap window
-    k_v                         gain on the log volume ratio
-    gas_cost_base               base-coin cost of one transaction (raw units)
-    peg_ratio                   base coin per TRD (the one-way peg ceiling)
-    gas_cap_enabled             clamp the volume response to the gas cap
-    floor_zero_during_bootstrap forbid negative rebasement while bootstrapping
+    t0                 initial-rate offset: first period grows 1/t0
+    bootstrap_periods  periods in which rebasement cannot go negative; 0 for none
+    k_v                gain on the log volume ratio
+    gas_cost_base      base-coin cost of one transaction (raw units)
+    peg_ratio          base coin per TRD (the one-way peg ceiling)
+    gas_cap_enabled    clamp the volume response to the gas cap
     """
 
     t0: int = 10
@@ -76,7 +75,6 @@ class RebaseConfig:
     gas_cost_base: Amount = Amount(400_000)
     peg_ratio: Rate = Rate(100_000_000)
     gas_cap_enabled: bool = True
-    floor_zero_during_bootstrap: bool = True
 
     def __post_init__(self) -> None:
         if self.t0 < 1:
@@ -192,7 +190,7 @@ def combine_components(
         # Clamp the volume response into [-r_gas_cap, +r_gas_cap].
         body = max(-r_gas_cap.ppb, min(r_gas_cap.ppb, body))
     combined = r_initial.ppb + body
-    if cfg.floor_zero_during_bootstrap and t < cfg.bootstrap_periods:
+    if t < cfg.bootstrap_periods:
         combined = max(combined, 0)
     return Rate(max(combined, HARD_FLOOR_PPB))
 

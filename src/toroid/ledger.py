@@ -27,11 +27,11 @@ from .errors import (
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
     InsufficientForRefundError,
-    NegativeAmountError,
     NonDivisibleCollateralError,
     NonPositiveFactorError,
     SelfTransferError,
     SnapshotError,
+    ToroidError,
     UnknownAccountError,
     ZeroCollateralError,
 )
@@ -169,29 +169,27 @@ class Ledger:
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot open an account with zero collateral")
         minted = self.minted_for(collateral)
-        seq = self._next_account_seq
         if account_id is None:
-            while f"a{seq}" in self.accounts:
-                seq += 1
-            account_id = f"a{seq}"
-            seq += 1
+            # Accounts are never removed, so every "a<n>" below the hint is taken.
+            while f"a{self._next_account_seq}" in self.accounts:
+                self._next_account_seq += 1
+            account_id = f"a{self._next_account_seq}"
+        account = Account(
+            Amount(self._to_shares_ceil(minted.raw)), collateral, self.current_period
+        )
+        self._insert(account_id, account)
+        return account_id, minted
+
+    def _insert(self, account_id: str, account: Account) -> None:
+        """Store a new account under a free, well-formed id; nothing on failure."""
         if not _valid_id(account_id):
             raise ValueError(
                 f"account id may not be empty or contain ',' or a line break: {account_id!r}"
             )
         if account_id in self.accounts:
-            raise ValueError(f"account id already exists: {account_id!r}")
-        # The account is stored last, once every value that can overflow
-        # has been built and checked.
-        account = Account(
-            shares=Amount(self._to_shares_ceil(minted.raw)),
-            collateral=collateral,
-            created_period=self.current_period,
-        )
-        self.total_collateral += collateral
+            raise ValueError(f"duplicate account id: {account_id!r}")
+        self.total_collateral += account.collateral
         self.accounts[account_id] = account
-        self._next_account_seq = seq
-        return account_id, minted
 
     def deposit(self, account_id: str, collateral: Amount) -> Amount:
         """Add collateral to an existing wallet; returns the TRD minted."""
@@ -320,33 +318,19 @@ class Ledger:
             fields = line.split(",")
             if len(fields) != 4:
                 raise SnapshotError(f"line {lineno}: expected 4 fields: {line!r}")
-            account_id = fields[0]
             try:
                 shares, collateral, created = map(_canonical_int, fields[1:])
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
-            if not _valid_id(account_id):
-                raise SnapshotError(f"line {lineno}: bad account id {account_id!r}")
             if not 0 <= created <= period:
                 raise SnapshotError(
                     f"line {lineno}: created_period {created} is negative or after "
                     f"period {period}"
                 )
-            if account_id in ledger.accounts:
-                raise SnapshotError(f"line {lineno}: duplicate account {account_id!r}")
             try:
-                account = Account(
-                    shares=Amount(shares),
-                    collateral=Amount(collateral),
-                    created_period=created,
-                )
+                account = Account(Amount(shares), Amount(collateral), created)
                 ledger.minted_for(account.collateral)
-                ledger.total_collateral += account.collateral
-            except (
-                NegativeAmountError,
-                AmountOverflowError,
-                NonDivisibleCollateralError,
-            ) as exc:
+                ledger._insert(fields[0], account)
+            except (ValueError, ToroidError) as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
-            ledger.accounts[account_id] = account
         return ledger

@@ -1,11 +1,11 @@
 """The byte contract on every supported interpreter.
 
 Each Python 3.10-3.13 that starts on this host runs the README's
-simulate command, its three attack commands and the sample series
-generator in one stdlib-only subprocess, and every file it writes must
-match the committed bytes.  An interpreter that is missing, or that is
-found but does not start (a version shim with no version behind it), is
-skipped by name.
+simulate command, its three attack commands, `toroid ledger demo` and the
+sample series generator in one stdlib-only subprocess, and every file it
+writes, and the demo's stdout, must match the committed bytes.  An
+interpreter that is missing, or that is found but does not start (a
+version shim with no version behind it), is skipped by name.
 """
 
 import json
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import DEMO_STDOUT
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "benchmarks" / "golden"
@@ -34,13 +35,14 @@ README_RUNS = {
     "attack-pump-dump.csv": PUMP_DUMP,
     "attack-pump-dump-no-gas-cap.csv": [*PUMP_DUMP, "--no-gas-cap"],
 }
-EXPECTED = {name: GOLDEN / name for name in README_RUNS} | {
-    "sample_market.csv": ROOT / "data" / "sample_market.csv"
+EXPECTED = {name: (GOLDEN / name).read_bytes() for name in README_RUNS} | {
+    "sample_market.csv": (ROOT / "data" / "sample_market.csv").read_bytes(),
+    "ledger-demo.txt": DEMO_STDOUT.encode(),
 }
 
 # Run with -S, so nothing but the standard library and src/ is importable.
 CHILD = """
-import json, sys
+import contextlib, io, json, sys
 from pathlib import Path
 from toroid import cli, datagen
 out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
@@ -49,6 +51,11 @@ for name, argv in runs.items():
         sys.exit(f"{name}: nonzero exit")
 if datagen.main([str(out / "sample_market.csv")]) != 0:
     sys.exit("sample_market.csv: nonzero exit")
+demo = io.StringIO()
+with contextlib.redirect_stdout(demo):
+    if cli.main(["ledger", "demo"]) != 0:
+        sys.exit("ledger demo: nonzero exit")
+(out / "ledger-demo.txt").write_bytes(demo.getvalue().encode())
 """
 
 
@@ -86,7 +93,7 @@ def test_outputs_byte_identical(minor, tmp_path):
     )
     assert child.returncode == 0, child.stderr
     differ = [
-        name for name, path in EXPECTED.items()
-        if (tmp_path / name).read_bytes() != path.read_bytes()
+        name for name, expected in EXPECTED.items()
+        if (tmp_path / name).read_bytes() != expected
     ]
     assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from toroid import harness
 from toroid.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
-from toroid.controller import load_config
+from toroid.controller import dump_config, load_config
 from toroid.harness import (
     MARKET_CSV_HEADER,
     SERIES_CSV_HEADER,
@@ -34,9 +34,16 @@ def sybil_argv(delta_v, periods, baseline_v, supply, holdings, start, no_cap):
     return argv + ["--no-gas-cap"] * no_cap
 
 
-def simulate_argv(data, out) -> list[str]:
-    return ["simulate", "--data", str(data), "--config", str(DEFAULT_CFG),
+def simulate_argv(data, out, config=DEFAULT_CFG) -> list[str]:
+    return ["simulate", "--data", str(data), "--config", str(config),
             "--initial-supply", "10000", "--out", str(out)]
+
+
+def floor_off_cfg(directory: Path) -> Path:
+    """The default config with bootstrap_periods = 0, so no bootstrap floor."""
+    path = directory / "floor-off.cfg"
+    path.write_text(dump_config(replace(load_config(DEFAULT_CFG), bootstrap_periods=0)))
+    return path
 
 
 COUNT_ARG = st.integers(-3, 10**13).map(str)
@@ -218,22 +225,11 @@ class TestSimulate:
             "2017-01-01,1.7e308,1000000\n2017-01-02,1.7e308,1\n",
         ],
     )
-    def test_overflowing_price_is_input_error(
-        self, tmp_path, default_cfg_path, rows, capsys
-    ):
+    def test_overflowing_price_is_input_error(self, tmp_path, rows, capsys):
         data = tmp_path / "m.csv"
         data.write_text(f"{MARKET_CSV_HEADER}\n{rows}")
-        code = main(
-            [
-                "simulate",
-                "--data", str(data),
-                "--config", str(default_cfg_path),
-                "--initial-supply", "10000",
-                "--out", str(tmp_path / "o.csv"),
-                "--no-gas-cap",
-                "--no-bootstrap-floor",
-            ]
-        )
+        argv = simulate_argv(data, tmp_path / "o.csv", floor_off_cfg(tmp_path))
+        code = main(argv + ["--no-gas-cap"])
         assert code == EXIT_INPUT
         assert "price overflowed" in capsys.readouterr().err
 
@@ -257,16 +253,19 @@ class TestSimulate:
             st.floats(0, exclude_min=True, allow_infinity=False), min_size=1, max_size=6
         ),
         counts=st.lists(st.integers(0, 10**12), min_size=6, max_size=6),
-        flags=st.lists(st.sampled_from(["--no-gas-cap", "--no-bootstrap-floor"]),
-                       unique=True),
+        cap=st.booleans(),
+        floor=st.booleans(),
     )
-    @example(prices=[1.5e-320, 2.5e-323, 1.5e-323], counts=[0, 1, 0, 0, 0, 0], flags=[])
+    @example(prices=[1.5e-320, 2.5e-323, 1.5e-323], counts=[0, 1, 0, 0, 0, 0],
+             cap=True, floor=True)
     # the first peg ceiling underflows to 0
-    @example(prices=[5e-324, 1e-16, 100.0], counts=[0, 1, 0, 0, 0, 0], flags=[])
+    @example(prices=[5e-324, 1e-16, 100.0], counts=[0, 1, 0, 0, 0, 0],
+             cap=True, floor=True)
     # the ceiling is 5e-324, but the price divided by 1 + r rounds to 0
-    @example(prices=[5e-323, 5e-323], counts=[1, 10**12, 0, 0, 0, 0], flags=[])
+    @example(prices=[5e-323, 5e-323], counts=[1, 10**12, 0, 0, 0, 0],
+             cap=True, floor=True)
     def test_any_positive_prices_exit_0_or_1(
-        self, prices, counts, flags, tmp_path_factory
+        self, prices, counts, cap, floor, tmp_path_factory
     ):
         work = tmp_path_factory.getbasetemp()
         data = work / "fuzz-market.csv"
@@ -277,15 +276,13 @@ class TestSimulate:
                    for i, (p, n) in enumerate(zip(prices, counts))]
             )
         )
-        code = main(simulate_argv(data, work / "fuzz.csv") + flags)
+        config = DEFAULT_CFG if floor else floor_off_cfg(work)
+        argv = simulate_argv(data, work / "fuzz.csv", config)
+        code = main(argv + ["--no-gas-cap"] * (not cap))
         assert code in (EXIT_OK, EXIT_INPUT)
         if code == EXIT_OK:
             # The CSV prints a tiny price as 0.000000000, so read the floats.
-            cfg = replace(
-                load_config(DEFAULT_CFG),
-                gas_cap_enabled="--no-gas-cap" not in flags,
-                floor_zero_during_bootstrap="--no-bootstrap-floor" not in flags,
-            )
+            cfg = replace(load_config(config), gas_cap_enabled=cap)
             series = run_backtest(load_market_csv(data), cfg, Amount.from_tokens(10_000))
             assert all(record.market.trd_price > 0 for _, record in series)
 
@@ -366,8 +363,17 @@ class TestSimulate:
         assert code == EXIT_INVARIANT
         assert capsys.readouterr().err.startswith("invariant violation:")
 
-    def test_bad_flag_is_input_error(self):
+    def test_bad_flag_is_input_error(self, tmp_path, capsys):
+        # argparse exits 2 on a usage error, the code of an invariant violation
         assert main(["simulate", "--bogus"]) == EXIT_INPUT
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("x", 1, "0", "10000", None, None, False)
+        code = main(argv + ["--config", str(DEFAULT_CFG), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "toroid attack sybil: error: argument --delta-v" in capsys.readouterr().err
+        assert not out.exists()
+        # --help leaves through the same SystemExit, and is a success
+        assert main(["--help"]) == EXIT_OK
 
     def test_missing_subcommand_is_input_error(self):
         assert main([]) == EXIT_INPUT

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -243,16 +245,14 @@ class TestCombineComponents:
         assert got == Rate(0)
 
     def test_bootstrap_floor_disabled(self):
-        cfg = RebaseConfig(floor_zero_during_bootstrap=False)
+        cfg = RebaseConfig(bootstrap_periods=0)
         got = combine_components(
             10, Rate(1_000_000), Rate(-300_000_000), Rate(400_000_000), cfg
         )
         assert got == Rate(-299_000_000)
 
     def test_hard_floor(self):
-        cfg = RebaseConfig(
-            gas_cap_enabled=False, floor_zero_during_bootstrap=False
-        )
+        cfg = RebaseConfig(gas_cap_enabled=False, bootstrap_periods=0)
         got = combine_components(
             0, Rate(100_000_000), Rate(-3 * UNIT), Rate(0), cfg
         )
@@ -332,12 +332,12 @@ _BIG = 10**30
 VALID_CONFIGS = st.builds(
     RebaseConfig,
     t0=st.integers(1, _BIG),
-    bootstrap_periods=st.integers(0, _BIG),
+    # 0 runs without the bootstrap floor
+    bootstrap_periods=st.just(0) | st.integers(0, _BIG),
     k_v=st.builds(Rate, st.integers(-_BIG, _BIG)),
     gas_cost_base=st.builds(Amount, st.integers(1, MAX_RAW)),
     peg_ratio=st.builds(Rate, st.integers(1, _BIG)),
     gas_cap_enabled=st.booleans(),
-    floor_zero_during_bootstrap=st.booleans(),
 )
 # Config-shaped text: real and unknown keys with values that are valid,
 # out of range, malformed or arbitrary.
@@ -372,7 +372,6 @@ class TestConfigFiles:
             gas_cost_base=Amount.from_tokens("0.001"),
             peg_ratio=Rate.from_decimal("0.5"),
             gas_cap_enabled=False,
-            floor_zero_during_bootstrap=False,
         )
         assert parse_config(dump_config(cfg)) == cfg
 
@@ -383,6 +382,9 @@ class TestConfigFiles:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("velocity = 9")
+        # bootstrap_periods = 0 is the one way to turn the bootstrap floor off
+        with pytest.raises(ConfigError, match="unknown key 'floor_zero_during"):
+            parse_config("floor_zero_during_bootstrap = false")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError):
@@ -423,9 +425,22 @@ class TestConfigFiles:
             "gas_cost_base = 0.000400000\n"
             "peg_ratio = 0.100000000\n"
             "gas_cap_enabled = true\n"
-            "floor_zero_during_bootstrap = true\n"
         )
         assert parse_config(default_cfg_path.read_text()) == RebaseConfig()
+
+    def test_default_cfg_and_readme_name_every_field(self, default_cfg_path):
+        # a key left out of default.cfg parses to its default and a stale
+        # README row is read by nothing, so neither drift fails elsewhere
+        names = {f.name for f in fields(RebaseConfig)}
+        cfg_keys = {
+            line.split("#", 1)[0].partition("=")[0].strip()
+            for line in default_cfg_path.read_text().splitlines()
+        } - {""}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        table_keys = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+        assert cfg_keys == names
+        assert table_keys == names
 
     @settings(max_examples=120, deadline=None)
     @given(text=st.one_of(st.text(), CONFIG_TEXT))

@@ -263,7 +263,7 @@ class TestRunBacktest:
         # negative rebasement pushes the implied price over the peg, the
         # clamp binds, and its mint lands in an arbitrage account
         cfg = RebaseConfig(
-            gas_cap_enabled=False, floor_zero_during_bootstrap=False, t0=10**6
+            gas_cap_enabled=False, bootstrap_periods=0, t0=10**6
         )
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
@@ -286,7 +286,7 @@ class TestRunBacktest:
         # the clamp's mint of 4 raw has no exact collateral at the 0.1
         # peg, so it rounds down to nothing and no account opens
         cfg = RebaseConfig(
-            gas_cap_enabled=False, floor_zero_during_bootstrap=False, t0=10**12
+            gas_cap_enabled=False, bootstrap_periods=0, t0=10**12
         )
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(ledger.collateral_for(Amount.from_tokens(5)),
@@ -329,7 +329,7 @@ class TestRunBacktest:
     def test_overflowing_price_rejected(self, prices, counts):
         # the first pair's return overflows; in the second only the TRD
         # price does, once the volume crash drives the rate to -99%
-        cfg = RebaseConfig(gas_cap_enabled=False, floor_zero_during_bootstrap=False)
+        cfg = RebaseConfig(gas_cap_enabled=False, bootstrap_periods=0)
         rows = [
             MarketRow(dt.date(2020, 1, 1 + i), price, tx)
             for i, (price, tx) in enumerate(zip(prices, counts))
@@ -343,7 +343,7 @@ class TestRunBacktest:
         # in some periods, every carried and reported supply must equal a
         # full scan
         cfg = RebaseConfig(
-            k_v=Rate.from_decimal("1"), t0=10**6, floor_zero_during_bootstrap=False
+            k_v=Rate.from_decimal("1"), t0=10**6, bootstrap_periods=0
         )
         carried, scanned, ledgers = [], [], []
 
