@@ -42,7 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toroid", description="Toroid stablecoin simulator"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", metavar="{simulate,attack,ledger}", required=True
+    )
 
     sim = sub.add_parser("simulate", help="run a historical backtest")
     sim.set_defaults(run=_cmd_simulate)
@@ -56,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="price a manipulation scenario")
     attack.set_defaults(run=_cmd_attack)
-    attack_sub = attack.add_subparsers(dest="attack_kind", required=True)
+    attack_sub = attack.add_subparsers(
+        dest="attack_kind", metavar="{sybil,pump-dump}", required=True
+    )
 
     def add_attack_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--delta-v", required=True, type=int,
@@ -87,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ledger = sub.add_parser("ledger", help="ledger utilities")
     ledger.set_defaults(run=_cmd_ledger_demo)
-    ledger_sub = ledger.add_subparsers(dest="ledger_kind", required=True)
+    ledger_sub = ledger.add_subparsers(dest="ledger_kind", metavar="{demo}", required=True)
     ledger_sub.add_parser("demo", help="walk through the peg rules")
 
     return parser

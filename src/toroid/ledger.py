@@ -35,7 +35,7 @@ from .errors import (
     UnknownAccountError,
     ZeroCollateralError,
 )
-from .numerics import UNIT, Amount, Index, Rate, format_raw, grow_index
+from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
 
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
@@ -58,7 +58,7 @@ def _canonical_int(field: str) -> int:
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     """One wallet: share units and locked collateral.
 
@@ -152,9 +152,24 @@ class Ledger:
         return Amount(self._balance_raw(self._get(account_id).shares.raw))
 
     def total_supply(self) -> Amount:
-        """Exact sum of every floored balance, in one integer pass."""
-        num, den = self.index.num, self.index.den * SHARE_SCALE
-        return Amount(sum(a.shares.raw * num // den for a in self.accounts.values()))
+        """Exact sum of every floored balance, in one integer pass.
+
+        Each balance floor(s * num / d), d = den * SHARE_SCALE, is taken as
+        s * m >> k with the reciprocal m = ceil(num * 2**k / d): one division
+        per call, none per account (Granlund & Montgomery, "Division by
+        Invariant Integers using Multiplication", 1994).  k makes
+        2**k > MAX_RAW * d, and every share count s is an Amount, so
+        0 <= s <= MAX_RAW.  Then the two floors are equal:
+          1. s * m / 2**k - s * num / d = s * (m - num * 2**k / d) / 2**k,
+             which lies in [0, MAX_RAW / 2**k), inside [0, 1/d).
+          2. s * num / d is a multiple of 1/d, so its fractional part is at
+             most 1 - 1/d.
+          3. Adding less than 1/d to it cannot reach the next integer.
+        """
+        d = self.index.den * SHARE_SCALE
+        k = MAX_RAW.bit_length() + d.bit_length()
+        m = -((-self.index.num << k) // d)
+        return Amount(sum(a.shares.raw * m >> k for a in self.accounts.values()))
 
     # -- operations ------------------------------------------------------
 

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 from toroid.errors import NonPositiveFactorError
+from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import UNIT, Amount, Index, Rate
 
 
@@ -29,3 +30,9 @@ def one_plus(r: Rate) -> Index:
 def apply_index(shares: Amount, idx: Index) -> Amount:
     """Convert share units to token units at the given index, flooring."""
     return Amount(shares.raw * idx.num // idx.den)
+
+
+def supply_by_division(ledger: Ledger) -> Amount:
+    """Total supply as one floor division per account, over den * SHARE_SCALE."""
+    num, den = ledger.index.num, ledger.index.den * SHARE_SCALE
+    return Amount(sum(a.shares.raw * num // den for a in ledger.accounts.values()))

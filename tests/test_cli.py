@@ -378,6 +378,23 @@ class TestSimulate:
     def test_missing_subcommand_is_input_error(self):
         assert main([]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv, prog, choices",
+        [
+            ([], "toroid", "{simulate,attack,ledger}"),
+            (["attack"], "toroid attack", "{sybil,pump-dump}"),
+            (["ledger"], "toroid ledger", "{demo}"),
+        ],
+        ids=["toroid", "attack", "ledger"],
+    )
+    def test_missing_subcommand_names_the_choices(self, capsys, argv, prog, choices):
+        # the error named the parser's dest, e.g. "required: attack_kind"
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"usage: {prog} [-h] {choices} ...\n"
+            f"{prog}: error: the following arguments are required: {choices}\n"
+        )
+
 
 class TestAttack:
     @pytest.mark.parametrize(

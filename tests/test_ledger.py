@@ -23,7 +23,7 @@ from toroid.errors import (
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
-from oracles import apply_index, index_value, one_plus
+from oracles import apply_index, index_value, one_plus, supply_by_division
 
 PEG = Rate.from_decimal("0.1")
 
@@ -758,6 +758,76 @@ class TestExactSupply:
             ]
             assert [ledger.balance_of(i).raw for i in ids] == balances
             assert ledger.total_supply().raw == sum(balances)
+
+
+def restored(num: int, den: int, shares: list[int]) -> Ledger:
+    """A ledger at index num/den holding one account per share count."""
+    lines = [f"v3,{PEG.ppb},{num},{den},0"]
+    lines += [f"a{i},{s},1,0" for i, s in enumerate(shares, start=1)]
+    return Ledger.restore("\n".join(lines) + "\n")
+
+
+def edge_shares(num: int, den: int) -> st.SearchStrategy[int]:
+    """Share counts 0, 1, MAX_RAW, any, and exact multiples of
+    d / gcd(num, d), whose balance has no fractional part."""
+    d = den * SHARE_SCALE
+    step = d // math.gcd(num, d)
+    return (
+        st.sampled_from([0, 1, MAX_RAW])
+        | st.integers(0, MAX_RAW)
+        | st.integers(0, MAX_RAW // step).map(lambda j: j * step)
+    )
+
+
+def supply_or_overflow(supply, ledger):
+    try:
+        return supply(ledger)
+    except AmountOverflowError:
+        return AmountOverflowError
+
+
+class TestSupplyReciprocal:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_division_per_account(self, data):
+        # den reaches far past the 2**128 renormalization bound, as in a
+        # collapsed index
+        num = data.draw(st.integers(1, 2**64) | st.integers(1, 2**300))
+        den = data.draw(st.integers(1, 2**64) | st.integers(2**128, 2**300))
+        ledger = restored(num, den, data.draw(st.lists(edge_shares(num, den), max_size=6)))
+        assert supply_or_overflow(Ledger.total_supply, ledger) == supply_or_overflow(
+            supply_by_division, ledger
+        )
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [(1, 1), (3, 7), (10**27, 10**30), (1, 2**300), (2**300 + 1, 3**180), (2**64, 1)],
+        ids=["identity", "3/7", "renormalized", "collapsed", "wide", "overflowing"],
+    )
+    def test_matches_at_the_share_bound(self, num, den):
+        step = den * SHARE_SCALE // math.gcd(num, den * SHARE_SCALE)
+        for shares in (0, 1, MAX_RAW, MAX_RAW // step * step):
+            ledger = restored(num, den, [shares])
+            assert supply_or_overflow(Ledger.total_supply, ledger) == supply_or_overflow(
+                supply_by_division, ledger
+            )
+
+
+class TestAccount:
+    def test_misspelt_field_is_refused(self):
+        ledger = fresh()
+        account_id, _ = ledger.open_account(Amount.from_tokens(1))
+        with pytest.raises(AttributeError):
+            ledger.accounts[account_id].share = Amount(0)
+
+    def test_copy_gives_independent_accounts(self):
+        ledger = busy_ledger()
+        clone = ledger.copy()
+        for account_id, account in ledger.accounts.items():
+            assert clone.accounts[account_id] == account
+            assert clone.accounts[account_id] is not account
+        clone.accounts["a1"].shares = Amount(0)
+        assert ledger.accounts["a1"].shares != Amount(0)
 
 
 class TestSnapshotRoundTrip:
