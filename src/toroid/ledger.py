@@ -10,7 +10,9 @@ converted at the index current when it entered.
 Shares carry an extra factor of 10^9 below raw token precision, so the
 floor error of a share conversion sits nine decimal digits under one raw
 unit and whole-raw arithmetic (mint, burn, rebase of round amounts) comes
-out exact at token precision.
+out exact at token precision.  A share count is a plain int, held to
+the Amount range 0..MAX_RAW by _share_count on every write; Amount is the
+type at the public boundary (balances, supply, collateral).
 
 Collateral is the only stored amount.  The peg is fixed, so an account's
 refund obligation is always minted_for(collateral) and needs no column of
@@ -40,6 +42,9 @@ from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
 
+# Bits of the largest share count; total_supply's reciprocal shift builds on it.
+MAX_RAW_BITS = MAX_RAW.bit_length()
+
 # Periods an account must exist before it may withdraw: the paper's
 # minimum investment period ("for example one day") is one period here.
 MIN_HOLDING_PERIODS = 1
@@ -58,15 +63,26 @@ def _canonical_int(field: str) -> int:
     return value
 
 
+def _share_count(shares: int) -> int:
+    """shares, checked to lie in the Amount range 0..MAX_RAW.
+
+    Out of range, building the Amount raises its NegativeAmountError or
+    AmountOverflowError, so the range and its messages are written once.
+    """
+    if not 0 <= shares <= MAX_RAW:
+        Amount(shares)
+    return shares
+
+
 @dataclass(slots=True)
 class Account:
-    """One wallet: share units and locked collateral.
+    """One wallet: share units (an int in 0..MAX_RAW) and locked collateral.
 
     Its id is the key it sits under in Ledger.accounts, and its refund
     obligation is Ledger.minted_for(collateral).
     """
 
-    shares: Amount
+    shares: int
     collateral: Amount
     created_period: int
 
@@ -93,8 +109,8 @@ class Ledger:
     def copy(self) -> Ledger:
         """An independent ledger in the same state.
 
-        Accounts are copied; their Amount fields and the Index are immutable
-        values, so both ledgers share them.
+        Accounts are copied; their share counts (ints), collateral Amounts
+        and the Index are immutable values, so both ledgers share them.
         """
         clone = object.__new__(type(self))
         vars(clone).update(vars(self))
@@ -149,7 +165,7 @@ class Ledger:
             raise UnknownAccountError(f"unknown account {account_id!r}") from None
 
     def balance_of(self, account_id: str) -> Amount:
-        return Amount(self._balance_raw(self._get(account_id).shares.raw))
+        return Amount(self._balance_raw(self._get(account_id).shares))
 
     def total_supply(self) -> Amount:
         """Exact sum of every floored balance, in one integer pass.
@@ -158,8 +174,8 @@ class Ledger:
         s * m >> k with the reciprocal m = ceil(num * 2**k / d): one division
         per call, none per account (Granlund & Montgomery, "Division by
         Invariant Integers using Multiplication", 1994).  k makes
-        2**k > MAX_RAW * d, and every share count s is an Amount, so
-        0 <= s <= MAX_RAW.  Then the two floors are equal:
+        2**k > MAX_RAW * d, and _share_count checks every share count s on
+        every write, so 0 <= s <= MAX_RAW.  Then the two floors are equal:
           1. s * m / 2**k - s * num / d = s * (m - num * 2**k / d) / 2**k,
              which lies in [0, MAX_RAW / 2**k), inside [0, 1/d).
           2. s * num / d is a multiple of 1/d, so its fractional part is at
@@ -167,9 +183,9 @@ class Ledger:
           3. Adding less than 1/d to it cannot reach the next integer.
         """
         d = self.index.den * SHARE_SCALE
-        k = MAX_RAW.bit_length() + d.bit_length()
+        k = MAX_RAW_BITS + d.bit_length()
         m = -((-self.index.num << k) // d)
-        return Amount(sum(a.shares.raw * m >> k for a in self.accounts.values()))
+        return Amount(sum(a.shares * m >> k for a in self.accounts.values()))
 
     # -- operations ------------------------------------------------------
 
@@ -190,7 +206,9 @@ class Ledger:
                 self._next_account_seq += 1
             account_id = f"a{self._next_account_seq}"
         account = Account(
-            Amount(self._to_shares_ceil(minted.raw)), collateral, self.current_period
+            _share_count(self._to_shares_ceil(minted.raw)),
+            collateral,
+            self.current_period,
         )
         self._insert(account_id, account)
         return account_id, minted
@@ -217,7 +235,7 @@ class Ledger:
         # are built, and so checked, before any is stored.
         self.minted_for(new_collateral)
         account.shares, account.collateral, self.total_collateral = (
-            Amount(account.shares.raw + self._to_shares_ceil(minted.raw)),
+            _share_count(account.shares + self._to_shares_ceil(minted.raw)),
             new_collateral,
             self.total_collateral + collateral,
         )
@@ -229,18 +247,18 @@ class Ledger:
             raise SelfTransferError(f"cannot transfer {src!r} to itself")
         sender = self._get(src)
         receiver = self._get(dst)
-        balance = self._balance_raw(sender.shares.raw)
+        balance = self._balance_raw(sender.shares)
         if balance < amount.raw:
             raise InsufficientBalanceError(
                 f"{src!r} holds {format_raw(balance)} TRD, "
                 f"cannot send {amount.tokens()}"
             )
         moved = self._to_shares_floor(amount.raw)
-        # Both share counts are built before either is stored, so an
+        # Both share counts are checked before either is stored, so an
         # overflow on the receiver leaves the sender untouched.
         sender.shares, receiver.shares = (
-            Amount(sender.shares.raw - moved),
-            Amount(receiver.shares.raw + moved),
+            _share_count(sender.shares - moved),
+            _share_count(receiver.shares + moved),
         )
 
     def rebase(self, r: Rate) -> Amount:
@@ -281,13 +299,15 @@ class Ledger:
                 f"minimum holding is {MIN_HOLDING_PERIODS}"
             )
         burned = self.minted_for(collateral_out)
-        balance = self._balance_raw(account.shares.raw)
+        balance = self._balance_raw(account.shares)
         if balance < burned.raw:
             raise InsufficientForRefundError(
                 f"{account_id!r} holds {format_raw(balance)} TRD, "
                 f"refund requires burning {burned.tokens()}"
             )
-        account.shares = Amount(account.shares.raw - self._to_shares_floor(burned.raw))
+        account.shares = _share_count(
+            account.shares - self._to_shares_floor(burned.raw)
+        )
         account.collateral -= collateral_out
         self.total_collateral -= collateral_out
         return burned
@@ -306,7 +326,7 @@ class Ledger:
         ]
         for account_id, account in self.accounts.items():
             lines.append(
-                f"{account_id},{account.shares.raw},{account.collateral.raw},"
+                f"{account_id},{account.shares},{account.collateral.raw},"
                 f"{account.created_period}"
             )
         return "\n".join(lines) + "\n"
@@ -343,7 +363,7 @@ class Ledger:
                     f"period {period}"
                 )
             try:
-                account = Account(Amount(shares), Amount(collateral), created)
+                account = Account(_share_count(shares), Amount(collateral), created)
                 ledger.minted_for(account.collateral)
                 ledger._insert(fields[0], account)
             except (ValueError, ToroidError) as exc:

@@ -207,7 +207,7 @@ class TestAcceptance:
         # pool implies, and trail it by at most one raw unit per account
         implied = (
             apply_index(
-                Amount(sum(a.shares.raw for a in ledger.accounts.values())),
+                Amount(sum(a.shares for a in ledger.accounts.values())),
                 ledger.index,
             ).raw
             // SHARE_SCALE

@@ -12,6 +12,7 @@ from toroid.errors import (
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
     InsufficientForRefundError,
+    NegativeAmountError,
     NonDivisibleCollateralError,
     NonPositiveFactorError,
     SelfTransferError,
@@ -67,7 +68,7 @@ class TestOpenAccount:
         ledger.rebase(Rate.from_decimal("0.1"))
         account_id, minted = ledger.open_account(Amount.from_tokens("0.1"))
         assert minted == Amount.from_tokens(1)
-        assert ledger.accounts[account_id].shares.raw // SHARE_SCALE == 909_090_909
+        assert ledger.accounts[account_id].shares // SHARE_SCALE == 909_090_909
         assert ledger.balance_of(account_id) == minted
 
     def test_non_divisible_collateral(self):
@@ -251,7 +252,7 @@ class TestTransfer:
         collateral = Amount(MAX_RAW // (10 * SHARE_SCALE * UNIT // PEG.ppb) * 10)
         a, _ = ledger.open_account(collateral)
         b, _ = ledger.open_account(collateral)
-        assert ledger.accounts[a].shares.raw > MAX_RAW // 2
+        assert ledger.accounts[a].shares > MAX_RAW // 2
         before = ledger.snapshot()
         half = Amount(ledger.balance_of(a).raw // 2)
         with pytest.raises(AmountOverflowError):
@@ -724,7 +725,7 @@ def replay_checking_supply(ops) -> int:
         supply = ledger.total_supply().raw
         assert supply == sum(ledger.balance_of(i).raw for i in ledger.accounts)
         assert supply == sum(
-            apply_index(acct.shares, ledger.index).raw // SHARE_SCALE
+            apply_index(Amount(acct.shares), ledger.index).raw // SHARE_SCALE
             for acct in ledger.accounts.values()
         )
     return renormalised
@@ -753,7 +754,8 @@ class TestExactSupply:
                 ledger.transfer(src, dst, amount)
             ledger.rebase(Rate(rng.randrange(-300_000_000, 400_000_000)))
             balances = [
-                apply_index(ledger.accounts[i].shares, ledger.index).raw // SHARE_SCALE
+                apply_index(Amount(ledger.accounts[i].shares), ledger.index).raw
+                // SHARE_SCALE
                 for i in ids
             ]
             assert [ledger.balance_of(i).raw for i in ids] == balances
@@ -826,8 +828,56 @@ class TestAccount:
         for account_id, account in ledger.accounts.items():
             assert clone.accounts[account_id] == account
             assert clone.accounts[account_id] is not account
-        clone.accounts["a1"].shares = Amount(0)
-        assert ledger.accounts["a1"].shares != Amount(0)
+        clone.accounts["a1"].shares = 0
+        assert ledger.accounts["a1"].shares != 0
+
+
+# The largest collateral whose share count fits at index 1: the 0.1 peg
+# mints 10 TRD per base, and each raw TRD is SHARE_SCALE shares.
+FULL = Amount(MAX_RAW // (10 * SHARE_SCALE))
+
+# Each pushes one account's share count past MAX_RAW on a ledger holding
+# two FULL accounts; nothing else about the write is out of range.
+SHARE_OVERFLOWS = {
+    "open": lambda led: led.open_account(Amount(FULL.raw + 1)),
+    "deposit": lambda led: led.deposit("a1", FULL),
+    "transfer receiver": lambda led: led.transfer("a2", "a1", led.balance_of("a2")),
+}
+
+
+class TestShareCounts:
+    """Share counts are plain ints, held to 0..MAX_RAW on every write."""
+
+    @pytest.mark.parametrize("op", sorted(FORK_OPS))
+    def test_every_write_stores_an_int(self, op):
+        ledger = busy_ledger()
+        FORK_OPS[op](ledger)
+        for twin in (ledger, Ledger.restore(ledger.snapshot()), ledger.copy()):
+            assert {type(a.shares) for a in twin.accounts.values()} == {int}
+
+    @pytest.mark.parametrize("op", sorted(SHARE_OVERFLOWS))
+    def test_share_count_past_max_raw_is_refused(self, op):
+        ledger = fresh()
+        ledger.open_account(FULL)
+        ledger.open_account(FULL)
+        before = ledger.snapshot()
+        with pytest.raises(AmountOverflowError, match=r"^amount exceeds capacity: \d+$"):
+            SHARE_OVERFLOWS[op](ledger)
+        assert ledger.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "shares, error, message",
+        [
+            (-1, NegativeAmountError, "amount cannot be negative: -1"),
+            (MAX_RAW + 1, AmountOverflowError, f"amount exceeds capacity: {MAX_RAW + 1}"),
+        ],
+        ids=["negative", "past MAX_RAW"],
+    )
+    def test_restore_refuses_a_share_count_out_of_range(self, shares, error, message):
+        text = f"v3,100000000,1,1,0\nok,1,0,0\nx,{shares},0,0\n"
+        with pytest.raises(SnapshotError, match=f"^line 3: {message}$") as raised:
+            Ledger.restore(text)
+        assert type(raised.value.__cause__) is error
 
 
 class TestSnapshotRoundTrip:
@@ -924,7 +974,7 @@ class TestRandomizedInvariants:
         assert ledger.total_collateral.raw * UNIT == expected_minted * PEG.ppb
         # conservation: balances match the share pool within floor dust
         implied = apply_index(
-            Amount(sum(a.shares.raw for a in ledger.accounts.values())), ledger.index
+            Amount(sum(a.shares for a in ledger.accounts.values())), ledger.index
         ).raw // SHARE_SCALE
         total = ledger.total_supply().raw
         assert 0 <= implied - total <= len(ledger.accounts)
