@@ -1,17 +1,18 @@
-"""Exact fixed-point primitives for token amounts, rates and the rebase index.
+"""Fixed-point primitives for token amounts, rates and the rebase index.
 
 Token quantities are unsigned integer counts of nano-units (10^-9 of one
 token), rates are signed integer parts-per-billion, and the cumulative
-rebase index is an exact rational kept as an integer numerator/denominator
-pair.  All arithmetic floors toward negative infinity, so quantization
-error is one-sided: rebasement can round value away but never mints
-unbacked dust.  Every operation is pure integer math and therefore
-bit-reproducible across hosts.
+rebase index is a decimal fixed-point number kept as an integer
+numerator over a power-of-ten denominator.  Token arithmetic floors
+toward negative infinity, so its quantization error is one-sided:
+conversions can round value away but never mint unbacked dust.  The one
+exception is the index itself, which each rebase rounds half up onto its
+grid, a relative error below 5e-28 per step.  Every operation is pure
+integer math and therefore bit-reproducible across hosts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,13 +28,13 @@ UNIT = 10**9
 # rates stay well inside practical integer sizes.
 MAX_RAW = 2**127 - 1
 
-# Index renormalization: once numerator or denominator outgrows this bound
-# the fraction is rescaled onto a fixed power-of-ten denominator.  The
-# relative error of one rescale is below 5e-28 for any index value above
-# 10^-3, far inside the 1e-15 budget the rest of the system assumes.
-_RENORM_LIMIT = 2**128
-_RENORM_DEN = 10**30
-_RENORM_MIN_NUM = 10**27
+# The index grid: each rebase rounds the index onto the denominator
+# 10^(30+3j), the smallest j >= 0 that keeps the numerator >= 10^27 (j = 0
+# for any index >= 10^-3).  One rounding errs below 5e-28 relative, far
+# inside the 1e-15 budget the rest of the system assumes, and the terms'
+# size depends on the index's value alone, not on how many periods ran.
+_GRID = 10**30
+_MIN_NUM = 10**27
 
 
 def _parse_fixed(text: str, *, allow_sign: bool) -> int:
@@ -128,7 +129,11 @@ class Rate:
 
 @dataclass(frozen=True, slots=True)
 class Index:
-    """Cumulative rebase factor Pi(1 + r_i) as an exact positive rational."""
+    """Cumulative rebase factor Pi(1 + r_i) as a positive fraction num/den.
+
+    grow_index keeps it on the grid (den a power of ten, never reduced);
+    identity() and a restored snapshot may hold any positive fraction.
+    """
 
     num: int
     den: int
@@ -153,23 +158,15 @@ def growth_factor(r: Rate) -> int:
 
 
 def grow_index(idx: Index, r: Rate) -> Index:
-    """Multiply the index by (1 + r) exactly, renormalizing when large.
+    """Multiply the index by (1 + r), rounding half up onto the grid.
 
-    Renormalization first reduces by gcd (lossless); only when the
-    reduced terms still exceed the size limit is the fraction rescaled
-    onto a fixed denominator, and only when doing so keeps the relative
-    error below 5e-28.  Growing at r = 0 is an exact identity.
+    The result's denominator is 10^(30+3j) for the smallest j >= 0 that
+    keeps its numerator >= 10^27 (see _GRID).  An index already on the
+    grid grows at r = 0 unchanged; any other lands on the grid.
     """
     num = idx.num * growth_factor(r)
     den = idx.den * UNIT
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if num > _RENORM_LIMIT or den > _RENORM_LIMIT:
-        rescaled = (num * _RENORM_DEN + den // 2) // den
-        if rescaled >= _RENORM_MIN_NUM:
-            g = math.gcd(rescaled, _RENORM_DEN)
-            num, den = rescaled // g, _RENORM_DEN // g
-        # else: the index has collapsed below ~1e-3; keep it exact rather
-        # than accept a renormalization error outside the budget.
-    return Index(num, den)
+    grid = _GRID
+    while (rescaled := (num * grid + den // 2) // den) < _MIN_NUM:
+        grid *= 1000
+    return Index(rescaled, grid)

@@ -5,8 +5,11 @@ one_plus keeps its own 1 + r > 0 check rather than borrowing
 numerics.growth_factor.
 """
 
+import csv
 import math
+import statistics
 from fractions import Fraction
+from pathlib import Path
 
 from toroid.errors import NonPositiveFactorError
 from toroid.ledger import SHARE_SCALE, Ledger
@@ -36,3 +39,23 @@ def supply_by_division(ledger: Ledger) -> Amount:
     """Total supply as one floor division per account, over den * SHARE_SCALE."""
     num, den = ledger.index.num, ledger.index.den * SHARE_SCALE
     return Amount(sum(a.shares * num // den for a in ledger.accounts.values()))
+
+
+def volatility_ratio(series_csv: Path, market_csv: Path, horizon: int) -> float:
+    """TRD/base volatility at a horizon of so many periods.
+
+    The standard deviation of overlapping log returns of trd_price in a
+    simulate series, over that of the base price on the same dates.
+    """
+    with open(series_csv, newline="", encoding="utf-8") as f:
+        trd = {row["date"]: float(row["trd_price"]) for row in csv.DictReader(f)}
+    with open(market_csv, newline="", encoding="utf-8") as f:
+        base = {row["date"]: float(row["price"]) for row in csv.DictReader(f)}
+    dates = [date for date in base if date in trd]
+
+    def volatility(prices: list[float]) -> float:
+        return statistics.pstdev(
+            math.log(later / earlier) for earlier, later in zip(prices, prices[horizon:])
+        )
+
+    return volatility([trd[d] for d in dates]) / volatility([base[d] for d in dates])

@@ -346,9 +346,9 @@ class TestForkMatchesTwoArms:
 # attacker's balance once, so the extra holdings sit within one raw TRD of
 # the exact h * (growth_att - growth_cf); valued at a peg of at most 2 base
 # per TRD and floored to base units, the gain sits in (G - 3, G + 2) around
-# the exact value G.  From the fifth period on the ledger may renormalise
-# its index, which can tip each floor by one more raw unit; scaling the
-# slack by the periods covers that, as it does for the supply.
+# the exact value G.  From the fourth period on the ledger may round its
+# index onto the grid, which can tip each floor by one more raw unit;
+# scaling the slack by the periods covers that, as it does for the supply.
 VERDICT_SLACK = 3
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -678,7 +679,8 @@ OPS = st.lists(
     ),
     max_size=40,
 )
-# Twelve rebases at 1 + 0.123456789 push the exact index past 2^128.
+# Twelve rebases at 1 + 0.123456789: from the fourth on, the exact product
+# has more decimals than the grid and the index rounds.
 RENORMALISING_OPS = [("open", 0, 0, 10**12)] + [("rebase", 0, 0, 123_456_789)] * 12
 
 
@@ -792,8 +794,8 @@ class TestSupplyReciprocal:
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_matches_one_division_per_account(self, data):
-        # den reaches far past the 2**128 renormalization bound, as in a
-        # collapsed index
+        # den reaches far past the grid's 10**30, as a restored snapshot's
+        # index may
         num = data.draw(st.integers(1, 2**64) | st.integers(1, 2**300))
         den = data.draw(st.integers(1, 2**64) | st.integers(2**128, 2**300))
         ledger = restored(num, den, data.draw(st.lists(edge_shares(num, den), max_size=6)))
@@ -813,6 +815,59 @@ class TestSupplyReciprocal:
             assert supply_or_overflow(Ledger.total_supply, ledger) == supply_or_overflow(
                 supply_by_division, ledger
             )
+
+
+def grid_step(idx) -> int:
+    """The j of an index on the grid 10^-(30+3j); fails for any other index."""
+    exponent = len(str(idx.den)) - 1
+    assert idx.den == 10**exponent and exponent >= 30 and exponent % 3 == 0
+    return (exponent - 30) // 3
+
+
+def collapsing_ledger() -> Ledger:
+    """Three accounts after twelve rebases at -0.499999999: index ~2.4e-4."""
+    ledger = fresh()
+    for tokens in (1, 3, 7):
+        ledger.open_account(Amount.from_tokens(tokens))
+    for _ in range(12):
+        ledger.rebase(Rate(-499_999_999))
+    return ledger
+
+
+class TestBoundedIndex:
+    """Every rebase rounds the index onto the grid, so its terms depend on
+    its value alone, never on how many periods ran."""
+
+    def test_long_collapsed_run_snapshots(self):
+        ledger = collapsing_ledger()
+        for period in range(500):
+            ledger.rebase(Rate(-499_999_999 if period % 2 == 0 else 999_999_997))
+        text = ledger.snapshot()
+        assert Ledger.restore(text).snapshot() == text
+        assert ledger.total_supply() == supply_by_division(ledger)
+        assert grid_step(ledger.index) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rates=st.lists(
+            st.integers(-UNIT + 1, -UNIT + 1_000)
+            | st.integers(-UNIT + 1, -400_000_000)
+            | st.integers(-UNIT + 1, UNIT),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_every_rebase_lands_on_the_grid(self, rates):
+        ledger = collapsing_ledger()
+        for ppb in rates:
+            ledger.rebase(Rate(ppb))
+            j = grid_step(ledger.index)
+            assert ledger.index.num >= 10**27
+            if index_value(ledger.index) >= Fraction(1, 1000):
+                assert j == 0
+            if j > 0:
+                assert ledger.index.num < 10**30
+            assert ledger.total_supply() == supply_by_division(ledger)
 
 
 class TestAccount:

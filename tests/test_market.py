@@ -14,6 +14,8 @@ from toroid.harness import load_market_csv, run_backtest
 from toroid.market import MarketState, initial_market, peg_ceiling, step_price
 from toroid.numerics import UNIT, Amount, Rate
 
+from oracles import volatility_ratio
+
 
 class TestStepPrice:
     def test_identity_step(self, cfg):
@@ -143,3 +145,10 @@ class TestVolatilityReduction:
         trd_prices = [record.market.trd_price for _, record in series]
         trd_returns = [math.log(b / a) for a, b in zip(trd_prices, trd_prices[1:])]
         assert statistics.pstdev(trd_returns) < statistics.pstdev(input_returns)
+
+    @pytest.mark.parametrize("horizon, ratio", [(1, "0.960"), (7, "1.151"), (30, "1.468")])
+    def test_volatility_ratio_on_the_bundled_run(self, sample_market_path, horizon, ratio):
+        # the paper's stability claim on the pinned run: the rebase damps
+        # 1-period moves and amplifies 7- and 30-period ones
+        series = sample_market_path.parents[1] / "benchmarks" / "golden" / "simulate.csv"
+        assert f"{volatility_ratio(series, sample_market_path, horizon):.3f}" == ratio
