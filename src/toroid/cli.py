@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -38,7 +39,13 @@ EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every main() call.
+
+    parse_args reads the parser and never changes it, so one tree serves
+    any number of calls in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="toroid", description="Toroid stablecoin simulator"
     )

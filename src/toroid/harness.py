@@ -57,10 +57,11 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
         fields = line.split(",")
         if len(fields) != 3:
             raise MarketDataError(f"expected 3 fields, got {len(fields)}", line=lineno)
+        date_text = fields[0].strip()
         try:
-            date = dt.date.fromisoformat(fields[0].strip())
+            date = dt.date.fromisoformat(date_text)
             # Newer Pythons also parse "20170101" and "2017-W01-1".
-            if date.isoformat() != fields[0].strip():
+            if date.isoformat() != date_text:
                 raise ValueError("not YYYY-MM-DD")
         except ValueError as exc:
             raise MarketDataError(f"bad date {fields[0]!r}", line=lineno) from exc
@@ -82,7 +83,7 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
             raise NonMonotoneDatesError(
                 f"date {date} does not follow {rows[-1].date}", line=lineno
             )
-        rows.append(MarketRow(date=date, price=price, tx_count=tx_count))
+        rows.append(MarketRow(date, price, tx_count))
     return rows
 
 

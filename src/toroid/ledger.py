@@ -21,6 +21,7 @@ its own; deposits and withdrawals are pure integer addition on collateral.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -318,12 +319,22 @@ class Ledger:
         """Serialize full state; the round trip is bit-exact.
 
         Line 1 is v3,peg_ppb,index_num,index_den,period; each further line
-        is id,shares,collateral,created_period.
+        is id,shares,collateral,created_period.  An index too small for
+        its terms to be written as decimal text (below about 10^-4270 at
+        Python's default limit) raises SnapshotError.
         """
-        lines = [
-            f"v3,{self.peg_ratio.ppb},"
-            f"{self.index.num},{self.index.den},{self.current_period}"
-        ]
+        index = self.index
+        try:
+            lines = [
+                f"v3,{self.peg_ratio.ppb},"
+                f"{index.num},{index.den},{self.current_period}"
+            ]
+        except ValueError as exc:
+            raise SnapshotError(
+                f"index terms of {index.num.bit_length()}/{index.den.bit_length()} "
+                f"bits exceed the interpreter's {sys.get_int_max_str_digits()}-digit "
+                "limit for int-to-str conversion"
+            ) from exc
         for account_id, account in self.accounts.items():
             lines.append(
                 f"{account_id},{account.shares},{account.collateral.raw},"

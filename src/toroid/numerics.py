@@ -64,8 +64,11 @@ def _parse_fixed(text: str, *, allow_sign: bool) -> int:
 
 def format_raw(value: int) -> str:
     """Render a signed raw nano-unit count as a decimal token string."""
-    whole, frac = divmod(abs(value), UNIT)
-    return f"-{whole}.{frac:09d}" if value < 0 else f"{whole}.{frac:09d}"
+    # The integer's own digits, padded to at least one whole digit, with
+    # the point set before the last nine.
+    digits = str(abs(value)).rjust(10, "0")
+    text = f"{digits[:-9]}.{digits[-9:]}"
+    return "-" + text if value < 0 else text
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -163,10 +166,25 @@ def grow_index(idx: Index, r: Rate) -> Index:
     The result's denominator is 10^(30+3j) for the smallest j >= 0 that
     keeps its numerator >= 10^27 (see _GRID).  An index already on the
     grid grows at r = 0 unchanged; any other lands on the grid.
+
+    Below 10^-3 the terms' bit lengths place num/den within a factor of
+    four, less than the factor of 1000 between neighbouring grids, so
+    they name a j that is sure to hold and only j - 1 is left to try.
     """
     num = idx.num * growth_factor(r)
     den = idx.den * UNIT
-    grid = _GRID
-    while (rescaled := (num * grid + den // 2) // den) < _MIN_NUM:
-        grid *= 1000
-    return Index(rescaled, grid)
+    rescaled = (num * _GRID + den // 2) // den
+    if rescaled >= _MIN_NUM:
+        return Index(rescaled, _GRID)
+    # num/den > 2^-bits > 10^-digits, as 0.301029995664 > log10(2); the
+    # first j with 10^(3+3j) >= 10^digits is sure to hold, so it is >= 1.
+    bits = den.bit_length() - num.bit_length() + 1
+    digits = -(-bits * 301029995664 // 10**12)
+    j = -(-(digits - 3) // 3)
+    grid = 10 ** (30 + 3 * j)
+    if j > 1:
+        lower = grid // 1000
+        rescaled = (num * lower + den // 2) // den
+        if rescaled >= _MIN_NUM:
+            return Index(rescaled, lower)
+    return Index((num * grid + den // 2) // den, grid)

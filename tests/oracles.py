@@ -1,8 +1,8 @@
 """Exact reference helpers that the tests check the library against.
 
 Each one restates a rule on its own, without calling the code it checks:
-one_plus keeps its own 1 + r > 0 check rather than borrowing
-numerics.growth_factor.
+one_plus and grow_index_by_search keep their own 1 + r > 0 check rather
+than borrowing numerics.growth_factor.
 """
 
 import csv
@@ -28,6 +28,25 @@ def one_plus(r: Rate) -> Index:
         raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
     g = math.gcd(factor, UNIT)
     return Index(factor // g, UNIT // g)
+
+
+def grow_index_by_search(idx: Index, r: Rate) -> Index:
+    """idx * (1 + r) rounded half up onto the grid 10^-(30+3j), trying
+    j = 0, 1, 2, ... until the numerator reaches 10^27."""
+    factor = UNIT + r.ppb
+    if factor <= 0:
+        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
+    num, den = idx.num * factor, idx.den * UNIT
+    grid = 10**30
+    while (rescaled := (num * grid + den // 2) // den) < 10**27:
+        grid *= 1000
+    return Index(rescaled, grid)
+
+
+def format_raw_by_divmod(value: int) -> str:
+    """A signed raw nano-unit count as text, from its whole and fractional parts."""
+    whole, frac = divmod(abs(value), UNIT)
+    return f"-{whole}.{frac:09d}" if value < 0 else f"{whole}.{frac:09d}"
 
 
 def apply_index(shares: Amount, idx: Index) -> Amount:

@@ -3,9 +3,12 @@
 Each Python 3.10-3.13 that starts on this host runs the README's
 simulate command, its three attack commands, `toroid ledger demo` and the
 sample series generator in one stdlib-only subprocess, and every file it
-writes, and the demo's stdout, must match the committed bytes.  An
-interpreter that is missing, or that is found but does not start (a
-version shim with no version behind it), is skipped by name.
+writes, and the demo's stdout, must match the committed bytes.  The four
+README commands run twice, the second round in reverse order, so each
+runs after the others on the parser main() keeps for the process; the
+child also holds format_raw to the divmod rendering on 10,000 seeded
+values.  An interpreter that is missing, or that is found but does not
+start (a version shim with no version behind it), is skipped by name.
 """
 
 import json
@@ -40,15 +43,31 @@ EXPECTED = {name: (GOLDEN / name).read_bytes() for name in README_RUNS} | {
     "ledger-demo.txt": DEMO_STDOUT.encode(),
 }
 
-# Run with -S, so nothing but the standard library and src/ is importable.
+# The second round's files go here, under the same names.
+AGAIN = "again"
+
+# Run with -S, so nothing but the standard library, src/ and tests/ is
+# importable.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, random, sys
 from pathlib import Path
+from oracles import format_raw_by_divmod
 from toroid import cli, datagen
-out, runs = Path(sys.argv[1]), json.loads(sys.argv[2])
-for name, argv in runs.items():
-    if cli.main([*argv, "--out", str(out / name)]) != 0:
-        sys.exit(f"{name}: nonzero exit")
+from toroid.numerics import MAX_RAW, UNIT, format_raw
+out, runs, again = Path(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+(out / again).mkdir()
+for where, names in ((out, list(runs)), (out / again, list(runs)[::-1])):
+    for name in names:
+        if cli.main([*runs[name], "--out", str(where / name)]) != 0:
+            sys.exit(f"{name}: nonzero exit")
+rng = random.Random(17)
+edges = [0, 1, UNIT - 1, UNIT, MAX_RAW]
+values = [*edges, *(-v for v in edges)] + [
+    rng.randint(-2**128, 2**128) >> rng.randrange(129) for _ in range(10_000)
+]
+differ = [v for v in values if format_raw(v) != format_raw_by_divmod(v)]
+if differ:
+    sys.exit(f"format_raw differs from divmod at {differ[:3]}")
 if datagen.main([str(out / "sample_market.csv")]) != 0:
     sys.exit("sample_market.csv: nonzero exit")
 demo = io.StringIO()
@@ -86,14 +105,18 @@ def test_outputs_byte_identical(minor, tmp_path):
     exe = _interpreter(minor)
     if exe is None:
         pytest.skip(f"no Python 3.{minor} interpreter starts here")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
-        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS)],
+        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
+    written = {name: tmp_path / name for name in EXPECTED} | {
+        f"{AGAIN}/{name}": tmp_path / AGAIN / name for name in README_RUNS
+    }
     differ = [
-        name for name, expected in EXPECTED.items()
-        if (tmp_path / name).read_bytes() != expected
+        name for name, path in written.items()
+        if path.read_bytes() != EXPECTED[path.name]
     ]
     assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid import harness
+from toroid import cli, harness
 from toroid.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from toroid.controller import dump_config, load_config
 from toroid.harness import (
@@ -595,6 +595,46 @@ class TestLedgerDemo:
     def test_demo_walks_the_peg_rules(self, capsys):
         assert main(["ledger", "demo"]) == EXIT_OK
         assert capsys.readouterr().out == DEMO_STDOUT
+
+
+class TestOneParserPerProcess:
+    def test_calls_in_sequence_leave_nothing_behind(self, tmp_path, capsys):
+        # main() may share one parser across calls: a flag, a default or an
+        # error of one call must not reach the next
+        build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
+
+        def fresh_parser_prints(argv):
+            with pytest.raises(SystemExit) as done:
+                build().parse_args(argv)
+            return done.value.code, capsys.readouterr()
+
+        pump = ["attack", *PUMP_DUMP, "--config", str(DEFAULT_CFG)]
+        for golden, flags in (
+            ("attack-pump-dump-no-gas-cap.csv", ["--no-gas-cap"]),
+            ("attack-pump-dump.csv", []),
+        ):
+            out = tmp_path / golden
+            assert main([*pump, "--out", str(out), *flags]) == EXIT_OK
+            assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+        capsys.readouterr()
+
+        usage_error = ["attack", "pump-dump", "--delta-v", "x"]
+        assert main(usage_error) == EXIT_INPUT
+        printed = capsys.readouterr()
+        assert fresh_parser_prints(usage_error) == (2, printed)
+        assert "error: argument --delta-v" in printed.err
+
+        out = tmp_path / "simulate.csv"
+        argv = [*simulate_argv(ROOT / "data" / "sample_market.csv", out),
+                "--gas-cost-trd", "0.1"]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "simulate.csv").read_bytes()
+        capsys.readouterr()
+
+        assert main(["-h"]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert fresh_parser_prints(["-h"]) == (0, printed)
+        assert printed.out.startswith("usage: toroid [-h]")
 
 
 class TestEntryPoints:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -846,6 +847,27 @@ class TestBoundedIndex:
         assert Ledger.restore(text).snapshot() == text
         assert ledger.total_supply() == supply_by_division(ledger)
         assert grid_step(ledger.index) == 1
+
+    def test_snapshot_past_the_digit_limit_is_a_snapshot_error(self):
+        # 474 rebases at -0.999999999 leave a 4,294-digit denominator, the
+        # 475th one of 4,303 digits, past Python's default 4,300 limit.
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter sets no int-to-str limit")
+        ledger = fresh()
+        ledger.open_account(Amount.from_tokens(1000))
+        for _ in range(474):
+            ledger.rebase(Rate(-UNIT + 1))
+        text = ledger.snapshot()
+        assert Ledger.restore(text).snapshot() == text
+        ledger.rebase(Rate(-UNIT + 1))
+        before = ledger.copy()
+        with pytest.raises(SnapshotError, match=f"{limit}-digit limit") as exc:
+            ledger.snapshot()
+        assert "index terms of 90/14291 bits" in str(exc.value)
+        assert ledger.index == before.index
+        assert ledger.accounts == before.accounts
+        assert ledger.total_supply() == before.total_supply()
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -13,7 +13,13 @@ from toroid.errors import (
 )
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
 
-from oracles import apply_index, index_value, one_plus
+from oracles import (
+    apply_index,
+    format_raw_by_divmod,
+    grow_index_by_search,
+    index_value,
+    one_plus,
+)
 
 
 class TestAmount:
@@ -93,6 +99,24 @@ class TestFixedPointStrings:
             assert Amount.from_tokens(text).raw == value
 
 
+class TestFormatRaw:
+    """format_raw renders from the integer's digits; the divmod rendering
+    it replaced is the oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        value=st.integers(-(2**128), 2**128)
+        | st.sampled_from([0, 1, UNIT - 1, UNIT, MAX_RAW])
+    )
+    def test_matches_divmod_and_reads_back(self, value):
+        for v in (value, -value):
+            text = format_raw(v)
+            assert text == format_raw_by_divmod(v)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                assert Decimal(text).scaleb(9) == v
+
+
 class TestApplyIndex:
     def test_exact_rational(self):
         assert apply_index(Amount(10 * UNIT), Index(11, 10)).raw == 11 * UNIT
@@ -148,6 +172,27 @@ class TestGrowIndex:
         # 1 + 0.5e-30 lies halfway between two grid points
         idx = Index(2 * 10**30 + 1, 2 * 10**30)
         assert grow_index(idx, Rate(0)) == Index(10**30 + 1, 10**30)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        j=st.integers(0, 1_656),
+        # num * UNIT just past a power of two is where the bit lengths
+        # bound num/den most tightly
+        num=st.integers(1, 10**40)
+        | st.integers(0, 132).map(lambda k: -(-(2**k) // UNIT)),
+        off_grid=st.integers(1, 10**6),
+        ppb=st.integers(-UNIT + 1, -UNIT + 1_000) | st.integers(-UNIT + 1, 10 * UNIT),
+    )
+    @example(j=5, num=2 * 10**27 - 1, off_grid=2, ppb=0)  # a tie right at 10^27
+    @example(j=5, num=2 * 10**27 - 2, off_grid=2, ppb=0)  # just under it
+    @example(j=1_656, num=1, off_grid=1, ppb=-UNIT + 1)  # about 10^-5010
+    @example(j=0, num=10**27, off_grid=1, ppb=-1)
+    @example(j=1, num=4_611_686_019, off_grid=5, ppb=0)  # num * UNIT just past 2^62
+    def test_matches_the_grid_search(self, j, num, off_grid, ppb):
+        # on the grid when off_grid is 1, anywhere in between otherwise;
+        # values reach down to about 10^-5000
+        idx = Index(num, off_grid * 10 ** (30 + 3 * j))
+        assert grow_index(idx, Rate(ppb)) == grow_index_by_search(idx, Rate(ppb))
 
     def test_non_positive_factor(self):
         with pytest.raises(NonPositiveFactorError):
