@@ -13,7 +13,6 @@ peg ceiling, the best price any sale could fetch.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .controller import RebaseConfig
@@ -21,12 +20,12 @@ from .errors import ConfigError, InvariantViolationError
 from .harness import _GENESIS, step_period
 from .ledger import Ledger, _valid_id
 from .market import MarketState, initial_market
-from .numerics import UNIT, Amount, format_raw
+from .numerics import UNIT, Amount, format_raw, record
 
 _ATTACKER = "attacker"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SybilScenario:
     """One volume-manipulation scenario.
 
@@ -56,7 +55,7 @@ class SybilScenario:
             raise ValueError("start_period must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AttackReport:
     """Outcome of one scenario; net_profit_base is signed raw base units."""
 

@@ -14,12 +14,12 @@ them from as many threads as they like.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
 from .errors import AmountOverflowError, ConfigError, ZeroSupplyError
-from .numerics import UNIT, Amount, Rate
+from .numerics import UNIT, Amount, Rate, record
 
 # Natural-log precision (decimal digits) of the exact volume response.
 # Decimal ln is correctly rounded, so _volume_rate_exact floors to the same
@@ -57,7 +57,7 @@ _GUARD_SCALE = 2.0**-40
 HARD_FLOOR_PPB = -990_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RebaseConfig:
     """All controller constants.
 
@@ -91,7 +91,7 @@ class RebaseConfig:
         return self.gas_cost_base.raw * UNIT // self.peg_ratio.ppb
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PeriodMetrics:
     """Endogenous inputs measured over one period.
 
@@ -107,7 +107,7 @@ class PeriodMetrics:
     s: Amount
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RateBreakdown:
     r_initial: Rate
     r_vol: Rate

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .ledger import Ledger
 from .market import MarketState, initial_market, peg_ceiling, step_price
-from .numerics import UNIT, Amount
+from .numerics import UNIT, Amount, record
 
 MARKET_CSV_HEADER = "date,price,tx_count"
 SERIES_CSV_HEADER = (
@@ -35,7 +34,7 @@ _GENESIS = "genesis"
 _ARBITRAGEUR = "arb"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MarketRow:
     date: dt.date
     price: float
@@ -87,7 +86,7 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
     return rows
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PeriodRecord:
     """What one period produced: its rates, the market and supply after it.
 

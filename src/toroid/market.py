@@ -15,15 +15,14 @@ rounds it down to an amount with exact collateral and deposits it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .controller import RebaseConfig
 from .errors import NonFinitePriceError, NonPositiveReturnError
-from .numerics import UNIT, Amount, Rate, growth_factor
+from .numerics import UNIT, Amount, Rate, growth_factor, record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MarketState:
     trd_price: float
     base_price: float

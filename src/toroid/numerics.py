@@ -13,7 +13,7 @@ integer math and therefore bit-reproducible across hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import (
     AmountOverflowError,
@@ -35,6 +35,40 @@ MAX_RAW = 2**127 - 1
 # size depends on the index's value alone, not on how many periods ran.
 _GRID = 10**30
 _MIN_NUM = 10**27
+
+
+def record(cls=None, /, *, order: bool = False):
+    """``@dataclass(frozen=True, slots=True, order=order)`` with a faster ``__init__``.
+
+    The stock frozen ``__init__`` stores each field through
+    ``object.__setattr__``; this one, generated per class as dataclasses
+    generates its own, stores through each slot's own setter and then
+    calls ``self.__post_init__()`` if the class defines one.  It keeps the
+    parameters, defaults and annotations of the stock one.  Everything
+    else (frozen assignment, eq, hash, order, repr, fields, replace,
+    pickling) is dataclass's own.
+    """
+
+    def wrap(cls):
+        cls = dataclass(cls, frozen=True, slots=True, order=order)
+        stock, params = cls.__init__, fields(cls)
+        if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in params):
+            raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
+        names = [f.name for f in params]
+        body = [f"    _set_{name}(self, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        namespace = {f"_set_{name}": vars(cls)[name].__set__ for name in names}
+        exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = stock.__defaults__
+        init.__annotations__ = stock.__annotations__
+        init.__qualname__ = stock.__qualname__
+        init.__module__ = stock.__module__
+        cls.__init__ = init
+        return cls
+
+    return wrap if cls is None else wrap(cls)
 
 
 def _parse_fixed(text: str, *, allow_sign: bool) -> int:
@@ -71,7 +105,7 @@ def format_raw(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@record(order=True)
 class Amount:
     """A non-negative token quantity in raw nano-units.
 
@@ -111,7 +145,7 @@ class Amount:
         return Amount(self.raw - other.raw)
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@record(order=True)
 class Rate:
     """A dimensionless signed rate in parts-per-billion (value = ppb / 10^9)."""
 
@@ -130,7 +164,7 @@ class Rate:
         return format_raw(self.ppb)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Index:
     """Cumulative rebase factor Pi(1 + r_i) as a positive fraction num/den.
 

@@ -8,6 +8,7 @@ than borrowing numerics.growth_factor.
 import csv
 import math
 import statistics
+from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,3 +79,41 @@ def volatility_ratio(series_csv: Path, market_csv: Path, horizon: int) -> float:
         )
 
     return volatility([trd[d] for d in dates]) / volatility([base[d] for d in dates])
+
+
+def log_return_split(
+    series_csv: Path, market_csv: Path, peg: float
+) -> list[tuple[float, float, float]]:
+    """Each period's TRD log return as (market, rebase, residual).
+
+    The market part is ln(base_t / base_t-1), the rebase part is
+    -ln(1 + r_combined_t), and the residual is what the two leave of
+    ln(trd_t / trd_t-1).  TRD launches at peg times the first base price.
+    """
+    with open(series_csv, newline="", encoding="utf-8") as f:
+        series = list(csv.DictReader(f))
+    with open(market_csv, newline="", encoding="utf-8") as f:
+        base = {row["date"]: float(row["price"]) for row in csv.DictReader(f)}
+    first = next(iter(base))
+    trd = [peg * base[first]] + [float(row["trd_price"]) for row in series]
+    dates = [first] + [row["date"] for row in series]
+    out = []
+    for t, row in enumerate(series, start=1):
+        market = math.log(base[dates[t]] / base[dates[t - 1]])
+        rebase = -math.log1p(float(row["r_combined"]))
+        out.append((market, rebase, math.log(trd[t] / trd[t - 1]) - market - rebase))
+    return out
+
+
+def stock_twin(cls: type, *, order: bool = False) -> type:
+    """cls's name, fields, defaults and __post_init__ under a stock
+    @dataclass(frozen=True, slots=True, order=order)."""
+    namespace = {k: v for k, v in vars(cls).items() if k == "__post_init__"}
+    return make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, field(default=f.default)) for f in fields(cls)],
+        namespace=namespace,
+        frozen=True,
+        slots=True,
+        order=order,
+    )

@@ -14,7 +14,7 @@ from toroid.harness import load_market_csv, run_backtest
 from toroid.market import MarketState, initial_market, peg_ceiling, step_price
 from toroid.numerics import UNIT, Amount, Rate
 
-from oracles import volatility_ratio
+from oracles import log_return_split, volatility_ratio
 
 
 class TestStepPrice:
@@ -152,3 +152,15 @@ class TestVolatilityReduction:
         # 1-period moves and amplifies 7- and 30-period ones
         series = sample_market_path.parents[1] / "benchmarks" / "golden" / "simulate.csv"
         assert f"{volatility_ratio(series, sample_market_path, horizon):.3f}" == ratio
+
+    def test_the_rebase_leans_against_the_market(self, sample_market_path):
+        # each period's TRD log return is the base return plus -ln(1 + r);
+        # only the nine-decimal trd_price is left over.  Over the pinned
+        # run the two parts move against each other.
+        series = sample_market_path.parents[1] / "benchmarks" / "golden" / "simulate.csv"
+        split = log_return_split(series, sample_market_path, peg=0.1)
+        market, rebase, residual = zip(*split)
+        assert len(split) == 499
+        assert max(map(abs, residual)) <= 1e-7
+        assert f"{statistics.correlation(market, rebase):.3f}" == "-0.233"
+        assert f"{statistics.covariance(market, rebase):.2e}" == "-1.58e-04"

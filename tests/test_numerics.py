@@ -1,4 +1,9 @@
+import copy
+import datetime as dt
+import inspect
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -6,8 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toroid import (
+    AttackReport,
+    MarketRow,
+    MarketState,
+    PeriodMetrics,
+    PeriodRecord,
+    RateBreakdown,
+    RebaseConfig,
+    SybilScenario,
+)
 from toroid.errors import (
     AmountOverflowError,
+    ConfigError,
     NegativeAmountError,
     NonPositiveFactorError,
 )
@@ -19,6 +35,7 @@ from oracles import (
     grow_index_by_search,
     index_value,
     one_plus,
+    stock_twin,
 )
 
 
@@ -258,3 +275,164 @@ class TestRoundTrip:
             chained = apply_index(s, grow_index(idx, r)).raw
             stepwise = apply_index(apply_index(s, idx), one_plus(r)).raw
             assert 0 <= chained - stepwise <= 1
+
+
+# Two instances of every value type, as positional arguments; the first
+# sorts before the second where the type is ordered.
+_RATES = (Rate(1), Rate(2), Rate(3), Rate(4))
+RECORDS = [
+    (Amount, (5,), (7,)),
+    (Rate, (-3,), (4,)),
+    (Index, (3, 2), (5, 4)),
+    (RebaseConfig, (), (11, 0, Rate(5), Amount(6), Rate(7), False)),
+    (PeriodMetrics, (1, 2, 3, Amount(4)), (5, 6, 7, Amount(8))),
+    (RateBreakdown, _RATES, _RATES[::-1]),
+    (MarketState, (1.0, 1.0), (0.5, 2.0, Amount(3))),
+    (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
+    (
+        PeriodRecord,
+        (RateBreakdown(*_RATES), MarketState(1.0, 1.0), Amount(9)),
+        (RateBreakdown(*_RATES[::-1]), MarketState(0.5, 2.0), Amount(10)),
+    ),
+    (SybilScenario, (10, 2, 0, Amount(100), Amount(5), 90), (20, 3, 1, Amount(9), Amount(0), 0)),
+    (AttackReport, (Amount(1), Amount(2), Amount(3), -4, False), (Amount(5), Amount(6), Amount(7), 8, True)),
+]
+ORDERED = {Amount, Rate}
+TWINS = {cls: stock_twin(cls, order=cls in ORDERED) for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, args, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestFrozenRecords:
+    """Each value type behaves as a stock frozen slots dataclass."""
+
+    def test_is_a_frozen_slots_dataclass(self, cls, args, other):
+        obj = cls(*args)
+        assert is_dataclass(cls) and "__slots__" in vars(cls)
+        assert not hasattr(obj, "__dict__")
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, args, other):
+        obj = cls(*args)
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, f.name)
+        assert obj == cls(*args)
+
+    def test_positional_keyword_and_default_construction(self, cls, args, other):
+        names = [f.name for f in fields(cls)]
+        for values in (args, other):
+            obj = cls(*values)
+            assert obj == cls(**dict(zip(names, values)))
+            assert tuple(getattr(obj, name) for name in names[: len(values)]) == values
+            for f in fields(cls)[len(values):]:
+                assert getattr(obj, f.name) == f.default
+
+    def test_replace(self, cls, args, other):
+        obj, new = cls(*args), cls(*other)
+        assert replace(obj, **{f.name: getattr(new, f.name) for f in fields(cls)}) == new
+        assert replace(obj) == obj
+
+    def test_copy_and_pickle_round_trip(self, cls, args, other):
+        obj = cls(*other)
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is cls
+            assert clone == obj and hash(clone) == hash(obj)
+
+    def test_matches_its_stock_twin(self, cls, args, other):
+        twin = TWINS[cls]
+        a, b, ta, tb = cls(*args), cls(*other), twin(*args), twin(*other)
+        assert inspect.signature(cls) == inspect.signature(twin)
+        assert cls.__match_args__ == twin.__match_args__
+        assert [repr(a), repr(b)] == [repr(ta), repr(tb)]
+        assert [hash(a), hash(b)] == [hash(ta), hash(tb)]
+        assert [a == b, a == cls(*args), a != b] == [ta == tb, ta == twin(*args), ta != tb]
+        if cls in ORDERED:
+            assert [a < b, b < a, a <= a] == [ta < tb, tb < ta, ta <= ta] == [True, False, True]
+        else:
+            with pytest.raises(TypeError):
+                a < b
+            with pytest.raises(TypeError):
+                ta < tb
+
+    def test_bad_calls_fail_as_in_its_stock_twin(self, cls, args, other):
+        for call in (lambda c: c(*args, *other, None), lambda c: c(*args, unexpected=1)):
+            with pytest.raises(TypeError) as ours:
+                call(cls)
+            with pytest.raises(TypeError) as stock:
+                call(TWINS[cls])
+            assert str(ours.value) == str(stock.value)
+
+
+def _scenario(delta_v=1, periods=1, baseline_v=0, supply=1, holdings=0, start=0):
+    return SybilScenario(delta_v, periods, baseline_v, Amount(supply), Amount(holdings), start)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: Amount(-1), NegativeAmountError, "amount cannot be negative: -1"),
+            (lambda: Amount(MAX_RAW + 1), AmountOverflowError,
+             f"amount exceeds capacity: {MAX_RAW + 1}"),
+            (lambda: Amount(1.0), TypeError, "raw must be int, got float"),
+            (lambda: Amount("1"), TypeError, "raw must be int, got str"),
+            (lambda: replace(Amount(1), raw=-2), NegativeAmountError,
+             "amount cannot be negative: -2"),
+            (lambda: Rate(0.5), TypeError, "ppb must be int, got float"),
+            (lambda: Index(1, 0), NonPositiveFactorError, "index denominator must be > 0: 0"),
+            (lambda: Index(0, -1), NonPositiveFactorError, "index denominator must be > 0: -1"),
+            (lambda: Index(0, 1), NonPositiveFactorError, "index numerator must be > 0: 0"),
+            (lambda: RebaseConfig(t0=0), ConfigError, "t0: must be >= 1, got 0"),
+            (lambda: RebaseConfig(peg_ratio=Rate(0)), ConfigError, "peg_ratio: must be positive"),
+            (lambda: RebaseConfig(gas_cost_base=Amount(0)), ConfigError,
+             "gas_cost_base: must be positive"),
+            (lambda: RebaseConfig(bootstrap_periods=-1), ConfigError,
+             "bootstrap_periods: must be >= 0"),
+            (lambda: _scenario(periods=0), ValueError, "periods must be >= 1"),
+            (lambda: _scenario(delta_v=-1), ValueError, "transaction counts must be >= 0"),
+            (lambda: _scenario(baseline_v=-1), ValueError, "transaction counts must be >= 0"),
+            (lambda: _scenario(holdings=2), ValueError,
+             "attacker cannot hold more than the total supply"),
+            (lambda: _scenario(start=-1), ValueError, "start_period must be >= 0"),
+        ],
+    )
+    def test_each_check_raises_its_type_and_message(self, make, error, message):
+        with pytest.raises(Exception) as info:
+            make()
+        assert info.type is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [pytest.param(cls, other, id=cls.__name__)
+         for cls, _, other in RECORDS if "__post_init__" in vars(cls)],
+    )
+    def test_post_init_runs_once_after_every_field_is_stored(self, monkeypatch, cls, args):
+        original = vars(cls)["__post_init__"]
+        seen = []
+
+        def spy(self):
+            seen.append({f.name: getattr(self, f.name) for f in fields(self)})
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+        obj = cls(*args)
+        assert seen == [{f.name: getattr(obj, f.name) for f in fields(obj)}]
+
+    def test_a_post_init_replaced_on_the_class_sees_every_amount(self, monkeypatch):
+        # benchmarks/tracing.py counts numerics.Amount.constructed this way
+        original = vars(Amount)["__post_init__"]
+        built = []
+
+        def counting(self):
+            built.append(self.raw)
+            original(self)
+
+        monkeypatch.setattr(Amount, "__post_init__", counting)
+        Amount(1) + Amount(2)
+        Amount.from_tokens("0.5")
+        replace(Amount(3), raw=4)
+        with pytest.raises(NegativeAmountError):
+            Amount(-1)
+        assert built == [1, 2, 3, 500_000_000, 3, 4, -1]
