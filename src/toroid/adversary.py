@@ -13,13 +13,12 @@ peg ceiling, the best price any sale could fetch.
 from __future__ import annotations
 
 from collections.abc import Callable
-from fractions import Fraction
 
 from .controller import RebaseConfig
 from .errors import ConfigError, InvariantViolationError
 from .harness import _GENESIS, step_period
 from .ledger import Ledger, _valid_id
-from .market import MarketState, initial_market
+from .market import MarketState, initial_market, price_ratio
 from .numerics import UNIT, Amount, format_raw, record
 
 _ATTACKER = "attacker"
@@ -126,7 +125,7 @@ def _price_attack(
     cfg: RebaseConfig,
     buy: int,
     sell: int,
-    sale_price: Callable[[MarketState], Fraction],
+    sale_price: Callable[[MarketState], tuple[int, int]],
 ) -> AttackReport:
     """Run both arms over periods 1..sell and price the attack.
 
@@ -134,8 +133,9 @@ def _price_attack(
     on one ledger, which then forks: the attacked arm injects in every
     period after buy through sell, the counterfactual does not.  The
     attacker's extra TRD is valued at sale_price of the attacked arm's
-    final market, in base coin per TRD; the cost is the gas of every
-    injected transaction.  A negative k_v, which would make injected
+    final market, an exact ratio (num, den) of base coin per TRD, and
+    floored to raw base units; the cost is the gas of every injected
+    transaction.  A negative k_v, which would make injected
     volume shrink the supply, raises ConfigError.
     """
     if cfg.k_v.ppb < 0:
@@ -156,7 +156,8 @@ def _price_attack(
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
-    gain = Amount(int(extra_holdings.raw * sale_price(attacked_market)))
+    num, den = sale_price(attacked_market)
+    gain = Amount(extra_holdings.raw * num // den)
     cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
     net = gain.raw - cost.raw
     return AttackReport(
@@ -174,7 +175,7 @@ def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:
     Both arms see an identical flat market (return 1 every period); the
     only difference is the injected transaction count.
     """
-    peg = Fraction(cfg.peg_ratio.ppb, UNIT)
+    peg = (cfg.peg_ratio.ppb, UNIT)
     return _price_attack(scenario, cfg, 0, scenario.periods, lambda _: peg)
 
 
@@ -200,7 +201,7 @@ def run_pump_and_dump(
     # Sale price in base coin per TRD, taken exactly from the float pair.
     return _price_attack(
         scenario, cfg, buy_period, sell_period,
-        lambda market: Fraction(market.trd_price) / Fraction(market.base_price),
+        lambda market: price_ratio(market.trd_price, market.base_price),
     )
 
 

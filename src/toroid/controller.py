@@ -30,7 +30,7 @@ _LN_PRECISION = 50
 # The fast path runs only where its inputs are exact: both counts below
 # 2**53, so each converts to a float exactly and v / v_prev is one correctly
 # rounded division; |k_v| below 2**40 ppb, so with |ln(v / v_prev)| < 37 the
-# estimate stays below 2**46, far below 2**53 where floats lose fractions.
+# estimate stays below 2**46, far below 2**53, past which floats skip integers.
 # At |k_v| >= 2**40 the guard below is at least 1 and could never pass.
 _FAST_COUNT_LIMIT = 2**53
 _FAST_GAIN_LIMIT = 2**40
@@ -55,6 +55,9 @@ _GUARD_SCALE = 2.0**-40
 # Combined rate never goes below -0.99: one period can never wipe more
 # than 99% of supply, whatever the configuration.
 HARD_FLOOR_PPB = -990_000_000
+
+# volume_rate's result for equal counts; Rate is frozen, so one is shared.
+_ZERO_RATE = Rate(0)
 
 
 @record
@@ -153,7 +156,7 @@ def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     v = max(m.v, 1)
     v_prev = max(m.v_prev, 1)
     if v == v_prev:
-        return Rate(0)
+        return _ZERO_RATE
     k = cfg.k_v.ppb
     if (
         v < _FAST_COUNT_LIMIT
@@ -187,12 +190,20 @@ def combine_components(
     """Assemble the combined rate from already-computed components."""
     body = r_vol.ppb
     if cfg.gas_cap_enabled:
-        # Clamp the volume response into [-r_gas_cap, +r_gas_cap].
-        body = max(-r_gas_cap.ppb, min(r_gas_cap.ppb, body))
+        # Clamp the volume response into [-r_gas_cap, +r_gas_cap].  Both
+        # tests run: for a negative r_gas_cap the second overrides the
+        # first, as max(-cap, min(cap, body)) does.
+        cap = r_gas_cap.ppb
+        if body > cap:
+            body = cap
+        if body < -cap:
+            body = -cap
     combined = r_initial.ppb + body
-    if t < cfg.bootstrap_periods:
-        combined = max(combined, 0)
-    return Rate(max(combined, HARD_FLOOR_PPB))
+    if combined < 0 and t < cfg.bootstrap_periods:
+        combined = 0
+    if combined < HARD_FLOOR_PPB:
+        combined = HARD_FLOOR_PPB
+    return Rate(combined)
 
 
 def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:

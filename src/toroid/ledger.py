@@ -186,7 +186,10 @@ class Ledger:
         d = self.index.den * SHARE_SCALE
         k = MAX_RAW_BITS + d.bit_length()
         m = -((-self.index.num << k) // d)
-        return Amount(sum(a.shares * m >> k for a in self.accounts.values()))
+        total = 0
+        for account in self.accounts.values():
+            total += account.shares * m >> k
+        return Amount(total)
 
     # -- operations ------------------------------------------------------
 

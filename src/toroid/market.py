@@ -7,15 +7,15 @@ times the base-coin price, arbitrageurs fund the contract for cheap TRD,
 so the price is clamped there and the supply that such funding mints is
 recorded.
 
-Prices are floats, deliberately outside the fixed-point core.  The one
-place they reach balance arithmetic is that mint: the period kernel
-rounds it down to an amount with exact collateral and deposits it.
+Prices are floats, deliberately outside the fixed-point core.  Where one
+reaches balance arithmetic it goes in as the exact ratio of two floats
+(price_ratio): the clamp's mint, which the period kernel rounds down to
+an amount with exact collateral and deposits, and an attack's sale price.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .controller import RebaseConfig
 from .errors import NonFinitePriceError, NonPositiveReturnError
@@ -39,6 +39,17 @@ def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
     if ceiling == 0:
         raise NonFinitePriceError(f"peg ceiling underflowed to 0 at base {base_price}")
     return ceiling
+
+
+def price_ratio(x: float, y: float) -> tuple[int, int]:
+    """x / y as an exact integer pair (num, den), for positive finite floats.
+
+    With x = a/b and y = c/d by float.as_integer_ratio(), x / y = a*d / (b*c).
+    The pair is not reduced: callers only multiply by it and floor.
+    """
+    a, b = x.as_integer_ratio()
+    c, d = y.as_integer_ratio()
+    return a * d, b * c
 
 
 def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
@@ -77,7 +88,8 @@ def step_price(
     if implied == 0:
         raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
     if implied > ceiling:
-        # Supply that would dilute the implied price back down to the peg.
-        excess = Fraction(implied) / Fraction(ceiling) - 1
-        return MarketState(ceiling, base_price, Amount(int(supply.raw * excess)))
+        # Supply that would dilute the implied price back down to the peg:
+        # supply * (implied / ceiling - 1), floored.
+        num, den = price_ratio(implied, ceiling)
+        return MarketState(ceiling, base_price, Amount(supply.raw * (num - den) // den))
     return MarketState(implied, base_price)

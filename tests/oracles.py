@@ -12,6 +12,7 @@ from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from toroid.controller import RebaseConfig
 from toroid.errors import NonPositiveFactorError
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import UNIT, Amount, Index, Rate
@@ -42,6 +43,32 @@ def grow_index_by_search(idx: Index, r: Rate) -> Index:
     while (rescaled := (num * grid + den // 2) // den) < 10**27:
         grid *= 1000
     return Index(rescaled, grid)
+
+
+def sale_price_by_fraction(trd_price: float, base_price: float) -> Fraction:
+    """An attack's sale price, base coin per TRD, as one exact Fraction."""
+    return Fraction(trd_price) / Fraction(base_price)
+
+
+def clamp_mint_by_fraction(supply: Amount, implied: float, ceiling: float) -> Amount:
+    """The peg clamp's mint supply * (implied / ceiling - 1), truncated, with
+    the excess taken as one exact Fraction."""
+    excess = Fraction(implied) / Fraction(ceiling) - 1
+    return Amount(int(supply.raw * excess))
+
+
+def combine_by_min_max(
+    t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
+) -> Rate:
+    """The combined rate with each bound as a builtin min or max, in the
+    order gas cap, bootstrap floor, -99% hard floor."""
+    body = r_vol.ppb
+    if cfg.gas_cap_enabled:
+        body = max(-r_gas_cap.ppb, min(r_gas_cap.ppb, body))
+    combined = r_initial.ppb + body
+    if t < cfg.bootstrap_periods:
+        combined = max(combined, 0)
+    return Rate(max(combined, -990_000_000))
 
 
 def format_raw_by_divmod(value: int) -> str:

@@ -6,13 +6,20 @@ and runtime budget and printing a single PASS line (visible with
 before its line prints.
 """
 
+import hashlib
 import math
 import random
 import statistics
 import time
 from dataclasses import replace
 
-from toroid.adversary import SybilScenario, run_pump_and_dump, run_sybil, sybil_cost
+from toroid.adversary import (
+    SybilScenario,
+    render_reports_csv,
+    run_pump_and_dump,
+    run_sybil,
+    sybil_cost,
+)
 from toroid.cli import EXIT_OK, main
 from toroid.controller import PeriodMetrics, RebaseConfig, gas_cap_rate, initial_rate
 from toroid.datagen import sample_market_csv
@@ -25,6 +32,9 @@ from toroid.numerics import UNIT, Amount, Rate
 from oracles import apply_index, one_plus
 
 PEG = Rate(100_000_000)
+
+# SHA-256 of render_reports_csv over acceptance test 3's 1,050 reports.
+SWEEP_REPORTS_SHA256 = "dae68a3fe2503d26da5767114bb5b23b2f62c5ef5176cf074c4b0541233932da"
 
 
 def _report(criterion: int, description: str, started: float) -> None:
@@ -61,7 +71,7 @@ class TestAcceptance:
         cfg = RebaseConfig()
         started = time.perf_counter()
         rng = random.Random(0xA77AC)
-        cases = 0
+        entries = []
 
         # volume injection into an otherwise quiet system, the worst case
         # for the defense: every randomized protected scenario loses money
@@ -78,7 +88,7 @@ class TestAcceptance:
             report = run_sybil(scenario, cfg)
             assert not report.profitable, scenario
             assert report.net_profit_base <= scenario.periods, scenario
-            cases += 1
+            entries.append((f"sybil-{len(entries)}", scenario, report))
 
         # pump-and-dump sweeps with honest background volume
         for _ in range(450):
@@ -97,9 +107,12 @@ class TestAcceptance:
             report = run_pump_and_dump(scenario, buy, sell, cfg)
             assert not report.profitable, scenario
             assert report.net_profit_base <= scenario.periods, scenario
-            cases += 1
+            entries.append((f"pump-{len(entries)}", scenario, report))
 
-        assert cases >= 1000
+        assert len(entries) >= 1000
+        # every report, byte for byte, as the attack CSV renders it
+        rendered = render_reports_csv(entries).encode()
+        assert hashlib.sha256(rendered).hexdigest() == SWEEP_REPORTS_SHA256
 
         # with the cap disabled the same machinery finds profit
         exploit = SybilScenario(
@@ -117,7 +130,7 @@ class TestAcceptance:
         assert elapsed < 60.0
         _report(
             3,
-            f"{cases} randomized protected attacks all unprofitable; "
+            f"{len(entries)} randomized protected attacks all unprofitable; "
             "cap-off contrast case profits",
             started,
         )

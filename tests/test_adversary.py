@@ -24,6 +24,8 @@ from toroid.ledger import Ledger
 from toroid.market import initial_market
 from toroid.numerics import UNIT, Amount, Rate
 
+from oracles import sale_price_by_fraction
+
 
 def scenario(
     delta_v: int,
@@ -332,7 +334,7 @@ class TestForkMatchesTwoArms:
         cfg, sc, buy, sell = case
 
         def sale_price(market):
-            return Fraction(market.trd_price) / Fraction(market.base_price)
+            return sale_price_by_fraction(market.trd_price, market.base_price)
 
         assert outcome(run_pump_and_dump, sc, buy, sell, cfg) == outcome(
             reference_report, sc, cfg, buy, sell, sale_price

@@ -25,6 +25,8 @@ from toroid.controller import (
 from toroid.errors import ConfigError, ZeroSupplyError
 from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
+from oracles import combine_by_min_max
+
 
 # The 50-digit Decimal evaluation, bound before any test replaces it.
 ORACLE = controller._volume_rate_exact
@@ -257,6 +259,30 @@ class TestCombineComponents:
             0, Rate(100_000_000), Rate(-3 * UNIT), Rate(0), cfg
         )
         assert got == Rate(HARD_FLOOR_PPB)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        r_initial=st.integers(),
+        r_vol=st.integers(),
+        r_gas_cap=st.integers(),
+        bootstrap=st.integers(0, 400),
+        # t on either side of the bootstrap window's end, and on it
+        offset=st.integers(-3, 3) | st.integers(-400, 400),
+        enabled=st.booleans(),
+    )
+    # A negative cap, with the body between, below and above its bounds:
+    # min(-5, 0) = -5, then max(5, -5) = 5, so the lower bound has the last
+    # word and a clamp that stops after the first bound is wrong.
+    @example(r_initial=0, r_vol=0, r_gas_cap=-5, bootstrap=90, offset=10, enabled=True)
+    @example(r_initial=0, r_vol=-7, r_gas_cap=-5, bootstrap=90, offset=10, enabled=True)
+    @example(r_initial=0, r_vol=7, r_gas_cap=-5, bootstrap=0, offset=0, enabled=True)
+    def test_matches_min_max_oracle(
+        self, r_initial, r_vol, r_gas_cap, bootstrap, offset, enabled
+    ):
+        cfg = RebaseConfig(bootstrap_periods=bootstrap, gas_cap_enabled=enabled)
+        t = max(bootstrap + offset, 0)
+        args = (t, Rate(r_initial), Rate(r_vol), Rate(r_gas_cap), cfg)
+        assert combine_components(*args) == combine_by_min_max(*args)
 
 
 class TestCombinedRate:

@@ -2,19 +2,41 @@ import math
 import random
 import statistics
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from toroid.controller import RebaseConfig
 from toroid.errors import (
+    AmountOverflowError,
     NonFinitePriceError,
     NonPositiveFactorError,
     NonPositiveReturnError,
 )
 from toroid.harness import load_market_csv, run_backtest
-from toroid.market import MarketState, initial_market, peg_ceiling, step_price
-from toroid.numerics import UNIT, Amount, Rate
+from toroid.market import (
+    MarketState,
+    initial_market,
+    peg_ceiling,
+    price_ratio,
+    step_price,
+)
+from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
-from oracles import log_return_split, volatility_ratio
+from oracles import (
+    clamp_mint_by_fraction,
+    log_return_split,
+    sale_price_by_fraction,
+    volatility_ratio,
+)
+
+# Every positive finite float, subnormals included; the extremes, the
+# smallest normal and two subnormals are drawn often.
+PRICES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | (
+    st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1e-310, 0.1, 1.7e308])
+)
 
 
 class TestStepPrice:
@@ -81,6 +103,47 @@ class TestStepPrice:
         assert peg_ceiling(cfg, state.base_price) == 5e-324
         with pytest.raises(NonFinitePriceError, match="TRD price underflowed to 0"):
             step_price(state, 1.0, Rate(2_860_000_000), cfg, Amount.from_tokens(1))
+
+
+class TestPriceRatio:
+    @settings(max_examples=500, deadline=None)
+    @given(x=PRICES, y=PRICES, raw=st.integers(0, MAX_RAW) | st.just(MAX_RAW))
+    @example(x=5e-324, y=1.7e308, raw=MAX_RAW)
+    @example(x=1.7e308, y=5e-324, raw=MAX_RAW)
+    @example(x=1e-310, y=3e-320, raw=0)
+    def test_matches_fraction_oracle(self, x, y, raw):
+        # the pair is x / y exactly, so an amount valued at it floors alike
+        num, den = price_ratio(x, y)
+        exact = sale_price_by_fraction(x, y)
+        assert Fraction(num, den) == exact
+        assert raw * num // den == int(raw * exact)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        implied=PRICES,
+        base=PRICES,
+        peg=st.just(100_000_000) | st.integers(1, 2 * UNIT),
+        raw=st.integers(0, MAX_RAW) | st.just(MAX_RAW),
+    )
+    @example(implied=1.7e308, base=5e-324, peg=UNIT, raw=0)
+    @example(implied=1.7e308, base=5e-324, peg=UNIT, raw=1)
+    @example(implied=1e-310, base=3e-320, peg=UNIT, raw=MAX_RAW)
+    @example(implied=10.000000000000002, base=100.0, peg=100_000_000, raw=MAX_RAW)
+    def test_clamp_mint_matches_fraction_oracle(self, implied, base, peg, raw):
+        # At a return of 1 and a rate of 0 the implied price is the state's
+        # TRD price and the ceiling is peg_ceiling of its base price.
+        cfg = RebaseConfig(peg_ratio=Rate(peg))
+        ceiling = (peg / UNIT) * base
+        assume(0 < ceiling < implied)
+        state, supply = MarketState(implied, base), Amount(raw)
+        try:
+            expected = clamp_mint_by_fraction(supply, implied, ceiling)
+        except AmountOverflowError:
+            with pytest.raises(AmountOverflowError):
+                step_price(state, 1.0, Rate(0), cfg, supply)
+        else:
+            after = step_price(state, 1.0, Rate(0), cfg, supply)
+            assert after == MarketState(ceiling, base, expected)
 
 
 class TestPegCeiling:
