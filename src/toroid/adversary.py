@@ -8,17 +8,20 @@ dynamics cancel exactly.  The accounting deliberately favors the
 attacker: injected transactions cost exactly the configured gas and
 nothing else (no fees, no slippage), and Sybil gains are valued at the
 peg ceiling, the best price any sale could fetch.
+
+An arm is the ledger alone, combined_rate then Ledger.rebase each period
+of a flat market: k_v >= 0 and counts that never fall make every rate
+>= 0, so the peg clamp never binds and TRD trades at exactly peg / index.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .controller import RebaseConfig
+from .controller import PeriodMetrics, RebaseConfig, combined_rate
 from .errors import ConfigError, InvariantViolationError
-from .harness import _GENESIS, step_period
+from .harness import _GENESIS
 from .ledger import Ledger, _valid_id
-from .market import MarketState, initial_market, price_ratio
 from .numerics import UNIT, Amount, format_raw, record
 
 _ATTACKER = "attacker"
@@ -31,7 +34,7 @@ class SybilScenario:
     delta_v_per_period  spurious transactions injected each period
     periods             attack duration in periods
     baseline_v          honest transactions per period
-    start_supply        total TRD at scenario start (attacker included)
+    start_supply        total TRD at scenario start (> 0, attacker included)
     attacker_holdings   TRD the attacker acquired before the attack
     start_period        period ordinal at scenario start
     """
@@ -48,6 +51,8 @@ class SybilScenario:
             raise ValueError("periods must be >= 1")
         if self.delta_v_per_period < 0 or self.baseline_v < 0:
             raise ValueError("transaction counts must be >= 0")
+        if self.start_supply.raw <= 0:
+            raise ValueError("start_supply must be positive")
         if self.attacker_holdings.raw > self.start_supply.raw:
             raise ValueError("attacker cannot hold more than the total supply")
         if self.start_period < 0:
@@ -100,24 +105,18 @@ def _extra(post_attack: Amount, counterfactual: Amount, what: str) -> Amount:
 
 
 def _step_flat(
-    ledger: Ledger,
-    market: MarketState,
-    supply: Amount,
-    cfg: RebaseConfig,
-    periods: int,
-    v: int,
-    v_prev: int,
-) -> tuple[MarketState, Amount]:
-    """Run that many periods on a flat market at v transactions each.
+    ledger: Ledger, supply: Amount, cfg: RebaseConfig, periods: int, v: int, v_prev: int
+) -> Amount:
+    """Rebase that many periods at v transactions each.
 
-    v_prev is the count of the period before the first; returns the market
-    and the supply after the last period.
+    v_prev is the count of the period before the first; returns the supply
+    after the last period.
     """
     for _ in range(periods):
-        record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
-        market, supply = record.market, record.supply
+        metrics = PeriodMetrics(ledger.current_period, v, v_prev, supply)
+        supply = ledger.rebase(combined_rate(metrics, cfg).r_combined)
         v_prev = v
-    return market, supply
+    return supply
 
 
 def _price_attack(
@@ -125,7 +124,7 @@ def _price_attack(
     cfg: RebaseConfig,
     buy: int,
     sell: int,
-    sale_price: Callable[[MarketState], tuple[int, int]],
+    sale_price: Callable[[Ledger], tuple[int, int]],
 ) -> AttackReport:
     """Run both arms over periods 1..sell and price the attack.
 
@@ -133,10 +132,10 @@ def _price_attack(
     on one ledger, which then forks: the attacked arm injects in every
     period after buy through sell, the counterfactual does not.  The
     attacker's extra TRD is valued at sale_price of the attacked arm's
-    final market, an exact ratio (num, den) of base coin per TRD, and
+    final ledger, an exact ratio (num, den) of base coin per TRD, and
     floored to raw base units; the cost is the gas of every injected
-    transaction.  A negative k_v, which would make injected
-    volume shrink the supply, raises ConfigError.
+    transaction.  A negative k_v, which would make injected volume
+    shrink the supply, raises ConfigError.
     """
     if cfg.k_v.ppb < 0:
         raise ConfigError(
@@ -144,19 +143,17 @@ def _price_attack(
         )
     attacked = _seed_ledger(scenario, cfg)
     b = scenario.baseline_v
-    market, supply = _step_flat(
-        attacked, initial_market(1.0, cfg), attacked.total_supply(), cfg, buy, b, b
-    )
+    supply = _step_flat(attacked, attacked.total_supply(), cfg, buy, b, b)
     baseline = attacked.copy()
-    attacked_market, attacked_supply = _step_flat(
-        attacked, market, supply, cfg, sell - buy, b + scenario.delta_v_per_period, b
+    attacked_supply = _step_flat(
+        attacked, supply, cfg, sell - buy, b + scenario.delta_v_per_period, b
     )
-    _, baseline_supply = _step_flat(baseline, market, supply, cfg, sell - buy, b, b)
+    baseline_supply = _step_flat(baseline, supply, cfg, sell - buy, b, b)
     extra_supply = _extra(attacked_supply, baseline_supply, "total supply")
     extra_holdings = _extra(
         _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
     )
-    num, den = sale_price(attacked_market)
+    num, den = sale_price(attacked)
     gain = Amount(extra_holdings.raw * num // den)
     cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
     net = gain.raw - cost.raw
@@ -189,19 +186,20 @@ def run_pump_and_dump(
 
     The attacker's position is in place by buy_period, spurious volume is
     injected in every period after buy_period through sell_period, and the
-    position unwinds at the simulated (post-dilution) price of sell_period.
-    The gain is the attack-vs-counterfactual balance difference valued at
-    that sale price, so it includes both the rebasement accrued on the
-    holdings and the price move the attack itself caused.
+    position unwinds at the post-dilution price of sell_period: peg / index
+    base coin per TRD, the index being the attacked arm's Pi(1 + r).  The
+    gain is the attack-vs-counterfactual balance difference valued at that
+    sale price, so it includes both the rebasement accrued on the holdings
+    and the price move the attack itself caused.
     """
     if buy_period < 0:
         raise ValueError("buy_period must be >= 0")
     if not buy_period < sell_period <= scenario.periods:
         raise ValueError("need buy_period < sell_period <= periods")
-    # Sale price in base coin per TRD, taken exactly from the float pair.
+    peg = cfg.peg_ratio.ppb
     return _price_attack(
         scenario, cfg, buy_period, sell_period,
-        lambda market: price_ratio(market.trd_price, market.base_price),
+        lambda ledger: (peg * ledger.index.den, UNIT * ledger.index.num),
     )
 
 

@@ -4,8 +4,8 @@ Each input row is one period of base-coin price and transaction count.
 The loop computes the market return, feeds the transaction count to the
 controller, rebases the ledger, steps the price model, mints whatever
 arbitrage the peg clamp implied, and pairs the row with the period's
-PeriodRecord.  step_period is that one period, shared with the attack
-arms.  Identical inputs produce byte-identical output files.
+PeriodRecord.  step_period is that one period.  Identical inputs produce
+byte-identical output files.
 """
 
 from __future__ import annotations

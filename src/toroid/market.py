@@ -7,10 +7,10 @@ times the base-coin price, arbitrageurs fund the contract for cheap TRD,
 so the price is clamped there and the supply that such funding mints is
 recorded.
 
-Prices are floats, deliberately outside the fixed-point core.  Where one
-reaches balance arithmetic it goes in as the exact ratio of two floats
-(price_ratio): the clamp's mint, which the period kernel rounds down to
-an amount with exact collateral and deposits, and an attack's sale price.
+Prices are floats, deliberately outside the fixed-point core.  They
+reach balance arithmetic in one place, the clamp's mint, as the exact
+ratio of two floats (price_ratio); the period kernel rounds the mint
+down to an amount with exact collateral and deposits it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 from toroid.adversary import (
+    AttackReport,
     SybilScenario,
     render_reports_csv,
     run_pump_and_dump,
@@ -35,6 +36,47 @@ PEG = Rate(100_000_000)
 
 # SHA-256 of render_reports_csv over acceptance test 3's 1,050 reports.
 SWEEP_REPORTS_SHA256 = "dae68a3fe2503d26da5767114bb5b23b2f62c5ef5176cf074c4b0541233932da"
+
+
+def infeasibility_sweep(
+    cfg: RebaseConfig,
+) -> list[tuple[str, SybilScenario, AttackReport]]:
+    """Acceptance test 3's 1,050 seeded attacks, each with its report.
+
+    600 Sybil attacks inject volume into an otherwise quiet system, the
+    worst case for the defense; 450 pump-and-dumps run with honest
+    background volume.  Standard library only, so the byte-contract child
+    renders the same reports on every interpreter.
+    """
+    rng = random.Random(0xA77AC)
+    entries = []
+    for _ in range(600):
+        supply = rng.randrange(1_000, 10_000_001)
+        scenario = SybilScenario(
+            delta_v_per_period=rng.randrange(1, 1_000_001),
+            periods=rng.randrange(1, 7),
+            baseline_v=0,
+            start_supply=Amount.from_tokens(supply),
+            attacker_holdings=Amount.from_tokens(rng.randrange(0, supply + 1)),
+            start_period=rng.randrange(90, 401),
+        )
+        entries.append((f"sybil-{len(entries)}", scenario, run_sybil(scenario, cfg)))
+    for _ in range(450):
+        supply = rng.randrange(1_000, 10_000_001)
+        delta_v = rng.randrange(100, 1_000_001)
+        buy = rng.randrange(1, 4)
+        sell = buy + rng.randrange(1, 5)
+        scenario = SybilScenario(
+            delta_v_per_period=delta_v,
+            periods=sell,
+            baseline_v=rng.randrange(0, min(delta_v, 1000) + 1),
+            start_supply=Amount.from_tokens(supply),
+            attacker_holdings=Amount.from_tokens(rng.randrange(0, supply // 2 + 1)),
+            start_period=rng.randrange(90, 201),
+        )
+        report = run_pump_and_dump(scenario, buy, sell, cfg)
+        entries.append((f"pump-{len(entries)}", scenario, report))
+    return entries
 
 
 def _report(criterion: int, description: str, started: float) -> None:
@@ -70,44 +112,10 @@ class TestAcceptance:
     def test_3_infeasibility_sweep(self):
         cfg = RebaseConfig()
         started = time.perf_counter()
-        rng = random.Random(0xA77AC)
-        entries = []
-
-        # volume injection into an otherwise quiet system, the worst case
-        # for the defense: every randomized protected scenario loses money
-        for _ in range(600):
-            supply = rng.randrange(1_000, 10_000_001)
-            scenario = SybilScenario(
-                delta_v_per_period=rng.randrange(1, 1_000_001),
-                periods=rng.randrange(1, 7),
-                baseline_v=0,
-                start_supply=Amount.from_tokens(supply),
-                attacker_holdings=Amount.from_tokens(rng.randrange(0, supply + 1)),
-                start_period=rng.randrange(90, 401),
-            )
-            report = run_sybil(scenario, cfg)
+        entries = infeasibility_sweep(cfg)
+        for _, scenario, report in entries:
             assert not report.profitable, scenario
             assert report.net_profit_base <= scenario.periods, scenario
-            entries.append((f"sybil-{len(entries)}", scenario, report))
-
-        # pump-and-dump sweeps with honest background volume
-        for _ in range(450):
-            supply = rng.randrange(1_000, 10_000_001)
-            delta_v = rng.randrange(100, 1_000_001)
-            buy = rng.randrange(1, 4)
-            sell = buy + rng.randrange(1, 5)
-            scenario = SybilScenario(
-                delta_v_per_period=delta_v,
-                periods=sell,
-                baseline_v=rng.randrange(0, min(delta_v, 1000) + 1),
-                start_supply=Amount.from_tokens(supply),
-                attacker_holdings=Amount.from_tokens(rng.randrange(0, supply // 2 + 1)),
-                start_period=rng.randrange(90, 201),
-            )
-            report = run_pump_and_dump(scenario, buy, sell, cfg)
-            assert not report.profitable, scenario
-            assert report.net_profit_base <= scenario.periods, scenario
-            entries.append((f"pump-{len(entries)}", scenario, report))
 
         assert len(entries) >= 1000
         # every report, byte for byte, as the attack CSV renders it

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid import adversary
 from toroid.adversary import (
     ATTACK_CSV_HEADER,
     AttackReport,
@@ -102,10 +101,10 @@ class TestRunSybil:
         sc = scenario(0, periods=4, baseline_v=250, holdings=3_000)
         attacked = _seed_ledger(sc, cfg)
         baseline = attacked.copy()
-        start = (initial_market(1.0, cfg), attacked.total_supply())
+        supply = attacked.total_supply()
         b = sc.baseline_v
-        _step_flat(attacked, *start, cfg, sc.periods, b + sc.delta_v_per_period, b)
-        _step_flat(baseline, *start, cfg, sc.periods, b, b)
+        _step_flat(attacked, supply, cfg, sc.periods, b + sc.delta_v_per_period, b)
+        _step_flat(baseline, supply, cfg, sc.periods, b, b)
         assert attacked.snapshot() == baseline.snapshot()
 
     def test_unprotected_controller_is_exploitable(self, cfg):
@@ -125,6 +124,11 @@ class TestRunSybil:
     def test_holdings_cannot_exceed_supply(self, cfg):
         with pytest.raises(ValueError):
             scenario(1, supply=100, holdings=101)
+
+    def test_start_supply_must_be_positive(self):
+        # run_sybil failed inside the rate kernel with ZeroSupplyError
+        with pytest.raises(ValueError, match="start_supply must be positive"):
+            scenario(1, supply=0, holdings=0)
 
     def test_periods_must_be_positive(self, cfg):
         with pytest.raises(ValueError):
@@ -243,9 +247,11 @@ class TestReportRendering:
 def reference_report(sc, cfg, buy, sell, sale_price):
     """Price an attack the direct way: seed two ledgers, step both arms.
 
-    Each arm runs periods 1..sell from its own ledger; the attacked arm
+    Each arm runs periods 1..sell from its own ledger through the
+    backtest's step_period, float market included; the attacked arm
     injects after buy.  This is the unforked computation the adversary's
-    shared pre-injection periods must reproduce on every field.
+    shared pre-injection periods must reproduce on every field, and
+    sale_price(market, ledger) prices the attacked arm's final state.
     """
 
     def arm(inject):
@@ -264,13 +270,13 @@ def reference_report(sc, cfg, buy, sell, sale_price):
             record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
             market, supply, v_prev = record.market, record.supply, v
         held = ledger.balance_of("attacker").raw if "attacker" in ledger.accounts else 0
-        return market, supply.raw, held
+        return market, ledger, supply.raw, held
 
-    market, supply, held = arm(True)
-    _, base_supply, base_held = arm(False)
+    market, ledger, supply, held = arm(True)
+    _, _, base_supply, base_held = arm(False)
     if supply < base_supply or held < base_held:
         raise InvariantViolationError("injected volume reduced supply or balance")
-    gain = int((held - base_held) * sale_price(market))
+    gain = int((held - base_held) * sale_price(market, ledger))
     cost = sc.delta_v_per_period * (sell - buy) * cfg.gas_cost_base.raw
     return AttackReport(
         cost_base=Amount(cost),
@@ -325,7 +331,7 @@ class TestForkMatchesTwoArms:
         cfg, sc, _, _ = case
         peg = Fraction(cfg.peg_ratio.ppb, UNIT)
         assert outcome(run_sybil, sc, cfg) == outcome(
-            reference_report, sc, cfg, 0, sc.periods, lambda _: peg
+            reference_report, sc, cfg, 0, sc.periods, lambda *_: peg
         )
 
     @settings(max_examples=300, deadline=None)
@@ -333,24 +339,40 @@ class TestForkMatchesTwoArms:
     def test_pump_and_dump(self, case):
         cfg, sc, buy, sell = case
 
-        def sale_price(market):
+        def at_index(market, ledger):
+            index = ledger.index
+            return Fraction(cfg.peg_ratio.ppb * index.den, UNIT * index.num)
+
+        def by_float(market, ledger):
             return sale_price_by_fraction(market.trd_price, market.base_price)
 
-        assert outcome(run_pump_and_dump, sc, buy, sell, cfg) == outcome(
-            reference_report, sc, cfg, buy, sell, sale_price
-        )
+        report = outcome(run_pump_and_dump, sc, buy, sell, cfg)
+        assert report == outcome(reference_report, sc, cfg, buy, sell, at_index)
+        # The float market the arms no longer step rounds its price
+        # 2 * sell + 1 times by at most 2**-53 each: one for the launch
+        # price, then the growth factor and the division every period.  So
+        # its gain sits within one raw base unit (the floor) of this one,
+        # plus that relative error of the gain.
+        floated = outcome(reference_report, sc, cfg, buy, sell, by_float)
+        if isinstance(report, AttackReport):
+            gain = report.attacker_gain_base.raw
+            drift = floated.attacker_gain_base.raw - gain
+            assert abs(drift) <= 1 + (gain + 1) * (2 * sell + 2) // 2**53
+        else:
+            assert floated == report
 
 
-# --- a Sybil attack against an exact oracle ----------------------------------
+# --- attacks bought at period 0 against exact oracles ----------------------
 
-# Raw base units of gain either side of break-even where the oracle's
+# Raw base units of gain either side of break-even where an oracle's
 # verdict is not asserted, per period attacked.  Each arm floors the
 # attacker's balance once, so the extra holdings sit within one raw TRD of
-# the exact h * (growth_att - growth_cf); valued at a peg of at most 2 base
-# per TRD and floored to base units, the gain sits in (G - 3, G + 2) around
-# the exact value G.  From the fourth period on the ledger may round its
-# index onto the grid, which can tip each floor by one more raw unit;
-# scaling the slack by the periods covers that, as it does for the supply.
+# the exact h * (growth_att - growth_cf); valued at no more than a peg of
+# 2 base per TRD and floored to base units, the gain sits in (G - 3, G + 2)
+# around the exact value G.  From the fourth period on the ledger may
+# round its index onto the grid, which can tip each floor by one more raw
+# unit; scaling the slack by the periods covers that, as it does for the
+# supply.
 VERDICT_SLACK = 3
 
 
@@ -367,30 +389,56 @@ def oracle_rate(cfg, t, v, v_prev, s):
     return max(r, -990_000_000)  # the -99% hard floor
 
 
-def sybil_oracle(sc, cfg):
-    """(extra supply, edge) of a Sybil attack: an integer and a Fraction.
+def oracle_growth(sc, cfg, periods):
+    """(extra supply, growth_att, growth_cf) of injecting from period 1.
 
     Only the first period's rates differ between the arms.  After it
     v == v_prev in both, so the volume term is 0 and each arm grows by the
     same 1 + r_initial(t), r_initial(t) = UNIT // (t + t0) ppb, which no
-    floor can bind.  An arm that grows supply s by the exact factor g ends
-    at floor(s * g) when one account holds everything; split over two
-    floored balances it can end one raw unit lower, so the difference of
-    the arms is exact to one raw unit, plus one for each renormalisation
-    of the index.  edge is the exact gain less the cost, in raw base
-    units: the attack pays when it is positive.
+    floor can bind.  growth_att and growth_cf are the arms' exact
+    Pi(1 + r) as Fractions.  An arm that grows supply s by the exact
+    factor g ends at floor(s * g) when one account holds everything; split
+    over two floored balances it can end one raw unit lower, so the
+    difference of the arms is exact to one raw unit, plus one for each
+    renormalisation of the index.
     """
-    s, h = sc.start_supply.raw, sc.attacker_holdings.raw
+    s = sc.start_supply.raw
     b, d, t = sc.baseline_v, sc.delta_v_per_period, sc.start_period
     tail = math.prod(
-        1 + Fraction(UNIT // (t + k + cfg.t0), UNIT) for k in range(1, sc.periods)
+        1 + Fraction(UNIT // (t + k + cfg.t0), UNIT) for k in range(1, periods)
     )
     growth_att = (1 + Fraction(oracle_rate(cfg, t, b + d, b, s), UNIT)) * tail
     growth_cf = (1 + Fraction(oracle_rate(cfg, t, b, b, s), UNIT)) * tail
     extra = math.floor(s * growth_att) - math.floor(s * growth_cf)
+    return extra, growth_att, growth_cf
+
+
+def sybil_oracle(sc, cfg):
+    """(extra supply, edge) of a Sybil attack: an integer and a Fraction.
+
+    edge is the exact gain at the peg less the cost, in raw base units:
+    the attack pays when it is positive.
+    """
+    extra, growth_att, growth_cf = oracle_growth(sc, cfg, sc.periods)
     edge = (
-        h * (growth_att - growth_cf) * Fraction(cfg.peg_ratio.ppb, UNIT)
-        - d * sc.periods * cfg.gas_cost_base.raw
+        sc.attacker_holdings.raw * (growth_att - growth_cf)
+        * Fraction(cfg.peg_ratio.ppb, UNIT)
+        - sc.delta_v_per_period * sc.periods * cfg.gas_cost_base.raw
+    )
+    return extra, edge
+
+
+def pump_and_dump_oracle(sc, sell, cfg):
+    """(extra supply, edge) of a pump-and-dump bought at period 0.
+
+    As sybil_oracle over periods 1..sell, but the extra holdings sell at
+    peg / growth_att base coin per TRD, the attacked arm's exact price.
+    """
+    extra, growth_att, growth_cf = oracle_growth(sc, cfg, sell)
+    edge = (
+        sc.attacker_holdings.raw * (growth_att - growth_cf)
+        * Fraction(cfg.peg_ratio.ppb, UNIT) / growth_att
+        - sc.delta_v_per_period * sell * cfg.gas_cost_base.raw
     )
     return extra, edge
 
@@ -476,6 +524,31 @@ class TestSybilOracle:
             assert not report.profitable
 
 
+@st.composite
+def dumps_bought_at_zero(draw):
+    cfg, sc = draw(sybils())
+    return cfg, sc, draw(st.integers(1, sc.periods))
+
+
+class TestPumpAndDumpOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=dumps_bought_at_zero())
+    @example(case=(*readme_break_even(3_333_333), 1))
+    @example(case=(*readme_break_even(10_000_000), 1))
+    @example(case=(*quiet_burst(), 1))
+    def test_run_pump_and_dump_matches_oracle(self, case):
+        cfg, sc, sell = case
+        report = run_pump_and_dump(sc, 0, sell, cfg)
+        extra, edge = pump_and_dump_oracle(sc, sell, cfg)
+        assert abs(report.extra_supply_trd.raw - extra) <= sell
+        injected = sc.delta_v_per_period * sell
+        assert report.cost_base.raw == injected * cfg.gas_cost_base.raw
+        if edge > VERDICT_SLACK * sell:
+            assert report.profitable
+        elif edge < -VERDICT_SLACK * sell:
+            assert not report.profitable
+
+
 # --- the arms' shared tail -----------------------------------------------------
 
 
@@ -488,24 +561,23 @@ def multi_period_attacks(draw):
 
 
 def arms(price, *args):
-    """(attacked, baseline): the (current_period, record) of every period
-    each arm stepped, captured from the adversary's step_period calls.
+    """[(ledger, rates)] of the attacked arm, then of the baseline: each
+    arm's final ledger and the (current_period, r) of every period it
+    rebased, captured from Ledger.rebase.
 
     The attacked arm's list starts with the periods shared before the fork.
     """
     calls = {}
+    rebase = Ledger.rebase
 
-    def capturing(ledger, *rest):
-        period = ledger.current_period
-        record = step_period(ledger, *rest)
-        calls.setdefault(ledger, []).append((period, record))
-        return record
+    def capturing(ledger, r):
+        calls.setdefault(ledger, []).append((ledger.current_period, r))
+        return rebase(ledger, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adversary, "step_period", capturing)
+        mp.setattr(Ledger, "rebase", capturing)
         price(*args)
-    attacked, baseline = calls.values()
-    return attacked, baseline
+    return list(calls.items())
 
 
 class TestSharedTail:
@@ -517,14 +589,53 @@ class TestSharedTail:
             (run_sybil, (sc, cfg), 0, sc.periods),
             (run_pump_and_dump, (sc, buy, sell, cfg), buy, sell),
         ):
-            attacked, baseline = arms(price, *args)
+            (_, attacked), (_, baseline) = arms(price, *args)
             assert len(attacked) == end
             assert len(baseline) == end - start
             # once v == v_prev in both arms the volume term is zero, so
             # each applies r_initial(t) with the same floors
             for (t_att, att), (t_cf, cf) in zip(attacked[start + 1 :], baseline[1:]):
                 assert t_att == t_cf
-                assert att.breakdown.r_combined == cf.breakdown.r_combined
-            # every rate is >= 0 on a flat market, so the peg clamp never mints
-            for _, record in attacked + baseline:
-                assert record.market.arb_minted == Amount(0)
+                assert att == cf
+            # every rate is >= 0, so the index never falls, the peg clamp
+            # never binds and TRD trades at peg / index: the sale price
+            for _, r in attacked + baseline:
+                assert r.ppb >= 0
+
+
+class TestSalePriceAtIndex:
+    # Both failed at the float market's price, one raw base unit off the
+    # exact floor(extra holdings * peg / Pi(1 + r)).
+    @pytest.mark.parametrize(
+        "sc, buy, sell, cfg, gain",
+        [
+            (
+                SybilScenario(
+                    48443, 5, 163, Amount(10**16), Amount(6_603_280_000_000_000), 0
+                ),
+                2, 5, replace(RebaseConfig(), gas_cap_enabled=False),
+                227_594_566_792_588,
+            ),
+            (
+                SybilScenario(
+                    5469, 3, 3, Amount(9_999_999_000_000_000),
+                    Amount(252_383_000_000_000), 187,
+                ),
+                1, 2,
+                RebaseConfig(
+                    k_v=Rate(2 * UNIT), peg_ratio=Rate(2 * UNIT), gas_cap_enabled=False
+                ),
+                473_103_564_657_299,
+            ),
+        ],
+        ids=["default-peg", "peg-2"],
+    )
+    def test_gain_is_extra_holdings_at_peg_over_growth(self, sc, buy, sell, cfg, gain):
+        report = run_pump_and_dump(sc, buy, sell, cfg)
+        (attacked, rates), (baseline, _) = arms(run_pump_and_dump, sc, buy, sell, cfg)
+        growth = math.prod(1 + Fraction(r.ppb, UNIT) for _, r in rates)
+        extra = (
+            attacked.balance_of("attacker").raw - baseline.balance_of("attacker").raw
+        )
+        exact = math.floor(extra * Fraction(cfg.peg_ratio.ppb, UNIT) / growth)
+        assert report.attacker_gain_base.raw == exact == gain

@@ -3,7 +3,9 @@
 Each Python 3.10-3.13 that starts on this host runs the README's
 simulate command, its three attack commands, `toroid ledger demo` and the
 sample series generator in one stdlib-only subprocess, and every file it
-writes, and the demo's stdout, must match the committed bytes.  The four
+writes, and the demo's stdout, must match the committed bytes.  The child
+also renders acceptance test 3's 1,050 attack reports, whose SHA-256
+must match the one that test pins.  The four
 README commands run twice, the second round in reverse order, so each
 runs after the others on the parser main() keeps for the process; the
 child also holds format_raw to the divmod rendering on 10,000 seeded
@@ -11,6 +13,7 @@ values.  An interpreter that is missing, or that is found but does not
 start (a version shim with no version behind it), is skipped by name.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_acceptance import SWEEP_REPORTS_SHA256
 from test_cli import DEMO_STDOUT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +49,8 @@ EXPECTED = {name: (GOLDEN / name).read_bytes() for name in README_RUNS} | {
 
 # The second round's files go here, under the same names.
 AGAIN = "again"
+# Acceptance test 3's rendered reports.
+SWEEP = "sweep-reports.csv"
 
 # Run with -S, so nothing but the standard library, src/ and tests/ is
 # importable.
@@ -52,9 +58,12 @@ CHILD = """
 import contextlib, io, json, random, sys
 from pathlib import Path
 from oracles import format_raw_by_divmod
+from test_acceptance import infeasibility_sweep
 from toroid import cli, datagen
+from toroid.adversary import render_reports_csv
+from toroid.controller import RebaseConfig
 from toroid.numerics import MAX_RAW, UNIT, format_raw
-out, runs, again = Path(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+out, runs, again, sweep = Path(sys.argv[1]), json.loads(sys.argv[2]), *sys.argv[3:]
 (out / again).mkdir()
 for where, names in ((out, list(runs)), (out / again, list(runs)[::-1])):
     for name in names:
@@ -75,6 +84,7 @@ with contextlib.redirect_stdout(demo):
     if cli.main(["ledger", "demo"]) != 0:
         sys.exit("ledger demo: nonzero exit")
 (out / "ledger-demo.txt").write_bytes(demo.getvalue().encode())
+(out / sweep).write_text(render_reports_csv(infeasibility_sweep(RebaseConfig())))
 """
 
 
@@ -108,7 +118,7 @@ def test_outputs_byte_identical(minor, tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
-        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN],
+        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN, SWEEP],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
@@ -119,4 +129,7 @@ def test_outputs_byte_identical(minor, tmp_path):
         name for name, path in written.items()
         if path.read_bytes() != EXPECTED[path.name]
     ]
+    rendered = (tmp_path / SWEEP).read_bytes()
+    if hashlib.sha256(rendered).hexdigest() != SWEEP_REPORTS_SHA256:
+        differ.append(SWEEP)
     assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

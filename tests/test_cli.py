@@ -494,6 +494,15 @@ class TestAttack:
         assert not out.exists()
         assert "start_period must be >= 0" in capsys.readouterr().err
 
+    def test_zero_supply_is_input_error(self, tmp_path, default_cfg_path, capsys):
+        # exited 1 with the rate kernel's "gas cap undefined at zero supply"
+        out = tmp_path / "r.csv"
+        argv = sybil_argv("100", 1, "0", "0", "0", None, False)
+        code = main(argv + ["--config", str(default_cfg_path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: start_supply must be positive\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
