@@ -83,15 +83,12 @@ class SnapshotError(LedgerError):
 
 # --- market -----------------------------------------------------------------
 
-class NonPositiveReturnError(ToroidError):
-    """Market returns must be strictly positive multiplicative factors."""
-
-
 class NonFinitePriceError(ToroidError):
-    """A price or return was NaN or infinite, or a price underflowed to 0.
+    """A base price was not finite and positive, or a price left the floats.
 
-    Two prices can underflow: the peg ceiling on a subnormal base price,
-    and the implied TRD price when a tiny ceiling is divided by 1 + r.
+    Two prices can underflow to 0: the peg ceiling on a subnormal base
+    price, and the TRD price, peg * anchor / index of a tiny base price.
+    Above a peg of 1 the ceiling of a huge base price can overflow.
     """
 
 

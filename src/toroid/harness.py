@@ -1,11 +1,11 @@
 """Backtest loop: market data in, period-by-period series out.
 
 Each input row is one period of base-coin price and transaction count.
-The loop computes the market return, feeds the transaction count to the
-controller, rebases the ledger, steps the price model, mints whatever
-arbitrage the peg clamp implied, and pairs the row with the period's
-PeriodRecord.  step_period is that one period.  Identical inputs produce
-byte-identical output files.
+The loop feeds the transaction count to the controller, rebases the
+ledger, prices TRD from the row's base price and the ledger's index,
+mints whatever arbitrage the peg clamp implied, and pairs the row with
+the period's PeriodRecord.  step_period is that one period.  Identical
+inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -106,11 +106,12 @@ def step_period(
     cfg: RebaseConfig,
     v: int,
     v_prev: int,
-    market_return: float,
+    base_price: float,
     supply: Amount,
 ) -> PeriodRecord:
     """Run one period: set the rate from the counts, rebase, move the price.
 
+    The price moves to base_price and the ledger's post-rebase index.
     When the peg clamp binds, its arbitrage mint is deposited into the
     "arb" account.  supply is the ledger's total at period start, as the
     previous period returned it, so no caller rescans every account.
@@ -119,7 +120,7 @@ def step_period(
         PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
     )
     supply = ledger.rebase(breakdown.r_combined)
-    market = step_price(market, market_return, breakdown.r_combined, cfg, supply)
+    market = step_price(market, base_price, ledger.index, cfg, supply)
     # Written so that a NaN price fails the check too.
     if not market.trd_price <= peg_ceiling(cfg, market.base_price):
         raise InvariantViolationError("TRD price escaped the peg ceiling")
@@ -154,8 +155,7 @@ def run_backtest(
     out: list[tuple[MarketRow, PeriodRecord]] = []
     for prev, row in zip(rows, rows[1:]):
         record = step_period(
-            ledger, market, cfg, row.tx_count, prev.tx_count,
-            row.price / prev.price, supply,
+            ledger, market, cfg, row.tx_count, prev.tx_count, row.price, supply
         )
         market, supply = record.market, record.supply
         out.append((row, record))

@@ -1,16 +1,17 @@
 """Exogenous-demand price model with the one-way peg as an arbitrage clamp.
 
-Market cap follows an input return series while each rebasement dilutes
-the per-token price by exactly 1/(1 + r) in the same period.  The peg is
-a pure ceiling: whenever the implied TRD price would exceed peg_ratio
-times the base-coin price, arbitrageurs fund the contract for cheap TRD,
-so the price is clamped there and the supply that such funding mints is
-recorded.
+The base-coin price follows the input series while each rebasement
+dilutes the per-token price by exactly 1/(1 + r) in the same period, so
+TRD/base is peg * anchor / index: the ledger's rebase index against its
+value at the last clamp (the anchor).  The peg is a pure ceiling:
+whenever that ratio would exceed the peg, arbitrageurs fund the contract
+for cheap TRD, so the price is clamped there, the supply that such
+funding mints is recorded, and the anchor moves to the current index.
 
-Prices are floats, deliberately outside the fixed-point core.  They
-reach balance arithmetic in one place, the clamp's mint, as the exact
-ratio of two floats (price_ratio); the period kernel rounds the mint
-down to an amount with exact collateral and deposits it.
+Prices are floats, deliberately outside the fixed-point core.  The clamp
+and its mint are integer arithmetic on the two indexes; the period
+kernel rounds the mint down to an amount with exact collateral and
+deposits it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 
 from .controller import RebaseConfig
-from .errors import NonFinitePriceError, NonPositiveReturnError
-from .numerics import UNIT, Amount, Rate, growth_factor, record
+from .errors import NonFinitePriceError
+from .numerics import UNIT, Amount, Index, record
 
 
 @record
@@ -27,29 +28,24 @@ class MarketState:
     trd_price: float
     base_price: float
     arb_minted: Amount = Amount(0)
+    anchor: Index = Index(1, 1)
 
 
 def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
     """The one-way peg: TRD never trades above peg_ratio units of base coin.
 
-    Raises NonFinitePriceError when the ceiling underflows to zero on a
-    subnormal base price, since no positive TRD price would fit under it.
+    Raises NonFinitePriceError unless the base price and the ceiling are
+    finite and positive: a subnormal base price can underflow the ceiling
+    to zero, under which no positive TRD price would fit.
     """
+    if not 0 < base_price < math.inf:
+        raise NonFinitePriceError(f"base price must be finite and > 0: {base_price}")
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
     if ceiling == 0:
         raise NonFinitePriceError(f"peg ceiling underflowed to 0 at base {base_price}")
+    if ceiling == math.inf:
+        raise NonFinitePriceError(f"peg ceiling overflowed at base {base_price}")
     return ceiling
-
-
-def price_ratio(x: float, y: float) -> tuple[int, int]:
-    """x / y as an exact integer pair (num, den), for positive finite floats.
-
-    With x = a/b and y = c/d by float.as_integer_ratio(), x / y = a*d / (b*c).
-    The pair is not reduced: callers only multiply by it and floor.
-    """
-    a, b = x.as_integer_ratio()
-    c, d = y.as_integer_ratio()
-    return a * d, b * c
 
 
 def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
@@ -59,37 +55,31 @@ def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
 
 def step_price(
     state: MarketState,
-    market_return: float,
-    r: Rate,
+    base_price: float,
+    index: Index,
     cfg: RebaseConfig,
     supply: Amount,
 ) -> MarketState:
-    """Advance one period: demand moves cap by the return, rebasement dilutes.
+    """Move to this period's base price and the ledger's post-rebase index.
 
-    supply is the post-rebase total; it sizes this period's arbitrage mint
-    whenever the peg clamp binds.  Raises NonFinitePriceError when the
-    return, the base price or the implied TRD price is infinite or NaN,
-    and when either underflows to zero: the peg ceiling on a subnormal
-    base price, or the implied TRD price when a tiny ceiling is divided
-    by 1 + r.
+    TRD/base is peg * anchor / index.  When anchor > index that exceeds
+    the peg: the price is clamped to the ceiling, the mint that dilutes
+    supply (the post-rebase total) back down to it,
+    supply * (anchor / index - 1) floored, is recorded, and the anchor
+    moves to index.  Raises NonFinitePriceError when the base price is
+    not finite and positive, and when the ceiling or the TRD price
+    leaves the floats.
     """
-    if market_return <= 0:
-        raise NonPositiveReturnError(f"market return must be > 0, got {market_return}")
-    growth = growth_factor(r) / UNIT
-    base_price = state.base_price * market_return
-    implied = state.trd_price * market_return / growth
-    # The clamp below cannot size an infinite excess, and a NaN compares
-    # false against the ceiling.
-    if not (math.isfinite(base_price) and math.isfinite(implied)):
-        raise NonFinitePriceError(
-            f"price overflowed or is NaN: base {base_price}, TRD {implied}"
-        )
-    ceiling = peg_ceiling(cfg, base_price)
-    if implied == 0:
+    anchor = state.anchor
+    num, den = anchor.num * index.den, anchor.den * index.num
+    if num > den:
+        ceiling = peg_ceiling(cfg, base_price)
+        mint = Amount(supply.raw * (num - den) // den)
+        return MarketState(ceiling, base_price, mint, index)
+    trd_price = cfg.peg_ratio.ppb * num / (UNIT * den) * base_price
+    if not 0 < trd_price < math.inf:
+        # A bad base price or ceiling raises there; under a finite
+        # ceiling, the price can only have underflowed.
+        peg_ceiling(cfg, base_price)
         raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
-    if implied > ceiling:
-        # Supply that would dilute the implied price back down to the peg:
-        # supply * (implied / ceiling - 1), floored.
-        num, den = price_ratio(implied, ceiling)
-        return MarketState(ceiling, base_price, Amount(supply.raw * (num - den) // den))
-    return MarketState(implied, base_price)
+    return MarketState(trd_price, base_price, anchor=anchor)

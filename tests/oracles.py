@@ -12,8 +12,9 @@ from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from toroid.controller import RebaseConfig
+from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
 from toroid.errors import NonPositiveFactorError
+from toroid.harness import MarketRow
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import UNIT, Amount, Index, Rate
 
@@ -50,11 +51,53 @@ def sale_price_by_fraction(trd_price: float, base_price: float) -> Fraction:
     return Fraction(trd_price) / Fraction(base_price)
 
 
-def clamp_mint_by_fraction(supply: Amount, implied: float, ceiling: float) -> Amount:
-    """The peg clamp's mint supply * (implied / ceiling - 1), truncated, with
-    the excess taken as one exact Fraction."""
-    excess = Fraction(implied) / Fraction(ceiling) - 1
-    return Amount(int(supply.raw * excess))
+# The bundled data clamps the peg 5 times under this config: a volume
+# term ten times the default's, and no bootstrap floor to hold r >= 0.
+CLAMP_CFG = RebaseConfig(k_v=Rate.from_decimal("1"), t0=10**6, bootstrap_periods=0)
+
+
+def exact_backtest(
+    rows: list[MarketRow], cfg: RebaseConfig, initial_supply: Amount
+) -> list[tuple[RateBreakdown, int, int, Fraction]]:
+    """run_backtest restated on exact fractions, with no index grid.
+
+    Per row after the first: (breakdown, arb_minted raw, supply raw, TRD
+    price).  The index is the exact product of every 1 + r, and TRD/base
+    is q, divided by 1 + r each period.  When that would leave q above
+    the peg, the clamp mints floor(supply * (q / ((1 + r) * peg) - 1)) and
+    q returns to the peg; the mint, rounded down to a multiple of
+    UNIT / gcd(peg, UNIT) raw, enters the "arb" account at ceiling
+    shares.  Rates come from combined_rate, which has oracles of its own.
+    """
+    peg = Fraction(cfg.peg_ratio.ppb, UNIT)
+    step = UNIT // math.gcd(cfg.peg_ratio.ppb, UNIT)
+    index, q = Fraction(1), peg
+    shares = {"genesis": initial_supply.raw * SHARE_SCALE}
+
+    def supply() -> int:
+        return sum(math.floor(s * index / SHARE_SCALE) for s in shares.values())
+
+    total, out = supply(), []
+    for t, (prev, row) in enumerate(zip(rows, rows[1:])):
+        breakdown = combined_rate(
+            PeriodMetrics(t, row.tx_count, prev.tx_count, Amount(total)), cfg
+        )
+        growth = 1 + Fraction(breakdown.r_combined.ppb, UNIT)
+        index *= growth
+        total, minted = supply(), 0
+        if q / growth > peg:
+            minted = math.floor(total * (q / (growth * peg) - 1))
+            q = peg
+            rounded = minted - minted % step
+            if rounded:
+                shares["arb"] = shares.get("arb", 0) + math.ceil(
+                    rounded * SHARE_SCALE / index
+                )
+                total = supply()
+        else:
+            q /= growth
+        out.append((breakdown, minted, total, q * Fraction(row.price)))
+    return out
 
 
 def combine_by_min_max(

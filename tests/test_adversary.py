@@ -248,8 +248,8 @@ def reference_report(sc, cfg, buy, sell, sale_price):
     """Price an attack the direct way: seed two ledgers, step both arms.
 
     Each arm runs periods 1..sell from its own ledger through the
-    backtest's step_period, float market included; the attacked arm
-    injects after buy.  This is the unforked computation the adversary's
+    backtest's step_period, market included, at a base price of 1; the
+    attacked arm injects after buy.  This is the unforked computation the adversary's
     shared pre-injection periods must reproduce on every field, and
     sale_price(market, ledger) prices the attacked arm's final state.
     """
@@ -348,16 +348,16 @@ class TestForkMatchesTwoArms:
 
         report = outcome(run_pump_and_dump, sc, buy, sell, cfg)
         assert report == outcome(reference_report, sc, cfg, buy, sell, at_index)
-        # The float market the arms no longer step rounds its price
-        # 2 * sell + 1 times by at most 2**-53 each: one for the launch
-        # price, then the growth factor and the division every period.  So
-        # its gain sits within one raw base unit (the floor) of this one,
-        # plus that relative error of the gain.
+        # The market the arms no longer step prices TRD at peg / index,
+        # one division rounded once (times a base price of 1), within
+        # 2**-53 of the exact sale price.  So its gain sits within one raw
+        # base unit (the floor) of this one, plus that relative error of
+        # the gain.
         floated = outcome(reference_report, sc, cfg, buy, sell, by_float)
         if isinstance(report, AttackReport):
             gain = report.attacker_gain_base.raw
             drift = floated.attacker_gain_base.raw - gain
-            assert abs(drift) <= 1 + (gain + 1) * (2 * sell + 2) // 2**53
+            assert abs(drift) <= 1 + (gain + 1) // 2**53
         else:
             assert floated == report
 

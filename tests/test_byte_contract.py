@@ -4,8 +4,9 @@ Each Python 3.10-3.13 that starts on this host runs the README's
 simulate command, its three attack commands, `toroid ledger demo` and the
 sample series generator in one stdlib-only subprocess, and every file it
 writes, and the demo's stdout, must match the committed bytes.  The child
-also renders acceptance test 3's 1,050 attack reports, whose SHA-256
-must match the one that test pins.  The four
+also renders acceptance test 3's 1,050 attack reports, and writes the
+bundled data's series under oracles.CLAMP_CFG, where the peg clamp
+binds 5 times; each SHA-256 must match the pinned one.  The four
 README commands run twice, the second round in reverse order, so each
 runs after the others on the parser main() keeps for the process; the
 child also holds format_raw to the divmod rendering on 10,000 seeded
@@ -51,19 +52,23 @@ EXPECTED = {name: (GOLDEN / name).read_bytes() for name in README_RUNS} | {
 AGAIN = "again"
 # Acceptance test 3's rendered reports.
 SWEEP = "sweep-reports.csv"
+# The bundled data's series under the clamp config, and its SHA-256.
+CLAMPED = "clamped-series.csv"
+CLAMPED_SERIES_SHA256 = "dee0d81f6764d12c098795dc3401b228de6212a5de4d68c3a8e46b057e34a11e"
 
 # Run with -S, so nothing but the standard library, src/ and tests/ is
 # importable.
 CHILD = """
 import contextlib, io, json, random, sys
 from pathlib import Path
-from oracles import format_raw_by_divmod
+from oracles import CLAMP_CFG, format_raw_by_divmod
 from test_acceptance import infeasibility_sweep
 from toroid import cli, datagen
 from toroid.adversary import render_reports_csv
 from toroid.controller import RebaseConfig
-from toroid.numerics import MAX_RAW, UNIT, format_raw
-out, runs, again, sweep = Path(sys.argv[1]), json.loads(sys.argv[2]), *sys.argv[3:]
+from toroid.harness import load_market_csv, run_backtest, write_series_csv
+from toroid.numerics import MAX_RAW, UNIT, Amount, format_raw
+out, runs, again, sweep, clamped = Path(sys.argv[1]), json.loads(sys.argv[2]), *sys.argv[3:]
 (out / again).mkdir()
 for where, names in ((out, list(runs)), (out / again, list(runs)[::-1])):
     for name in names:
@@ -85,6 +90,8 @@ with contextlib.redirect_stdout(demo):
         sys.exit("ledger demo: nonzero exit")
 (out / "ledger-demo.txt").write_bytes(demo.getvalue().encode())
 (out / sweep).write_text(render_reports_csv(infeasibility_sweep(RebaseConfig())))
+rows = load_market_csv("data/sample_market.csv")
+write_series_csv(run_backtest(rows, CLAMP_CFG, Amount.from_tokens(10_000)), out / clamped)
 """
 
 
@@ -118,7 +125,8 @@ def test_outputs_byte_identical(minor, tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
-        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN, SWEEP],
+        [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN, SWEEP,
+         CLAMPED],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
@@ -129,7 +137,7 @@ def test_outputs_byte_identical(minor, tmp_path):
         name for name, path in written.items()
         if path.read_bytes() != EXPECTED[path.name]
     ]
-    rendered = (tmp_path / SWEEP).read_bytes()
-    if hashlib.sha256(rendered).hexdigest() != SWEEP_REPORTS_SHA256:
-        differ.append(SWEEP)
+    for name, sha256 in ((SWEEP, SWEEP_REPORTS_SHA256), (CLAMPED, CLAMPED_SERIES_SHA256)):
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != sha256:
+            differ.append(name)
     assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

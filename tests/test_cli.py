@@ -219,23 +219,26 @@ class TestSimulate:
         assert "line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, supply",
         [
-            "2017-01-01,1e-300,100\n2017-01-02,1e300,100\n",
-            "2017-01-01,1.7e308,1000000\n2017-01-02,1.7e308,1\n",
+            # a 1e600-fold rise: TRD/base needs only the index
+            ("2017-01-01,1e-300,100\n2017-01-02,1e300,100\n", "11000.000000000"),
+            # -99%: the clamp holds TRD at the ceiling and restores the supply
+            ("2017-01-01,1.7e308,1000000\n2017-01-02,1.7e308,1\n", "10000.000000000"),
         ],
     )
-    def test_overflowing_price_is_input_error(self, tmp_path, rows, capsys):
+    def test_extreme_finite_prices_run(self, tmp_path, rows, supply, capsys):
         data = tmp_path / "m.csv"
         data.write_text(f"{MARKET_CSV_HEADER}\n{rows}")
-        argv = simulate_argv(data, tmp_path / "o.csv", floor_off_cfg(tmp_path))
-        code = main(argv + ["--no-gas-cap"])
-        assert code == EXIT_INPUT
-        assert "price overflowed" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        code = main(simulate_argv(data, out, floor_off_cfg(tmp_path)) + ["--no-gas-cap"])
+        assert code == EXIT_OK
+        assert f"final supply {supply} TRD" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1].split(",")[2] == supply
 
     def test_subnormal_price_is_input_error(self, tmp_path, capsys):
-        # a subnormal base price underflows the peg ceiling to 0, which the
-        # clamp's mint would divide by
+        # at row 2 the rate rises, so TRD/base falls below the peg: the
+        # exact TRD price, about 2.2e-324, underflows to 0
         data = tmp_path / "m.csv"
         data.write_text(
             f"{MARKET_CSV_HEADER}\n2020-01-01,1.5e-320,0\n"
@@ -244,7 +247,7 @@ class TestSimulate:
         code = main(simulate_argv(data, tmp_path / "o.csv"))
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: peg ceiling underflowed to 0")
+        assert err.startswith("error: TRD price underflowed to 0 at base 2.5e-323")
         assert "Traceback" not in err
 
     @settings(max_examples=60, deadline=None)
@@ -261,7 +264,7 @@ class TestSimulate:
     # the first peg ceiling underflows to 0
     @example(prices=[5e-324, 1e-16, 100.0], counts=[0, 1, 0, 0, 0, 0],
              cap=True, floor=True)
-    # the ceiling is 5e-324, but the price divided by 1 + r rounds to 0
+    # the ceiling is 5e-324, but peg / (1 + r) of the base price rounds to 0
     @example(prices=[5e-323, 5e-323], counts=[1, 10**12, 0, 0, 0, 0],
              cap=True, floor=True)
     def test_any_positive_prices_exit_0_or_1(
@@ -346,9 +349,9 @@ class TestSimulate:
     ):
         # a price model that lets the TRD price escape the ceiling is an
         # internal fault, the one class of error that exits 2
-        def escaping(state, market_return, r, cfg, supply):
-            ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
-            return replace(state, trd_price=ceiling * 2)
+        def escaping(state, base_price, index, cfg, supply):
+            ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
+            return replace(state, trd_price=ceiling * 2, base_price=base_price)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         code = main(

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toroid import harness
-from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
+from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate, load_config
 from toroid.errors import (
     InvariantViolationError,
     MarketDataError,
@@ -26,8 +27,10 @@ from toroid.harness import (
     write_series_csv,
 )
 from toroid.ledger import Ledger
-from toroid.market import initial_market
+from toroid.market import initial_market, peg_ceiling
 from toroid.numerics import UNIT, Amount, Rate
+
+from oracles import CLAMP_CFG, exact_backtest
 
 
 def flat_rows(periods: int, price: float = 100.0, tx: int = 0) -> list[MarketRow]:
@@ -196,8 +199,8 @@ class TestRunBacktest:
         rows = load_market_csv(sample_market_path)[:50]
         calls = []
 
-        def capturing(ledger, market, cfg, v, v_prev, market_return, supply):
-            record = step_period(ledger, market, cfg, v, v_prev, market_return, supply)
+        def capturing(ledger, market, cfg, v, v_prev, base_price, supply):
+            record = step_period(ledger, market, cfg, v, v_prev, base_price, supply)
             calls.append((v, record))
             return record
 
@@ -260,8 +263,8 @@ class TestRunBacktest:
 
     def test_step_period_mints_clamp_arbitrage(self):
         # crash the volume with the cap off and no bootstrap floor: the
-        # negative rebasement pushes the implied price over the peg, the
-        # clamp binds, and its mint lands in an arbitrage account
+        # negative rebasement pushes TRD/base over the peg, the clamp
+        # binds, and its mint lands in an arbitrage account
         cfg = RebaseConfig(
             gas_cap_enabled=False, bootstrap_periods=0, t0=10**6
         )
@@ -269,7 +272,7 @@ class TestRunBacktest:
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
         market = initial_market(100.0, cfg)
         supply = ledger.total_supply()
-        record = step_period(ledger, market, cfg, 1, 100_000, 1.0, supply)
+        record = step_period(ledger, market, cfg, 1, 100_000, 100.0, supply)
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.market.arb_minted.raw > 0
         assert "arb" in ledger.accounts
@@ -283,8 +286,9 @@ class TestRunBacktest:
         assert 0 <= record.market.arb_minted.raw - arb_minted.raw < 10
 
     def test_step_period_skips_arbitrage_that_rounds_to_zero(self):
-        # the clamp's mint of 4 raw has no exact collateral at the 0.1
-        # peg, so it rounds down to nothing and no account opens
+        # the clamp's mint, 5 TRD * (1 / 0.999999999 - 1) = 5.000000005
+        # raw floored to 5, has no exact collateral at the 0.1 peg, so it
+        # rounds down to nothing and no account opens
         cfg = RebaseConfig(
             gas_cap_enabled=False, bootstrap_periods=0, t0=10**12
         )
@@ -293,10 +297,10 @@ class TestRunBacktest:
                             account_id="genesis")
         market = initial_market(100.0, cfg)
         record = step_period(
-            ledger, market, cfg, 999_999_999, 10**9, 1.0, ledger.total_supply()
+            ledger, market, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
         )
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
-        assert record.market.arb_minted == Amount(4)
+        assert record.market.arb_minted == Amount(5)
         assert "arb" not in ledger.accounts
         assert record.supply == ledger.total_supply()
 
@@ -311,47 +315,51 @@ class TestRunBacktest:
     def test_step_period_checks_peg_ceiling(self, cfg, monkeypatch, excess):
         # a price model that lets the TRD price escape the ceiling, or go
         # NaN, is an internal fault the kernel must still catch
-        def escaping(state, market_return, r, cfg, supply):
-            ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
-            return replace(state, trd_price=ceiling * excess)
+        def escaping(state, base_price, index, cfg, supply):
+            ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
+            return replace(state, trd_price=ceiling * excess, base_price=base_price)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000))
         market = initial_market(100.0, cfg)
         with pytest.raises(InvariantViolationError):
-            step_period(ledger, market, cfg, 0, 0, 1.0, ledger.total_supply())
+            step_period(ledger, market, cfg, 0, 0, 100.0, ledger.total_supply())
 
-    @pytest.mark.parametrize(
-        "prices, counts",
-        [((1e-300, 1e300), (100, 100)), ((1.7e308, 1.7e308), (1_000_000, 1))],
-    )
-    def test_overflowing_price_rejected(self, prices, counts):
-        # the first pair's return overflows; in the second only the TRD
-        # price does, once the volume crash drives the rate to -99%
+    def test_extreme_prices_run(self):
+        # a base price that rises 1e600-fold: TRD/base needs only the
+        # index, so it is 0.1 / 1.1 of the new base price
         cfg = RebaseConfig(gas_cap_enabled=False, bootstrap_periods=0)
-        rows = [
-            MarketRow(dt.date(2020, 1, 1 + i), price, tx)
-            for i, (price, tx) in enumerate(zip(prices, counts))
-        ]
-        with pytest.raises(NonFinitePriceError):
-            run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        rows = [MarketRow(dt.date(2020, 1, 1), 1e-300, 100),
+                MarketRow(dt.date(2020, 1, 2), 1e300, 100)]
+        [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert record.supply == Amount.from_tokens(11_000)
+        assert record.market.trd_price == pytest.approx(1e299 / 1.1, rel=2**-52)
+
+    def test_crash_at_the_largest_prices_clamps(self):
+        # the volume crash drives the rate to -99%: the clamp holds TRD at
+        # the ceiling of 1.7e307, and its mint restores the supply exactly
+        cfg = RebaseConfig(gas_cap_enabled=False, bootstrap_periods=0)
+        rows = [MarketRow(dt.date(2020, 1, 1), 1.7e308, 1_000_000),
+                MarketRow(dt.date(2020, 1, 2), 1.7e308, 1)]
+        [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert record.breakdown.r_combined == Rate(-990_000_000)
+        assert record.market.trd_price == peg_ceiling(cfg, 1.7e308)
+        assert record.supply == Amount.from_tokens(10_000)
 
     def test_carried_supply_matches_ledger_scan(self, sample_market_path, monkeypatch):
         # periods take the supply the previous one reported instead of
         # rescanning the ledger; with the kernel's arbitrage mints landing
         # in some periods, every carried and reported supply must equal a
         # full scan
-        cfg = RebaseConfig(
-            k_v=Rate.from_decimal("1"), t0=10**6, bootstrap_periods=0
-        )
+        cfg = CLAMP_CFG
         carried, scanned, ledgers = [], [], []
 
-        def scanning(ledger, market, cfg, v, v_prev, market_return, supply):
+        def scanning(ledger, market, cfg, v, v_prev, base_price, supply):
             carried.append(supply)
             scanned.append(ledger.total_supply())
             ledgers.append(ledger)
-            return step_period(ledger, market, cfg, v, v_prev, market_return, supply)
+            return step_period(ledger, market, cfg, v, v_prev, base_price, supply)
 
         monkeypatch.setattr(harness, "step_period", scanning)
         series = run_backtest(
@@ -368,6 +376,67 @@ class TestRunBacktest:
     def test_empty_rows_rejected(self, cfg):
         with pytest.raises(MarketDataError):
             run_backtest([], cfg, Amount.from_tokens(10_000))
+
+
+def random_walk(seed: int, periods: int = 250) -> list[MarketRow]:
+    """A seeded series: log-normal daily moves in price and in count."""
+    rng = random.Random(seed)
+    price, tx = rng.uniform(1.0, 1000.0), rng.randrange(1_000, 100_000)
+    rows = []
+    for day in range(periods):
+        rows.append(MarketRow(dt.date(2020, 1, 1) + dt.timedelta(days=day), price, tx))
+        price *= math.exp(rng.gauss(0.0, 0.05))
+        tx = round(tx * math.exp(rng.gauss(0.0, 0.15)))
+    return rows
+
+
+class TestExactReference:
+    """run_backtest against exact_backtest, its gridless Fraction twin."""
+
+    @staticmethod
+    def clamps_matching_exact(rows, cfg) -> int:
+        """Check every period against the exact run; count the clamps."""
+        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        exact = exact_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert len(series) == len(exact) == len(rows) - 1
+        for (row, record), (breakdown, minted, supply, price) in zip(series, exact):
+            got = (record.breakdown, record.market.arb_minted.raw, record.supply.raw)
+            assert got == (breakdown, minted, supply), row.date
+            assert abs(Fraction(record.market.trd_price) - price) <= price / 2**52
+        return sum(1 for _, minted, _, _ in exact if minted)
+
+    def test_bundled_run(self, sample_market_path, default_cfg_path):
+        # the README's simulate command: 0.1 TRD of gas is 0.01 base
+        cfg = replace(load_config(default_cfg_path), gas_cost_base=Amount.from_tokens("0.01"))
+        rows = load_market_csv(sample_market_path)
+        assert self.clamps_matching_exact(rows, cfg) == 0
+
+    def test_bundled_data_under_clamp_config(self, sample_market_path):
+        rows = load_market_csv(sample_market_path)
+        assert self.clamps_matching_exact(rows, CLAMP_CFG) == 5
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walk(self, seed):
+        cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
+        assert self.clamps_matching_exact(random_walk(seed), cfg) > 0
+
+    def test_clamp_mint_is_exact_on_one_crash(self):
+        # the rate -10,988,122 ppb shrinks 10,000 TRD to 9,890.11878; the
+        # exact mint 10,000 * 0.010988122 TRD restores it to the raw unit
+        cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
+        rows = [MarketRow(dt.date(2017, 1, 1), 100.0, 3843),
+                MarketRow(dt.date(2017, 1, 2), 100.0, 3801)]
+        [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert record.breakdown.r_combined == Rate(-10_988_122)
+        assert record.market.arb_minted == Amount(109_881_220_000)
+        assert record.supply.tokens() == "10000.000000000"
+
+    def test_clamp_mint_is_exact_on_the_bundled_data(self, sample_market_path):
+        series = run_backtest(
+            load_market_csv(sample_market_path), CLAMP_CFG, Amount.from_tokens(10_000)
+        )
+        minted = {row.date: record.market.arb_minted.raw for row, record in series}
+        assert minted[dt.date(2017, 11, 16)] == 18_500_837_331
 
 
 class TestSeriesCsv:

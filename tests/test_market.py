@@ -5,145 +5,133 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid.controller import RebaseConfig
-from toroid.errors import (
-    AmountOverflowError,
-    NonFinitePriceError,
-    NonPositiveFactorError,
-    NonPositiveReturnError,
-)
+from toroid.errors import AmountOverflowError, NonFinitePriceError
 from toroid.harness import load_market_csv, run_backtest
-from toroid.market import (
-    MarketState,
-    initial_market,
-    peg_ceiling,
-    price_ratio,
-    step_price,
-)
-from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
+from toroid.market import MarketState, initial_market, peg_ceiling, step_price
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, grow_index
 
-from oracles import (
-    clamp_mint_by_fraction,
-    log_return_split,
-    sale_price_by_fraction,
-    volatility_ratio,
-)
+from oracles import log_return_split, volatility_ratio
 
-# Every positive finite float, subnormals included; the extremes, the
-# smallest normal and two subnormals are drawn often.
-PRICES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | (
-    st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1e-310, 0.1, 1.7e308])
-)
+# Every positive finite float, subnormals included.
+PRICES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+INDEXES = st.builds(Index, st.integers(1, 10**40), st.integers(1, 10**40))
+
+
+def grown(*ppb: int) -> Index:
+    """The launch index grown by each rate in turn."""
+    index = Index.identity()
+    for r in ppb:
+        index = grow_index(index, Rate(r))
+    return index
 
 
 class TestStepPrice:
     def test_identity_step(self, cfg):
         state = initial_market(100.0, cfg)
-        after = step_price(state, 1.0, Rate(0), cfg, Amount.from_tokens(10_000))
-        assert after.trd_price == state.trd_price
-        assert after.base_price == state.base_price
-        assert after.arb_minted == Amount(0)
+        after = step_price(state, 100.0, Index.identity(), cfg, Amount.from_tokens(10_000))
+        assert after == state
 
     def test_rebasement_absorbs_matching_growth(self, cfg):
-        # market +10% while supply grows +10%: the price is unchanged
-        state = MarketState(trd_price=5.0, base_price=100.0)
-        after = step_price(
-            state, 1.1, Rate.from_decimal("0.1"), cfg, Amount.from_tokens(10_000)
-        )
-        assert after.trd_price == pytest.approx(5.0, rel=1e-12)
-        assert after.base_price == pytest.approx(110.0, rel=1e-12)
+        # base price +10% while supply grows +10%: the TRD price is unchanged
+        state = initial_market(100.0, cfg)
+        after = step_price(state, 110.0, grown(100_000_000), cfg, Amount.from_tokens(1))
+        assert after.trd_price == pytest.approx(10.0, rel=2**-52)
+        assert after == MarketState(after.trd_price, 110.0)
 
     def test_clamp_at_peg_records_arbitrage(self, cfg):
-        # start at the ceiling; a negative rebasement pushes the implied
-        # price above it, so the clamp binds and the arbitrage mint that
-        # would dilute the price back down is recorded
-        supply = Amount.from_tokens(10_000)
-        state = initial_market(100.0, cfg)
-        after = step_price(state, 1.0, Rate.from_decimal("-0.2"), cfg, supply)
-        assert after.trd_price == pytest.approx(10.0, rel=1e-12)
-        # implied / ceiling = 1 / 0.8: the mint is ~2500 TRD
-        assert after.arb_minted.raw == pytest.approx(
-            Amount.from_tokens(2_500).raw, rel=1e-9
+        # from the ceiling, a -20% rebasement would lift TRD/base to
+        # peg / 0.8: the clamp holds it at the peg, records the mint that
+        # dilutes the supply back down, 10,000 * (1 / 0.8 - 1) TRD
+        # exactly, and re-anchors at the index
+        index = grown(-200_000_000)
+        after = step_price(
+            initial_market(100.0, cfg), 100.0, index, cfg, Amount.from_tokens(10_000)
         )
+        assert after == MarketState(10.0, 100.0, Amount.from_tokens(2_500), index)
 
-    def test_non_positive_return_rejected(self, cfg):
-        state = initial_market(100.0, cfg)
-        with pytest.raises(NonPositiveReturnError):
-            step_price(state, 0.0, Rate(0), cfg, Amount.from_tokens(1))
-        with pytest.raises(NonPositiveReturnError):
-            step_price(state, -0.5, Rate(0), cfg, Amount.from_tokens(1))
-
-    def test_non_positive_factor_rejected(self, cfg):
-        state = initial_market(100.0, cfg)
-        with pytest.raises(NonPositiveFactorError):
-            step_price(state, 1.0, Rate(-UNIT), cfg, Amount.from_tokens(1))
+    def test_anchor_holds_until_the_next_clamp(self, cfg):
+        # after a clamp, TRD/base is measured from the clamped index: a
+        # rise of 25% and a fall back leave it at the peg with no mint,
+        # and a fall below the anchor clamps again
+        supply = Amount.from_tokens(10_000)
+        low = grown(-200_000_000)
+        clamped = step_price(initial_market(100.0, cfg), 100.0, low, cfg, supply)
+        high = grown(-200_000_000, 250_000_000)
+        risen = step_price(clamped, 100.0, high, cfg, supply)
+        assert risen.trd_price == pytest.approx(8.0, rel=2**-52)
+        assert risen.anchor == low
+        back = step_price(risen, 100.0, low, cfg, supply)
+        assert back == MarketState(10.0, 100.0, Amount(0), low)
+        lower = grown(-200_000_000, -500_000_000)
+        again = step_price(back, 100.0, lower, cfg, supply)
+        assert again == MarketState(10.0, 100.0, supply, lower)
 
     @pytest.mark.parametrize(
-        "base_price, market_return, rate",
-        [
-            (100.0, math.inf, Rate(0)),  # infinite return
-            (math.inf, 1.0, Rate(0)),  # infinite base price
-            (1e300, 1e10, Rate(0)),  # base price overflows
-            (1.7e308, 1.0, Rate(-990_000_000)),  # only the TRD price overflows
-            (100.0, math.nan, Rate(0)),  # NaN return
-        ],
+        "base_price", [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]
     )
-    def test_overflowing_price_rejected(self, cfg, base_price, market_return, rate):
-        state = initial_market(base_price, cfg)
-        with pytest.raises(NonFinitePriceError):
-            step_price(state, market_return, rate, cfg, Amount.from_tokens(1))
+    def test_base_price_not_finite_and_positive_rejected(self, cfg, base_price):
+        state = initial_market(100.0, cfg)
+        with pytest.raises(NonFinitePriceError, match="base price must be finite"):
+            step_price(state, base_price, Index.identity(), cfg, Amount.from_tokens(1))
 
-    def test_implied_price_underflow_rejected(self, cfg):
-        # the ceiling is 5e-324, nonzero, but dividing the price by
-        # 1 + r = 3.86 rounds it to 0.0
-        state = MarketState(trd_price=5e-324, base_price=5e-323)
-        assert peg_ceiling(cfg, state.base_price) == 5e-324
+    def test_trd_price_underflow_rejected(self, cfg):
+        # the ceiling is 5e-324, nonzero, but peg / 3.86 of the base price
+        # rounds to 0.0
+        index = grown(2_860_000_000)
+        assert peg_ceiling(cfg, 5e-323) == 5e-324
         with pytest.raises(NonFinitePriceError, match="TRD price underflowed to 0"):
-            step_price(state, 1.0, Rate(2_860_000_000), cfg, Amount.from_tokens(1))
+            step_price(
+                initial_market(5e-323, cfg), 5e-323, index, cfg, Amount.from_tokens(1)
+            )
 
-
-class TestPriceRatio:
-    @settings(max_examples=500, deadline=None)
-    @given(x=PRICES, y=PRICES, raw=st.integers(0, MAX_RAW) | st.just(MAX_RAW))
-    @example(x=5e-324, y=1.7e308, raw=MAX_RAW)
-    @example(x=1.7e308, y=5e-324, raw=MAX_RAW)
-    @example(x=1e-310, y=3e-320, raw=0)
-    def test_matches_fraction_oracle(self, x, y, raw):
-        # the pair is x / y exactly, so an amount valued at it floors alike
-        num, den = price_ratio(x, y)
-        exact = sale_price_by_fraction(x, y)
-        assert Fraction(num, den) == exact
-        assert raw * num // den == int(raw * exact)
-
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        implied=PRICES,
-        base=PRICES,
-        peg=st.just(100_000_000) | st.integers(1, 2 * UNIT),
-        raw=st.integers(0, MAX_RAW) | st.just(MAX_RAW),
+        anchor=INDEXES,
+        index=INDEXES,
+        base=PRICES | st.just(100.0),
+        peg=st.just(100_000_000) | st.integers(1, UNIT),
+        raw=st.integers(0, MAX_RAW // 2),
     )
-    @example(implied=1.7e308, base=5e-324, peg=UNIT, raw=0)
-    @example(implied=1.7e308, base=5e-324, peg=UNIT, raw=1)
-    @example(implied=1e-310, base=3e-320, peg=UNIT, raw=MAX_RAW)
-    @example(implied=10.000000000000002, base=100.0, peg=100_000_000, raw=MAX_RAW)
-    def test_clamp_mint_matches_fraction_oracle(self, implied, base, peg, raw):
-        # At a return of 1 and a rate of 0 the implied price is the state's
-        # TRD price and the ceiling is peg_ceiling of its base price.
+    @example(anchor=Index(1, 10**40), index=Index(1, 1), base=1e-300, peg=UNIT, raw=1)
+    @example(anchor=Index(10**40, 1), index=Index(1, 1), base=1.0, peg=UNIT, raw=MAX_RAW // 2)
+    @example(anchor=Index(5, 4), index=Index(1, 1), base=100.0, peg=100_000_000, raw=MAX_RAW // 2)
+    # a bad ceiling and an overflowing mint: the price error comes first
+    @example(anchor=Index(10**40, 1), index=Index(1, 1), base=5e-324, peg=100_000_000,
+             raw=MAX_RAW // 2)
+    def test_matches_fraction_oracle(self, anchor, index, base, peg, raw):
+        # TRD/base is peg * anchor / index, or the clamp's mint
+        # supply * (anchor / index - 1), floored, when that exceeds the peg
         cfg = RebaseConfig(peg_ratio=Rate(peg))
-        ceiling = (peg / UNIT) * base
-        assume(0 < ceiling < implied)
-        state, supply = MarketState(implied, base), Amount(raw)
+        ratio = Fraction(anchor.num, anchor.den) / Fraction(index.num, index.den)
+        exact = Fraction(peg, UNIT) * ratio * Fraction(base)
+        state, supply = MarketState(0.5, 1.0, Amount(0), anchor), Amount(raw)
         try:
-            expected = clamp_mint_by_fraction(supply, implied, ceiling)
-        except AmountOverflowError:
-            with pytest.raises(AmountOverflowError):
-                step_price(state, 1.0, Rate(0), cfg, supply)
+            ceiling = peg_ceiling(cfg, base)
+        except NonFinitePriceError:
+            with pytest.raises(NonFinitePriceError):
+                step_price(state, base, index, cfg, supply)
+            return
+        if ratio > 1:
+            mint = math.floor(raw * (ratio - 1))
+            if mint > MAX_RAW:
+                with pytest.raises(AmountOverflowError):
+                    step_price(state, base, index, cfg, supply)
+            else:
+                after = step_price(state, base, index, cfg, supply)
+                assert after == MarketState(ceiling, base, Amount(mint), index)
+        elif float(exact) == 0:
+            with pytest.raises(NonFinitePriceError, match="TRD price underflowed"):
+                step_price(state, base, index, cfg, supply)
         else:
-            after = step_price(state, 1.0, Rate(0), cfg, supply)
-            assert after == MarketState(ceiling, base, expected)
+            after = step_price(state, base, index, cfg, supply)
+            assert after.anchor == anchor and after.arb_minted == Amount(0)
+            assert after.trd_price <= ceiling
+            if after.trd_price >= 2.2250738585072014e-308:
+                assert abs(Fraction(after.trd_price) - exact) <= exact / 2**52
 
 
 class TestPegCeiling:
@@ -157,15 +145,25 @@ class TestPegCeiling:
         with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed to 0"):
             initial_market(base_price, cfg)
 
+    def test_overflowing_ceiling_rejected(self):
+        # above a peg of 1 the ceiling of a huge base price is infinite
+        cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
+        with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
+            initial_market(1.7e308, cfg)
+        state = initial_market(1.0, cfg)
+        with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
+            step_price(state, 1.7e308, grown(100), cfg, Amount.from_tokens(1))
+
     def test_price_never_exceeds_peg_over_random_series(self, cfg):
         rng = random.Random(9090)
         for _ in range(200):
-            state = initial_market(rng.uniform(1.0, 1000.0), cfg)
+            base = rng.uniform(1.0, 1000.0)
+            state, index = initial_market(base, cfg), Index.identity()
             supply = Amount.from_tokens(rng.randrange(1_000, 100_000))
             for _ in range(200):
-                m = math.exp(rng.gauss(0.0, 0.08))
-                r = Rate(rng.randrange(-400_000_000, 400_000_000))
-                state = step_price(state, m, r, cfg, supply)
+                base *= math.exp(rng.gauss(0.0, 0.08))
+                index = grow_index(index, Rate(rng.randrange(-400_000_000, 400_000_000)))
+                state = step_price(state, base, index, cfg, supply)
                 ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
                 assert state.trd_price <= ceiling
 
@@ -175,14 +173,18 @@ class TestDilutionNeutrality:
         # price x supply moves by exactly the market return while the
         # clamp is inactive
         rng = random.Random(9191)
+        launch = initial_market(1000.0, cfg)
         for _ in range(300):
             supply = rng.randrange(10**12, 10**16)
-            state = MarketState(trd_price=1.0, base_price=1000.0)
+            index = grown(rng.randrange(0, 400_000_000))
+            state = step_price(launch, 1000.0, index, cfg, Amount(supply))
             m = math.exp(rng.gauss(0.0, 0.05))
             r = Rate(rng.randrange(-200_000_000, 400_000_000))
             new_supply = supply * (UNIT + r.ppb) // UNIT
-            after = step_price(state, m, r, cfg, Amount(supply))
-            if after.trd_price < (cfg.peg_ratio.ppb / UNIT) * after.base_price:
+            after = step_price(
+                state, 1000.0 * m, grow_index(index, r), cfg, Amount(new_supply)
+            )
+            if after.anchor == state.anchor:
                 cap_before = state.trd_price * supply
                 cap_after = after.trd_price * new_supply
                 assert cap_after == pytest.approx(cap_before * m, rel=1e-9)

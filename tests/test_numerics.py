@@ -287,7 +287,7 @@ RECORDS = [
     (RebaseConfig, (), (11, 0, Rate(5), Amount(6), Rate(7), False)),
     (PeriodMetrics, (1, 2, 3, Amount(4)), (5, 6, 7, Amount(8))),
     (RateBreakdown, _RATES, _RATES[::-1]),
-    (MarketState, (1.0, 1.0), (0.5, 2.0, Amount(3))),
+    (MarketState, (1.0, 1.0), (0.5, 2.0, Amount(3), Index(5, 4))),
     (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
     (
         PeriodRecord,
