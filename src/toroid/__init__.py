@@ -30,7 +30,7 @@ from .harness import (
     write_series_csv,
 )
 from .ledger import Account, Ledger
-from .market import MarketState, initial_market, step_price
+from .market import MarketState, step_price
 from .numerics import UNIT, Amount, Index, Rate, grow_index
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "combined_rate",
     "gas_cap_rate",
     "grow_index",
-    "initial_market",
     "initial_rate",
     "load_config",
     "load_market_csv",

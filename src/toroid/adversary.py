@@ -20,10 +20,10 @@ from collections.abc import Callable
 
 from .controller import PeriodMetrics, RebaseConfig, combined_rate
 from .errors import ConfigError, InvariantViolationError
-from .harness import _GENESIS
 from .ledger import Ledger, _valid_id
 from .numerics import UNIT, Amount, format_raw, record
 
+_HONEST = "honest"
 _ATTACKER = "attacker"
 
 
@@ -81,7 +81,7 @@ def _seed_ledger(scenario: SybilScenario, cfg: RebaseConfig) -> Ledger:
     ledger = Ledger(cfg.peg_ratio, start_period=scenario.start_period)
     honest = scenario.start_supply - scenario.attacker_holdings
     if honest.raw > 0:
-        ledger.open_account(ledger.collateral_for(honest), account_id=_GENESIS)
+        ledger.open_account(ledger.collateral_for(honest), account_id=_HONEST)
     if scenario.attacker_holdings.raw > 0:
         ledger.open_account(
             ledger.collateral_for(scenario.attacker_holdings), account_id=_ATTACKER

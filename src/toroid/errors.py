@@ -88,7 +88,8 @@ class NonFinitePriceError(ToroidError):
 
     Two prices can underflow to 0: the peg ceiling on a subnormal base
     price, and the TRD price, peg * anchor / index of a tiny base price.
-    Above a peg of 1 the ceiling of a huge base price can overflow.
+    Above a peg of 1 a huge base price's ceiling can overflow even when
+    the TRD price under it is finite.
     """
 
 

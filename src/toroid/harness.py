@@ -22,8 +22,8 @@ from .errors import (
     NonPositivePriceError,
 )
 from .ledger import Ledger
-from .market import MarketState, initial_market, peg_ceiling, step_price
-from .numerics import UNIT, Amount, record
+from .market import MarketState, peg_ceiling, step_price
+from .numerics import UNIT, Amount, Index, record
 
 MARKET_CSV_HEADER = "date,price,tx_count"
 SERIES_CSV_HEADER = (
@@ -102,25 +102,25 @@ class PeriodRecord:
 
 def step_period(
     ledger: Ledger,
-    market: MarketState,
+    anchor: Index,
     cfg: RebaseConfig,
     v: int,
     v_prev: int,
     base_price: float,
     supply: Amount,
 ) -> PeriodRecord:
-    """Run one period: set the rate from the counts, rebase, move the price.
+    """Run one period: set the rate from the counts, rebase, price TRD.
 
-    The price moves to base_price and the ledger's post-rebase index.
-    When the peg clamp binds, its arbitrage mint is deposited into the
-    "arb" account.  supply is the ledger's total at period start, as the
-    previous period returned it, so no caller rescans every account.
+    TRD is priced from base_price, the post-rebase index and anchor, the
+    index at the last clamp; a clamp's arbitrage mint is deposited into
+    the "arb" account.  supply is the ledger's total at period start, as
+    the previous period returned it, so no caller rescans every account.
     """
     breakdown = combined_rate(
         PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
     )
     supply = ledger.rebase(breakdown.r_combined)
-    market = step_price(market, base_price, ledger.index, cfg, supply)
+    market = step_price(anchor, base_price, ledger.index, cfg, supply)
     # Written so that a NaN price fails the check too.
     if not market.trd_price <= peg_ceiling(cfg, market.base_price):
         raise InvariantViolationError("TRD price escaped the peg ceiling")
@@ -136,12 +136,12 @@ def run_backtest(
 ) -> list[tuple[MarketRow, PeriodRecord]]:
     """Drive the controller, ledger and market over a historical series.
 
-    The first row seeds the starting price and previous-period volume;
-    every later row is returned paired with the PeriodRecord step_period
-    produced for it.  A genesis account holding initial_supply against
-    equivalent collateral seeds the ledger.  cfg is used as given: a gas
-    cost stated in TRD is converted into cfg.gas_cost_base by the caller
-    (the CLI does it for --gas-cost-trd).
+    The first row seeds only the previous-period volume (TRD launches at
+    the peg, so its price is not read); every later row is returned
+    paired with the PeriodRecord step_period produced for it.  A genesis
+    account holding initial_supply against equivalent collateral seeds
+    the ledger.  cfg is used as given: a gas cost stated in TRD is
+    converted into cfg.gas_cost_base by the caller (--gas-cost-trd).
     """
     if not rows:
         raise MarketDataError("no market rows")
@@ -150,14 +150,13 @@ def run_backtest(
     ledger = Ledger(cfg.peg_ratio)
     ledger.open_account(ledger.collateral_for(initial_supply), account_id=_GENESIS)
 
-    market = initial_market(rows[0].price, cfg)
-    supply = ledger.total_supply()
+    anchor, supply = ledger.index, ledger.total_supply()
     out: list[tuple[MarketRow, PeriodRecord]] = []
     for prev, row in zip(rows, rows[1:]):
         record = step_period(
-            ledger, market, cfg, row.tx_count, prev.tx_count, row.price, supply
+            ledger, anchor, cfg, row.tx_count, prev.tx_count, row.price, supply
         )
-        market, supply = record.market, record.supply
+        anchor, supply = record.market.anchor, record.supply
         out.append((row, record))
     return out
 

@@ -2,11 +2,13 @@
 
 The base-coin price follows the input series while each rebasement
 dilutes the per-token price by exactly 1/(1 + r) in the same period, so
-TRD/base is peg * anchor / index: the ledger's rebase index against its
-value at the last clamp (the anchor).  The peg is a pure ceiling:
-whenever that ratio would exceed the peg, arbitrageurs fund the contract
-for cheap TRD, so the price is clamped there, the supply that such
-funding mints is recorded, and the anchor moves to the current index.
+TRD/base is peg * anchor / index: the ledger's rebase index against the
+anchor, its value at the last clamp and the only state one period
+carries to the next (the launch index at first, where TRD sits at the
+peg).  The peg is a pure ceiling: whenever that ratio would exceed the
+peg, arbitrageurs fund the contract for cheap TRD, so the price is
+clamped there, the supply that such funding mints is recorded, and the
+anchor moves to the current index.
 
 Prices are floats, deliberately outside the fixed-point core.  The clamp
 and its mint are integer arithmetic on the two indexes; the period
@@ -48,29 +50,25 @@ def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
     return ceiling
 
 
-def initial_market(base_price: float, cfg: RebaseConfig) -> MarketState:
-    """Launch state: TRD starts at its ceiling, one peg ratio of base coin."""
-    return MarketState(trd_price=peg_ceiling(cfg, base_price), base_price=base_price)
-
-
 def step_price(
-    state: MarketState,
+    anchor: Index,
     base_price: float,
     index: Index,
     cfg: RebaseConfig,
     supply: Amount,
 ) -> MarketState:
-    """Move to this period's base price and the ledger's post-rebase index.
+    """Price this period from its base price and the post-rebase index.
 
-    TRD/base is peg * anchor / index.  When anchor > index that exceeds
-    the peg: the price is clamped to the ceiling, the mint that dilutes
-    supply (the post-rebase total) back down to it,
-    supply * (anchor / index - 1) floored, is recorded, and the anchor
-    moves to index.  Raises NonFinitePriceError when the base price is
-    not finite and positive, and when the ceiling or the TRD price
-    leaves the floats.
+    TRD/base is peg * anchor / index, anchor being the index at the last
+    clamp.  When anchor > index that exceeds the peg: the price is
+    clamped to the ceiling, the mint that dilutes supply (the
+    post-rebase total) back down to it, supply * (anchor / index - 1)
+    floored, is recorded, and the anchor moves to index.  Raises
+    NonFinitePriceError on a bad base price, a clamped period's ceiling
+    or an unclamped period's TRD price leaving the floats; a TRD price
+    that fits is not checked against its ceiling, which can be infinite
+    above a peg of 1 (step_period's ceiling check rejects that).
     """
-    anchor = state.anchor
     num, den = anchor.num * index.den, anchor.den * index.num
     if num > den:
         ceiling = peg_ceiling(cfg, base_price)

@@ -20,7 +20,6 @@ from toroid.controller import RebaseConfig, _volume_rate_exact
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
 from toroid.harness import step_period
 from toroid.ledger import Ledger
-from toroid.market import initial_market
 from toroid.numerics import UNIT, Amount, Rate
 
 from oracles import sale_price_by_fraction
@@ -263,14 +262,14 @@ def reference_report(sc, cfg, buy, sell, sale_price):
             ledger.open_account(
                 ledger.collateral_for(sc.attacker_holdings), account_id="attacker"
             )
-        market, supply = initial_market(1.0, cfg), ledger.total_supply()
+        anchor, supply = ledger.index, ledger.total_supply()
         v_prev = sc.baseline_v
         for p in range(1, sell + 1):
             v = sc.baseline_v + (sc.delta_v_per_period if inject and p > buy else 0)
-            record = step_period(ledger, market, cfg, v, v_prev, 1.0, supply)
-            market, supply, v_prev = record.market, record.supply, v
+            record = step_period(ledger, anchor, cfg, v, v_prev, 1.0, supply)
+            anchor, supply, v_prev = record.market.anchor, record.supply, v
         held = ledger.balance_of("attacker").raw if "attacker" in ledger.accounts else 0
-        return market, ledger, supply.raw, held
+        return record.market, ledger, supply.raw, held
 
     market, ledger, supply, held = arm(True)
     _, _, base_supply, base_held = arm(False)
@@ -360,6 +359,27 @@ class TestForkMatchesTwoArms:
             assert abs(drift) <= 1 + (gain + 1) // 2**53
         else:
             assert floated == report
+
+
+class TestBootstrapFloorChangesNoVerdict:
+    # The paper's protection that is progressive during bootstrap: an
+    # arm's rates never go negative (k_v >= 0 and counts that never fall),
+    # so the floor that holds a negative rate at 0 before
+    # bootstrap_periods never binds, and a scenario that starts inside
+    # the window gets the report it gets with no floor at all.
+    @pytest.mark.parametrize("cap", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(case=attack_cases(), past_start=st.integers(1, 400))
+    def test_scenario_starting_inside_the_window(self, cap, case, past_start):
+        cfg, sc, buy, sell = case
+        floored = replace(
+            cfg, gas_cap_enabled=cap, bootstrap_periods=sc.start_period + past_start
+        )
+        unfloored = replace(floored, bootstrap_periods=0)
+        assert outcome(run_sybil, sc, floored) == outcome(run_sybil, sc, unfloored)
+        assert outcome(run_pump_and_dump, sc, buy, sell, floored) == outcome(
+            run_pump_and_dump, sc, buy, sell, unfloored
+        )
 
 
 # --- attacks bought at period 0 against exact oracles ----------------------

@@ -17,7 +17,8 @@ from toroid.harness import (
     load_market_csv,
     run_backtest,
 )
-from toroid.numerics import UNIT, Amount
+from toroid.market import MarketState
+from toroid.numerics import UNIT, Amount, Rate
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "benchmarks" / "golden"
@@ -261,7 +262,7 @@ class TestSimulate:
     )
     @example(prices=[1.5e-320, 2.5e-323, 1.5e-323], counts=[0, 1, 0, 0, 0, 0],
              cap=True, floor=True)
-    # the first peg ceiling underflows to 0
+    # a first row whose peg ceiling would underflow to 0: its price is not read
     @example(prices=[5e-324, 1e-16, 100.0], counts=[0, 1, 0, 0, 0, 0],
              cap=True, floor=True)
     # the ceiling is 5e-324, but peg / (1 + r) of the base price rounds to 0
@@ -292,7 +293,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (["2020-01-01,5e-324,0", "2020-01-02,1e-16,1", "2020-01-03,100,0"],
+            (["2020-01-01,1e-16,0", "2020-01-02,5e-324,1", "2020-01-03,100,0"],
              "peg ceiling underflowed to 0"),
             (["2020-01-01,5e-323,1", "2020-01-02,5e-323,1000000000000"],
              "TRD price underflowed to 0"),
@@ -308,6 +309,39 @@ class TestSimulate:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_first_row_price_is_not_read(self, tmp_path):
+        # TRD launches at the peg, so a first row whose ceiling would
+        # underflow runs, and writes what a first row of 1.0 writes
+        outputs = []
+        for first in ("5e-324", "1.0"):
+            data = tmp_path / f"m{first}.csv"
+            data.write_text(
+                f"{MARKET_CSV_HEADER}\n2020-01-01,{first},0\n"
+                "2020-01-02,1e-16,1\n2020-01-03,100,0\n"
+            )
+            out = tmp_path / f"o{first}.csv"
+            assert main(simulate_argv(data, out)) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_ceiling_overflow_on_an_unclamped_period_is_input_error(
+        self, tmp_path, capsys
+    ):
+        # above a peg of 1 the TRD price 2 / 1.1 * 1e308 is finite, but
+        # its ceiling 2 * 1e308 is not: the kernel's ceiling check rejects it
+        config = tmp_path / "peg2.cfg"
+        config.write_text(
+            dump_config(replace(load_config(DEFAULT_CFG), peg_ratio=Rate(2 * UNIT)))
+        )
+        data = tmp_path / "m.csv"
+        data.write_text(f"{MARKET_CSV_HEADER}\n2020-01-01,1,0\n2020-01-02,1e308,0\n")
+        out = tmp_path / "o.csv"
+        assert main(simulate_argv(data, out, config)) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: peg ceiling overflowed at base 1e+308\n"
         assert not out.exists()
 
     def test_one_row_writes_header_only(self, tmp_path, default_cfg_path, capsys):
@@ -349,9 +383,9 @@ class TestSimulate:
     ):
         # a price model that lets the TRD price escape the ceiling is an
         # internal fault, the one class of error that exits 2
-        def escaping(state, base_price, index, cfg, supply):
+        def escaping(anchor, base_price, index, cfg, supply):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return replace(state, trd_price=ceiling * 2, base_price=base_price)
+            return MarketState(ceiling * 2, base_price, anchor=anchor)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         code = main(

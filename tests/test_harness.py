@@ -27,7 +27,7 @@ from toroid.harness import (
     write_series_csv,
 )
 from toroid.ledger import Ledger
-from toroid.market import initial_market, peg_ceiling
+from toroid.market import MarketState, peg_ceiling
 from toroid.numerics import UNIT, Amount, Rate
 
 from oracles import CLAMP_CFG, exact_backtest
@@ -199,8 +199,8 @@ class TestRunBacktest:
         rows = load_market_csv(sample_market_path)[:50]
         calls = []
 
-        def capturing(ledger, market, cfg, v, v_prev, base_price, supply):
-            record = step_period(ledger, market, cfg, v, v_prev, base_price, supply)
+        def capturing(ledger, anchor, cfg, v, v_prev, base_price, supply):
+            record = step_period(ledger, anchor, cfg, v, v_prev, base_price, supply)
             calls.append((v, record))
             return record
 
@@ -270,9 +270,8 @@ class TestRunBacktest:
         )
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
-        market = initial_market(100.0, cfg)
         supply = ledger.total_supply()
-        record = step_period(ledger, market, cfg, 1, 100_000, 100.0, supply)
+        record = step_period(ledger, ledger.index, cfg, 1, 100_000, 100.0, supply)
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.market.arb_minted.raw > 0
         assert "arb" in ledger.accounts
@@ -295,9 +294,8 @@ class TestRunBacktest:
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(ledger.collateral_for(Amount.from_tokens(5)),
                             account_id="genesis")
-        market = initial_market(100.0, cfg)
         record = step_period(
-            ledger, market, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
+            ledger, ledger.index, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
         )
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.market.arb_minted == Amount(5)
@@ -315,16 +313,43 @@ class TestRunBacktest:
     def test_step_period_checks_peg_ceiling(self, cfg, monkeypatch, excess):
         # a price model that lets the TRD price escape the ceiling, or go
         # NaN, is an internal fault the kernel must still catch
-        def escaping(state, base_price, index, cfg, supply):
+        def escaping(anchor, base_price, index, cfg, supply):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return replace(state, trd_price=ceiling * excess, base_price=base_price)
+            return MarketState(ceiling * excess, base_price, anchor=anchor)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000))
-        market = initial_market(100.0, cfg)
         with pytest.raises(InvariantViolationError):
-            step_period(ledger, market, cfg, 0, 0, 100.0, ledger.total_supply())
+            step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply())
+
+    @pytest.mark.parametrize(
+        "first", [5e-324, 1.7e308, 0.0, -1.0, math.inf, math.nan]
+    )
+    def test_first_row_price_is_not_read(self, sample_market_path, tmp_path, first):
+        # TRD launches at the peg on the launch index: the series is the
+        # same bytes whatever the first row's price, even one the parser
+        # would reject, clamps included
+        rows = load_market_csv(sample_market_path)
+        paths = []
+        for price in (rows[0].price, first):
+            rows[0] = replace(rows[0], price=price)
+            series = run_backtest(rows, CLAMP_CFG, Amount.from_tokens(10_000))
+            assert any(record.market.arb_minted.raw for _, record in series)
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            write_series_csv(series, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_ceiling_overflow_on_an_unclamped_period_rejected(self):
+        # above a peg of 1, step_price's TRD price 2 / 1.1 * 1e308 is
+        # finite under an infinite ceiling; the kernel's ceiling check
+        # rejects it
+        cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
+        rows = [MarketRow(dt.date(2020, 1, 1), 1.0, 0),
+                MarketRow(dt.date(2020, 1, 2), 1e308, 0)]
+        with pytest.raises(NonFinitePriceError) as raised:
+            run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert str(raised.value) == "peg ceiling overflowed at base 1e+308"
 
     def test_extreme_prices_run(self):
         # a base price that rises 1e600-fold: TRD/base needs only the
@@ -355,11 +380,11 @@ class TestRunBacktest:
         cfg = CLAMP_CFG
         carried, scanned, ledgers = [], [], []
 
-        def scanning(ledger, market, cfg, v, v_prev, base_price, supply):
+        def scanning(ledger, anchor, cfg, v, v_prev, base_price, supply):
             carried.append(supply)
             scanned.append(ledger.total_supply())
             ledgers.append(ledger)
-            return step_period(ledger, market, cfg, v, v_prev, base_price, supply)
+            return step_period(ledger, anchor, cfg, v, v_prev, base_price, supply)
 
         monkeypatch.setattr(harness, "step_period", scanning)
         series = run_backtest(

@@ -1,0 +1,64 @@
+"""The package's import layers: each module imports only those below it.
+
+The attack layer (adversary) prices attacks on the ledger alone, so it
+sits beside the backtest (market, harness) and imports nothing from it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "toroid"
+
+CORE = {"errors", "numerics", "controller", "ledger"}
+
+# The toroid modules each module may import.
+ALLOWED = {
+    "errors": set(),
+    "numerics": {"errors"},
+    "controller": {"errors", "numerics"},
+    "ledger": {"errors", "numerics"},
+    "market": {"errors", "numerics", "controller"},
+    "harness": CORE | {"market"},
+    "adversary": CORE,
+    "cli": CORE | {"adversary", "harness"},
+    "datagen": {"harness"},
+    "__init__": CORE | {"market", "harness", "adversary"},
+    "__main__": {"cli"},
+}
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules a source text imports relatively, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SRC.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_imports_stay_in_layer(module):
+    imported = relative_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert imported - ALLOWED[module] == set()
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("from .harness import _GENESIS", {"harness"}),
+        ("from . import ledger, market", {"ledger", "market"}),
+        ("def f():\n    from .market import step_price", {"market"}),
+        ("import math\nfrom fractions import Fraction", set()),
+    ],
+)
+def test_relative_imports_finds_every_form(source, modules):
+    assert relative_imports(source) == modules

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from toroid.controller import RebaseConfig
 from toroid.errors import AmountOverflowError, NonFinitePriceError
 from toroid.harness import load_market_csv, run_backtest
-from toroid.market import MarketState, initial_market, peg_ceiling, step_price
+from toroid.market import MarketState, peg_ceiling, step_price
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, grow_index
 
 from oracles import log_return_split, volatility_ratio
@@ -19,6 +19,9 @@ from oracles import log_return_split, volatility_ratio
 # Every positive finite float, subnormals included.
 PRICES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 INDEXES = st.builds(Index, st.integers(1, 10**40), st.integers(1, 10**40))
+
+
+LAUNCH = Index.identity()
 
 
 def grown(*ppb: int) -> Index:
@@ -31,14 +34,13 @@ def grown(*ppb: int) -> Index:
 
 class TestStepPrice:
     def test_identity_step(self, cfg):
-        state = initial_market(100.0, cfg)
-        after = step_price(state, 100.0, Index.identity(), cfg, Amount.from_tokens(10_000))
-        assert after == state
+        # at the launch index TRD sits at its ceiling, one peg of base coin
+        after = step_price(LAUNCH, 100.0, LAUNCH, cfg, Amount.from_tokens(10_000))
+        assert after == MarketState(peg_ceiling(cfg, 100.0), 100.0)
 
     def test_rebasement_absorbs_matching_growth(self, cfg):
         # base price +10% while supply grows +10%: the TRD price is unchanged
-        state = initial_market(100.0, cfg)
-        after = step_price(state, 110.0, grown(100_000_000), cfg, Amount.from_tokens(1))
+        after = step_price(LAUNCH, 110.0, grown(100_000_000), cfg, Amount.from_tokens(1))
         assert after.trd_price == pytest.approx(10.0, rel=2**-52)
         assert after == MarketState(after.trd_price, 110.0)
 
@@ -48,9 +50,7 @@ class TestStepPrice:
         # dilutes the supply back down, 10,000 * (1 / 0.8 - 1) TRD
         # exactly, and re-anchors at the index
         index = grown(-200_000_000)
-        after = step_price(
-            initial_market(100.0, cfg), 100.0, index, cfg, Amount.from_tokens(10_000)
-        )
+        after = step_price(LAUNCH, 100.0, index, cfg, Amount.from_tokens(10_000))
         assert after == MarketState(10.0, 100.0, Amount.from_tokens(2_500), index)
 
     def test_anchor_holds_until_the_next_clamp(self, cfg):
@@ -59,24 +59,23 @@ class TestStepPrice:
         # and a fall below the anchor clamps again
         supply = Amount.from_tokens(10_000)
         low = grown(-200_000_000)
-        clamped = step_price(initial_market(100.0, cfg), 100.0, low, cfg, supply)
+        clamped = step_price(LAUNCH, 100.0, low, cfg, supply)
         high = grown(-200_000_000, 250_000_000)
-        risen = step_price(clamped, 100.0, high, cfg, supply)
+        risen = step_price(clamped.anchor, 100.0, high, cfg, supply)
         assert risen.trd_price == pytest.approx(8.0, rel=2**-52)
         assert risen.anchor == low
-        back = step_price(risen, 100.0, low, cfg, supply)
+        back = step_price(risen.anchor, 100.0, low, cfg, supply)
         assert back == MarketState(10.0, 100.0, Amount(0), low)
         lower = grown(-200_000_000, -500_000_000)
-        again = step_price(back, 100.0, lower, cfg, supply)
+        again = step_price(back.anchor, 100.0, lower, cfg, supply)
         assert again == MarketState(10.0, 100.0, supply, lower)
 
     @pytest.mark.parametrize(
         "base_price", [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]
     )
     def test_base_price_not_finite_and_positive_rejected(self, cfg, base_price):
-        state = initial_market(100.0, cfg)
         with pytest.raises(NonFinitePriceError, match="base price must be finite"):
-            step_price(state, base_price, Index.identity(), cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, base_price, LAUNCH, cfg, Amount.from_tokens(1))
 
     def test_trd_price_underflow_rejected(self, cfg):
         # the ceiling is 5e-324, nonzero, but peg / 3.86 of the base price
@@ -84,9 +83,7 @@ class TestStepPrice:
         index = grown(2_860_000_000)
         assert peg_ceiling(cfg, 5e-323) == 5e-324
         with pytest.raises(NonFinitePriceError, match="TRD price underflowed to 0"):
-            step_price(
-                initial_market(5e-323, cfg), 5e-323, index, cfg, Amount.from_tokens(1)
-            )
+            step_price(LAUNCH, 5e-323, index, cfg, Amount.from_tokens(1))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -108,26 +105,26 @@ class TestStepPrice:
         cfg = RebaseConfig(peg_ratio=Rate(peg))
         ratio = Fraction(anchor.num, anchor.den) / Fraction(index.num, index.den)
         exact = Fraction(peg, UNIT) * ratio * Fraction(base)
-        state, supply = MarketState(0.5, 1.0, Amount(0), anchor), Amount(raw)
+        supply = Amount(raw)
         try:
             ceiling = peg_ceiling(cfg, base)
         except NonFinitePriceError:
             with pytest.raises(NonFinitePriceError):
-                step_price(state, base, index, cfg, supply)
+                step_price(anchor, base, index, cfg, supply)
             return
         if ratio > 1:
             mint = math.floor(raw * (ratio - 1))
             if mint > MAX_RAW:
                 with pytest.raises(AmountOverflowError):
-                    step_price(state, base, index, cfg, supply)
+                    step_price(anchor, base, index, cfg, supply)
             else:
-                after = step_price(state, base, index, cfg, supply)
+                after = step_price(anchor, base, index, cfg, supply)
                 assert after == MarketState(ceiling, base, Amount(mint), index)
         elif float(exact) == 0:
             with pytest.raises(NonFinitePriceError, match="TRD price underflowed"):
-                step_price(state, base, index, cfg, supply)
+                step_price(anchor, base, index, cfg, supply)
         else:
-            after = step_price(state, base, index, cfg, supply)
+            after = step_price(anchor, base, index, cfg, supply)
             assert after.anchor == anchor and after.arb_minted == Amount(0)
             assert after.trd_price <= ceiling
             if after.trd_price >= 2.2250738585072014e-308:
@@ -140,30 +137,42 @@ class TestPegCeiling:
         assert peg_ceiling(replace(cfg, peg_ratio=Rate(UNIT)), 5e-324) == 5e-324
 
     @pytest.mark.parametrize("base_price", [5e-324, 1e-323])
-    def test_underflowing_ceiling_rejected_at_launch(self, cfg, base_price):
-        # 0.1 of the smallest subnormals rounds to 0: no positive price fits
+    @pytest.mark.parametrize("index", [LAUNCH, grown(-100)], ids=["unclamped", "clamped"])
+    def test_underflowing_ceiling_rejected(self, cfg, base_price, index):
+        # 0.1 of the smallest subnormals rounds to 0: no positive price
+        # fits, on the clamped path and off it
         with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed to 0"):
-            initial_market(base_price, cfg)
+            step_price(LAUNCH, base_price, index, cfg, Amount.from_tokens(1))
 
     def test_overflowing_ceiling_rejected(self):
         # above a peg of 1 the ceiling of a huge base price is infinite
         cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
         with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
-            initial_market(1.7e308, cfg)
-        state = initial_market(1.0, cfg)
+            step_price(LAUNCH, 1.7e308, LAUNCH, cfg, Amount.from_tokens(1))
         with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
-            step_price(state, 1.7e308, grown(100), cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, 1.7e308, grown(100), cfg, Amount.from_tokens(1))
+
+    def test_unclamped_price_under_an_infinite_ceiling_returns(self):
+        # step_price checks no ceiling while an unclamped price fits:
+        # 2 / 1.2 * 1e308 is finite though 2 * 1e308 is not, and only
+        # step_period's ceiling check rejects it
+        cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
+        after = step_price(LAUNCH, 1e308, grown(200_000_000), cfg, Amount.from_tokens(1))
+        assert after.trd_price == pytest.approx(2 / 1.2 * 1e308, rel=2**-50)
+        with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
+            peg_ceiling(cfg, 1e308)
 
     def test_price_never_exceeds_peg_over_random_series(self, cfg):
         rng = random.Random(9090)
         for _ in range(200):
             base = rng.uniform(1.0, 1000.0)
-            state, index = initial_market(base, cfg), Index.identity()
+            anchor = index = LAUNCH
             supply = Amount.from_tokens(rng.randrange(1_000, 100_000))
             for _ in range(200):
                 base *= math.exp(rng.gauss(0.0, 0.08))
                 index = grow_index(index, Rate(rng.randrange(-400_000_000, 400_000_000)))
-                state = step_price(state, base, index, cfg, supply)
+                state = step_price(anchor, base, index, cfg, supply)
+                anchor = state.anchor
                 ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
                 assert state.trd_price <= ceiling
 
@@ -173,16 +182,15 @@ class TestDilutionNeutrality:
         # price x supply moves by exactly the market return while the
         # clamp is inactive
         rng = random.Random(9191)
-        launch = initial_market(1000.0, cfg)
         for _ in range(300):
             supply = rng.randrange(10**12, 10**16)
             index = grown(rng.randrange(0, 400_000_000))
-            state = step_price(launch, 1000.0, index, cfg, Amount(supply))
+            state = step_price(LAUNCH, 1000.0, index, cfg, Amount(supply))
             m = math.exp(rng.gauss(0.0, 0.05))
             r = Rate(rng.randrange(-200_000_000, 400_000_000))
             new_supply = supply * (UNIT + r.ppb) // UNIT
             after = step_price(
-                state, 1000.0 * m, grow_index(index, r), cfg, Amount(new_supply)
+                state.anchor, 1000.0 * m, grow_index(index, r), cfg, Amount(new_supply)
             )
             if after.anchor == state.anchor:
                 cap_before = state.trd_price * supply
