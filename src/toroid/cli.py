@@ -30,7 +30,7 @@ from .errors import (
     NonDivisibleCollateralError,
     ToroidError,
 )
-from .harness import load_market_csv, run_backtest, write_series_csv
+from .harness import load_market_csv, run_backtest, write_output, write_series_csv
 from .ledger import Ledger
 from .numerics import Amount, Rate, format_raw
 
@@ -163,8 +163,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     scenario_id = args.id if args.id is not None else args.attack_kind
     # Rendered before --out is opened, so a refused id leaves no file.
     text = render_reports_csv([(scenario_id, scenario, report)])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_output(args.out, text)
     verdict = "PROFITABLE" if report.profitable else "not profitable"
     print(
         f"{scenario_id}: cost {report.cost_base.tokens()} base, "

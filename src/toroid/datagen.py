@@ -25,7 +25,7 @@ import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from pathlib import Path
 
-from .harness import MARKET_CSV_HEADER
+from .harness import MARKET_CSV_HEADER, write_output
 
 PERIODS = 500
 SEED = 7
@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     target = Path(args[0]) if args else _BUNDLED
     try:
-        target.write_text(sample_market_csv(), encoding="utf-8", newline="")
+        write_output(target, sample_market_csv())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

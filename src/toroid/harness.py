@@ -5,13 +5,16 @@ The loop feeds the transaction count to the controller, rebases the
 ledger, prices TRD from the row's base price and the ledger's index,
 mints whatever arbitrage the peg clamp implied, and pairs the row with
 the period's PeriodRecord.  step_period is that one period.  Identical
-inputs produce byte-identical output files.
+inputs produce byte-identical output files, and write_output is the one
+way the package writes a file.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import os
+import stat
 from pathlib import Path
 
 from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
@@ -185,6 +188,7 @@ def write_series_csv(
     """Write run_backtest's pairs; rates are nine-decimal fixed strings.
 
     Output is byte-stable: fixed header, fixed formatting, "\\n" endings.
+    An existing file is rewritten in place through write_output.
     """
     lines = [SERIES_CSV_HEADER]
     for row, record in series:
@@ -203,4 +207,25 @@ def write_series_csv(
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    write_output(path, "\n".join(lines) + "\n")
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8 bytes, rewriting an existing file in place.
+
+    The path is opened without O_TRUNC: the bytes go over the old ones
+    and a regular file is then truncated to their length.  So the file
+    keeps its inode, a hard link sees the new bytes, a symlink stays a
+    symlink with its target rewritten, and a device such as /dev/null is
+    written and never truncated.  Truncating a non-empty file to zero
+    first would make some filesystems (ext4's auto_da_alloc) flush it to
+    disk on close.  Errors are the OSError open(path, "w") raises, text
+    included.  Nothing is synced to disk, and a write that fails partway
+    can leave the new bytes followed by old ones.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate(len(data))

@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid import cli, harness
+from toroid import cli, datagen, harness
 from toroid.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from toroid.controller import dump_config, load_config
+from toroid.errors import NonFinitePriceError
 from toroid.harness import (
     MARKET_CSV_HEADER,
     SERIES_CSV_HEADER,
@@ -606,6 +608,108 @@ class TestAttack:
             ]
         )
         assert code == EXIT_INPUT
+
+
+# The README's simulate and Sybil commands without --out, the golden each
+# writes, and the line each prints ("{out}" stands for the --out path).
+OUTPUT_RUNS = {
+    "simulate": (
+        ["simulate", "--data", str(ROOT / "data" / "sample_market.csv"),
+         "--config", str(DEFAULT_CFG), "--initial-supply", "10000",
+         "--gas-cost-trd", "0.1"],
+        "simulate.csv",
+        "499 periods -> {out}; final supply 665081.237000103 TRD, "
+        "final price 0.048997796\n",
+    ),
+    "attack": (
+        sybil_argv("10000", 1, "0", "10000", "10000", None, False)
+        + ["--config", str(DEFAULT_CFG)],
+        "attack-sybil.csv",
+        "sybil: cost 4.000000000 base, gain 4.000000000 base, "
+        "net 0.000000000 base -> not profitable\n",
+    ),
+}
+# What an earlier run left in the output file: longer than any output here.
+OLD_BYTES = b"old,bytes\n" * 10_000
+
+
+class TestOutputFile:
+    """--out goes through harness.write_output: rewritten in place, never
+    opened with O_TRUNC, and written only after the run succeeded."""
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+    def test_dev_null_exits_0_with_the_same_stdout(self, capsys, command):
+        # a character device is written but never truncated
+        argv, _, line = OUTPUT_RUNS[command]
+        assert main([*argv, "--out", os.devnull]) == EXIT_OK
+        assert capsys.readouterr().out == line.format(out=os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+    def test_directory_out_is_input_error(self, tmp_path, capsys, command):
+        argv, _, _ = OUTPUT_RUNS[command]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("writer", ["simulate", "attack", "datagen"])
+    def test_no_writer_opens_with_o_trunc(self, tmp_path, monkeypatch, writer):
+        # Truncating a non-empty file to zero makes ext4 flush it on close,
+        # tens of milliseconds a write; timings would be flaky, so the guard
+        # is that the output path is opened through os.open, without O_TRUNC.
+        real_open = os.open
+        opened = []
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out = tmp_path / "out.csv"
+        out.write_bytes(OLD_BYTES)
+        inode = out.stat().st_ino
+        if writer == "datagen":
+            assert datagen.main([str(out)]) == EXIT_OK
+            expected = (ROOT / "data" / "sample_market.csv").read_bytes()
+        else:
+            argv, golden, _ = OUTPUT_RUNS[writer]
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            expected = (GOLDEN / golden).read_bytes()
+        flags = [flag for path, flag in opened if path == str(out)]
+        assert len(flags) == 1
+        assert flags[0] & os.O_TRUNC == 0
+        assert out.read_bytes() == expected
+        assert out.stat().st_ino == inode
+
+    def test_failed_simulate_leaves_out_unchanged(self, tmp_path, monkeypatch, capsys):
+        # a period that fails partway through the run: the output is
+        # written only after the last period, so the old bytes stay
+        real_step = harness.step_period
+        steps = []
+
+        def failing(*args):
+            steps.append(None)
+            if len(steps) == 250:
+                raise NonFinitePriceError("stub: period 250 fails")
+            return real_step(*args)
+
+        monkeypatch.setattr(harness, "step_period", failing)
+        argv, _, _ = OUTPUT_RUNS["simulate"]
+        out = tmp_path / "series.csv"
+        out.write_bytes(OLD_BYTES)
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert len(steps) == 250
+        assert capsys.readouterr().err == "error: stub: period 250 fails\n"
+        assert out.read_bytes() == OLD_BYTES
+
+    def test_refused_id_leaves_out_unchanged(self, tmp_path, capsys):
+        argv, _, _ = OUTPUT_RUNS["attack"]
+        out = tmp_path / "report.csv"
+        out.write_bytes(OLD_BYTES)
+        assert main([*argv, "--id", "x,y", "--out", str(out)]) == EXIT_INPUT
+        assert "scenario id" in capsys.readouterr().err
+        assert out.read_bytes() == OLD_BYTES
 
 
 # Every byte `toroid ledger demo` prints; the minted column is derived

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,7 @@ from toroid.harness import (
     load_market_csv,
     run_backtest,
     step_period,
+    write_output,
     write_series_csv,
 )
 from toroid.ledger import Ledger
@@ -485,3 +487,63 @@ class TestSeriesCsv:
         write_series_csv(run_backtest(rows, cfg, Amount.from_tokens(10_000)), a)
         write_series_csv(run_backtest(rows, cfg, Amount.from_tokens(10_000)), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def write_outcome(write, path) -> tuple[type, str] | None:
+    """What write(path) raises, as (type, text), or None if it returns."""
+    try:
+        write(path)
+    except OSError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestWriteOutput:
+    def test_shorter_text_rewrites_the_same_inode(self, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"x" * 1_000)
+        inode = out.stat().st_ino
+        write_output(out, "a,b\n1,2\n")
+        assert out.read_bytes() == b"a,b\n1,2\n"
+        assert out.stat().st_ino == inode
+
+    def test_bytes_are_utf8_without_newline_translation(self, tmp_path):
+        out = tmp_path / "o.csv"
+        write_output(out, "\u00e9\r\n\n")
+        assert out.read_bytes() == "\u00e9\r\n\n".encode("utf-8")
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"old\n" * 250)
+        link = tmp_path / "link.csv"
+        os.link(out, link)
+        write_output(out, "new\n")
+        assert link.read_bytes() == b"new\n"
+
+    def test_symlink_stays_and_its_target_is_rewritten(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old\n" * 250)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_output(link, "new\n")
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    @pytest.mark.parametrize("case", ["directory", "missing parent", "read-only"])
+    def test_errors_are_those_of_open_for_writing(self, tmp_path, case):
+        # the CLI prints str(exc) after "error: ", so the text is the contract;
+        # a read-only file opens anyway for a user that ignores permissions
+        if case == "directory":
+            path = tmp_path
+        elif case == "missing parent":
+            path = tmp_path / "no" / "o.csv"
+        else:
+            path = tmp_path / "o.csv"
+            path.write_bytes(b"old\n")
+            path.chmod(0o444)
+        expected = write_outcome(lambda p: open(p, "w").close(), path)
+        outcome = write_outcome(lambda p: write_output(p, "new\n"), path)
+        assert outcome == expected
+        if case == "directory":
+            assert outcome == (IsADirectoryError, f"[Errno 21] Is a directory: '{path}'")
