@@ -61,13 +61,20 @@ class SybilScenario:
 
 @record
 class AttackReport:
-    """Outcome of one scenario; net_profit_base is signed raw base units."""
+    """Outcome of one scenario; the net and the verdict follow from gain and cost."""
 
     cost_base: Amount
     extra_supply_trd: Amount
     attacker_gain_base: Amount
-    net_profit_base: int
-    profitable: bool
+
+    @property
+    def net_profit_base(self) -> int:
+        """Gain less cost, in signed raw base units."""
+        return self.attacker_gain_base.raw - self.cost_base.raw
+
+    @property
+    def profitable(self) -> bool:
+        return self.net_profit_base > 0
 
 
 def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
@@ -156,14 +163,7 @@ def _price_attack(
     num, den = sale_price(attacked)
     gain = Amount(extra_holdings.raw * num // den)
     cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
-    net = gain.raw - cost.raw
-    return AttackReport(
-        cost_base=cost,
-        extra_supply_trd=extra_supply,
-        attacker_gain_base=gain,
-        net_profit_base=net,
-        profitable=net > 0,
-    )
+    return AttackReport(cost, extra_supply, gain)
 
 
 def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:

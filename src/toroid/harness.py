@@ -2,11 +2,11 @@
 
 Each input row is one period of base-coin price and transaction count.
 The loop feeds the transaction count to the controller, rebases the
-ledger, prices TRD from the row's base price and the ledger's index,
-mints whatever arbitrage the peg clamp implied, and pairs the row with
-the period's PeriodRecord.  step_period is that one period.  Identical
-inputs produce byte-identical output files, and write_output is the one
-way the package writes a file.
+ledger, clamps TRD/base at the peg, prices TRD from the row's base price
+and the ledger's index, deposits the clamp's arbitrage mint, and pairs
+the row with the period's PeriodRecord.  step_period is that one period.
+Identical inputs produce byte-identical output files, and write_output
+is the one way the package writes a file.
 """
 
 from __future__ import annotations
@@ -94,13 +94,17 @@ class PeriodRecord:
     """What one period produced: its rates, the market and supply after it.
 
     run_backtest pairs one with each input row after the first;
-    market.arb_minted is the clamp's mint before it was rounded down to
-    exact collateral and deposited.
+    arb_minted is the TRD the peg clamp deposited into the "arb" account.
     """
 
     breakdown: RateBreakdown
     market: MarketState
     supply: Amount
+    arb_minted: Amount
+
+
+# Shared by every period that deposits nothing.
+_NO_MINT = Amount(0)
 
 
 def step_period(
@@ -114,22 +118,41 @@ def step_period(
 ) -> PeriodRecord:
     """Run one period: set the rate from the counts, rebase, price TRD.
 
-    TRD is priced from base_price, the post-rebase index and anchor, the
-    index at the last clamp; a clamp's arbitrage mint is deposited into
-    the "arb" account.  supply is the ledger's total at period start, as
-    the previous period returned it, so no caller rescans every account.
+    TRD/base is peg * anchor / index, anchor being the index at the last
+    clamp.  Past the peg the clamp binds: the anchor moves to the index,
+    pricing TRD at the ceiling, and once the price has passed its check
+    the mint supply * (anchor / index - 1), floored, then rounded down to
+    exact collateral, is deposited into the "arb" account.  supply is the
+    ledger's total at period start, as the previous period returned it,
+    so no caller rescans every account.
     """
     breakdown = combined_rate(
         PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
     )
     supply = ledger.rebase(breakdown.r_combined)
-    market = step_price(anchor, base_price, ledger.index, cfg, supply)
+    index = ledger.index
+    den = anchor.den * index.num
+    excess = anchor.num * index.den - den
+    if excess > 0:
+        anchor = index
+    market = step_price(anchor, base_price, index, cfg)
     # Written so that a NaN price fails the check too.
     if not market.trd_price <= peg_ceiling(cfg, market.base_price):
         raise InvariantViolationError("TRD price escaped the peg ceiling")
-    if market.arb_minted.raw:
-        supply = _inject_arbitrage(ledger, market.arb_minted, supply)
-    return PeriodRecord(breakdown, market, supply)
+    minted = _NO_MINT
+    if excess > 0:
+        # Amount checks the floored mint for overflow before it is rounded.
+        mint = Amount(supply.raw * excess // den).raw
+        mint -= mint % (UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT))
+        if mint:
+            minted = Amount(mint)
+            collateral = ledger.collateral_for(minted)
+            if _ARBITRAGEUR in ledger.accounts:
+                ledger.deposit(_ARBITRAGEUR, collateral)
+            else:
+                ledger.open_account(collateral, account_id=_ARBITRAGEUR)
+            supply = ledger.total_supply()
+    return PeriodRecord(breakdown, market, supply, minted)
 
 
 def run_backtest(
@@ -162,24 +185,6 @@ def run_backtest(
         anchor, supply = record.market.anchor, record.supply
         out.append((row, record))
     return out
-
-
-def _inject_arbitrage(ledger: Ledger, minted: Amount, supply: Amount) -> Amount:
-    """Feed the clamp's mint into a dedicated arbitrageur account.
-
-    The mint is rounded down to the nearest amount with exact collateral
-    at the peg; a zero result leaves the ledger untouched.
-    """
-    step = UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT)
-    rounded = minted.raw - minted.raw % step
-    if rounded == 0:
-        return supply
-    collateral = ledger.collateral_for(Amount(rounded))
-    if _ARBITRAGEUR in ledger.accounts:
-        ledger.deposit(_ARBITRAGEUR, collateral)
-    else:
-        ledger.open_account(collateral, account_id=_ARBITRAGEUR)
-    return ledger.total_supply()
 
 
 def write_series_csv(

@@ -1,19 +1,17 @@
-"""Exogenous-demand price model with the one-way peg as an arbitrage clamp.
+"""Exogenous-demand price model: TRD/base from the rebase index.
 
 The base-coin price follows the input series while each rebasement
 dilutes the per-token price by exactly 1/(1 + r) in the same period, so
 TRD/base is peg * anchor / index: the ledger's rebase index against the
 anchor, its value at the last clamp and the only state one period
 carries to the next (the launch index at first, where TRD sits at the
-peg).  The peg is a pure ceiling: whenever that ratio would exceed the
-peg, arbitrageurs fund the contract for cheap TRD, so the price is
-clamped there, the supply that such funding mints is recorded, and the
-anchor moves to the current index.
+peg).  The peg is a pure ceiling, and the period kernel
+(harness.step_period) owns it: when the ratio would pass the peg,
+arbitrageurs fund the contract for cheap TRD, their mint dilutes the
+price back down, and the kernel moves the anchor to the index, so this
+module prices that period at exactly the ceiling.
 
-Prices are floats, deliberately outside the fixed-point core.  The clamp
-and its mint are integer arithmetic on the two indexes; the period
-kernel rounds the mint down to an amount with exact collateral and
-deposits it.
+Prices are floats, deliberately outside the fixed-point core.
 """
 
 from __future__ import annotations
@@ -22,15 +20,14 @@ import math
 
 from .controller import RebaseConfig
 from .errors import NonFinitePriceError
-from .numerics import UNIT, Amount, Index, record
+from .numerics import UNIT, Index, record
 
 
 @record
 class MarketState:
     trd_price: float
     base_price: float
-    arb_minted: Amount = Amount(0)
-    anchor: Index = Index(1, 1)
+    anchor: Index
 
 
 def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
@@ -51,33 +48,24 @@ def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
 
 
 def step_price(
-    anchor: Index,
-    base_price: float,
-    index: Index,
-    cfg: RebaseConfig,
-    supply: Amount,
+    anchor: Index, base_price: float, index: Index, cfg: RebaseConfig
 ) -> MarketState:
     """Price this period from its base price and the post-rebase index.
 
     TRD/base is peg * anchor / index, anchor being the index at the last
-    clamp.  When anchor > index that exceeds the peg: the price is
-    clamped to the ceiling, the mint that dilutes supply (the
-    post-rebase total) back down to it, supply * (anchor / index - 1)
-    floored, is recorded, and the anchor moves to index.  Raises
-    NonFinitePriceError on a bad base price, a clamped period's ceiling
-    or an unclamped period's TRD price leaving the floats; a TRD price
-    that fits is not checked against its ceiling, which can be infinite
-    above a peg of 1 (step_period's ceiling check rejects that).
+    clamp.  step_period passes an anchor at or below the index, so TRD/base
+    is at most the peg, and at anchor == index the TRD price is exactly
+    the ceiling, as the int/int division is correctly rounded.
+    Raises NonFinitePriceError on a bad base price or ceiling, or a TRD
+    price that underflows to 0.  A TRD price that fits is not checked
+    against its ceiling, which can be infinite above a peg of 1
+    (step_period's ceiling check rejects that).
     """
     num, den = anchor.num * index.den, anchor.den * index.num
-    if num > den:
-        ceiling = peg_ceiling(cfg, base_price)
-        mint = Amount(supply.raw * (num - den) // den)
-        return MarketState(ceiling, base_price, mint, index)
     trd_price = cfg.peg_ratio.ppb * num / (UNIT * den) * base_price
     if not 0 < trd_price < math.inf:
         # A bad base price or ceiling raises there; under a finite
         # ceiling, the price can only have underflowed.
         peg_ceiling(cfg, base_price)
         raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
-    return MarketState(trd_price, base_price, anchor=anchor)
+    return MarketState(trd_price, base_price, anchor)

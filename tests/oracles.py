@@ -67,7 +67,8 @@ def exact_backtest(
     the peg, the clamp mints floor(supply * (q / ((1 + r) * peg) - 1)) and
     q returns to the peg; the mint, rounded down to a multiple of
     UNIT / gcd(peg, UNIT) raw, enters the "arb" account at ceiling
-    shares.  Rates come from combined_rate, which has oracles of its own.
+    shares, and that deposit is the row's arb_minted.  Rates come from
+    combined_rate, which has oracles of its own.
     """
     peg = Fraction(cfg.peg_ratio.ppb, UNIT)
     step = UNIT // math.gcd(cfg.peg_ratio.ppb, UNIT)
@@ -84,19 +85,19 @@ def exact_backtest(
         )
         growth = 1 + Fraction(breakdown.r_combined.ppb, UNIT)
         index *= growth
-        total, minted = supply(), 0
+        total, deposited = supply(), 0
         if q / growth > peg:
             minted = math.floor(total * (q / (growth * peg) - 1))
             q = peg
-            rounded = minted - minted % step
-            if rounded:
+            deposited = minted - minted % step
+            if deposited:
                 shares["arb"] = shares.get("arb", 0) + math.ceil(
-                    rounded * SHARE_SCALE / index
+                    deposited * SHARE_SCALE / index
                 )
                 total = supply()
         else:
             q /= growth
-        out.append((breakdown, minted, total, q * Fraction(row.price)))
+        out.append((breakdown, deposited, total, q * Fraction(row.price)))
     return out
 
 

@@ -116,6 +116,21 @@ class TestRunSybil:
         assert report.profitable
         assert report.attacker_gain_base.raw > report.cost_base.raw
 
+    @pytest.mark.parametrize("supply", [10**6, 10**8, 10**10])
+    def test_capitalization_does_not_shrink_the_gap_profit(self, cfg, supply):
+        # against the paper's "bigger capitalization is harder to
+        # manipulate": with b = 10^6 honest and d = 5 * 10^5 injected
+        # transactions under a binding cap, a holder of half the supply
+        # nets (h / s * (b + d) - d) * gas = 100 base at every s
+        sc = scenario(500_000, baseline_v=1_000_000, supply=supply, holdings=supply // 2)
+        assert run_sybil(sc, cfg).net_profit_base == Amount.from_tokens(100).raw
+
+    @pytest.mark.parametrize("gain, net", [(3, -2), (5, 0), (6, 1)])
+    def test_net_and_verdict_follow_from_gain_and_cost(self, gain, net):
+        report = AttackReport(Amount(5), Amount(0), Amount(gain))
+        assert report.net_profit_base == net
+        assert report.profitable is (net > 0)
+
     def test_multi_period_attack_still_unprofitable(self, cfg):
         report = run_sybil(scenario(50_000, periods=5, holdings=10_000), cfg)
         assert not report.profitable
@@ -281,8 +296,6 @@ def reference_report(sc, cfg, buy, sell, sale_price):
         cost_base=Amount(cost),
         extra_supply_trd=Amount(supply - base_supply),
         attacker_gain_base=Amount(gain),
-        net_profit_base=gain - cost,
-        profitable=gain > cost,
     )
 
 

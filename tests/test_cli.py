@@ -385,9 +385,9 @@ class TestSimulate:
     ):
         # a price model that lets the TRD price escape the ceiling is an
         # internal fault, the one class of error that exits 2
-        def escaping(anchor, base_price, index, cfg, supply):
+        def escaping(anchor, base_price, index, cfg):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * 2, base_price, anchor=anchor)
+            return MarketState(ceiling * 2, base_price, anchor)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         code = main(

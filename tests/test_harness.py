@@ -6,12 +6,19 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid import harness
-from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate, load_config
+from toroid.controller import (
+    PeriodMetrics,
+    RateBreakdown,
+    RebaseConfig,
+    combined_rate,
+    load_config,
+)
 from toroid.errors import (
+    AmountOverflowError,
     InvariantViolationError,
     MarketDataError,
     NonFinitePriceError,
@@ -28,9 +35,9 @@ from toroid.harness import (
     write_output,
     write_series_csv,
 )
-from toroid.ledger import Ledger
+from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.market import MarketState, peg_ceiling
-from toroid.numerics import UNIT, Amount, Rate
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
 from oracles import CLAMP_CFG, exact_backtest
 
@@ -275,21 +282,22 @@ class TestRunBacktest:
         supply = ledger.total_supply()
         record = step_period(ledger, ledger.index, cfg, 1, 100_000, 100.0, supply)
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
-        assert record.market.arb_minted.raw > 0
+        assert record.arb_minted.raw > 0
         assert "arb" in ledger.accounts
         assert record.supply == ledger.total_supply()
         # the arbitrageur opened after the rebase, so its balance is
-        # exactly the obligation its collateral carries at the peg
+        # exactly the obligation its collateral carries at the peg, and
+        # that is the mint the record reports: a multiple of 10 raw, the
+        # least with exact collateral at the 0.1 peg
         arb_minted = ledger.minted_for(ledger.accounts["arb"].collateral)
-        assert ledger.balance_of("arb") == arb_minted
-        # rounded down to a multiple of 10 raw, the least with exact
-        # collateral at the 0.1 peg
-        assert 0 <= record.market.arb_minted.raw - arb_minted.raw < 10
+        assert ledger.balance_of("arb") == arb_minted == record.arb_minted
+        assert arb_minted.raw % 10 == 0
 
     def test_step_period_skips_arbitrage_that_rounds_to_zero(self):
         # the clamp's mint, 5 TRD * (1 / 0.999999999 - 1) = 5.000000005
         # raw floored to 5, has no exact collateral at the 0.1 peg, so it
-        # rounds down to nothing and no account opens
+        # rounds down to nothing: the clamp binds, no account opens and
+        # the record reports the zero deposited
         cfg = RebaseConfig(
             gas_cap_enabled=False, bootstrap_periods=0, t0=10**12
         )
@@ -300,7 +308,8 @@ class TestRunBacktest:
             ledger, ledger.index, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
         )
         assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
-        assert record.market.arb_minted == Amount(5)
+        assert record.market.anchor == ledger.index
+        assert record.arb_minted == Amount(0)
         assert "arb" not in ledger.accounts
         assert record.supply == ledger.total_supply()
 
@@ -315,9 +324,9 @@ class TestRunBacktest:
     def test_step_period_checks_peg_ceiling(self, cfg, monkeypatch, excess):
         # a price model that lets the TRD price escape the ceiling, or go
         # NaN, is an internal fault the kernel must still catch
-        def escaping(anchor, base_price, index, cfg, supply):
+        def escaping(anchor, base_price, index, cfg):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * excess, base_price, anchor=anchor)
+            return MarketState(ceiling * excess, base_price, anchor)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         ledger = Ledger(cfg.peg_ratio)
@@ -337,7 +346,7 @@ class TestRunBacktest:
         for price in (rows[0].price, first):
             rows[0] = replace(rows[0], price=price)
             series = run_backtest(rows, CLAMP_CFG, Amount.from_tokens(10_000))
-            assert any(record.market.arb_minted.raw for _, record in series)
+            assert any(record.arb_minted.raw for _, record in series)
             paths.append(tmp_path / f"{len(paths)}.csv")
             write_series_csv(series, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -405,7 +414,118 @@ class TestRunBacktest:
             run_backtest([], cfg, Amount.from_tokens(10_000))
 
 
-def random_walk(seed: int, periods: int = 250) -> list[MarketRow]:
+def forced_rates(monkeypatch, *ppb: int) -> None:
+    """Make the kernel's controller return these combined rates in turn."""
+    rates = iter(ppb)
+
+    def controller(metrics, cfg):
+        r = Rate(next(rates))
+        return RateBreakdown(r, Rate(0), Rate(0), r)
+
+    monkeypatch.setattr(harness, "combined_rate", controller)
+
+
+# Indexes from 1e-30 to 1e30: anchors well above and below the index.
+ANCHORS = st.builds(Index, st.integers(1, 10**30), st.integers(1, 10**30))
+
+
+class TestPegClamp:
+    """The one-sided peg, which the period kernel alone applies."""
+
+    def test_clamp_at_peg_deposits_arbitrage(self, cfg, monkeypatch):
+        # from the ceiling, a -20% rebasement would lift TRD/base to
+        # peg / 0.8: the clamp holds it at the peg, re-anchors at the
+        # index and deposits the mint that dilutes the 8,000 TRD left
+        # back up to 10,000, 8,000 * (1 / 0.8 - 1) TRD exactly
+        forced_rates(monkeypatch, -200_000_000)
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
+        record = step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply())
+        assert record.market == MarketState(10.0, 100.0, ledger.index)
+        assert record.arb_minted == Amount.from_tokens(2_000)
+        assert ledger.balance_of("arb") == Amount.from_tokens(2_000)
+        assert record.supply == Amount.from_tokens(10_000)
+
+    def test_anchor_holds_until_the_next_clamp(self, cfg, monkeypatch):
+        # after a clamp, TRD/base is measured from the clamped index: a
+        # rise of 25% and a fall back leave it at the peg with no mint,
+        # and a fall below the anchor clamps again, restoring the supply
+        forced_rates(monkeypatch, -200_000_000, 250_000_000, -200_000_000, -500_000_000)
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
+        anchor, supply, records = ledger.index, ledger.total_supply(), []
+        for _ in range(4):
+            record = step_period(ledger, anchor, cfg, 0, 0, 100.0, supply)
+            anchor, supply = record.market.anchor, record.supply
+            records.append(record)
+        clamped, risen, back, again = records
+        assert risen.market.trd_price == pytest.approx(8.0, rel=2**-52)
+        assert risen.market.anchor == clamped.market.anchor
+        assert (back.market, back.arb_minted) == (clamped.market, Amount(0))
+        assert again.market.trd_price == 10.0
+        assert again.arb_minted == Amount.from_tokens(5_000)
+        assert again.supply == Amount.from_tokens(10_000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        anchor=ANCHORS,
+        r=st.integers(-990_000_000, UNIT),
+        peg=st.just(100_000_000) | st.integers(1, 20 * UNIT),
+        tokens=st.integers(1, 10**6),
+    )
+    @example(anchor=Index(1, 1), r=-10_988_122, peg=100_000_000, tokens=10_000)
+    @example(anchor=Index(10**30, 1), r=0, peg=100_000_000, tokens=10**6)
+    def test_clamp_matches_fraction_oracle(self, anchor, r, peg, tokens):
+        # past the peg the kernel deposits supply * (anchor / index - 1),
+        # floored (an Amount, so a larger one overflows), then rounded
+        # down to a multiple of UNIT / gcd(peg, UNIT) raw, the least with
+        # exact collateral; at or below it the anchor holds, mint 0
+        cfg = RebaseConfig(peg_ratio=Rate(peg))
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount(tokens * peg), account_id="genesis")
+        twin = ledger.copy()
+        supply = twin.rebase(Rate(r)).raw
+        index = Fraction(twin.index.num, twin.index.den)
+        ratio = Fraction(anchor.num, anchor.den) / index
+        mint = math.floor(supply * (ratio - 1))
+        deposited = mint - mint % (UNIT // math.gcd(peg, UNIT))
+        shares = math.ceil(deposited * SHARE_SCALE / index)
+        # the mint overflows before it is rounded, or the arb account's shares do
+        overflow = next((x for x in (mint, shares) if x > MAX_RAW), None)
+        with pytest.MonkeyPatch.context() as mp:
+            forced_rates(mp, r)
+            if ratio > 1 and overflow:
+                with pytest.raises(AmountOverflowError, match=f"capacity: {overflow}$"):
+                    step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
+                assert "arb" not in ledger.accounts
+                return
+            record = step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
+        if ratio <= 1:
+            assert record.market.anchor == anchor
+            assert (record.arb_minted, record.supply.raw) == (Amount(0), supply)
+            assert "arb" not in ledger.accounts
+            return
+        assert record.market == MarketState(peg_ceiling(cfg, 100.0), 100.0, twin.index)
+        assert record.arb_minted == Amount(deposited)
+        if deposited:
+            assert ledger.minted_for(ledger.accounts["arb"].collateral) == Amount(deposited)
+        else:
+            assert "arb" not in ledger.accounts
+        assert record.supply == ledger.total_supply()
+
+    def test_bad_price_raises_before_the_mint(self, cfg, monkeypatch):
+        # a clamped period whose ceiling underflows raises before any
+        # arbitrage is deposited
+        forced_rates(monkeypatch, -500_000_000)
+        ledger = Ledger(cfg.peg_ratio)
+        ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
+        with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed"):
+            step_period(ledger, ledger.index, cfg, 0, 0, 5e-324, ledger.total_supply())
+        assert list(ledger.accounts) == ["genesis"]
+        assert ledger.total_collateral == Amount.from_tokens(1_000)
+
+
+def random_walk(seed: int, periods: int = 250, tx_sigma: float = 0.15) -> list[MarketRow]:
     """A seeded series: log-normal daily moves in price and in count."""
     rng = random.Random(seed)
     price, tx = rng.uniform(1.0, 1000.0), rng.randrange(1_000, 100_000)
@@ -413,7 +533,7 @@ def random_walk(seed: int, periods: int = 250) -> list[MarketRow]:
     for day in range(periods):
         rows.append(MarketRow(dt.date(2020, 1, 1) + dt.timedelta(days=day), price, tx))
         price *= math.exp(rng.gauss(0.0, 0.05))
-        tx = round(tx * math.exp(rng.gauss(0.0, 0.15)))
+        tx = round(tx * math.exp(rng.gauss(0.0, tx_sigma)))
     return rows
 
 
@@ -427,7 +547,7 @@ class TestExactReference:
         exact = exact_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert len(series) == len(exact) == len(rows) - 1
         for (row, record), (breakdown, minted, supply, price) in zip(series, exact):
-            got = (record.breakdown, record.market.arb_minted.raw, record.supply.raw)
+            got = (record.breakdown, record.arb_minted.raw, record.supply.raw)
             assert got == (breakdown, minted, supply), row.date
             assert abs(Fraction(record.market.trd_price) - price) <= price / 2**52
         return sum(1 for _, minted, _, _ in exact if minted)
@@ -455,15 +575,50 @@ class TestExactReference:
                 MarketRow(dt.date(2017, 1, 2), 100.0, 3801)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert record.breakdown.r_combined == Rate(-10_988_122)
-        assert record.market.arb_minted == Amount(109_881_220_000)
+        assert record.arb_minted == Amount(109_881_220_000)
         assert record.supply.tokens() == "10000.000000000"
 
     def test_clamp_mint_is_exact_on_the_bundled_data(self, sample_market_path):
         series = run_backtest(
             load_market_csv(sample_market_path), CLAMP_CFG, Amount.from_tokens(10_000)
         )
-        minted = {row.date: record.market.arb_minted.raw for row, record in series}
-        assert minted[dt.date(2017, 11, 16)] == 18_500_837_331
+        # the clamp's floored mint is 18,500,837,331 raw; the record holds
+        # the multiple of 10 raw deposited into the arb account
+        minted = {row.date: record.arb_minted.raw for row, record in series}
+        assert minted[dt.date(2017, 11, 16)] == 18_500_837_330
+
+    @pytest.mark.parametrize("seed", [None, *range(8)])
+    def test_records_sum_to_what_arb_received(self, sample_market_path, monkeypatch, seed):
+        # every record's arb_minted is what the arb account received: they
+        # sum to its obligation, each a multiple of the collateral step
+        if seed is None:
+            rows, cfg = load_market_csv(sample_market_path), CLAMP_CFG
+        else:
+            rows, cfg = random_walk(seed), replace(CLAMP_CFG, gas_cap_enabled=False)
+        ledgers = []
+
+        def capturing(ledger, *args):
+            ledgers.append(ledger)
+            return step_period(ledger, *args)
+
+        monkeypatch.setattr(harness, "step_period", capturing)
+        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        minted = [record.arb_minted.raw for _, record in series if record.arb_minted.raw]
+        # 10 raw is the least amount with exact collateral at the 0.1 peg
+        assert minted and all(raw % 10 == 0 for raw in minted)
+        arb = ledgers[-1].accounts["arb"]
+        assert sum(minted) == ledgers[-1].minted_for(arb.collateral).raw
+
+
+# Seeds of 500-row walks whose count moves 0.3 in log a period: the
+# index falls near 1e-16 while the supply stays near 10,000 TRD, and
+# a clamp's deposit gives the arb account more than MAX_RAW shares.
+@pytest.mark.parametrize("seed", [1, 2, 8, 12, 14, 26, 50])
+@pytest.mark.xfail(strict=True, raises=AmountOverflowError,
+                   reason="the arb account's share count overflows on a collapsed index")
+def test_arb_shares_overflow_on_a_collapsed_index(seed):
+    cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
+    run_backtest(random_walk(seed, 500, tx_sigma=0.3), cfg, Amount.from_tokens(10_000))
 
 
 class TestSeriesCsv:

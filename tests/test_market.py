@@ -1,5 +1,7 @@
+import datetime as dt
 import math
 import random
+import re
 import statistics
 from dataclasses import replace
 from fractions import Fraction
@@ -9,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid.controller import RebaseConfig
-from toroid.errors import AmountOverflowError, NonFinitePriceError
-from toroid.harness import load_market_csv, run_backtest
+from toroid.errors import NonFinitePriceError
+from toroid.harness import MarketRow, load_market_csv, run_backtest
 from toroid.market import MarketState, peg_ceiling, step_price
-from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, grow_index
+from toroid.numerics import UNIT, Amount, Index, Rate, grow_index
 
 from oracles import log_return_split, volatility_ratio
 
@@ -35,47 +37,35 @@ def grown(*ppb: int) -> Index:
 class TestStepPrice:
     def test_identity_step(self, cfg):
         # at the launch index TRD sits at its ceiling, one peg of base coin
-        after = step_price(LAUNCH, 100.0, LAUNCH, cfg, Amount.from_tokens(10_000))
-        assert after == MarketState(peg_ceiling(cfg, 100.0), 100.0)
+        after = step_price(LAUNCH, 100.0, LAUNCH, cfg)
+        assert after == MarketState(peg_ceiling(cfg, 100.0), 100.0, LAUNCH)
 
     def test_rebasement_absorbs_matching_growth(self, cfg):
         # base price +10% while supply grows +10%: the TRD price is unchanged
-        after = step_price(LAUNCH, 110.0, grown(100_000_000), cfg, Amount.from_tokens(1))
+        after = step_price(LAUNCH, 110.0, grown(100_000_000), cfg)
         assert after.trd_price == pytest.approx(10.0, rel=2**-52)
-        assert after == MarketState(after.trd_price, 110.0)
+        assert after == MarketState(after.trd_price, 110.0, LAUNCH)
 
-    def test_clamp_at_peg_records_arbitrage(self, cfg):
-        # from the ceiling, a -20% rebasement would lift TRD/base to
-        # peg / 0.8: the clamp holds it at the peg, records the mint that
-        # dilutes the supply back down, 10,000 * (1 / 0.8 - 1) TRD
-        # exactly, and re-anchors at the index
-        index = grown(-200_000_000)
-        after = step_price(LAUNCH, 100.0, index, cfg, Amount.from_tokens(10_000))
-        assert after == MarketState(10.0, 100.0, Amount.from_tokens(2_500), index)
-
-    def test_anchor_holds_until_the_next_clamp(self, cfg):
-        # after a clamp, TRD/base is measured from the clamped index: a
-        # rise of 25% and a fall back leave it at the peg with no mint,
-        # and a fall below the anchor clamps again
-        supply = Amount.from_tokens(10_000)
-        low = grown(-200_000_000)
-        clamped = step_price(LAUNCH, 100.0, low, cfg, supply)
-        high = grown(-200_000_000, 250_000_000)
-        risen = step_price(clamped.anchor, 100.0, high, cfg, supply)
-        assert risen.trd_price == pytest.approx(8.0, rel=2**-52)
-        assert risen.anchor == low
-        back = step_price(risen.anchor, 100.0, low, cfg, supply)
-        assert back == MarketState(10.0, 100.0, Amount(0), low)
-        lower = grown(-200_000_000, -500_000_000)
-        again = step_price(back.anchor, 100.0, lower, cfg, supply)
-        assert again == MarketState(10.0, 100.0, supply, lower)
+    @settings(max_examples=300, deadline=None)
+    @given(index=INDEXES, base=PRICES | st.just(100.0), peg=st.integers(1, 20 * UNIT))
+    def test_anchor_at_the_index_prices_exactly_the_ceiling(self, index, base, peg):
+        # the kernel clamps by moving the anchor to the index; the
+        # correctly rounded int/int division then gives the ceiling float
+        cfg = RebaseConfig(peg_ratio=Rate(peg))
+        try:
+            ceiling = peg_ceiling(cfg, base)
+        except NonFinitePriceError as exc:
+            with pytest.raises(NonFinitePriceError, match=re.escape(str(exc))):
+                step_price(index, base, index, cfg)
+        else:
+            assert step_price(index, base, index, cfg) == MarketState(ceiling, base, index)
 
     @pytest.mark.parametrize(
         "base_price", [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan]
     )
     def test_base_price_not_finite_and_positive_rejected(self, cfg, base_price):
         with pytest.raises(NonFinitePriceError, match="base price must be finite"):
-            step_price(LAUNCH, base_price, LAUNCH, cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, base_price, LAUNCH, cfg)
 
     def test_trd_price_underflow_rejected(self, cfg):
         # the ceiling is 5e-324, nonzero, but peg / 3.86 of the base price
@@ -83,7 +73,7 @@ class TestStepPrice:
         index = grown(2_860_000_000)
         assert peg_ceiling(cfg, 5e-323) == 5e-324
         with pytest.raises(NonFinitePriceError, match="TRD price underflowed to 0"):
-            step_price(LAUNCH, 5e-323, index, cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, 5e-323, index, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -91,41 +81,30 @@ class TestStepPrice:
         index=INDEXES,
         base=PRICES | st.just(100.0),
         peg=st.just(100_000_000) | st.integers(1, UNIT),
-        raw=st.integers(0, MAX_RAW // 2),
     )
-    @example(anchor=Index(1, 10**40), index=Index(1, 1), base=1e-300, peg=UNIT, raw=1)
-    @example(anchor=Index(10**40, 1), index=Index(1, 1), base=1.0, peg=UNIT, raw=MAX_RAW // 2)
-    @example(anchor=Index(5, 4), index=Index(1, 1), base=100.0, peg=100_000_000, raw=MAX_RAW // 2)
-    # a bad ceiling and an overflowing mint: the price error comes first
-    @example(anchor=Index(10**40, 1), index=Index(1, 1), base=5e-324, peg=100_000_000,
-             raw=MAX_RAW // 2)
-    def test_matches_fraction_oracle(self, anchor, index, base, peg, raw):
-        # TRD/base is peg * anchor / index, or the clamp's mint
-        # supply * (anchor / index - 1), floored, when that exceeds the peg
+    @example(anchor=Index(1, 10**40), index=Index(1, 1), base=1e-300, peg=UNIT)
+    @example(anchor=Index(5, 4), index=Index(1, 1), base=100.0, peg=100_000_000)
+    @example(anchor=Index(10**40, 1), index=Index(1, 1), base=5e-324, peg=100_000_000)
+    def test_matches_fraction_oracle(self, anchor, index, base, peg):
+        # TRD/base is peg * anchor / index, at or below the peg: the
+        # kernel passes an anchor no larger than the index
+        if Fraction(anchor.num, anchor.den) > Fraction(index.num, index.den):
+            anchor, index = index, anchor
         cfg = RebaseConfig(peg_ratio=Rate(peg))
         ratio = Fraction(anchor.num, anchor.den) / Fraction(index.num, index.den)
         exact = Fraction(peg, UNIT) * ratio * Fraction(base)
-        supply = Amount(raw)
         try:
             ceiling = peg_ceiling(cfg, base)
         except NonFinitePriceError:
             with pytest.raises(NonFinitePriceError):
-                step_price(anchor, base, index, cfg, supply)
+                step_price(anchor, base, index, cfg)
             return
-        if ratio > 1:
-            mint = math.floor(raw * (ratio - 1))
-            if mint > MAX_RAW:
-                with pytest.raises(AmountOverflowError):
-                    step_price(anchor, base, index, cfg, supply)
-            else:
-                after = step_price(anchor, base, index, cfg, supply)
-                assert after == MarketState(ceiling, base, Amount(mint), index)
-        elif float(exact) == 0:
+        if float(exact) == 0:
             with pytest.raises(NonFinitePriceError, match="TRD price underflowed"):
-                step_price(anchor, base, index, cfg, supply)
+                step_price(anchor, base, index, cfg)
         else:
-            after = step_price(anchor, base, index, cfg, supply)
-            assert after.anchor == anchor and after.arb_minted == Amount(0)
+            after = step_price(anchor, base, index, cfg)
+            assert after.anchor == anchor
             assert after.trd_price <= ceiling
             if after.trd_price >= 2.2250738585072014e-308:
                 assert abs(Fraction(after.trd_price) - exact) <= exact / 2**52
@@ -137,62 +116,76 @@ class TestPegCeiling:
         assert peg_ceiling(replace(cfg, peg_ratio=Rate(UNIT)), 5e-324) == 5e-324
 
     @pytest.mark.parametrize("base_price", [5e-324, 1e-323])
-    @pytest.mark.parametrize("index", [LAUNCH, grown(-100)], ids=["unclamped", "clamped"])
-    def test_underflowing_ceiling_rejected(self, cfg, base_price, index):
+    @pytest.mark.parametrize(
+        "anchor, index",
+        [(LAUNCH, LAUNCH), (grown(-100), grown(-100))],
+        ids=["unclamped", "clamped"],
+    )
+    def test_underflowing_ceiling_rejected(self, cfg, base_price, anchor, index):
         # 0.1 of the smallest subnormals rounds to 0: no positive price
-        # fits, on the clamped path and off it
+        # fits, at the launch anchor and at a clamp's, where the kernel
+        # has moved the anchor to the index
         with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed to 0"):
-            step_price(LAUNCH, base_price, index, cfg, Amount.from_tokens(1))
+            step_price(anchor, base_price, index, cfg)
 
     def test_overflowing_ceiling_rejected(self):
         # above a peg of 1 the ceiling of a huge base price is infinite
         cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
         with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
-            step_price(LAUNCH, 1.7e308, LAUNCH, cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, 1.7e308, LAUNCH, cfg)
         with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
-            step_price(LAUNCH, 1.7e308, grown(100), cfg, Amount.from_tokens(1))
+            step_price(LAUNCH, 1.7e308, grown(100), cfg)
 
     def test_unclamped_price_under_an_infinite_ceiling_returns(self):
         # step_price checks no ceiling while an unclamped price fits:
         # 2 / 1.2 * 1e308 is finite though 2 * 1e308 is not, and only
         # step_period's ceiling check rejects it
         cfg = RebaseConfig(peg_ratio=Rate(2 * UNIT))
-        after = step_price(LAUNCH, 1e308, grown(200_000_000), cfg, Amount.from_tokens(1))
+        after = step_price(LAUNCH, 1e308, grown(200_000_000), cfg)
         assert after.trd_price == pytest.approx(2 / 1.2 * 1e308, rel=2**-50)
         with pytest.raises(NonFinitePriceError, match="peg ceiling overflowed"):
             peg_ceiling(cfg, 1e308)
 
-    def test_price_never_exceeds_peg_over_random_series(self, cfg):
+    def test_price_never_exceeds_peg_over_random_series(self):
+        # the kernel's clamp over random crashes and rallies: with the cap
+        # and the bootstrap floor off, k_v = 1 and counts drawn afresh
+        # each period, the rate spans about +-50%, and the clamp binds
+        cfg = RebaseConfig(
+            t0=10**6, bootstrap_periods=0, k_v=Rate(UNIT), gas_cap_enabled=False
+        )
         rng = random.Random(9090)
+        clamps = 0
         for _ in range(200):
-            base = rng.uniform(1.0, 1000.0)
-            anchor = index = LAUNCH
-            supply = Amount.from_tokens(rng.randrange(1_000, 100_000))
-            for _ in range(200):
+            base, rows = rng.uniform(1.0, 1000.0), []
+            for day in range(201):
+                tx = round(10**6 * math.exp(rng.uniform(-0.25, 0.25)))
+                rows.append(MarketRow(dt.date(2020, 1, 1) + dt.timedelta(day), base, tx))
                 base *= math.exp(rng.gauss(0.0, 0.08))
-                index = grow_index(index, Rate(rng.randrange(-400_000_000, 400_000_000)))
-                state = step_price(anchor, base, index, cfg, supply)
-                anchor = state.anchor
-                ceiling = (cfg.peg_ratio.ppb / UNIT) * state.base_price
-                assert state.trd_price <= ceiling
+            supply = Amount.from_tokens(rng.randrange(1_000, 100_000))
+            for row, record in run_backtest(rows, cfg, supply):
+                ceiling = peg_ceiling(cfg, row.price)
+                assert record.market.trd_price <= ceiling
+                if record.arb_minted.raw:
+                    assert record.market.trd_price == ceiling
+                    clamps += 1
+        assert clamps > 1_000
 
 
 class TestDilutionNeutrality:
     def test_market_cap_tracks_returns_when_unclamped(self, cfg):
         # price x supply moves by exactly the market return while the
-        # clamp is inactive
+        # clamp is inactive, the index at or above the anchor
         rng = random.Random(9191)
         for _ in range(300):
             supply = rng.randrange(10**12, 10**16)
             index = grown(rng.randrange(0, 400_000_000))
-            state = step_price(LAUNCH, 1000.0, index, cfg, Amount(supply))
+            state = step_price(LAUNCH, 1000.0, index, cfg)
             m = math.exp(rng.gauss(0.0, 0.05))
             r = Rate(rng.randrange(-200_000_000, 400_000_000))
             new_supply = supply * (UNIT + r.ppb) // UNIT
-            after = step_price(
-                state.anchor, 1000.0 * m, grow_index(index, r), cfg, Amount(new_supply)
-            )
-            if after.anchor == state.anchor:
+            new_index = grow_index(index, r)
+            if new_index.num >= new_index.den:
+                after = step_price(state.anchor, 1000.0 * m, new_index, cfg)
                 cap_before = state.trd_price * supply
                 cap_after = after.trd_price * new_supply
                 assert cap_after == pytest.approx(cap_before * m, rel=1e-9)

@@ -287,15 +287,15 @@ RECORDS = [
     (RebaseConfig, (), (11, 0, Rate(5), Amount(6), Rate(7), False)),
     (PeriodMetrics, (1, 2, 3, Amount(4)), (5, 6, 7, Amount(8))),
     (RateBreakdown, _RATES, _RATES[::-1]),
-    (MarketState, (1.0, 1.0), (0.5, 2.0, Amount(3), Index(5, 4))),
+    (MarketState, (1.0, 1.0, Index(1, 1)), (0.5, 2.0, Index(5, 4))),
     (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
     (
         PeriodRecord,
-        (RateBreakdown(*_RATES), MarketState(1.0, 1.0), Amount(9)),
-        (RateBreakdown(*_RATES[::-1]), MarketState(0.5, 2.0), Amount(10)),
+        (RateBreakdown(*_RATES), MarketState(1.0, 1.0, Index(1, 1)), Amount(9), Amount(0)),
+        (RateBreakdown(*_RATES[::-1]), MarketState(0.5, 2.0, Index(5, 4)), Amount(10), Amount(3)),
     ),
     (SybilScenario, (10, 2, 0, Amount(100), Amount(5), 90), (20, 3, 1, Amount(9), Amount(0), 0)),
-    (AttackReport, (Amount(1), Amount(2), Amount(3), -4, False), (Amount(5), Amount(6), Amount(7), 8, True)),
+    (AttackReport, (Amount(1), Amount(2), Amount(3)), (Amount(5), Amount(6), Amount(7))),
 ]
 ORDERED = {Amount, Rate}
 TWINS = {cls: stock_twin(cls, order=cls in ORDERED) for cls, _, _ in RECORDS}
