@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .controller import PeriodMetrics, RebaseConfig, combined_rate
-from .errors import ConfigError, InvariantViolationError
+from .errors import ConfigError, InvalidArgumentError, InvariantViolationError
 from .ledger import Ledger, _valid_id
 from .numerics import UNIT, Amount, format_raw, record
 
@@ -48,15 +48,15 @@ class SybilScenario:
 
     def __post_init__(self) -> None:
         if self.periods < 1:
-            raise ValueError("periods must be >= 1")
+            raise InvalidArgumentError("periods must be >= 1")
         if self.delta_v_per_period < 0 or self.baseline_v < 0:
-            raise ValueError("transaction counts must be >= 0")
+            raise InvalidArgumentError("transaction counts must be >= 0")
         if self.start_supply.raw <= 0:
-            raise ValueError("start_supply must be positive")
+            raise InvalidArgumentError("start_supply must be positive")
         if self.attacker_holdings.raw > self.start_supply.raw:
-            raise ValueError("attacker cannot hold more than the total supply")
+            raise InvalidArgumentError("attacker cannot hold more than the total supply")
         if self.start_period < 0:
-            raise ValueError("start_period must be >= 0")
+            raise InvalidArgumentError("start_period must be >= 0")
 
 
 @record
@@ -80,7 +80,7 @@ class AttackReport:
 def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
     """Gas cost of v injected transactions, in base coin.  Exactly linear."""
     if v < 0:
-        raise ValueError("transaction count must be >= 0")
+        raise InvalidArgumentError("transaction count must be >= 0")
     return Amount(v * cfg.gas_cost_base.raw)
 
 
@@ -193,9 +193,9 @@ def run_pump_and_dump(
     and the price move the attack itself caused.
     """
     if buy_period < 0:
-        raise ValueError("buy_period must be >= 0")
+        raise InvalidArgumentError("buy_period must be >= 0")
     if not buy_period < sell_period <= scenario.periods:
-        raise ValueError("need buy_period < sell_period <= periods")
+        raise InvalidArgumentError("need buy_period < sell_period <= periods")
     peg = cfg.peg_ratio.ppb
     return _price_attack(
         scenario, cfg, buy_period, sell_period,
@@ -215,12 +215,12 @@ def render_reports_csv(
     """Render attack reports as CSV rows under ATTACK_CSV_HEADER.
 
     A scenario id must be one non-empty CSV field: an empty id, or one with
-    a comma or a line break, raises ValueError.
+    a comma or a line break, raises InvalidArgumentError.
     """
     lines = [ATTACK_CSV_HEADER]
     for scenario_id, scenario, report in entries:
         if not _valid_id(scenario_id):
-            raise ValueError(
+            raise InvalidArgumentError(
                 "scenario id may not be empty or contain ',' or a line break: "
                 f"{scenario_id!r}"
             )

@@ -15,6 +15,10 @@ class InvariantViolationError(ToroidError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+class InvalidArgumentError(ToroidError, ValueError):
+    """A library call got an argument outside its domain; also a ValueError."""
+
+
 # --- numerics ---------------------------------------------------------------
 
 class AmountOverflowError(ToroidError):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
 from .errors import (
+    InvalidArgumentError,
     InvariantViolationError,
     MarketDataError,
     NonMonotoneDatesError,
@@ -172,7 +173,7 @@ def run_backtest(
     if not rows:
         raise MarketDataError("no market rows")
     if initial_supply.raw <= 0:
-        raise ValueError("initial supply must be positive")
+        raise InvalidArgumentError("initial supply must be positive")
     ledger = Ledger(cfg.peg_ratio)
     ledger.open_account(ledger.collateral_for(initial_supply), account_id=_GENESIS)
 

@@ -30,8 +30,8 @@ from .errors import (
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
     InsufficientForRefundError,
+    InvalidArgumentError,
     NonDivisibleCollateralError,
-    NonPositiveFactorError,
     SelfTransferError,
     SnapshotError,
     ToroidError,
@@ -97,9 +97,9 @@ class Ledger:
 
     def __init__(self, peg_ratio: Rate, start_period: int = 0):
         if peg_ratio.ppb <= 0:
-            raise ValueError("peg_ratio must be positive")
+            raise InvalidArgumentError("peg_ratio must be positive")
         if start_period < 0:
-            raise ValueError("start_period must be >= 0")
+            raise InvalidArgumentError("start_period must be >= 0")
         self.peg_ratio = peg_ratio
         self.accounts: dict[str, Account] = {}
         self.index = Index.identity()
@@ -220,11 +220,11 @@ class Ledger:
     def _insert(self, account_id: str, account: Account) -> None:
         """Store a new account under a free, well-formed id; nothing on failure."""
         if not _valid_id(account_id):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"account id may not be empty or contain ',' or a line break: {account_id!r}"
             )
         if account_id in self.accounts:
-            raise ValueError(f"duplicate account id: {account_id!r}")
+            raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
         self.total_collateral += account.collateral
         self.accounts[account_id] = account
 
@@ -361,7 +361,7 @@ class Ledger:
         try:
             ledger = cls(Rate(peg), start_period=period)
             ledger.index = Index(num, den)
-        except (ValueError, NonPositiveFactorError) as exc:
+        except ToroidError as exc:
             raise SnapshotError(f"line 1: {exc}") from exc
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
@@ -380,6 +380,6 @@ class Ledger:
                 account = Account(_share_count(shares), Amount(collateral), created)
                 ledger.minted_for(account.collateral)
                 ledger._insert(fields[0], account)
-            except (ValueError, ToroidError) as exc:
+            except ToroidError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
         return ledger

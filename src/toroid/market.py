@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .controller import RebaseConfig
-from .errors import NonFinitePriceError
+from .errors import InvalidArgumentError, NonFinitePriceError
 from .numerics import UNIT, Index, record
 
 
@@ -53,15 +53,18 @@ def step_price(
     """Price this period from its base price and the post-rebase index.
 
     TRD/base is peg * anchor / index, anchor being the index at the last
-    clamp.  step_period passes an anchor at or below the index, so TRD/base
-    is at most the peg, and at anchor == index the TRD price is exactly
-    the ceiling, as the int/int division is correctly rounded.
-    Raises NonFinitePriceError on a bad base price or ceiling, or a TRD
-    price that underflows to 0.  A TRD price that fits is not checked
+    clamp.  The anchor must not exceed the index (step_period's never
+    does), so TRD/base is at most the peg, and at anchor == index the TRD
+    price is exactly the ceiling, as the int/int division is correctly
+    rounded.  Raises InvalidArgumentError on an anchor above the index,
+    and NonFinitePriceError on a bad base price or ceiling, or a TRD price
+    that underflows to 0.  A TRD price that fits is not checked
     against its ceiling, which can be infinite above a peg of 1
     (step_period's ceiling check rejects that).
     """
     num, den = anchor.num * index.den, anchor.den * index.num
+    if num > den:
+        raise InvalidArgumentError("anchor must not exceed the index")
     trd_price = cfg.peg_ratio.ppb * num / (UNIT * den) * base_price
     if not 0 < trd_price < math.inf:
         # A bad base price or ceiling raises there; under a finite

@@ -17,6 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .errors import (
     AmountOverflowError,
+    InvalidArgumentError,
     NegativeAmountError,
     NonPositiveFactorError,
 )
@@ -75,23 +76,23 @@ def _parse_fixed(text: str, *, allow_sign: bool) -> int:
     """Parse a decimal string into an integer count of 10^-9 units."""
     s = text.strip()
     if not s:
-        raise ValueError("empty decimal string")
+        raise InvalidArgumentError("empty decimal string")
     sign = 1
     if s[0] in "+-":
         if s[0] == "-":
             if not allow_sign:
-                raise ValueError(f"negative value not allowed: {text!r}")
+                raise InvalidArgumentError(f"negative value not allowed: {text!r}")
             sign = -1
         s = s[1:]
     if not s or s == ".":
-        raise ValueError(f"malformed decimal string: {text!r}")
+        raise InvalidArgumentError(f"malformed decimal string: {text!r}")
     whole, _, frac = s.partition(".")
     whole = whole or "0"
     if not whole.isdigit() or (frac and not frac.isdigit()):
-        raise ValueError(f"malformed decimal string: {text!r}")
+        raise InvalidArgumentError(f"malformed decimal string: {text!r}")
     if len(frac) > 9:
         if frac[9:].strip("0"):
-            raise ValueError(f"more than 9 fractional digits: {text!r}")
+            raise InvalidArgumentError(f"more than 9 fractional digits: {text!r}")
         frac = frac[:9]
     return sign * (int(whole) * UNIT + int(frac.ljust(9, "0")))
 
@@ -186,14 +187,6 @@ class Index:
         return cls(1, 1)
 
 
-def growth_factor(r: Rate) -> int:
-    """The multiplier (1 + r) scaled by UNIT; raises unless 1 + r > 0."""
-    factor = UNIT + r.ppb
-    if factor <= 0:
-        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
-    return factor
-
-
 def grow_index(idx: Index, r: Rate) -> Index:
     """Multiply the index by (1 + r), rounding half up onto the grid.
 
@@ -201,24 +194,19 @@ def grow_index(idx: Index, r: Rate) -> Index:
     keeps its numerator >= 10^27 (see _GRID).  An index already on the
     grid grows at r = 0 unchanged; any other lands on the grid.
 
-    Below 10^-3 the terms' bit lengths place num/den within a factor of
-    four, less than the factor of 1000 between neighbouring grids, so
-    they name a j that is sure to hold and only j - 1 is left to try.
+    The search tries j = 0 and, on a miss, jumps to the lowest grid the
+    terms' bit lengths allow.  They place num/den within a factor of four,
+    and flooring the digit count loses under one digit more, less than
+    the three digits between neighbouring grids, so the jump lands on j
+    or j - 1: at most three divisions in all.
     """
-    num = idx.num * growth_factor(r)
-    den = idx.den * UNIT
-    rescaled = (num * _GRID + den // 2) // den
-    if rescaled >= _MIN_NUM:
-        return Index(rescaled, _GRID)
-    # num/den > 2^-bits > 10^-digits, as 0.301029995664 > log10(2); the
-    # first j with 10^(3+3j) >= 10^digits is sure to hold, so it is >= 1.
-    bits = den.bit_length() - num.bit_length() + 1
-    digits = -(-bits * 301029995664 // 10**12)
-    j = -(-(digits - 3) // 3)
-    grid = 10 ** (30 + 3 * j)
-    if j > 1:
-        lower = grid // 1000
-        rescaled = (num * lower + den // 2) // den
-        if rescaled >= _MIN_NUM:
-            return Index(rescaled, lower)
-    return Index((num * grid + den // 2) // den, grid)
+    factor = UNIT + r.ppb
+    if factor <= 0:
+        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
+    num, den = idx.num * factor, idx.den * UNIT
+    grid = _GRID
+    while (rescaled := (num * grid + den // 2) // den) < _MIN_NUM:
+        # den/num > 2^m > 10^(0.301029995663 m): no grid below this one holds.
+        m = den.bit_length() - num.bit_length() - 1
+        grid = max(grid * 1000, _GRID * 1000 ** -(-(m * 301029995663 // 10**12 - 3) // 3))
+    return Index(rescaled, grid)

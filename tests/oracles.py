@@ -2,7 +2,7 @@
 
 Each one restates a rule on its own, without calling the code it checks:
 one_plus and grow_index_by_search keep their own 1 + r > 0 check rather
-than borrowing numerics.growth_factor.
+than borrowing numerics.grow_index's.
 """
 
 import csv
@@ -132,17 +132,20 @@ def supply_by_division(ledger: Ledger) -> Amount:
     return Amount(sum(a.shares * num // den for a in ledger.accounts.values()))
 
 
-def volatility_ratio(series_csv: Path, market_csv: Path, horizon: int) -> float:
+def volatility_ratio(
+    series_csv: Path, market_csv: Path, horizon: int, start: int = 0
+) -> float:
     """TRD/base volatility at a horizon of so many periods.
 
     The standard deviation of overlapping log returns of trd_price in a
-    simulate series, over that of the base price on the same dates.
+    simulate series, over that of the base price on the same dates, from
+    the series row start (period start of a run from period 0) on.
     """
     with open(series_csv, newline="", encoding="utf-8") as f:
         trd = {row["date"]: float(row["trd_price"]) for row in csv.DictReader(f)}
     with open(market_csv, newline="", encoding="utf-8") as f:
         base = {row["date"]: float(row["price"]) for row in csv.DictReader(f)}
-    dates = [date for date in base if date in trd]
+    dates = [date for date in base if date in trd][start:]
 
     def volatility(prices: list[float]) -> float:
         return statistics.pstdev(

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toroid.controller import RebaseConfig
-from toroid.errors import NonFinitePriceError
+from toroid.errors import InvalidArgumentError, NonFinitePriceError
 from toroid.harness import MarketRow, load_market_csv, run_backtest
 from toroid.market import MarketState, peg_ceiling, step_price
 from toroid.numerics import UNIT, Amount, Index, Rate, grow_index
@@ -66,6 +66,17 @@ class TestStepPrice:
     def test_base_price_not_finite_and_positive_rejected(self, cfg, base_price):
         with pytest.raises(NonFinitePriceError, match="base price must be finite"):
             step_price(LAUNCH, base_price, LAUNCH, cfg)
+
+    @pytest.mark.parametrize(
+        "anchor, base_price",
+        [(Index(10**400, 1), 100.0), (Index(10**20, 1), 1e300), (grown(1), 100.0)],
+        ids=["ratio past the floats", "price past the floats", "one ppb above"],
+    )
+    def test_anchor_above_the_index_rejected(self, cfg, anchor, base_price):
+        # the kernel never passes one; unchecked, the first overflows the
+        # int/int division and the second's price overflows the floats
+        with pytest.raises(InvalidArgumentError, match="anchor must not exceed the index"):
+            step_price(anchor, base_price, LAUNCH, cfg)
 
     def test_trd_price_underflow_rejected(self, cfg):
         # the ceiling is 5e-324, nonzero, but peg / 3.86 of the base price
@@ -218,6 +229,18 @@ class TestVolatilityReduction:
         # 1-period moves and amplifies 7- and 30-period ones
         series = sample_market_path.parents[1] / "benchmarks" / "golden" / "simulate.csv"
         assert f"{volatility_ratio(series, sample_market_path, horizon):.3f}" == ratio
+
+    @pytest.mark.parametrize("horizon, ratio", [(1, "0.922"), (7, "0.934"), (30, "0.965")])
+    def test_volatility_ratio_after_bootstrap(
+        self, cfg, sample_market_path, horizon, ratio
+    ):
+        # from period bootstrap_periods on, where the bootstrap incentive's
+        # decaying drift has ended, the rebase damps moves at every horizon
+        series = sample_market_path.parents[1] / "benchmarks" / "golden" / "simulate.csv"
+        start = cfg.bootstrap_periods
+        assert start == 90
+        ratio_after = volatility_ratio(series, sample_market_path, horizon, start=start)
+        assert f"{ratio_after:.3f}" == ratio
 
     def test_the_rebase_leans_against_the_market(self, sample_market_path):
         # each period's TRD log return is the base return plus -ln(1 + r);

@@ -20,10 +20,12 @@ from toroid import (
     RateBreakdown,
     RebaseConfig,
     SybilScenario,
+    numerics,
 )
 from toroid.errors import (
     AmountOverflowError,
     ConfigError,
+    InvalidArgumentError,
     NegativeAmountError,
     NonPositiveFactorError,
 )
@@ -211,6 +213,32 @@ class TestGrowIndex:
         idx = Index(num, off_grid * 10 ** (30 + 3 * j))
         assert grow_index(idx, Rate(ppb)) == grow_index_by_search(idx, Rate(ppb))
 
+    @pytest.mark.parametrize("j", [0, 1, 2, 100, 1_656])
+    def test_at_most_three_grids_tried(self, monkeypatch, j):
+        # Each grid tried compares its numerator with _MIN_NUM once, and an
+        # int subclass on the right of < has its reflected > called first.
+        tried = []
+
+        class CountingMinNum(int):
+            def __gt__(self, other):
+                tried.append(other)
+                return int(self) > other
+
+        monkeypatch.setattr(numerics, "_MIN_NUM", CountingMinNum(10**27))
+        grid = 10 ** (30 + 3 * j)
+        rng = random.Random(j)
+        # on grid j at r = 0, across its whole numerator range and where
+        # num * UNIT is just past a power of two (the loosest bit-length bound)
+        nums = [rng.randrange(10**27, 10**30) for _ in range(200)] + [
+            -(-(2**k) // UNIT) for k in range(120, 130)
+        ]
+        counts = set()
+        for num in nums:
+            tried.clear()
+            assert grow_index(Index(num, grid), Rate(0)) == Index(num, grid)
+            counts.add(len(tried))
+        assert counts <= ({1} if j == 0 else {2, 3})
+
     def test_non_positive_factor(self):
         with pytest.raises(NonPositiveFactorError):
             grow_index(Index.identity(), Rate(-UNIT))
@@ -389,12 +417,14 @@ class TestValidation:
              "gas_cost_base: must be positive"),
             (lambda: RebaseConfig(bootstrap_periods=-1), ConfigError,
              "bootstrap_periods: must be >= 0"),
-            (lambda: _scenario(periods=0), ValueError, "periods must be >= 1"),
-            (lambda: _scenario(delta_v=-1), ValueError, "transaction counts must be >= 0"),
-            (lambda: _scenario(baseline_v=-1), ValueError, "transaction counts must be >= 0"),
-            (lambda: _scenario(holdings=2), ValueError,
+            (lambda: _scenario(periods=0), InvalidArgumentError, "periods must be >= 1"),
+            (lambda: _scenario(delta_v=-1), InvalidArgumentError,
+             "transaction counts must be >= 0"),
+            (lambda: _scenario(baseline_v=-1), InvalidArgumentError,
+             "transaction counts must be >= 0"),
+            (lambda: _scenario(holdings=2), InvalidArgumentError,
              "attacker cannot hold more than the total supply"),
-            (lambda: _scenario(start=-1), ValueError, "start_period must be >= 0"),
+            (lambda: _scenario(start=-1), InvalidArgumentError, "start_period must be >= 0"),
         ],
     )
     def test_each_check_raises_its_type_and_message(self, make, error, message):
