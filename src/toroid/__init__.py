@@ -30,7 +30,6 @@ from .harness import (
     write_series_csv,
 )
 from .ledger import Account, Ledger
-from .market import MarketState, step_price
 from .numerics import UNIT, Amount, Index, Rate, grow_index
 
 __version__ = "0.1.0"
@@ -42,7 +41,6 @@ __all__ = [
     "Index",
     "Ledger",
     "MarketRow",
-    "MarketState",
     "PeriodMetrics",
     "PeriodRecord",
     "Rate",
@@ -62,7 +60,6 @@ __all__ = [
     "run_backtest",
     "run_pump_and_dump",
     "run_sybil",
-    "step_price",
     "sybil_cost",
     "volume_rate",
     "write_series_csv",

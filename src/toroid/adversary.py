@@ -225,17 +225,9 @@ def render_reports_csv(
                 f"{scenario_id!r}"
             )
         lines.append(
-            ",".join(
-                (
-                    scenario_id,
-                    str(scenario.delta_v_per_period),
-                    str(scenario.periods),
-                    report.cost_base.tokens(),
-                    report.extra_supply_trd.tokens(),
-                    report.attacker_gain_base.tokens(),
-                    format_raw(report.net_profit_base),
-                    "true" if report.profitable else "false",
-                )
-            )
+            f"{scenario_id},{scenario.delta_v_per_period},{scenario.periods},"
+            f"{report.cost_base.tokens()},{report.extra_supply_trd.tokens()},"
+            f"{report.attacker_gain_base.tokens()},{format_raw(report.net_profit_base)},"
+            f"{'true' if report.profitable else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import fields
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
-from .errors import AmountOverflowError, ConfigError, ZeroSupplyError
+from .errors import AmountOverflowError, ConfigError, ZeroSupplyError, decode_utf8
 from .numerics import UNIT, Amount, Rate, record
 
 # Natural-log precision (decimal digits) of the exact volume response.
@@ -279,7 +279,8 @@ def parse_config(text: str) -> RebaseConfig:
 
 
 def load_config(path: str | Path) -> RebaseConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    return parse_config(decode_utf8(data, lambda msg, n: ConfigError(f"line {n}: {msg}")))
 
 
 def dump_config(cfg: RebaseConfig) -> str:

@@ -6,6 +6,8 @@ subclasses; InvariantViolationError is reserved for internal consistency
 failures and maps to a distinct process exit code in the CLI.
 """
 
+from collections.abc import Callable
+
 
 class ToroidError(Exception):
     """Base class for all simulator errors."""
@@ -17,6 +19,16 @@ class InvariantViolationError(ToroidError):
 
 class InvalidArgumentError(ToroidError, ValueError):
     """A library call got an argument outside its domain; also a ValueError."""
+
+
+def decode_utf8(data: bytes, error: Callable[[str, int], ToroidError]) -> str:
+    """data as UTF-8 text, or error(message, line) raised at its first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines as str.splitlines() counts them; "." stands in for the byte.
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise error(f"invalid UTF-8 byte {data[exc.start]:#04x}", line) from exc
 
 
 # --- numerics ---------------------------------------------------------------

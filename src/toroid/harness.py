@@ -24,9 +24,10 @@ from .errors import (
     MarketDataError,
     NonMonotoneDatesError,
     NonPositivePriceError,
+    decode_utf8,
 )
 from .ledger import Ledger
-from .market import MarketState, peg_ceiling, step_price
+from .market import peg_ceiling, step_price
 from .numerics import UNIT, Amount, Index, record
 
 MARKET_CSV_HEADER = "date,price,tx_count"
@@ -47,8 +48,7 @@ class MarketRow:
 
 def load_market_csv(path: str | Path) -> list[MarketRow]:
     """Parse a date,price,tx_count file; dates are YYYY-MM-DD, strictly increasing."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = decode_utf8(Path(path).read_bytes(), MarketDataError).splitlines()
     if not lines or lines[0].strip() != MARKET_CSV_HEADER:
         raise MarketDataError(
             f"expected header {MARKET_CSV_HEADER!r}", line=1
@@ -92,14 +92,16 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
 
 @record
 class PeriodRecord:
-    """What one period produced: its rates, the market and supply after it.
+    """What one period produced: its rates, TRD's price, anchor and supply.
 
-    run_backtest pairs one with each input row after the first;
-    arb_minted is the TRD the peg clamp deposited into the "arb" account.
+    run_backtest pairs one with each input row after the first; anchor is
+    the index at the last clamp, and arb_minted is the TRD the peg clamp
+    deposited into the "arb" account.
     """
 
     breakdown: RateBreakdown
-    market: MarketState
+    trd_price: float
+    anchor: Index
     supply: Amount
     arb_minted: Amount
 
@@ -136,9 +138,9 @@ def step_period(
     excess = anchor.num * index.den - den
     if excess > 0:
         anchor = index
-    market = step_price(anchor, base_price, index, cfg)
+    trd_price = step_price(anchor, base_price, index, cfg).trd_price
     # Written so that a NaN price fails the check too.
-    if not market.trd_price <= peg_ceiling(cfg, market.base_price):
+    if not trd_price <= peg_ceiling(cfg, base_price):
         raise InvariantViolationError("TRD price escaped the peg ceiling")
     minted = _NO_MINT
     if excess > 0:
@@ -153,7 +155,7 @@ def step_period(
             else:
                 ledger.open_account(collateral, account_id=_ARBITRAGEUR)
             supply = ledger.total_supply()
-    return PeriodRecord(breakdown, market, supply, minted)
+    return PeriodRecord(breakdown, trd_price, anchor, supply, minted)
 
 
 def run_backtest(
@@ -183,7 +185,7 @@ def run_backtest(
         record = step_period(
             ledger, anchor, cfg, row.tx_count, prev.tx_count, row.price, supply
         )
-        anchor, supply = record.market.anchor, record.supply
+        anchor, supply = record.anchor, record.supply
         out.append((row, record))
     return out
 
@@ -200,18 +202,9 @@ def write_series_csv(
     for row, record in series:
         rates = record.breakdown
         lines.append(
-            ",".join(
-                (
-                    row.date.isoformat(),
-                    f"{record.market.trd_price:.9f}",
-                    record.supply.tokens(),
-                    rates.r_initial.decimal(),
-                    rates.r_vol.decimal(),
-                    rates.r_gas_cap.decimal(),
-                    rates.r_combined.decimal(),
-                    str(row.tx_count),
-                )
-            )
+            f"{row.date.isoformat()},{record.trd_price:.9f},{record.supply.tokens()},"
+            f"{rates.r_initial.decimal()},{rates.r_vol.decimal()},"
+            f"{rates.r_gas_cap.decimal()},{rates.r_combined.decimal()},{row.tx_count}"
         )
     write_output(path, "\n".join(lines) + "\n")
 

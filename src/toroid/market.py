@@ -25,9 +25,10 @@ from .numerics import UNIT, Index, record
 
 @record
 class MarketState:
+    """step_price's result: the TRD price and the base price it came from."""
+
     trd_price: float
     base_price: float
-    anchor: Index
 
 
 def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
@@ -71,4 +72,4 @@ def step_price(
         # ceiling, the price can only have underflowed.
         peg_ceiling(cfg, base_price)
         raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
-    return MarketState(trd_price, base_price, anchor)
+    return MarketState(trd_price, base_price)

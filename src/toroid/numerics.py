@@ -38,38 +38,34 @@ _GRID = 10**30
 _MIN_NUM = 10**27
 
 
-def record(cls=None, /, *, order: bool = False):
-    """``@dataclass(frozen=True, slots=True, order=order)`` with a faster ``__init__``.
+def record(cls):
+    """``@dataclass(frozen=True, slots=True)`` with a faster ``__init__``.
 
     The stock frozen ``__init__`` stores each field through
     ``object.__setattr__``; this one, generated per class as dataclasses
     generates its own, stores through each slot's own setter and then
     calls ``self.__post_init__()`` if the class defines one.  It keeps the
     parameters, defaults and annotations of the stock one.  Everything
-    else (frozen assignment, eq, hash, order, repr, fields, replace,
-    pickling) is dataclass's own.
+    else (frozen assignment, eq, hash, repr, fields, replace, pickling) is
+    dataclass's own; records are unordered, so ``<`` raises TypeError.
     """
-
-    def wrap(cls):
-        cls = dataclass(cls, frozen=True, slots=True, order=order)
-        stock, params = cls.__init__, fields(cls)
-        if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in params):
-            raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
-        names = [f.name for f in params]
-        body = [f"    _set_{name}(self, {name})" for name in names]
-        if hasattr(cls, "__post_init__"):
-            body.append("    self.__post_init__()")
-        namespace = {f"_set_{name}": vars(cls)[name].__set__ for name in names}
-        exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body), namespace)
-        init = namespace["__init__"]
-        init.__defaults__ = stock.__defaults__
-        init.__annotations__ = stock.__annotations__
-        init.__qualname__ = stock.__qualname__
-        init.__module__ = stock.__module__
-        cls.__init__ = init
-        return cls
-
-    return wrap if cls is None else wrap(cls)
+    cls = dataclass(cls, frozen=True, slots=True)
+    stock, params = cls.__init__, fields(cls)
+    if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in params):
+        raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
+    names = [f.name for f in params]
+    body = [f"    _set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    namespace = {f"_set_{name}": vars(cls)[name].__set__ for name in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = stock.__defaults__
+    init.__annotations__ = stock.__annotations__
+    init.__qualname__ = stock.__qualname__
+    init.__module__ = stock.__module__
+    cls.__init__ = init
+    return cls
 
 
 def _parse_fixed(text: str, *, allow_sign: bool) -> int:
@@ -88,13 +84,17 @@ def _parse_fixed(text: str, *, allow_sign: bool) -> int:
         raise InvalidArgumentError(f"malformed decimal string: {text!r}")
     whole, _, frac = s.partition(".")
     whole = whole or "0"
-    if not whole.isdigit() or (frac and not frac.isdigit()):
+    # isdecimal(), unlike isdigit(), admits exactly the digits int() reads.
+    if not whole.isdecimal() or (frac and not frac.isdecimal()):
         raise InvalidArgumentError(f"malformed decimal string: {text!r}")
     if len(frac) > 9:
         if frac[9:].strip("0"):
             raise InvalidArgumentError(f"more than 9 fractional digits: {text!r}")
         frac = frac[:9]
-    return sign * (int(whole) * UNIT + int(frac.ljust(9, "0")))
+    try:
+        return sign * (int(whole) * UNIT + int(frac.ljust(9, "0")))
+    except ValueError as exc:  # past int()'s limit on digits
+        raise InvalidArgumentError(f"{len(whole)} whole digits is too many") from exc
 
 
 def format_raw(value: int) -> str:
@@ -106,7 +106,7 @@ def format_raw(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-@record(order=True)
+@record
 class Amount:
     """A non-negative token quantity in raw nano-units.
 
@@ -146,7 +146,7 @@ class Amount:
         return Amount(self.raw - other.raw)
 
 
-@record(order=True)
+@record
 class Rate:
     """A dimensionless signed rate in parts-per-billion (value = ppb / 10^9)."""
 
@@ -177,6 +177,8 @@ class Index:
     den: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.num, int) and isinstance(self.den, int)):
+            raise TypeError(f"index terms must be int, got {self.num!r}/{self.den!r}")
         if self.den <= 0:
             raise NonPositiveFactorError(f"index denominator must be > 0: {self.den}")
         if self.num <= 0:

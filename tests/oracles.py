@@ -6,7 +6,9 @@ than borrowing numerics.grow_index's.
 """
 
 import csv
+import datetime as dt
 import math
+import random
 import statistics
 from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
@@ -179,9 +181,56 @@ def log_return_split(
     return out
 
 
-def stock_twin(cls: type, *, order: bool = False) -> type:
+def split_volatility_ratio(
+    series_csv: Path, market_csv: Path, peg: float, horizon: int, detrend: bool = False
+) -> float:
+    """TRD/base volatility at a horizon, from sums of log_return_split terms.
+
+    TRD's log price starts at launch and adds each period's market, rebase
+    and residual parts; the base coin's adds the market part alone.  So,
+    unlike volatility_ratio, the launch period's return counts.  detrend
+    adds ln(1 + r_initial) back to each period, taking the bootstrap
+    incentive's deterministic drift out of the rebase part.
+    """
+    with open(series_csv, newline="", encoding="utf-8") as f:
+        r_initial = [float(row["r_initial"]) for row in csv.DictReader(f)]
+    trd, base = [0.0], [0.0]
+    for (market, rebase, residual), r in zip(
+        log_return_split(series_csv, market_csv, peg), r_initial
+    ):
+        drift = math.log1p(r) if detrend else 0.0
+        trd.append(trd[-1] + market + rebase + residual + drift)
+        base.append(base[-1] + market)
+
+    def volatility(path: list[float]) -> float:
+        return statistics.pstdev(later - earlier for earlier, later in zip(path, path[horizon:]))
+
+    return volatility(trd) / volatility(base)
+
+
+def random_walk_csv(seed: int, rows: int) -> str:
+    """The benchmark's seeded market series (benchmarks/workloads.market_csv).
+
+    A geometric random walk from 100 with drift 0.15%/day and volatility
+    5%/day, and transaction counts growing with time and price.
+    """
+    rng = random.Random(seed)
+    price = 100.0
+    day = dt.date(2017, 1, 1)
+    lines = ["date,price,tx_count"]
+    for t in range(rows):
+        if t:
+            z = sum(rng.random() for _ in range(12)) - 6.0
+            price *= math.exp(0.0015 + 0.05 * z)
+        wobble = 1.0 + 0.1 * (rng.random() - 0.5)
+        tx_count = max(1, int(4.0 * (t + 10) * price * wobble))
+        lines.append(f"{day + dt.timedelta(days=t)},{price:.9f},{tx_count}")
+    return "\n".join(lines) + "\n"
+
+
+def stock_twin(cls: type) -> type:
     """cls's name, fields, defaults and __post_init__ under a stock
-    @dataclass(frozen=True, slots=True, order=order)."""
+    @dataclass(frozen=True, slots=True)."""
     namespace = {k: v for k, v in vars(cls).items() if k == "__post_init__"}
     return make_dataclass(
         cls.__name__,
@@ -189,5 +238,4 @@ def stock_twin(cls: type, *, order: bool = False) -> type:
         namespace=namespace,
         frozen=True,
         slots=True,
-        order=order,
     )

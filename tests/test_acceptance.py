@@ -256,7 +256,7 @@ class TestAcceptance:
                 base *= math.exp(rng.gauss(0.0, 0.1))
             supply = Amount.from_tokens(rng.randrange(1_000, 1_000_000))
             for row, record in run_backtest(rows, cfg, supply):
-                assert record.market.trd_price <= (peg.ppb / UNIT) * row.price
+                assert record.trd_price <= (peg.ppb / UNIT) * row.price
                 clamps += record.arb_minted.raw > 0
         elapsed = time.perf_counter() - started
         assert clamps > 1_000
@@ -312,7 +312,7 @@ class TestAcceptance:
             math.log(rows[i + 1].price / rows[i].price) for i in range(len(rows) - 1)
         ]
         trd_returns = [
-            math.log(capped[i + 1].market.trd_price / capped[i].market.trd_price)
+            math.log(capped[i + 1].trd_price / capped[i].trd_price)
             for i in range(len(capped) - 1)
         ]
         assert statistics.pstdev(trd_returns) < statistics.pstdev(input_returns)

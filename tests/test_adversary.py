@@ -262,10 +262,11 @@ def reference_report(sc, cfg, buy, sell, sale_price):
     """Price an attack the direct way: seed two ledgers, step both arms.
 
     Each arm runs periods 1..sell from its own ledger through the
-    backtest's step_period, market included, at a base price of 1; the
+    backtest's step_period, pricing included, at a base price of 1; the
     attacked arm injects after buy.  This is the unforked computation the adversary's
     shared pre-injection periods must reproduce on every field, and
-    sale_price(market, ledger) prices the attacked arm's final state.
+    sale_price(record, ledger) prices the attacked arm's final state from
+    its last PeriodRecord.
     """
 
     def arm(inject):
@@ -282,15 +283,15 @@ def reference_report(sc, cfg, buy, sell, sale_price):
         for p in range(1, sell + 1):
             v = sc.baseline_v + (sc.delta_v_per_period if inject and p > buy else 0)
             record = step_period(ledger, anchor, cfg, v, v_prev, 1.0, supply)
-            anchor, supply, v_prev = record.market.anchor, record.supply, v
+            anchor, supply, v_prev = record.anchor, record.supply, v
         held = ledger.balance_of("attacker").raw if "attacker" in ledger.accounts else 0
-        return record.market, ledger, supply.raw, held
+        return record, ledger, supply.raw, held
 
-    market, ledger, supply, held = arm(True)
+    record, ledger, supply, held = arm(True)
     _, _, base_supply, base_held = arm(False)
     if supply < base_supply or held < base_held:
         raise InvariantViolationError("injected volume reduced supply or balance")
-    gain = int((held - base_held) * sale_price(market, ledger))
+    gain = int((held - base_held) * sale_price(record, ledger))
     cost = sc.delta_v_per_period * (sell - buy) * cfg.gas_cost_base.raw
     return AttackReport(
         cost_base=Amount(cost),
@@ -351,12 +352,12 @@ class TestForkMatchesTwoArms:
     def test_pump_and_dump(self, case):
         cfg, sc, buy, sell = case
 
-        def at_index(market, ledger):
+        def at_index(record, ledger):
             index = ledger.index
             return Fraction(cfg.peg_ratio.ppb * index.den, UNIT * index.num)
 
-        def by_float(market, ledger):
-            return sale_price_by_fraction(market.trd_price, market.base_price)
+        def by_float(record, ledger):
+            return sale_price_by_fraction(record.trd_price, 1.0)
 
         report = outcome(run_pump_and_dump, sc, buy, sell, cfg)
         assert report == outcome(reference_report, sc, cfg, buy, sell, at_index)

@@ -290,7 +290,7 @@ class TestSimulate:
             # The CSV prints a tiny price as 0.000000000, so read the floats.
             cfg = replace(load_config(config), gas_cap_enabled=cap)
             series = run_backtest(load_market_csv(data), cfg, Amount.from_tokens(10_000))
-            assert all(record.market.trd_price > 0 for _, record in series)
+            assert all(record.trd_price > 0 for _, record in series)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -387,7 +387,7 @@ class TestSimulate:
         # internal fault, the one class of error that exits 2
         def escaping(anchor, base_price, index, cfg):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * 2, base_price, anchor)
+            return MarketState(ceiling * 2, base_price)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         code = main(

@@ -197,7 +197,7 @@ class TestRunBacktest:
         expected = 10.0  # peg ceiling at launch: 0.1 * 100
         for t, (_, record) in enumerate(series):
             expected = expected / ((UNIT + UNIT // (t + cfg.t0)) / UNIT)
-            assert record.market.trd_price == pytest.approx(expected, rel=1e-12)
+            assert record.trd_price == pytest.approx(expected, rel=1e-12)
 
     def test_single_row_yields_no_periods(self, cfg):
         assert run_backtest(flat_rows(1), cfg, Amount.from_tokens(10_000)) == []
@@ -281,7 +281,7 @@ class TestRunBacktest:
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
         supply = ledger.total_supply()
         record = step_period(ledger, ledger.index, cfg, 1, 100_000, 100.0, supply)
-        assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
+        assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.arb_minted.raw > 0
         assert "arb" in ledger.accounts
         assert record.supply == ledger.total_supply()
@@ -307,8 +307,8 @@ class TestRunBacktest:
         record = step_period(
             ledger, ledger.index, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
         )
-        assert record.market.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
-        assert record.market.anchor == ledger.index
+        assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
+        assert record.anchor == ledger.index
         assert record.arb_minted == Amount(0)
         assert "arb" not in ledger.accounts
         assert record.supply == ledger.total_supply()
@@ -326,7 +326,7 @@ class TestRunBacktest:
         # NaN, is an internal fault the kernel must still catch
         def escaping(anchor, base_price, index, cfg):
             ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * excess, base_price, anchor)
+            return MarketState(ceiling * excess, base_price)
 
         monkeypatch.setattr(harness, "step_price", escaping)
         ledger = Ledger(cfg.peg_ratio)
@@ -370,7 +370,7 @@ class TestRunBacktest:
                 MarketRow(dt.date(2020, 1, 2), 1e300, 100)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert record.supply == Amount.from_tokens(11_000)
-        assert record.market.trd_price == pytest.approx(1e299 / 1.1, rel=2**-52)
+        assert record.trd_price == pytest.approx(1e299 / 1.1, rel=2**-52)
 
     def test_crash_at_the_largest_prices_clamps(self):
         # the volume crash drives the rate to -99%: the clamp holds TRD at
@@ -380,7 +380,7 @@ class TestRunBacktest:
                 MarketRow(dt.date(2020, 1, 2), 1.7e308, 1)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert record.breakdown.r_combined == Rate(-990_000_000)
-        assert record.market.trd_price == peg_ceiling(cfg, 1.7e308)
+        assert record.trd_price == peg_ceiling(cfg, 1.7e308)
         assert record.supply == Amount.from_tokens(10_000)
 
     def test_carried_supply_matches_ledger_scan(self, sample_market_path, monkeypatch):
@@ -441,7 +441,7 @@ class TestPegClamp:
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
         record = step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply())
-        assert record.market == MarketState(10.0, 100.0, ledger.index)
+        assert (record.trd_price, record.anchor) == (10.0, ledger.index)
         assert record.arb_minted == Amount.from_tokens(2_000)
         assert ledger.balance_of("arb") == Amount.from_tokens(2_000)
         assert record.supply == Amount.from_tokens(10_000)
@@ -456,13 +456,15 @@ class TestPegClamp:
         anchor, supply, records = ledger.index, ledger.total_supply(), []
         for _ in range(4):
             record = step_period(ledger, anchor, cfg, 0, 0, 100.0, supply)
-            anchor, supply = record.market.anchor, record.supply
+            anchor, supply = record.anchor, record.supply
             records.append(record)
         clamped, risen, back, again = records
-        assert risen.market.trd_price == pytest.approx(8.0, rel=2**-52)
-        assert risen.market.anchor == clamped.market.anchor
-        assert (back.market, back.arb_minted) == (clamped.market, Amount(0))
-        assert again.market.trd_price == 10.0
+        assert risen.trd_price == pytest.approx(8.0, rel=2**-52)
+        assert risen.anchor == clamped.anchor
+        assert (back.trd_price, back.anchor, back.arb_minted) == (
+            clamped.trd_price, clamped.anchor, Amount(0)
+        )
+        assert again.trd_price == 10.0
         assert again.arb_minted == Amount.from_tokens(5_000)
         assert again.supply == Amount.from_tokens(10_000)
 
@@ -501,11 +503,11 @@ class TestPegClamp:
                 return
             record = step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
         if ratio <= 1:
-            assert record.market.anchor == anchor
+            assert record.anchor == anchor
             assert (record.arb_minted, record.supply.raw) == (Amount(0), supply)
             assert "arb" not in ledger.accounts
             return
-        assert record.market == MarketState(peg_ceiling(cfg, 100.0), 100.0, twin.index)
+        assert (record.trd_price, record.anchor) == (peg_ceiling(cfg, 100.0), twin.index)
         assert record.arb_minted == Amount(deposited)
         if deposited:
             assert ledger.minted_for(ledger.accounts["arb"].collateral) == Amount(deposited)
@@ -549,7 +551,7 @@ class TestExactReference:
         for (row, record), (breakdown, minted, supply, price) in zip(series, exact):
             got = (record.breakdown, record.arb_minted.raw, record.supply.raw)
             assert got == (breakdown, minted, supply), row.date
-            assert abs(Fraction(record.market.trd_price) - price) <= price / 2**52
+            assert abs(Fraction(record.trd_price) - price) <= price / 2**52
         return sum(1 for _, minted, _, _ in exact if minted)
 
     def test_bundled_run(self, sample_market_path, default_cfg_path):

@@ -2,7 +2,10 @@
 
 Public input checks raise InvalidArgumentError, a ToroidError that is
 also a ValueError.  A bare ValueError is left only where the caller
-catches it and raises its own ToroidError in its place.
+catches it and raises its own ToroidError in its place.  The source scan
+sees only `raise ValueError` statements, so a sweep of malformed digits
+and bytes also drives every parser, catching a ValueError that escapes
+from inside int(), float() or bytes.decode.
 """
 
 import ast
@@ -11,8 +14,24 @@ from pathlib import Path
 
 import pytest
 
-from toroid import Amount, Ledger, Rate, SybilScenario
-from toroid.errors import InvalidArgumentError, ToroidError
+from toroid import (
+    Amount,
+    Ledger,
+    Rate,
+    SybilScenario,
+    load_config,
+    load_market_csv,
+    parse_config,
+)
+from toroid.cli import EXIT_INPUT, main
+from toroid.errors import (
+    ConfigError,
+    InvalidArgumentError,
+    MarketDataError,
+    SnapshotError,
+    ToroidError,
+)
+from toroid.harness import MARKET_CSV_HEADER
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toroid"
 
@@ -84,3 +103,114 @@ def test_bad_input_is_a_toroid_error_and_a_value_error(call):
     with pytest.raises(InvalidArgumentError) as info:
         call()
     assert isinstance(info.value, ToroidError) and isinstance(info.value, ValueError)
+
+
+# Digit strings int() rejects though str.isdigit() admits them, and a
+# whole part past int()'s default limit of 4,300 digits.
+MALFORMED = {
+    "superscript": "\u00b2",
+    "superscripts after a digit": "1\u00b2\u00b3",
+    "5000 digits": "9" * 5000,
+}
+
+# Arabic-Indic digits: str.isdecimal() admits them and int() and float()
+# read them, as 12.
+NON_ASCII = "\u0661\u0662"
+
+
+def in_file(loader, template: str):
+    """Run loader on a file holding template with the digits filled in."""
+
+    def call(digits: str, path):
+        path.write_text(template.format(digits), encoding="utf-8")
+        return loader(path)
+
+    return call
+
+
+# Each parser the public surface offers, fed a digit string.
+PARSERS = {
+    "Amount.from_tokens": lambda d, _: Amount.from_tokens(d),
+    "Amount.from_tokens fraction": lambda d, _: Amount.from_tokens(f"1.{d}"),
+    "Rate.from_decimal": lambda d, _: Rate.from_decimal(f"-{d}"),
+    "Rate.from_decimal fraction": lambda d, _: Rate.from_decimal(f"1.{d}"),
+    "parse_config int": lambda d, _: parse_config(f"t0 = {d}\n"),
+    "parse_config amount": lambda d, _: parse_config(f"gas_cost_base = {d}\n"),
+    "parse_config rate": lambda d, _: parse_config(f"k_v = {d}\n"),
+    "load_config": in_file(load_config, "k_v = {}\n"),
+    "load_market_csv price": in_file(
+        load_market_csv, MARKET_CSV_HEADER + "\n2017-01-01,{},1\n"
+    ),
+    "load_market_csv tx count": in_file(
+        load_market_csv, MARKET_CSV_HEADER + "\n2017-01-01,1.5,{}\n"
+    ),
+}
+
+# Ledger.restore reads only integers spelled as str() spells them.
+RESTORES = {
+    "Ledger.restore header": lambda d, _: Ledger.restore(f"v3,{d},1,1,0\n"),
+    "Ledger.restore account": lambda d, _: Ledger.restore(
+        f"v3,100000000,1,1,0\na,{d},1000000000,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("digits", MALFORMED.values(), ids=MALFORMED)
+@pytest.mark.parametrize("parse", {**PARSERS, **RESTORES}.values(), ids=[*PARSERS, *RESTORES])
+def test_malformed_digits_raise_a_toroid_error(tmp_path, parse, digits):
+    # pytest.raises lets any other exception through, failing the test
+    with pytest.raises(ToroidError):
+        parse(digits, tmp_path / "input")
+
+
+def outcome(parse, digits: str, path):
+    """parse's result, or the type of the ToroidError it raised."""
+    try:
+        return parse(digits, path)
+    except ToroidError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("parse", PARSERS.values(), ids=PARSERS)
+def test_non_ascii_decimal_digits_read_as_their_ascii_twins(tmp_path, parse):
+    assert outcome(parse, NON_ASCII, tmp_path / "a") == outcome(parse, "12", tmp_path / "b")
+
+
+@pytest.mark.parametrize("restore", RESTORES.values(), ids=RESTORES)
+def test_restore_refuses_non_ascii_digits(restore):
+    with pytest.raises(SnapshotError, match="bad"):
+        restore(NON_ASCII, None)
+
+
+@pytest.mark.parametrize(
+    "load, error, data, message",
+    [
+        (load_market_csv, MarketDataError, b"date,price,tx_count\xff\n",
+         "line 1: invalid UTF-8 byte 0xff"),
+        (load_market_csv, MarketDataError,
+         b"date,price,tx_count\r\n2017-01-01,1,1\r\n2017-01-02,1,\xc3\r\n",
+         "line 3: invalid UTF-8 byte 0xc3"),
+        (load_market_csv, MarketDataError,
+         b"date,price,tx_count\n2017-01-01,1,1\r2017-01-02,\xed\xa0\x80,1\n",
+         "line 3: invalid UTF-8 byte 0xed"),
+        (load_config, ConfigError, b"t0 = 10\n# caf\xe9\n", "line 2: invalid UTF-8 byte 0xe9"),
+        (load_config, ConfigError, b"\n\n\x80", "line 3: invalid UTF-8 byte 0x80"),
+    ],
+    ids=["market header", "market crlf", "market bare cr", "config comment", "config last"],
+)
+def test_invalid_utf8_names_its_line(tmp_path, load, error, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == message
+    if error is MarketDataError:
+        assert info.value.line == int(message.split()[1].rstrip(":"))
+
+
+def test_cli_reports_a_superscript_supply(tmp_path, default_cfg_path, capsys):
+    argv = ["attack", "sybil", "--delta-v", "1", "--periods", "1", "--baseline-v", "0",
+            "--supply", "\u00b2", "--config", str(default_cfg_path),
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: malformed decimal string: '\u00b2'\n"

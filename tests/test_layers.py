@@ -24,7 +24,7 @@ ALLOWED = {
     "adversary": CORE,
     "cli": CORE | {"adversary", "harness"},
     "datagen": {"harness"},
-    "__init__": CORE | {"market", "harness", "adversary"},
+    "__init__": CORE | {"harness", "adversary"},
     "__main__": {"cli"},
 }
 
