@@ -9,19 +9,21 @@ attacker: injected transactions cost exactly the configured gas and
 nothing else (no fees, no slippage), and Sybil gains are valued at the
 peg ceiling, the best price any sale could fetch.
 
-An arm is the ledger alone, combined_rate then Ledger.rebase each period
-of a flat market: k_v >= 0 and counts that never fall make every rate
->= 0, so the peg clamp never binds and TRD trades at exactly peg / index.
+An arm is the ledger alone in a flat market.  Each of its periods is the
+controller's integer rate rule, _combined_ppb, and then Ledger.rebase,
+with no per-period record built.  k_v >= 0 and counts that never fall
+make every rate >= 0, so the peg clamp never binds and TRD trades at
+exactly peg / index.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .controller import PeriodMetrics, RebaseConfig, combined_rate
+from .controller import RebaseConfig, _combined_ppb
 from .errors import ConfigError, InvalidArgumentError, InvariantViolationError
 from .ledger import Ledger, _valid_id
-from .numerics import UNIT, Amount, format_raw, record
+from .numerics import UNIT, Amount, Rate, format_raw, record
 
 _HONEST = "honest"
 _ATTACKER = "attacker"
@@ -120,8 +122,9 @@ def _step_flat(
     after the last period.
     """
     for _ in range(periods):
-        metrics = PeriodMetrics(ledger.current_period, v, v_prev, supply)
-        supply = ledger.rebase(combined_rate(metrics, cfg).r_combined)
+        supply = ledger.rebase(
+            Rate(_combined_ppb(ledger.current_period, v, v_prev, supply.raw, cfg))
+        )
         v_prev = v
     return supply
 

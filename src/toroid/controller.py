@@ -7,6 +7,13 @@ that the supply change attributable to transaction count, valued at the
 peg, can never exceed the gas burned to produce those transactions.  That
 clamp is what makes count manipulation uneconomical.
 
+Each rule is written once, as a private integer form taking and giving
+ppb.  initial_rate, volume_rate, gas_cap_rate, combine_components and
+combined_rate box those forms into Rate and RateBreakdown, and check
+that the period and counts are >= 0.  _combined_ppb composes them into
+r_combined as a bare int: an attack arm's period is that integer rate
+rule and then Ledger.rebase, with no record built.
+
 All functions here are pure and stateless; sweeps over scenarios can call
 them from as many threads as they like.
 """
@@ -18,7 +25,13 @@ from dataclasses import fields
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
-from .errors import AmountOverflowError, ConfigError, ZeroSupplyError, decode_utf8
+from .errors import (
+    AmountOverflowError,
+    ConfigError,
+    InvalidArgumentError,
+    ZeroSupplyError,
+    decode_utf8,
+)
 from .numerics import UNIT, Amount, Rate, record
 
 # Natural-log precision (decimal digits) of the exact volume response.
@@ -55,10 +68,6 @@ _GUARD_SCALE = 2.0**-40
 # Combined rate never goes below -0.99: one period can never wipe more
 # than 99% of supply, whatever the configuration.
 HARD_FLOOR_PPB = -990_000_000
-
-# volume_rate's result for equal counts; Rate is frozen, so one is shared.
-_ZERO_RATE = Rate(0)
-
 
 @record
 class RebaseConfig:
@@ -109,6 +118,13 @@ class PeriodMetrics:
     v_prev: int
     s: Amount
 
+    def __post_init__(self) -> None:
+        _check_period(self.t)
+        if self.v < 0 or self.v_prev < 0:
+            raise InvalidArgumentError(
+                f"transaction counts must be >= 0, got v={self.v}, v_prev={self.v_prev}"
+            )
+
 
 @record
 class RateBreakdown:
@@ -118,13 +134,29 @@ class RateBreakdown:
     r_combined: Rate
 
 
+def _check_period(t: int) -> None:
+    if t < 0:
+        raise InvalidArgumentError(f"period must be >= 0, got {t}")
+
+
+def _initial_ppb(t: int, cfg: RebaseConfig) -> int:
+    return UNIT // (t + cfg.t0)
+
+
 def initial_rate(t: int, cfg: RebaseConfig) -> Rate:
     """Bootstrap incentive rate 1/(t + t0), floored to ppb.
 
     Strictly decreasing in t and vanishing as t grows: 10% at t=0 and 1%
-    at t=90 under the defaults.
+    at t=90 under the defaults.  A negative t raises InvalidArgumentError.
     """
-    return Rate(UNIT // (t + cfg.t0))
+    _check_period(t)
+    return Rate(_initial_ppb(t, cfg))
+
+
+def _gas_cap_ppb(v: int, s_raw: int, cfg: RebaseConfig) -> int:
+    if s_raw == 0:
+        raise ZeroSupplyError("gas cap undefined at zero supply")
+    return v * cfg._gas_cost_trd_raw() * UNIT // s_raw
 
 
 def gas_cap_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
@@ -134,9 +166,25 @@ def gas_cap_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     the peg and spread over supply s that bounds the rate at
     v * gas_cost_trd / s.  Linear in v, inverse in s, never negative.
     """
-    if m.s.raw == 0:
-        raise ZeroSupplyError("gas cap undefined at zero supply")
-    return Rate(m.v * cfg._gas_cost_trd_raw() * UNIT // m.s.raw)
+    return Rate(_gas_cap_ppb(m.v, m.s.raw, cfg))
+
+
+def _volume_ppb(v: int, v_prev: int, k: int) -> int:
+    v = max(v, 1)
+    v_prev = max(v_prev, 1)
+    if v == v_prev:
+        return 0
+    if (
+        v < _FAST_COUNT_LIMIT
+        and v_prev < _FAST_COUNT_LIMIT
+        and -_FAST_GAIN_LIMIT < k < _FAST_GAIN_LIMIT
+    ):
+        est = math.log(v / v_prev) * k
+        guard = (abs(k) + abs(est)) * _GUARD_SCALE
+        low = math.floor(est - guard)
+        if low == math.floor(est + guard):
+            return low
+    return _volume_rate_exact(v, v_prev, k).ppb
 
 
 def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
@@ -153,22 +201,7 @@ def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     integer; otherwise, and for counts or gains outside the fast path's
     exact range, the Decimal path computes the result.
     """
-    v = max(m.v, 1)
-    v_prev = max(m.v_prev, 1)
-    if v == v_prev:
-        return _ZERO_RATE
-    k = cfg.k_v.ppb
-    if (
-        v < _FAST_COUNT_LIMIT
-        and v_prev < _FAST_COUNT_LIMIT
-        and -_FAST_GAIN_LIMIT < k < _FAST_GAIN_LIMIT
-    ):
-        est = math.log(v / v_prev) * k
-        guard = (abs(k) + abs(est)) * _GUARD_SCALE
-        low = math.floor(est - guard)
-        if low == math.floor(est + guard):
-            return Rate(low)
-    return _volume_rate_exact(v, v_prev, k)
+    return Rate(_volume_ppb(m.v, m.v_prev, cfg.k_v.ppb))
 
 
 def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
@@ -184,38 +217,64 @@ def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
         return Rate(int(scaled.to_integral_value(rounding=ROUND_FLOOR)))
 
 
-def combine_components(
-    t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
-) -> Rate:
-    """Assemble the combined rate from already-computed components."""
-    body = r_vol.ppb
+def _combine_ppb(
+    t: int, r_initial: int, r_vol: int, r_gas_cap: int, cfg: RebaseConfig
+) -> int:
+    body = r_vol
     if cfg.gas_cap_enabled:
         # Clamp the volume response into [-r_gas_cap, +r_gas_cap].  Both
         # tests run: for a negative r_gas_cap the second overrides the
         # first, as max(-cap, min(cap, body)) does.
-        cap = r_gas_cap.ppb
-        if body > cap:
-            body = cap
-        if body < -cap:
-            body = -cap
-    combined = r_initial.ppb + body
+        if body > r_gas_cap:
+            body = r_gas_cap
+        if body < -r_gas_cap:
+            body = -r_gas_cap
+    combined = r_initial + body
     if combined < 0 and t < cfg.bootstrap_periods:
         combined = 0
     if combined < HARD_FLOOR_PPB:
         combined = HARD_FLOOR_PPB
-    return Rate(combined)
+    return combined
+
+
+def combine_components(
+    t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
+) -> Rate:
+    """Assemble the combined rate from already-computed components."""
+    _check_period(t)
+    return Rate(_combine_ppb(t, r_initial.ppb, r_vol.ppb, r_gas_cap.ppb, cfg))
+
+
+def _combined_ppb(t: int, v: int, v_prev: int, s_raw: int, cfg: RebaseConfig) -> int:
+    """combined_rate(PeriodMetrics(t, v, v_prev, Amount(s_raw)), cfg).r_combined.ppb.
+
+    The attack arms' period rate, from the same four rules with no record
+    built.  The arguments are taken as valid: t, v and v_prev >= 0, and
+    s_raw an Amount's raw value.
+    """
+    return _combine_ppb(
+        t,
+        _initial_ppb(t, cfg),
+        _volume_ppb(v, v_prev, cfg.k_v.ppb),
+        _gas_cap_ppb(v, s_raw, cfg),
+        cfg,
+    )
 
 
 def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:
     """Full per-period rate: incentive plus gas-capped volume response.
 
     The gas cap is computed (and reported) even when clamping is disabled,
-    so uncapped runs still expose how far they stray past it.
+    so uncapped runs still expose how far they stray past it.  The volume
+    response comes from volume_rate itself, so a caller that wraps it sees
+    every period; PeriodMetrics has already checked the period and counts.
     """
-    r_i = initial_rate(m.t, cfg)
+    r_i = _initial_ppb(m.t, cfg)
     r_v = volume_rate(m, cfg)
-    r_cap = gas_cap_rate(m, cfg)
-    return RateBreakdown(r_i, r_v, r_cap, combine_components(m.t, r_i, r_v, r_cap, cfg))
+    r_cap = _gas_cap_ppb(m.v, m.s.raw, cfg)
+    return RateBreakdown(
+        Rate(r_i), r_v, Rate(r_cap), Rate(_combine_ppb(m.t, r_i, r_v.ppb, r_cap, cfg))
+    )
 
 
 # --- configuration files ------------------------------------------------

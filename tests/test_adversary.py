@@ -16,9 +16,9 @@ from toroid.adversary import (
     run_sybil,
     sybil_cost,
 )
-from toroid.controller import RebaseConfig, _volume_rate_exact
+from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, _volume_rate_exact
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
-from toroid.harness import step_period
+from toroid.harness import load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
 from toroid.numerics import UNIT, Amount, Rate
 
@@ -176,6 +176,50 @@ class TestRunSybil:
         sc = scenario(1_000, baseline_v=100, holdings=5_000)
         with pytest.raises(ConfigError, match="k_v >= 0, got -0.100000000"):
             run_sybil(sc, negative)
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """How many PeriodMetrics and RateBreakdown records are built, by class name."""
+    built = {"PeriodMetrics": 0, "RateBreakdown": 0}
+    for cls in (PeriodMetrics, RateBreakdown):
+        original = vars(cls)["__init__"]
+
+        def spy(self, *args, _name=cls.__name__, _original=original, **kwargs):
+            built[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return built
+
+
+class TestArmsBuildNoRecords:
+    """An arm period is the integer rate rule and then Ledger.rebase.
+
+    Counting records, not timing them, pins the arms' fast path: routing
+    them back through combined_rate builds a PeriodMetrics and a
+    RateBreakdown each period and fails here.
+    """
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_sybil_builds_none(self, cfg, records_built, enabled):
+        sc = scenario(10_000, periods=4, baseline_v=100, holdings=5_000)
+        run_sybil(sc, replace(cfg, gas_cap_enabled=enabled))
+        assert records_built == {"PeriodMetrics": 0, "RateBreakdown": 0}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_pump_and_dump_builds_none(self, cfg, records_built, enabled):
+        sc = scenario(10_000, periods=6, baseline_v=100, holdings=5_000)
+        run_pump_and_dump(sc, 2, 5, replace(cfg, gas_cap_enabled=enabled))
+        assert records_built == {"PeriodMetrics": 0, "RateBreakdown": 0}
+
+    def test_backtest_builds_one_breakdown_per_period(
+        self, cfg, records_built, sample_market_path
+    ):
+        rows = load_market_csv(sample_market_path)
+        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        assert len(series) == len(rows) - 1
+        assert records_built == {"PeriodMetrics": len(series), "RateBreakdown": len(series)}
 
 
 class TestRunPumpAndDump:

@@ -307,6 +307,68 @@ class TestCombinedRate:
             combined_rate(PeriodMetrics(t=0, v=1, v_prev=0, s=Amount(0)), cfg)
 
 
+# Counts around the float path's limit and far past it.
+PERIOD_COUNTS = st.one_of(
+    st.just(0),
+    st.integers(1, 1000),
+    st.integers(2**53 - 2, 2**53 + 2),
+    st.integers(0, 10**20),
+)
+
+
+@st.composite
+def period_inputs(draw):
+    """(t, v, v_prev, s, cfg) over every branch of the four rules."""
+    bootstrap = draw(st.sampled_from([0, 90]) | st.integers(0, 400))
+    # inside the window, on its last period and its end, and far past it
+    t = max(bootstrap + draw(st.integers(-3, 3) | st.integers(-400, 10**6)), 0)
+    v = draw(PERIOD_COUNTS)
+    v_prev = draw(st.just(v) | PERIOD_COUNTS)
+    k = draw(
+        st.just(0)
+        | st.integers(-(10**9), 10**9)
+        # past the float path's gain limit: the Decimal fallback
+        | st.integers(2**40, 2**42)
+        | st.integers(-(2**42), -(2**40))
+    )
+    s = draw(st.just(1) | st.just(MAX_RAW) | st.integers(1, 10**22) | st.integers(1, MAX_RAW))
+    cfg = RebaseConfig(
+        bootstrap_periods=bootstrap, k_v=Rate(k), gas_cap_enabled=draw(st.booleans())
+    )
+    return t, v, v_prev, s, cfg
+
+
+class TestIntegerComposition:
+    """The attack arms' integer rate and combined_rate box one rule."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(period_inputs())
+    # the bootstrap floor's last period and the first period past it,
+    # with a volume fall deeper than the incentive and a loose cap
+    @example((89, 1, 1000, 1, RebaseConfig()))
+    @example((90, 1, 1000, 1, RebaseConfig()))
+    # a fall and a rise clamped to the gas cap, past the window
+    @example((100, 1000, 100_000, 10**19, RebaseConfig()))
+    @example((100, 100_000, 1000, 10**19, RebaseConfig()))
+    def test_matches_combined_rate(self, inputs):
+        t, v, v_prev, s, cfg = inputs
+        m = PeriodMetrics(t, v, v_prev, Amount(s))
+        bd = combined_rate(m, cfg)
+        assert controller._combined_ppb(t, v, v_prev, s, cfg) == bd.r_combined.ppb
+        # and the shared rule itself holds to builtin min/max bounds
+        assert bd.r_combined == combine_by_min_max(
+            t, initial_rate(t, cfg), volume_rate(m, cfg), gas_cap_rate(m, cfg), cfg
+        )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_zero_supply_raises_from_both(self, enabled):
+        cfg = RebaseConfig(gas_cap_enabled=enabled)
+        with pytest.raises(ZeroSupplyError):
+            controller._combined_ppb(100, 5, 3, 0, cfg)
+        with pytest.raises(ZeroSupplyError):
+            combined_rate(PeriodMetrics(100, 5, 3, Amount(0)), cfg)
+
+
 class TestControllerProperties:
     def _random_metrics(self, rng: random.Random, t_lo: int = 0) -> PeriodMetrics:
         return PeriodMetrics(

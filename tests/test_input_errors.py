@@ -9,6 +9,7 @@ from inside int(), float() or bytes.decode.
 """
 
 import ast
+import datetime as dt
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +25,13 @@ from toroid import (
     parse_config,
 )
 from toroid.cli import EXIT_INPUT, main
+from toroid.controller import (
+    PeriodMetrics,
+    RebaseConfig,
+    combine_components,
+    combined_rate,
+    initial_rate,
+)
 from toroid.errors import (
     ConfigError,
     InvalidArgumentError,
@@ -31,7 +39,7 @@ from toroid.errors import (
     SnapshotError,
     ToroidError,
 )
-from toroid.harness import MARKET_CSV_HEADER
+from toroid.harness import MARKET_CSV_HEADER, MarketRow, run_backtest, step_period
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toroid"
 
@@ -214,3 +222,53 @@ def test_cli_reports_a_superscript_supply(tmp_path, default_cfg_path, capsys):
             "--out", str(tmp_path / "o.csv")]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == "error: malformed decimal string: '\u00b2'\n"
+
+
+# A negative period once divided by zero at t = -t0 and gave a negative
+# "incentive" below it; a negative count gave a negative gas cap, which
+# the clamp then turned into a rate above the incentive.
+NEGATIVE = {
+    "initial_rate t=-10": (lambda: initial_rate(-10, RebaseConfig()), "period must be >= 0, got -10"),
+    "initial_rate t=-20": (lambda: initial_rate(-20, RebaseConfig()), "period must be >= 0, got -20"),
+    "combine_components t=-1": (
+        lambda: combine_components(-1, Rate(0), Rate(0), Rate(0), RebaseConfig()),
+        "period must be >= 0, got -1",
+    ),
+    "combined_rate t=-10": (
+        lambda: combined_rate(PeriodMetrics(-10, 5, 3, Amount.from_tokens(1)), RebaseConfig()),
+        "period must be >= 0, got -10",
+    ),
+    "PeriodMetrics v=-5": (
+        lambda: PeriodMetrics(100, -5, 3, Amount.from_tokens(1)),
+        "transaction counts must be >= 0, got v=-5, v_prev=3",
+    ),
+    "PeriodMetrics v_prev=-1": (
+        lambda: PeriodMetrics(100, 3, -1, Amount.from_tokens(1)),
+        "transaction counts must be >= 0, got v=3, v_prev=-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", NEGATIVE.values(), ids=NEGATIVE)
+def test_negative_period_or_count_is_refused(call, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_negative_tx_count_row_is_refused_before_the_rebase(cfg):
+    # load_market_csv refuses such a row; one built in code reaches the
+    # kernel, which must refuse it before the ledger moves
+    rows = [MarketRow(dt.date(2017, 1, 1), 1.0, 3), MarketRow(dt.date(2017, 1, 2), 1.0, -5)]
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(Amount.from_tokens(1000)), account_id="g")
+    before = ledger.snapshot()
+    row, prev = rows[1], rows[0]
+    with pytest.raises(InvalidArgumentError, match="transaction counts must be >= 0"):
+        step_period(
+            ledger, ledger.index, cfg, row.tx_count, prev.tx_count, row.price,
+            ledger.total_supply(),
+        )
+    assert ledger.snapshot() == before
+    with pytest.raises(InvalidArgumentError):
+        run_backtest(rows, cfg, Amount.from_tokens(1000))
