@@ -15,8 +15,6 @@ from .controller import (
     RateBreakdown,
     RebaseConfig,
     combined_rate,
-    gas_cap_rate,
-    initial_rate,
     load_config,
     parse_config,
     volume_rate,
@@ -50,9 +48,7 @@ __all__ = [
     "ToroidError",
     "UNIT",
     "combined_rate",
-    "gas_cap_rate",
     "grow_index",
-    "initial_rate",
     "load_config",
     "load_market_csv",
     "parse_config",

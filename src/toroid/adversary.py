@@ -49,6 +49,9 @@ class SybilScenario:
     start_period: int
 
     def __post_init__(self) -> None:
+        for name in ("delta_v_per_period", "periods", "baseline_v", "start_period"):
+            if not isinstance(value := getattr(self, name), int):
+                raise TypeError(f"{name} must be int, got {value!r}")
         if self.periods < 1:
             raise InvalidArgumentError("periods must be >= 1")
         if self.delta_v_per_period < 0 or self.baseline_v < 0:

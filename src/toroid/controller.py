@@ -8,9 +8,9 @@ peg, can never exceed the gas burned to produce those transactions.  That
 clamp is what makes count manipulation uneconomical.
 
 Each rule is written once, as a private integer form taking and giving
-ppb.  initial_rate, volume_rate, gas_cap_rate, combine_components and
-combined_rate box those forms into Rate and RateBreakdown, and check
-that the period and counts are >= 0.  _combined_ppb composes them into
+ppb.  combined_rate boxes them into a RateBreakdown, volume_rate boxes
+the volume response alone, and PeriodMetrics is the one check that the
+period and counts are ints >= 0.  _combined_ppb composes the rules into
 r_combined as a bare int: an attack arm's period is that integer rate
 rule and then Ledger.rebase, with no record built.
 
@@ -119,54 +119,35 @@ class PeriodMetrics:
     s: Amount
 
     def __post_init__(self) -> None:
-        _check_period(self.t)
-        if self.v < 0 or self.v_prev < 0:
+        t, v, v_prev = self.t, self.v, self.v_prev
+        if not (isinstance(t, int) and isinstance(v, int) and isinstance(v_prev, int)):
+            raise TypeError(f"period and counts must be int, got {t!r}, {v!r}, {v_prev!r}")
+        if t < 0:
+            raise InvalidArgumentError(f"period must be >= 0, got {t}")
+        if v < 0 or v_prev < 0:
             raise InvalidArgumentError(
-                f"transaction counts must be >= 0, got v={self.v}, v_prev={self.v_prev}"
+                f"transaction counts must be >= 0, got v={v}, v_prev={v_prev}"
             )
 
 
 @record
 class RateBreakdown:
+    """combined_rate's result: the three rules' rates and their combination."""
+
     r_initial: Rate
     r_vol: Rate
     r_gas_cap: Rate
     r_combined: Rate
 
 
-def _check_period(t: int) -> None:
-    if t < 0:
-        raise InvalidArgumentError(f"period must be >= 0, got {t}")
-
-
 def _initial_ppb(t: int, cfg: RebaseConfig) -> int:
     return UNIT // (t + cfg.t0)
-
-
-def initial_rate(t: int, cfg: RebaseConfig) -> Rate:
-    """Bootstrap incentive rate 1/(t + t0), floored to ppb.
-
-    Strictly decreasing in t and vanishing as t grows: 10% at t=0 and 1%
-    at t=90 under the defaults.  A negative t raises InvalidArgumentError.
-    """
-    _check_period(t)
-    return Rate(_initial_ppb(t, cfg))
 
 
 def _gas_cap_ppb(v: int, s_raw: int, cfg: RebaseConfig) -> int:
     if s_raw == 0:
         raise ZeroSupplyError("gas cap undefined at zero supply")
     return v * cfg._gas_cost_trd_raw() * UNIT // s_raw
-
-
-def gas_cap_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
-    """Largest volume-driven rate the period's gas expenditure can justify.
-
-    v transactions cost v * gas_cost_base in base coin; converted to TRD at
-    the peg and spread over supply s that bounds the rate at
-    v * gas_cost_trd / s.  Linear in v, inverse in s, never negative.
-    """
-    return Rate(_gas_cap_ppb(m.v, m.s.raw, cfg))
 
 
 def _volume_ppb(v: int, v_prev: int, k: int) -> int:
@@ -184,7 +165,7 @@ def _volume_ppb(v: int, v_prev: int, k: int) -> int:
         low = math.floor(est - guard)
         if low == math.floor(est + guard):
             return low
-    return _volume_rate_exact(v, v_prev, k).ppb
+    return _volume_rate_exact(v, v_prev, k)
 
 
 def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
@@ -204,7 +185,7 @@ def volume_rate(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
     return Rate(_volume_ppb(m.v, m.v_prev, cfg.k_v.ppb))
 
 
-def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
+def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> int:
     """k_ppb * ln(v / v_prev) floored to an integer, ln at _LN_PRECISION digits.
 
     The fallback of volume_rate and the oracle its fast path is tested
@@ -214,7 +195,7 @@ def _volume_rate_exact(v: int, v_prev: int, k_ppb: int) -> Rate:
         ctx.prec = _LN_PRECISION
         ln_ratio = (Decimal(v) / Decimal(v_prev)).ln()
         scaled = ln_ratio * k_ppb
-        return Rate(int(scaled.to_integral_value(rounding=ROUND_FLOOR)))
+        return int(scaled.to_integral_value(rounding=ROUND_FLOOR))
 
 
 def _combine_ppb(
@@ -237,19 +218,11 @@ def _combine_ppb(
     return combined
 
 
-def combine_components(
-    t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
-) -> Rate:
-    """Assemble the combined rate from already-computed components."""
-    _check_period(t)
-    return Rate(_combine_ppb(t, r_initial.ppb, r_vol.ppb, r_gas_cap.ppb, cfg))
-
-
 def _combined_ppb(t: int, v: int, v_prev: int, s_raw: int, cfg: RebaseConfig) -> int:
     """combined_rate(PeriodMetrics(t, v, v_prev, Amount(s_raw)), cfg).r_combined.ppb.
 
     The attack arms' period rate, from the same four rules with no record
-    built.  The arguments are taken as valid: t, v and v_prev >= 0, and
+    built.  The arguments are taken as valid: t, v and v_prev ints >= 0, and
     s_raw an Amount's raw value.
     """
     return _combine_ppb(

@@ -127,8 +127,11 @@ def step_period(
     the mint supply * (anchor / index - 1), floored, then rounded down to
     exact collateral, is deposited into the "arb" account.  supply is the
     ledger's total at period start, as the previous period returned it,
-    so no caller rescans every account.
+    so no caller rescans every account.  Bad counts or a bad base price
+    or ceiling raise before the ledger moves; a TRD price that underflows
+    depends on the new index, so it raises after the rebase.
     """
+    ceiling = peg_ceiling(cfg, base_price)
     breakdown = combined_rate(
         PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
     )
@@ -140,7 +143,7 @@ def step_period(
         anchor = index
     trd_price = step_price(anchor, base_price, index, cfg).trd_price
     # Written so that a NaN price fails the check too.
-    if not trd_price <= peg_ceiling(cfg, base_price):
+    if not trd_price <= ceiling:
         raise InvariantViolationError("TRD price escaped the peg ceiling")
     minted = _NO_MINT
     if excess > 0:

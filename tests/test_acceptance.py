@@ -23,7 +23,7 @@ from toroid.adversary import (
     sybil_cost,
 )
 from toroid.cli import EXIT_OK, main
-from toroid.controller import PeriodMetrics, RebaseConfig, gas_cap_rate, initial_rate
+from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
 from toroid.datagen import sample_market_csv
 from toroid.errors import InsufficientForRefundError
 from toroid.harness import MarketRow, load_market_csv, run_backtest
@@ -87,9 +87,10 @@ def _report(criterion: int, description: str, started: float) -> None:
 class TestAcceptance:
     def test_1_bootstrap_incentive_worked_values(self):
         cfg = RebaseConfig()
+        supply = Amount.from_tokens(10_000)
         started = time.perf_counter()
-        at_launch = initial_rate(0, cfg)
-        after_bootstrap = initial_rate(90, cfg)
+        at_launch = combined_rate(PeriodMetrics(0, 0, 0, supply), cfg).r_initial
+        after_bootstrap = combined_rate(PeriodMetrics(90, 0, 0, supply), cfg).r_initial
         elapsed = time.perf_counter() - started
         assert at_launch == Rate.from_decimal("0.100000000")
         assert after_bootstrap == Rate.from_decimal("0.010000000")
@@ -100,9 +101,9 @@ class TestAcceptance:
         cfg = RebaseConfig()
         started = time.perf_counter()
         cost = sybil_cost(10_000, cfg)
-        cap = gas_cap_rate(
+        cap = combined_rate(
             PeriodMetrics(t=0, v=10_000, v_prev=0, s=Amount.from_tokens(10_000)), cfg
-        )
+        ).r_gas_cap
         elapsed = time.perf_counter() - started
         assert cost == Amount.from_tokens(4)
         assert cap == Rate.from_decimal("0.004")

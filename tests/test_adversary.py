@@ -457,7 +457,7 @@ VERDICT_SLACK = 3
 def oracle_rate(cfg, t, v, v_prev, s):
     """The period's rate in ppb, rebuilt from its terms without combined_rate."""
     low, high = max(v_prev, 1), max(v, 1)
-    r_vol = 0 if low == high else _volume_rate_exact(high, low, cfg.k_v.ppb).ppb
+    r_vol = 0 if low == high else _volume_rate_exact(high, low, cfg.k_v.ppb)
     gas_trd = cfg.gas_cost_base.raw * UNIT // cfg.peg_ratio.ppb
     cap = v * gas_trd * UNIT // s
     body = max(-cap, min(cap, r_vol)) if cfg.gas_cap_enabled else r_vol

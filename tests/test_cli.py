@@ -524,7 +524,7 @@ class TestAttack:
     def test_negative_start_period_is_input_error(
         self, tmp_path, default_cfg_path, start, capsys
     ):
-        # -10 divided by zero in initial_rate (t + t0 == 0); -3 ran silently
+        # -10 divided by zero in the incentive 1/(t + t0); -3 ran silently
         # with a bootstrap rate the paper never defines
         out = tmp_path / "r.csv"
         argv = sybil_argv("100", 2, "0", "10000", None, start, False)

@@ -14,11 +14,8 @@ from toroid.controller import (
     HARD_FLOOR_PPB,
     PeriodMetrics,
     RebaseConfig,
-    combine_components,
     combined_rate,
     dump_config,
-    gas_cap_rate,
-    initial_rate,
     parse_config,
     volume_rate,
 )
@@ -41,7 +38,7 @@ def exact_calls(monkeypatch) -> list[tuple[int, int, int]]:
     """Arguments of every call volume_rate makes to its Decimal fallback."""
     calls: list[tuple[int, int, int]] = []
 
-    def spy(v: int, v_prev: int, k_ppb: int) -> Rate:
+    def spy(v: int, v_prev: int, k_ppb: int) -> int:
         calls.append((v, v_prev, k_ppb))
         return ORACLE(v, v_prev, k_ppb)
 
@@ -49,46 +46,54 @@ def exact_calls(monkeypatch) -> list[tuple[int, int, int]]:
     return calls
 
 
+def r_initial(t: int, cfg: RebaseConfig) -> Rate:
+    return combined_rate(metrics(0, 0, 1, t=t), cfg).r_initial
+
+
 class TestInitialRate:
     def test_launch_rate_is_ten_percent(self, cfg):
-        assert initial_rate(0, cfg) == Rate(100_000_000)
+        assert r_initial(0, cfg) == Rate(100_000_000)
 
     def test_rate_after_ninety_periods_is_one_percent(self, cfg):
-        assert initial_rate(90, cfg) == Rate(10_000_000)
+        assert r_initial(90, cfg) == Rate(10_000_000)
 
     def test_mid_bootstrap(self, cfg):
         # 1/(40 + 10) = 0.02
-        assert initial_rate(40, cfg) == Rate(20_000_000)
+        assert r_initial(40, cfg) == Rate(20_000_000)
 
     def test_strictly_decreasing(self, cfg):
-        rates = [initial_rate(t, cfg).ppb for t in range(1000)]
+        rates = [controller._initial_ppb(t, cfg) for t in range(1000)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_custom_offset(self):
         cfg = RebaseConfig(t0=1)
-        assert initial_rate(0, cfg) == Rate(UNIT)
+        assert r_initial(0, cfg) == Rate(UNIT)
+
+
+def r_gas_cap(m: PeriodMetrics, cfg: RebaseConfig) -> Rate:
+    return combined_rate(m, cfg).r_gas_cap
 
 
 class TestGasCapRate:
     def test_reference_cap(self, cfg):
         # 1e4 transactions over 10000 TRD: 40 TRD of headroom = 0.004
-        assert gas_cap_rate(metrics(10_000, 0, 10_000), cfg) == Rate(4_000_000)
+        assert r_gas_cap(metrics(10_000, 0, 10_000), cfg) == Rate(4_000_000)
 
     def test_zero_volume(self, cfg):
-        assert gas_cap_rate(metrics(0, 0, 10_000), cfg) == Rate(0)
+        assert r_gas_cap(metrics(0, 0, 10_000), cfg) == Rate(0)
 
     def test_hand_arithmetic(self, cfg):
         # 5000 * 0.004 / 20000
-        assert gas_cap_rate(metrics(5_000, 0, 20_000), cfg) == Rate(1_000_000)
+        assert r_gas_cap(metrics(5_000, 0, 20_000), cfg) == Rate(1_000_000)
 
     def test_zero_supply_rejected(self, cfg):
         with pytest.raises(ZeroSupplyError):
-            gas_cap_rate(PeriodMetrics(t=0, v=1, v_prev=0, s=Amount(0)), cfg)
+            r_gas_cap(PeriodMetrics(t=0, v=1, v_prev=0, s=Amount(0)), cfg)
 
     def test_linear_in_volume_inverse_in_supply(self, cfg):
-        base = gas_cap_rate(metrics(1_000, 0, 10_000), cfg).ppb
-        assert gas_cap_rate(metrics(2_000, 0, 10_000), cfg).ppb == 2 * base
-        assert gas_cap_rate(metrics(1_000, 0, 20_000), cfg).ppb == base // 2
+        base = r_gas_cap(metrics(1_000, 0, 10_000), cfg).ppb
+        assert r_gas_cap(metrics(2_000, 0, 10_000), cfg).ppb == 2 * base
+        assert r_gas_cap(metrics(1_000, 0, 20_000), cfg).ppb == base // 2
 
     def test_gas_cost_trd_conversion(self, cfg):
         # 0.0004 base at peg 0.1 is 0.004 TRD
@@ -148,7 +153,7 @@ class TestVolumeRateOracle:
         pairs = [(v, p) for v in range(1, 111) for p in range(1, 111) if v != p]
         for v, v_prev in pairs:
             got = volume_rate(metrics(v, v_prev, 1), cfg)
-            assert got == ORACLE(v, v_prev, k), (v, v_prev)
+            assert got.ppb == ORACLE(v, v_prev, k), (v, v_prev)
         # the grid exercises the fast path, not only the fallback
         assert 0 < len(exact_calls) < len(pairs) // 100
 
@@ -167,7 +172,7 @@ class TestVolumeRateOracle:
     )
     def test_matches_oracle(self, v, v_prev, k):
         got = volume_rate(metrics(v, v_prev, 1), RebaseConfig(k_v=Rate(k)))
-        assert got == ORACLE(v, v_prev, k)
+        assert got.ppb == ORACLE(v, v_prev, k)
 
     @pytest.mark.parametrize(
         "v, v_prev, k, unguarded_error",
@@ -183,9 +188,9 @@ class TestVolumeRateOracle:
         self, v, v_prev, k, unguarded_error, exact_calls
     ):
         oracle = ORACLE(v, v_prev, k)
-        assert math.floor(math.log(v / v_prev) * k) - oracle.ppb == unguarded_error
+        assert math.floor(math.log(v / v_prev) * k) - oracle == unguarded_error
         got = volume_rate(metrics(v, v_prev, 1), RebaseConfig(k_v=Rate(k)))
-        assert got == oracle
+        assert got.ppb == oracle
         assert exact_calls == [(v, v_prev, k)]
 
     @pytest.mark.parametrize(
@@ -201,7 +206,7 @@ class TestVolumeRateOracle:
     )
     def test_large_count_falls_back(self, cfg, v, v_prev, exact_calls):
         got = volume_rate(metrics(v, v_prev, 1), cfg)
-        assert got == ORACLE(v, v_prev, cfg.k_v.ppb)
+        assert got.ppb == ORACLE(v, v_prev, cfg.k_v.ppb)
         assert exact_calls == [(v, v_prev, cfg.k_v.ppb)]
 
     # 1e15 is the config value k_v = 1000000; at it an unguarded estimate
@@ -211,54 +216,42 @@ class TestVolumeRateOracle:
     )
     def test_gain_past_bound_falls_back(self, k, exact_calls):
         got = volume_rate(metrics(783, 65, 1), RebaseConfig(k_v=Rate(k)))
-        assert got == ORACLE(783, 65, k)
+        assert got.ppb == ORACLE(783, 65, k)
         assert exact_calls == [(783, 65, k)]
 
 
 class TestCombineComponents:
     def test_positive_volume_clamps_to_cap(self, cfg):
-        got = combine_components(
-            0, Rate(100_000_000), Rate(500_000_000), Rate(4_000_000), cfg
-        )
-        assert got == Rate(104_000_000)
+        got = controller._combine_ppb(0, 100_000_000, 500_000_000, 4_000_000, cfg)
+        assert got == 104_000_000
 
     def test_negative_volume_clamps_to_cap(self, cfg):
-        got = combine_components(
-            0, Rate(100_000_000), Rate(-500_000_000), Rate(4_000_000), cfg
-        )
-        assert got == Rate(96_000_000)
+        got = controller._combine_ppb(0, 100_000_000, -500_000_000, 4_000_000, cfg)
+        assert got == 96_000_000
 
     def test_zero_volume_passes_through(self, cfg):
-        got = combine_components(0, Rate(100_000_000), Rate(0), Rate(4_000_000), cfg)
-        assert got == Rate(100_000_000)
+        got = controller._combine_ppb(0, 100_000_000, 0, 4_000_000, cfg)
+        assert got == 100_000_000
 
     def test_cap_disabled_passes_volume(self):
         cfg = RebaseConfig(gas_cap_enabled=False)
-        got = combine_components(
-            0, Rate(100_000_000), Rate(500_000_000), Rate(4_000_000), cfg
-        )
-        assert got == Rate(600_000_000)
+        got = controller._combine_ppb(0, 100_000_000, 500_000_000, 4_000_000, cfg)
+        assert got == 600_000_000
 
     def test_bootstrap_floor(self, cfg):
         # inside bootstrap a negative combination floors at zero
-        got = combine_components(
-            10, Rate(1_000_000), Rate(-500_000_000), Rate(400_000_000), cfg
-        )
-        assert got == Rate(0)
+        got = controller._combine_ppb(10, 1_000_000, -500_000_000, 400_000_000, cfg)
+        assert got == 0
 
     def test_bootstrap_floor_disabled(self):
         cfg = RebaseConfig(bootstrap_periods=0)
-        got = combine_components(
-            10, Rate(1_000_000), Rate(-300_000_000), Rate(400_000_000), cfg
-        )
-        assert got == Rate(-299_000_000)
+        got = controller._combine_ppb(10, 1_000_000, -300_000_000, 400_000_000, cfg)
+        assert got == -299_000_000
 
     def test_hard_floor(self):
         cfg = RebaseConfig(gas_cap_enabled=False, bootstrap_periods=0)
-        got = combine_components(
-            0, Rate(100_000_000), Rate(-3 * UNIT), Rate(0), cfg
-        )
-        assert got == Rate(HARD_FLOOR_PPB)
+        got = controller._combine_ppb(0, 100_000_000, -3 * UNIT, 0, cfg)
+        assert got == HARD_FLOOR_PPB
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -281,18 +274,20 @@ class TestCombineComponents:
     ):
         cfg = RebaseConfig(bootstrap_periods=bootstrap, gas_cap_enabled=enabled)
         t = max(bootstrap + offset, 0)
-        args = (t, Rate(r_initial), Rate(r_vol), Rate(r_gas_cap), cfg)
-        assert combine_components(*args) == combine_by_min_max(*args)
+        got = controller._combine_ppb(t, r_initial, r_vol, r_gas_cap, cfg)
+        assert Rate(got) == combine_by_min_max(
+            t, Rate(r_initial), Rate(r_vol), Rate(r_gas_cap), cfg
+        )
 
 
 class TestCombinedRate:
     def test_breakdown_consistency(self, cfg):
         m = metrics(10_000, 100, 10_000, t=120)
         bd = combined_rate(m, cfg)
-        assert bd.r_initial == initial_rate(120, cfg)
+        assert bd.r_initial == Rate(UNIT // 130)
         assert bd.r_vol == volume_rate(m, cfg)
-        assert bd.r_gas_cap == gas_cap_rate(m, cfg)
-        assert bd.r_combined == combine_components(
+        assert bd.r_gas_cap == Rate(4_000_000)
+        assert bd.r_combined == combine_by_min_max(
             120, bd.r_initial, bd.r_vol, bd.r_gas_cap, cfg
         )
 
@@ -357,7 +352,7 @@ class TestIntegerComposition:
         assert controller._combined_ppb(t, v, v_prev, s, cfg) == bd.r_combined.ppb
         # and the shared rule itself holds to builtin min/max bounds
         assert bd.r_combined == combine_by_min_max(
-            t, initial_rate(t, cfg), volume_rate(m, cfg), gas_cap_rate(m, cfg), cfg
+            t, bd.r_initial, bd.r_vol, bd.r_gas_cap, cfg
         )
 
     @pytest.mark.parametrize("enabled", [True, False])

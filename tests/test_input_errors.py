@@ -10,6 +10,7 @@ from inside int(), float() or bytes.decode.
 
 import ast
 import datetime as dt
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -25,17 +26,12 @@ from toroid import (
     parse_config,
 )
 from toroid.cli import EXIT_INPUT, main
-from toroid.controller import (
-    PeriodMetrics,
-    RebaseConfig,
-    combine_components,
-    combined_rate,
-    initial_rate,
-)
+from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
 from toroid.errors import (
     ConfigError,
     InvalidArgumentError,
     MarketDataError,
+    NonFinitePriceError,
     SnapshotError,
     ToroidError,
 )
@@ -228,10 +224,14 @@ def test_cli_reports_a_superscript_supply(tmp_path, default_cfg_path, capsys):
 # "incentive" below it; a negative count gave a negative gas cap, which
 # the clamp then turned into a rate above the incentive.
 NEGATIVE = {
-    "initial_rate t=-10": (lambda: initial_rate(-10, RebaseConfig()), "period must be >= 0, got -10"),
-    "initial_rate t=-20": (lambda: initial_rate(-20, RebaseConfig()), "period must be >= 0, got -20"),
-    "combine_components t=-1": (
-        lambda: combine_components(-1, Rate(0), Rate(0), Rate(0), RebaseConfig()),
+    "PeriodMetrics t=-10": (
+        lambda: PeriodMetrics(-10, 0, 0, Amount.from_tokens(1)), "period must be >= 0, got -10"
+    ),
+    "PeriodMetrics t=-20": (
+        lambda: PeriodMetrics(-20, 0, 0, Amount.from_tokens(1)), "period must be >= 0, got -20"
+    ),
+    "combined_rate t=-1": (
+        lambda: combined_rate(PeriodMetrics(-1, 0, 0, Amount(1)), RebaseConfig()),
         "period must be >= 0, got -1",
     ),
     "combined_rate t=-10": (
@@ -272,3 +272,44 @@ def test_negative_tx_count_row_is_refused_before_the_rebase(cfg):
     assert ledger.snapshot() == before
     with pytest.raises(InvalidArgumentError):
         run_backtest(rows, cfg, Amount.from_tokens(1000))
+
+
+@pytest.mark.parametrize(
+    "price, message",
+    [
+        (math.nan, "base price must be finite and > 0"),
+        (-1.0, "base price must be finite and > 0"),
+        (0.0, "base price must be finite and > 0"),
+        (math.inf, "base price must be finite and > 0"),
+        (5e-324, "peg ceiling underflowed to 0"),
+    ],
+    ids=["nan", "negative", "zero", "inf", "subnormal"],
+)
+def test_bad_base_price_is_refused_before_the_rebase(cfg, price, message):
+    # the price is checked before the rebase, so the ledger does not move
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(Amount.from_tokens(1000)), account_id="g")
+    before = ledger.snapshot()
+    with pytest.raises(NonFinitePriceError, match=message):
+        step_period(ledger, ledger.index, cfg, 5, 3, price, ledger.total_supply())
+    assert (ledger.current_period, ledger.index) == (0, Ledger(cfg.peg_ratio).index)
+    assert ledger.snapshot() == before
+
+
+# Refused at construction, before it reaches an integer rule and fails
+# there as "ppb must be int, got float".
+NOT_INT = {
+    "PeriodMetrics t": lambda: PeriodMetrics(1.0, 2, 1, Amount(1)),
+    "PeriodMetrics v": lambda: PeriodMetrics(0, 2.5, 1, Amount(1)),
+    "PeriodMetrics v_prev": lambda: PeriodMetrics(0, 2, "1", Amount(1)),
+    "SybilScenario delta_v": lambda: SybilScenario(1.5, 1, 0, Amount(1), Amount(0), 0),
+    "SybilScenario periods": lambda: SybilScenario(1, 2.0, 0, Amount(1), Amount(0), 0),
+    "SybilScenario baseline_v": lambda: SybilScenario(1, 1, None, Amount(1), Amount(0), 0),
+    "SybilScenario start_period": lambda: SybilScenario(1, 1, 0, Amount(1), Amount(0), 9.0),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INT.values(), ids=NOT_INT)
+def test_non_int_period_or_count_is_a_type_error(call):
+    with pytest.raises(TypeError, match="must be int, got "):
+        call()

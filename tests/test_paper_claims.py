@@ -1,7 +1,11 @@
-"""The README's table of the paper's claims names tests that exist."""
+"""The README's table of the paper's claims names tests that exist, and
+its Python examples run."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,30 @@ def test_a_missing_name_is_not_found():
     harness_tests = defined_tests(REPO_ROOT / "tests" / "test_harness.py")
     assert "TestPegClamp::test_clamp_matches_fraction_oracle" in harness_tests
     assert "TestPegClamp::test_no_such_test" not in harness_tests
+
+
+def python_blocks() -> dict[str, str]:
+    """The body of each of the README's ```python blocks, by its line."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = {}
+    for block in re.finditer(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL):
+        line = text.count("\n", 0, block.start()) + 1
+        blocks[f"README.md:{line}"] = block[1]
+    return blocks
+
+
+BLOCKS = python_blocks()
+
+
+def test_the_readme_has_a_python_example():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("source", BLOCKS.values(), ids=BLOCKS)
+def test_readme_python_block_runs(tmp_path, source):
+    # a name the example imports and the package no longer has fails here
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
