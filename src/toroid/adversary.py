@@ -49,9 +49,16 @@ class SybilScenario:
     start_period: int
 
     def __post_init__(self) -> None:
-        for name in ("delta_v_per_period", "periods", "baseline_v", "start_period"):
-            if not isinstance(value := getattr(self, name), int):
-                raise TypeError(f"{name} must be int, got {value!r}")
+        for name, kind in (
+            ("delta_v_per_period", int),
+            ("periods", int),
+            ("baseline_v", int),
+            ("start_supply", Amount),
+            ("attacker_holdings", Amount),
+            ("start_period", int),
+        ):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.periods < 1:
             raise InvalidArgumentError("periods must be >= 1")
         if self.delta_v_per_period < 0 or self.baseline_v < 0:
@@ -84,6 +91,8 @@ class AttackReport:
 
 def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
     """Gas cost of v injected transactions, in base coin.  Exactly linear."""
+    if not isinstance(v, int):
+        raise TypeError(f"v must be int, got {v!r}")
     if v < 0:
         raise InvalidArgumentError("transaction count must be >= 0")
     return Amount(v * cfg.gas_cost_base.raw)

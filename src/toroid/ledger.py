@@ -10,9 +10,11 @@ converted at the index current when it entered.
 Shares carry an extra factor of 10^9 below raw token precision, so the
 floor error of a share conversion sits nine decimal digits under one raw
 unit and whole-raw arithmetic (mint, burn, rebase of round amounts) comes
-out exact at token precision.  A share count is a plain int, held to
-the Amount range 0..MAX_RAW by _share_count on every write; Amount is the
-type at the public boundary (balances, supply, collateral).
+out exact at token precision.  A share count is a plain int >= 0; Amount
+is the type at the public boundary (balances, supply, collateral).  One
+rule keeps balances and supply in range: the share total is worth at most
+MAX_RAW at the index, and a sum of floors is at most the floor of the sum.
+Opening, deposit, restore and rebase check it; a transfer keeps the total.
 
 Collateral is the only stored amount.  The peg is fixed, so an account's
 refund obligation is always minted_for(collateral) and needs no column of
@@ -31,6 +33,7 @@ from .errors import (
     InsufficientBalanceError,
     InsufficientForRefundError,
     InvalidArgumentError,
+    NegativeAmountError,
     NonDivisibleCollateralError,
     SelfTransferError,
     SnapshotError,
@@ -42,9 +45,6 @@ from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
 
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
-
-# Bits of the largest share count; total_supply's reciprocal shift builds on it.
-MAX_RAW_BITS = MAX_RAW.bit_length()
 
 # Periods an account must exist before it may withdraw: the paper's
 # minimum investment period ("for example one day") is one period here.
@@ -64,20 +64,17 @@ def _canonical_int(field: str) -> int:
     return value
 
 
-def _share_count(shares: int) -> int:
-    """shares, checked to lie in the Amount range 0..MAX_RAW.
-
-    Out of range, building the Amount raises its NegativeAmountError or
-    AmountOverflowError, so the range and its messages are written once.
-    """
-    if not 0 <= shares <= MAX_RAW:
-        Amount(shares)
-    return shares
+def _capped(total_shares: int, index: Index) -> int:
+    """total_shares, or AmountOverflowError if worth more than MAX_RAW at index."""
+    worth = total_shares * index.num // (index.den * SHARE_SCALE)
+    if worth > MAX_RAW:
+        raise AmountOverflowError(f"amount exceeds capacity: {worth}")
+    return total_shares
 
 
 @dataclass(slots=True)
 class Account:
-    """One wallet: share units (an int in 0..MAX_RAW) and locked collateral.
+    """One wallet: share units (an int >= 0) and locked collateral.
 
     Its id is the key it sits under in Ledger.accounts, and its refund
     obligation is Ledger.minted_for(collateral).
@@ -96,6 +93,10 @@ class Ledger:
     """
 
     def __init__(self, peg_ratio: Rate, start_period: int = 0):
+        if not isinstance(peg_ratio, Rate):
+            raise TypeError(f"peg_ratio must be Rate, got {peg_ratio!r}")
+        if not isinstance(start_period, int):
+            raise TypeError(f"start_period must be int, got {start_period!r}")
         if peg_ratio.ppb <= 0:
             raise InvalidArgumentError("peg_ratio must be positive")
         if start_period < 0:
@@ -105,6 +106,7 @@ class Ledger:
         self.index = Index.identity()
         self.current_period = start_period
         self.total_collateral = Amount(0)
+        self._total_shares = 0
         self._next_account_seq = 1
 
     def copy(self) -> Ledger:
@@ -174,18 +176,22 @@ class Ledger:
         Each balance floor(s * num / d), d = den * SHARE_SCALE, is taken as
         s * m >> k with the reciprocal m = ceil(num * 2**k / d): one division
         per call, none per account (Granlund & Montgomery, "Division by
-        Invariant Integers using Multiplication", 1994).  k makes
-        2**k > MAX_RAW * d, and _share_count checks every share count s on
-        every write, so 0 <= s <= MAX_RAW.  Then the two floors are equal:
+        Invariant Integers using Multiplication", 1994).  Every share count
+        s lies in 0..T, T the share total, and k makes 2**k > T * d.  Then
+        the two floors are equal:
           1. s * m / 2**k - s * num / d = s * (m - num * 2**k / d) / 2**k,
-             which lies in [0, MAX_RAW / 2**k), inside [0, 1/d).
+             which lies in [0, T / 2**k), inside [0, 1/d).
           2. s * num / d is a multiple of 1/d, so its fractional part is at
              most 1 - 1/d.
           3. Adding less than 1/d to it cannot reach the next integer.
         """
         d = self.index.den * SHARE_SCALE
-        k = MAX_RAW_BITS + d.bit_length()
+        d_bits = d.bit_length()
+        k = self._total_shares.bit_length() + d_bits
         m = -((-self.index.num << k) // d)
+        # T's worth, T * m >> k, is at most m >> d_bits: check exactly past it.
+        if m >> d_bits > MAX_RAW:
+            _capped(self._total_shares, self.index)
         total = 0
         for account in self.accounts.values():
             total += account.shares * m >> k
@@ -209,12 +215,8 @@ class Ledger:
             while f"a{self._next_account_seq}" in self.accounts:
                 self._next_account_seq += 1
             account_id = f"a{self._next_account_seq}"
-        account = Account(
-            _share_count(self._to_shares_ceil(minted.raw)),
-            collateral,
-            self.current_period,
-        )
-        self._insert(account_id, account)
+        shares = self._to_shares_ceil(minted.raw)
+        self._insert(account_id, Account(shares, collateral, self.current_period))
         return account_id, minted
 
     def _insert(self, account_id: str, account: Account) -> None:
@@ -225,8 +227,10 @@ class Ledger:
             )
         if account_id in self.accounts:
             raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
+        total_shares = _capped(self._total_shares + account.shares, self.index)
         self.total_collateral += account.collateral
         self.accounts[account_id] = account
+        self._total_shares = total_shares
 
     def deposit(self, account_id: str, collateral: Amount) -> Amount:
         """Add collateral to an existing wallet; returns the TRD minted."""
@@ -235,18 +239,17 @@ class Ledger:
             raise ZeroCollateralError("cannot deposit zero collateral")
         minted = self.minted_for(collateral)
         new_collateral = account.collateral + collateral
-        # The whole obligation must stay an Amount; it and every new value
-        # are built, and so checked, before any is stored.
+        # The obligation, share total and collateral total are checked first.
         self.minted_for(new_collateral)
-        account.shares, account.collateral, self.total_collateral = (
-            _share_count(account.shares + self._to_shares_ceil(minted.raw)),
-            new_collateral,
-            self.total_collateral + collateral,
-        )
+        shares = self._to_shares_ceil(minted.raw)
+        total_shares = _capped(self._total_shares + shares, self.index)
+        self.total_collateral += collateral
+        account.shares, account.collateral = account.shares + shares, new_collateral
+        self._total_shares = total_shares
         return minted
 
     def transfer(self, src: str, dst: str, amount: Amount) -> None:
-        """Move TRD between wallets."""
+        """Move TRD between wallets; the share total does not change."""
         if src == dst:
             raise SelfTransferError(f"cannot transfer {src!r} to itself")
         sender = self._get(src)
@@ -258,22 +261,17 @@ class Ledger:
                 f"cannot send {amount.tokens()}"
             )
         moved = self._to_shares_floor(amount.raw)
-        # Both share counts are checked before either is stored, so an
-        # overflow on the receiver leaves the sender untouched.
-        sender.shares, receiver.shares = (
-            _share_count(sender.shares - moved),
-            _share_count(receiver.shares + moved),
-        )
+        sender.shares -= moved
+        receiver.shares += moved
 
     def rebase(self, r: Rate) -> Amount:
         """Close the period: grow the index by (1 + r).
 
         Every balance scales by (1 + r) to within one raw unit; shares are
-        untouched.  Returns the new total supply.  A total that overflows
-        raises AmountOverflowError and leaves the ledger as it was.
+        untouched.  Returns the new total supply.  Past capacity it raises
+        AmountOverflowError and leaves the ledger as it was.
         """
-        previous = self.index
-        self.index = grow_index(previous, r)
+        previous, self.index = self.index, grow_index(self.index, r)
         try:
             supply = self.total_supply()
         except AmountOverflowError:
@@ -309,9 +307,9 @@ class Ledger:
                 f"{account_id!r} holds {format_raw(balance)} TRD, "
                 f"refund requires burning {burned.tokens()}"
             )
-        account.shares = _share_count(
-            account.shares - self._to_shares_floor(burned.raw)
-        )
+        shares = self._to_shares_floor(burned.raw)
+        account.shares -= shares
+        self._total_shares -= shares
         account.collateral -= collateral_out
         self.total_collateral -= collateral_out
         return burned
@@ -377,7 +375,9 @@ class Ledger:
                     f"period {period}"
                 )
             try:
-                account = Account(_share_count(shares), Amount(collateral), created)
+                if shares < 0:
+                    raise NegativeAmountError(f"amount cannot be negative: {shares}")
+                account = Account(shares, Amount(collateral), created)
                 ledger.minted_for(account.collateral)
                 ledger._insert(fields[0], account)
             except ToroidError as exc:

@@ -477,6 +477,10 @@ class TestPegClamp:
     )
     @example(anchor=Index(1, 1), r=-10_988_122, peg=100_000_000, tokens=10_000)
     @example(anchor=Index(10**30, 1), r=0, peg=100_000_000, tokens=10**6)
+    # the arb account's share count passes MAX_RAW while its worth fits
+    @example(anchor=Index(10**15, 1), r=0, peg=100_000_000, tokens=10**6)
+    # the mint fits, the share total's worth with genesis does not
+    @example(anchor=Index(MAX_RAW // 10**15 + 1, 1), r=0, peg=100_000_000, tokens=10**6)
     def test_clamp_matches_fraction_oracle(self, anchor, r, peg, tokens):
         # past the peg the kernel deposits supply * (anchor / index - 1),
         # floored (an Amount, so a larger one overflows), then rounded
@@ -491,9 +495,23 @@ class TestPegClamp:
         ratio = Fraction(anchor.num, anchor.den) / index
         mint = math.floor(supply * (ratio - 1))
         deposited = mint - mint % (UNIT // math.gcd(peg, UNIT))
-        shares = math.ceil(deposited * SHARE_SCALE / index)
-        # the mint overflows before it is rounded, or the arb account's shares do
-        overflow = next((x for x in (mint, shares) if x > MAX_RAW), None)
+        collateral = deposited * peg // UNIT
+        shares = ledger.accounts["genesis"].shares + math.ceil(deposited * SHARE_SCALE / index)
+        # the mint overflows before it is rounded, or the arb account's
+        # collateral, the share total's worth, or the collateral total does
+        overflow = next(
+            (
+                x
+                for x in (
+                    mint,
+                    collateral,
+                    math.floor(shares * index / SHARE_SCALE),
+                    ledger.total_collateral.raw + collateral,
+                )
+                if x > MAX_RAW
+            ),
+            None,
+        )
         with pytest.MonkeyPatch.context() as mp:
             forced_rates(mp, r)
             if ratio > 1 and overflow:
@@ -597,30 +615,39 @@ class TestExactReference:
             rows, cfg = load_market_csv(sample_market_path), CLAMP_CFG
         else:
             rows, cfg = random_walk(seed), replace(CLAMP_CFG, gas_cap_enabled=False)
-        ledgers = []
+        records_sum_to_what_arb_received(monkeypatch, rows, cfg)
 
-        def capturing(ledger, *args):
-            ledgers.append(ledger)
-            return step_period(ledger, *args)
 
-        monkeypatch.setattr(harness, "step_period", capturing)
-        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        minted = [record.arb_minted.raw for _, record in series if record.arb_minted.raw]
-        # 10 raw is the least amount with exact collateral at the 0.1 peg
-        assert minted and all(raw % 10 == 0 for raw in minted)
-        arb = ledgers[-1].accounts["arb"]
-        assert sum(minted) == ledgers[-1].minted_for(arb.collateral).raw
+def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:
+    """Run rows from 10,000 TRD, check that the records' arb_minted sum to
+    the arb account's obligation, and return the ledger at the end."""
+    ledgers = []
+
+    def capturing(ledger, *args):
+        ledgers.append(ledger)
+        return step_period(ledger, *args)
+
+    monkeypatch.setattr(harness, "step_period", capturing)
+    series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+    assert len(series) == len(rows) - 1
+    minted = [record.arb_minted.raw for _, record in series if record.arb_minted.raw]
+    # 10 raw is the least amount with exact collateral at the 0.1 peg
+    assert minted and all(raw % 10 == 0 for raw in minted)
+    arb = ledgers[-1].accounts["arb"]
+    assert sum(minted) == ledgers[-1].minted_for(arb.collateral).raw
+    return ledgers[-1]
 
 
 # Seeds of 500-row walks whose count moves 0.3 in log a period: the
 # index falls near 1e-16 while the supply stays near 10,000 TRD, and
-# a clamp's deposit gives the arb account more than MAX_RAW shares.
+# a clamp's deposit gives the arb account more than MAX_RAW shares,
+# worth a few thousand TRD.
 @pytest.mark.parametrize("seed", [1, 2, 8, 12, 14, 26, 50])
-@pytest.mark.xfail(strict=True, raises=AmountOverflowError,
-                   reason="the arb account's share count overflows on a collapsed index")
-def test_arb_shares_overflow_on_a_collapsed_index(seed):
+def test_arb_shares_pass_max_raw_on_a_collapsed_index(monkeypatch, seed):
     cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
-    run_backtest(random_walk(seed, 500, tx_sigma=0.3), cfg, Amount.from_tokens(10_000))
+    rows = random_walk(seed, 500, tx_sigma=0.3)
+    ledger = records_sum_to_what_arb_received(monkeypatch, rows, cfg)
+    assert ledger.accounts["arb"].shares > MAX_RAW
 
 
 class TestSeriesCsv:

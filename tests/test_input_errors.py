@@ -12,18 +12,21 @@ import ast
 import datetime as dt
 import math
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from toroid import (
     Amount,
+    Index,
     Ledger,
     Rate,
     SybilScenario,
     load_config,
     load_market_csv,
     parse_config,
+    sybil_cost,
 )
 from toroid.cli import EXIT_INPUT, main
 from toroid.controller import PeriodMetrics, RebaseConfig, combined_rate
@@ -313,3 +316,62 @@ NOT_INT = {
 def test_non_int_period_or_count_is_a_type_error(call):
     with pytest.raises(TypeError, match="must be int, got "):
         call()
+
+
+# Refused by the field's name, before a wrong type fails deeper in as an
+# AttributeError or as another record's "raw must be int".
+WRONG_TYPE = {
+    "PeriodMetrics s": (lambda: PeriodMetrics(0, 1, 1, 10), "s must be Amount, got 10"),
+    "SybilScenario start_supply": (
+        lambda: SybilScenario(1, 1, 0, 10, Amount(0), 0), "start_supply must be Amount, got 10"
+    ),
+    "SybilScenario attacker_holdings": (
+        lambda: SybilScenario(1, 1, 0, Amount(10), 0, 0),
+        "attacker_holdings must be Amount, got 0",
+    ),
+    "sybil_cost v": (lambda: sybil_cost(1.5, RebaseConfig()), "v must be int, got 1.5"),
+    "RebaseConfig gas_cap_enabled": (
+        lambda: RebaseConfig(gas_cap_enabled="no"), "gas_cap_enabled must be bool, got 'no'"
+    ),
+    "RebaseConfig k_v": (lambda: RebaseConfig(k_v=0.1), "k_v must be Rate, got 0.1"),
+    "RebaseConfig t0": (lambda: RebaseConfig(t0=True), "t0 must be int, got True"),
+    "Ledger peg_ratio": (lambda: Ledger(0.1), "peg_ratio must be Rate, got 0.1"),
+    "Ledger start_period": (
+        lambda: Ledger(Rate(1), start_period=1.5), "start_period must be int, got 1.5"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPE.values(), ids=WRONG_TYPE)
+def test_a_wrongly_typed_input_is_a_type_error_naming_it(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# One valid value of each input record.
+RECORDS = {
+    "Amount": Amount(1),
+    "Rate": Rate(1),
+    "Index": Index(1, 1),
+    "PeriodMetrics": PeriodMetrics(0, 1, 1, Amount(1)),
+    "SybilScenario": SybilScenario(1, 1, 0, Amount(10), Amount(0), 0),
+    "RebaseConfig": RebaseConfig(),
+}
+
+
+@pytest.mark.parametrize("wrong", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("valid", RECORDS.values(), ids=RECORDS)
+def test_every_record_field_refuses_a_wrong_type(valid, wrong):
+    # an AttributeError from deeper in escapes pytest.raises and fails
+    for field in fields(valid):
+        with pytest.raises((TypeError, ToroidError)):
+            replace(valid, **{field.name: wrong})
+
+
+@pytest.mark.parametrize("wrong", [1.5, "1", None], ids=["float", "str", "None"])
+def test_ledger_refuses_a_wrong_type(wrong):
+    with pytest.raises((TypeError, ToroidError)):
+        Ledger(wrong)
+    with pytest.raises((TypeError, ToroidError)):
+        Ledger(Rate(1), start_period=wrong)

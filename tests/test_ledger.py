@@ -24,7 +24,7 @@ from toroid.errors import (
     ZeroCollateralError,
 )
 from toroid.ledger import SHARE_SCALE, Ledger
-from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
 from oracles import apply_index, index_value, one_plus, supply_by_division
 
@@ -36,8 +36,7 @@ def fresh() -> Ledger:
 
 
 def grown_ledger() -> Ledger:
-    """A ledger whose index is ~10^12, so near-MAX_RAW minted amounts fit
-    in few shares and an overflow hits the collateral side first."""
+    """A ledger whose index is ~10^12, where one share is worth ~1,000 raw."""
     ledger = fresh()
     ledger.open_account(Amount(10))
     for _ in range(4):
@@ -132,9 +131,10 @@ class TestOpenAccount:
                 ledger.open_account(Amount.from_tokens(1), account_id=account_id)
 
     def test_collateral_overflow_leaves_ledger_unchanged(self):
-        # at a high index the shares fit while the collateral total does not
-        ledger = grown_ledger()
-        big = Amount(MAX_RAW // 10 - 1)
+        # at a peg of 10 base per TRD the share total is worth a tenth of
+        # the collateral total, so it fits while the collateral does not
+        ledger = Ledger(Rate(10 * UNIT))
+        big = Amount(MAX_RAW // 100 * 10)
         for _ in range(10):
             ledger.open_account(big)
         before = ledger.snapshot()
@@ -147,7 +147,26 @@ class TestOpenAccount:
             a.collateral.raw for a in ledger.accounts.values()
         )
         # the refused auto open took no id
-        assert ledger.open_account(Amount(1))[0] == "a12"
+        assert ledger.open_account(Amount(10))[0] == "a11"
+
+    @pytest.mark.parametrize(
+        "opens",
+        [[MAX_RAW // 10 - 1], [MAX_RAW // 20] * 2],
+        ids=["one balance", "the sum"],
+    )
+    def test_open_worth_past_max_raw_leaves_the_ledger_usable(self, opens):
+        # each open mints an Amount, but at ~1,000 raw a share the last
+        # one's shares, alone or with the others, are worth past MAX_RAW
+        ledger = grown_ledger()
+        for collateral in opens[:-1]:
+            ledger.open_account(Amount(collateral))
+        before = ledger.snapshot()
+        with pytest.raises(AmountOverflowError, match=r"^amount exceeds capacity: \d+$"):
+            ledger.open_account(Amount(opens[-1]))
+        assert ledger.snapshot() == before
+        assert ledger.total_supply() == supply_by_division(ledger)
+        assert ledger.rebase(Rate(0)) == ledger.total_supply()
+        assert ledger.current_period == 5
 
 
 class TestCollateralFor:
@@ -181,14 +200,16 @@ class TestDeposit:
         assert ledger.minted_for(collateral) == Amount.from_tokens(15)
 
     def test_minted_overflow_leaves_ledger_unchanged(self):
-        # the shares and collateral fit, the obligation minted_for(collateral)
-        # does not; no part of the deposit may be stored, or the account
-        # would hold collateral with no refund obligation at the peg
-        ledger = grown_ledger()
+        # after a -90% rebase the shares and collateral fit, the obligation
+        # minted_for(collateral) does not; no part of the deposit may be
+        # stored, or the account would hold collateral with no refund
+        # obligation at the peg
+        ledger = fresh()
         a, _ = ledger.open_account(Amount(MAX_RAW // 10 - 1))
+        ledger.rebase(Rate(-900_000_000))
         before = ledger.snapshot()
         with pytest.raises(AmountOverflowError):
-            ledger.deposit(a, Amount(MAX_RAW // 10 - 1))
+            ledger.deposit(a, Amount(MAX_RAW // 20))
         assert ledger.snapshot() == before
         assert ledger.total_collateral.raw == sum(
             acct.collateral.raw for acct in ledger.accounts.values()
@@ -247,19 +268,21 @@ class TestTransfer:
         received = ledger.balance_of(b) - before
         assert UNIT - 1 <= received.raw <= UNIT
 
-    def test_receiver_overflow_leaves_ledger_unchanged(self):
-        # both wallets hold just under MAX_RAW shares; half of one cannot fit
-        # in the other, and the sender must not be debited regardless
+    def test_receiver_shares_may_pass_max_raw(self):
+        # both wallets hold just under MAX_RAW shares; half of one moves to
+        # the other, whose count passes MAX_RAW while its balance and the
+        # supply stay far inside it
         ledger = fresh()
         collateral = Amount(MAX_RAW // (10 * SHARE_SCALE * UNIT // PEG.ppb) * 10)
         a, _ = ledger.open_account(collateral)
         b, _ = ledger.open_account(collateral)
         assert ledger.accounts[a].shares > MAX_RAW // 2
-        before = ledger.snapshot()
+        supply, received = ledger.total_supply(), ledger.balance_of(b)
         half = Amount(ledger.balance_of(a).raw // 2)
-        with pytest.raises(AmountOverflowError):
-            ledger.transfer(a, b, half)
-        assert ledger.snapshot() == before
+        ledger.transfer(a, b, half)
+        assert ledger.accounts[b].shares > MAX_RAW
+        assert ledger.balance_of(b) == received + half
+        assert ledger.total_supply() == supply
 
     def test_supply_neutral_within_one_raw(self):
         ledger = fresh()
@@ -637,7 +660,8 @@ class TestSnapshot:
         [
             "x,-1,0,0",
             "x,1,-1,0",
-            f"x,{MAX_RAW + 1},0,0",
+            # shares worth MAX_RAW + 1 raw at index 1
+            f"x,{(MAX_RAW + 1) * SHARE_SCALE},0,0",
             # the collateral fits, its obligation at the 0.1 peg does not
             f"x,1,{MAX_RAW // 10 + 1},0",
         ],
@@ -685,10 +709,15 @@ OPS = st.lists(
 RENORMALISING_OPS = [("open", 0, 0, 10**12)] + [("rebase", 0, 0, 123_456_789)] * 12
 
 
+def assert_share_total(ledger: Ledger) -> None:
+    """The running share total is the sum of the share counts."""
+    assert ledger._total_shares == sum(a.shares for a in ledger.accounts.values())
+
+
 def replay(ops):
     """Apply ops to a fresh ledger, checking that a refused operation
-    changes nothing; yields the ledger after each op, with whether that op
-    renormalised the index."""
+    changes nothing and that the share total holds; yields the ledger
+    after each op, with whether that op renormalised the index."""
     ledger = fresh()
     ids: list[str] = []
     for kind, a, b, c in ops:
@@ -715,6 +744,7 @@ def replay(ops):
                     renormalised = index_value(ledger.index) != exact
             except ToroidError:
                 assert ledger.snapshot() == before
+        assert_share_total(ledger)
         yield ledger, renormalised
 
 
@@ -772,23 +802,28 @@ def restored(num: int, den: int, shares: list[int]) -> Ledger:
     return Ledger.restore("\n".join(lines) + "\n")
 
 
-def edge_shares(num: int, den: int) -> st.SearchStrategy[int]:
-    """Share counts 0, 1, MAX_RAW, any, and exact multiples of
+def share_bound(num: int, den: int) -> int:
+    """The largest share total worth at most MAX_RAW at index num/den."""
+    return ((MAX_RAW + 1) * den * SHARE_SCALE - 1) // num
+
+
+def edge_shares(num: int, den: int, bound: int) -> st.SearchStrategy[int]:
+    """Share counts 0, 1, bound, any up to bound, and exact multiples of
     d / gcd(num, d), whose balance has no fractional part."""
     d = den * SHARE_SCALE
     step = d // math.gcd(num, d)
     return (
-        st.sampled_from([0, 1, MAX_RAW])
-        | st.integers(0, MAX_RAW)
-        | st.integers(0, MAX_RAW // step).map(lambda j: j * step)
+        st.sampled_from([0, min(1, bound), bound])
+        | st.integers(0, bound)
+        | st.integers(0, bound // step).map(lambda j: j * step)
     )
 
 
-def supply_or_overflow(supply, ledger):
-    try:
-        return supply(ledger)
-    except AmountOverflowError:
-        return AmountOverflowError
+def refused_past(num: int, den: int, shares: list[int]) -> None:
+    """One share more than the bound allows is refused on restore."""
+    extra = share_bound(num, den) - sum(shares) + 1
+    with pytest.raises(SnapshotError, match="amount exceeds capacity"):
+        restored(num, den, shares + [extra])
 
 
 class TestSupplyReciprocal:
@@ -796,26 +831,43 @@ class TestSupplyReciprocal:
     @given(data=st.data())
     def test_matches_one_division_per_account(self, data):
         # den reaches far past the grid's 10**30, as a restored snapshot's
-        # index may
+        # index may; the counts fill up to the share bound
         num = data.draw(st.integers(1, 2**64) | st.integers(1, 2**300))
         den = data.draw(st.integers(1, 2**64) | st.integers(2**128, 2**300))
-        ledger = restored(num, den, data.draw(st.lists(edge_shares(num, den), max_size=6)))
-        assert supply_or_overflow(Ledger.total_supply, ledger) == supply_or_overflow(
-            supply_by_division, ledger
-        )
+        bound, shares = share_bound(num, den), []
+        for _ in range(data.draw(st.integers(0, 6))):
+            shares.append(data.draw(edge_shares(num, den, bound - sum(shares))))
+        ledger = restored(num, den, shares)
+        assert ledger.total_supply() == supply_by_division(ledger)
+        refused_past(num, den, shares)
 
     @pytest.mark.parametrize(
         "num, den",
         [(1, 1), (3, 7), (10**27, 10**30), (1, 2**300), (2**300 + 1, 3**180), (2**64, 1)],
-        ids=["identity", "3/7", "renormalized", "collapsed", "wide", "overflowing"],
+        ids=["identity", "3/7", "renormalized", "collapsed", "wide", "grown"],
     )
     def test_matches_at_the_share_bound(self, num, den):
         step = den * SHARE_SCALE // math.gcd(num, den * SHARE_SCALE)
-        for shares in (0, 1, MAX_RAW, MAX_RAW // step * step):
+        bound = share_bound(num, den)
+        for shares in (0, 1, bound, bound // step * step):
             ledger = restored(num, den, [shares])
-            assert supply_or_overflow(Ledger.total_supply, ledger) == supply_or_overflow(
-                supply_by_division, ledger
-            )
+            assert ledger.total_supply() == supply_by_division(ledger)
+        refused_past(num, den, [])
+
+    def test_refuses_an_index_the_share_total_is_worth_past(self):
+        # two counts just under half a raw unit past whole balances: their
+        # floors sum to MAX_RAW at either index, while the total is worth
+        # MAX_RAW at index 1 and MAX_RAW + 1 at 1 + 10^-46
+        whole = [MAX_RAW // 2, MAX_RAW - MAX_RAW // 2]
+        ledger = restored(1, 1, [w * SHARE_SCALE + SHARE_SCALE // 2 - 1 for w in whole])
+        assert ledger.total_supply() == Amount(MAX_RAW)
+        ledger.index = Index(10**60 + 10**14, 10**60)
+        assert supply_by_division(ledger) == Amount(MAX_RAW)
+        message = f"amount exceeds capacity: {MAX_RAW + 1}$"
+        with pytest.raises(AmountOverflowError, match=f"^{message}"):
+            ledger.total_supply()
+        with pytest.raises(SnapshotError, match=f"^line 3: {message}"):
+            Ledger.restore(ledger.snapshot())
 
 
 def grid_step(idx) -> int:
@@ -909,21 +961,29 @@ class TestAccount:
         assert ledger.accounts["a1"].shares != 0
 
 
-# The largest collateral whose share count fits at index 1: the 0.1 peg
-# mints 10 TRD per base, and each raw TRD is SHARE_SCALE shares.
+# The largest collateral whose share count is at most MAX_RAW at index 1:
+# the 0.1 peg mints 10 TRD per base, and each raw TRD is SHARE_SCALE shares.
 FULL = Amount(MAX_RAW // (10 * SHARE_SCALE))
 
 # Each pushes one account's share count past MAX_RAW on a ledger holding
-# two FULL accounts; nothing else about the write is out of range.
-SHARE_OVERFLOWS = {
+# two FULL accounts, while the share total stays worth far below MAX_RAW.
+SHARE_COUNTS_PAST_MAX_RAW = {
     "open": lambda led: led.open_account(Amount(FULL.raw + 1)),
     "deposit": lambda led: led.deposit("a1", FULL),
     "transfer receiver": lambda led: led.transfer("a2", "a1", led.balance_of("a2")),
 }
 
+# Each pushes the share total's worth past MAX_RAW on a ledger holding two
+# accounts worth MAX_RAW - 7 raw together; nothing else is out of range.
+SHARE_TOTAL_OVERFLOWS = {
+    "open": lambda led: led.open_account(Amount(1)),
+    "deposit": lambda led: led.deposit("a2", Amount(1)),
+    "rebase": lambda led: led.rebase(Rate(1)),
+}
+
 
 class TestShareCounts:
-    """Share counts are plain ints, held to 0..MAX_RAW on every write."""
+    """Share counts are plain ints >= 0 whose total is worth at most MAX_RAW."""
 
     @pytest.mark.parametrize("op", sorted(FORK_OPS))
     def test_every_write_stores_an_int(self, op):
@@ -932,21 +992,40 @@ class TestShareCounts:
         for twin in (ledger, Ledger.restore(ledger.snapshot()), ledger.copy()):
             assert {type(a.shares) for a in twin.accounts.values()} == {int}
 
-    @pytest.mark.parametrize("op", sorted(SHARE_OVERFLOWS))
-    def test_share_count_past_max_raw_is_refused(self, op):
+    @pytest.mark.parametrize("op", sorted(SHARE_COUNTS_PAST_MAX_RAW))
+    def test_share_count_past_max_raw_is_accepted(self, op):
         ledger = fresh()
         ledger.open_account(FULL)
         ledger.open_account(FULL)
+        SHARE_COUNTS_PAST_MAX_RAW[op](ledger)
+        assert max(a.shares for a in ledger.accounts.values()) > MAX_RAW
+        assert_share_total(ledger)
+        assert ledger.total_supply() == supply_by_division(ledger)
+        text = ledger.snapshot()
+        assert Ledger.restore(text).snapshot() == text
+
+    @pytest.mark.parametrize("op", sorted(SHARE_TOTAL_OVERFLOWS))
+    def test_share_total_worth_past_max_raw_is_refused(self, op):
+        ledger = fresh()
+        ledger.open_account(Amount(MAX_RAW // 20))
+        ledger.open_account(Amount(MAX_RAW // 20))
+        assert ledger.total_supply() == Amount(MAX_RAW - 7)
         before = ledger.snapshot()
         with pytest.raises(AmountOverflowError, match=r"^amount exceeds capacity: \d+$"):
-            SHARE_OVERFLOWS[op](ledger)
+            SHARE_TOTAL_OVERFLOWS[op](ledger)
         assert ledger.snapshot() == before
+        assert ledger.rebase(Rate(0)) == Amount(MAX_RAW - 7)
 
     @pytest.mark.parametrize(
         "shares, error, message",
         [
             (-1, NegativeAmountError, "amount cannot be negative: -1"),
-            (MAX_RAW + 1, AmountOverflowError, f"amount exceeds capacity: {MAX_RAW + 1}"),
+            # shares worth MAX_RAW + 1 raw at index 1
+            (
+                (MAX_RAW + 1) * SHARE_SCALE,
+                AmountOverflowError,
+                f"amount exceeds capacity: {MAX_RAW + 1}",
+            ),
         ],
         ids=["negative", "past MAX_RAW"],
     )
@@ -982,6 +1061,7 @@ class TestRandomizedInvariants:
         expected_minted = 0
         ids: list[str] = []
         for _ in range(rng.randrange(4, 11)):
+            assert_share_total(ledger)
             op = rng.random()
             if op < 0.3 or len(ids) < 2:
                 collateral = Amount(rng.randrange(1, 10**7) * 100)
@@ -1038,6 +1118,7 @@ class TestRandomizedInvariants:
                 expected_minted -= ledger.withdraw(account_id, out).raw
                 expected_collateral -= out.raw
 
+        assert_share_total(ledger)
         # collateral conservation is exact
         assert ledger.total_collateral.raw == expected_collateral
         assert ledger.total_collateral.raw == sum(
