@@ -27,13 +27,12 @@ from .harness import (
     run_backtest,
     write_series_csv,
 )
-from .ledger import Account, Ledger
+from .ledger import Ledger
 from .numerics import UNIT, Amount, Index, Rate, grow_index
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Account",
     "Amount",
     "AttackReport",
     "Index",

@@ -111,7 +111,7 @@ def _seed_ledger(scenario: SybilScenario, cfg: RebaseConfig) -> Ledger:
 
 
 def _attacker_balance(ledger: Ledger) -> Amount:
-    if _ATTACKER not in ledger.accounts:
+    if _ATTACKER not in ledger:
         return Amount(0)
     return ledger.balance_of(_ATTACKER)
 

@@ -179,11 +179,11 @@ def _cmd_ledger_demo(args: argparse.Namespace) -> int:
 
     def show(step: str) -> None:
         print(f"== {step}")
-        for account_id, account in ledger.accounts.items():
+        for account_id in ledger.account_ids():
             print(
                 f"   {account_id}: balance {ledger.balance_of(account_id).tokens()} TRD, "
-                f"collateral {account.collateral.tokens()} base, "
-                f"minted {ledger.minted_for(account.collateral).tokens()} TRD"
+                f"collateral {ledger.collateral_of(account_id).tokens()} base, "
+                f"minted {ledger.minted_for(ledger.collateral_of(account_id)).tokens()} TRD"
             )
         print(
             f"   supply {ledger.total_supply().tokens()} TRD, "

@@ -153,7 +153,7 @@ def step_period(
         if mint:
             minted = Amount(mint)
             collateral = ledger.collateral_for(minted)
-            if _ARBITRAGEUR in ledger.accounts:
+            if _ARBITRAGEUR in ledger:
                 ledger.deposit(_ARBITRAGEUR, collateral)
             else:
                 ledger.open_account(collateral, account_id=_ARBITRAGEUR)

@@ -19,12 +19,13 @@ Opening, deposit, restore and rebase check it; a transfer keeps the total.
 Collateral is the only stored amount.  The peg is fixed, so an account's
 refund obligation is always minted_for(collateral) and needs no column of
 its own; deposits and withdrawals are pure integer addition on collateral.
+An account's shares, collateral and opening period each sit in a private
+map by id that only Ledger's own methods write.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     AmountOverflowError,
@@ -72,17 +73,11 @@ def _capped(total_shares: int, index: Index) -> int:
     return total_shares
 
 
-@dataclass(slots=True)
-class Account:
-    """One wallet: share units (an int >= 0) and locked collateral.
+class _Field(dict):
+    """One account field by id; reading an unknown id raises UnknownAccountError."""
 
-    Its id is the key it sits under in Ledger.accounts, and its refund
-    obligation is Ledger.minted_for(collateral).
-    """
-
-    shares: int
-    collateral: Amount
-    created_period: int
+    def __missing__(self, account_id: str):
+        raise UnknownAccountError(f"unknown account {account_id!r}")
 
 
 class Ledger:
@@ -102,7 +97,9 @@ class Ledger:
         if start_period < 0:
             raise InvalidArgumentError("start_period must be >= 0")
         self.peg_ratio = peg_ratio
-        self.accounts: dict[str, Account] = {}
+        self._shares: dict[str, int] = _Field()
+        self._collateral: dict[str, Amount] = _Field()
+        self._created: dict[str, int] = _Field()
         self.index = Index.identity()
         self.current_period = start_period
         self.total_collateral = Amount(0)
@@ -112,15 +109,14 @@ class Ledger:
     def copy(self) -> Ledger:
         """An independent ledger in the same state.
 
-        Accounts are copied; their share counts (ints), collateral Amounts
-        and the Index are immutable values, so both ledgers share them.
+        The per-account maps are copied; the ints and Amounts they hold and
+        the Index are immutable values, so both ledgers share them.
         """
         clone = object.__new__(type(self))
         vars(clone).update(vars(self))
-        clone.accounts = {
-            account_id: Account(a.shares, a.collateral, a.created_period)
-            for account_id, a in self.accounts.items()
-        }
+        clone._shares = _Field(self._shares)
+        clone._collateral = _Field(self._collateral)
+        clone._created = _Field(self._created)
         return clone
 
     # -- conversions -------------------------------------------------
@@ -161,14 +157,19 @@ class Ledger:
 
     # -- queries -------------------------------------------------------
 
-    def _get(self, account_id: str) -> Account:
-        try:
-            return self.accounts[account_id]
-        except KeyError:
-            raise UnknownAccountError(f"unknown account {account_id!r}") from None
+    def __contains__(self, account_id: object) -> bool:
+        return account_id in self._shares
+
+    def account_ids(self) -> list[str]:
+        """Every account id, in opening order; a new list on each call."""
+        return list(self._shares)
 
     def balance_of(self, account_id: str) -> Amount:
-        return Amount(self._balance_raw(self._get(account_id).shares))
+        return Amount(self._balance_raw(self._shares[account_id]))
+
+    def collateral_of(self, account_id: str) -> Amount:
+        """Collateral locked by an account; its obligation is minted_for of it."""
+        return self._collateral[account_id]
 
     def total_supply(self) -> Amount:
         """Exact sum of every floored balance, in one integer pass.
@@ -193,8 +194,8 @@ class Ledger:
         if m >> d_bits > MAX_RAW:
             _capped(self._total_shares, self.index)
         total = 0
-        for account in self.accounts.values():
-            total += account.shares * m >> k
+        for shares in self._shares.values():
+            total += shares * m >> k
         return Amount(total)
 
     # -- operations ------------------------------------------------------
@@ -212,39 +213,44 @@ class Ledger:
         minted = self.minted_for(collateral)
         if account_id is None:
             # Accounts are never removed, so every "a<n>" below the hint is taken.
-            while f"a{self._next_account_seq}" in self.accounts:
+            while f"a{self._next_account_seq}" in self._shares:
                 self._next_account_seq += 1
             account_id = f"a{self._next_account_seq}"
         shares = self._to_shares_ceil(minted.raw)
-        self._insert(account_id, Account(shares, collateral, self.current_period))
+        self._insert(account_id, shares, collateral, self.current_period)
         return account_id, minted
 
-    def _insert(self, account_id: str, account: Account) -> None:
+    def _insert(
+        self, account_id: str, shares: int, collateral: Amount, created: int
+    ) -> None:
         """Store a new account under a free, well-formed id; nothing on failure."""
         if not _valid_id(account_id):
             raise InvalidArgumentError(
                 f"account id may not be empty or contain ',' or a line break: {account_id!r}"
             )
-        if account_id in self.accounts:
+        if account_id in self._shares:
             raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
-        total_shares = _capped(self._total_shares + account.shares, self.index)
-        self.total_collateral += account.collateral
-        self.accounts[account_id] = account
+        total_shares = _capped(self._total_shares + shares, self.index)
+        self.total_collateral += collateral
+        self._shares[account_id] = shares
+        self._collateral[account_id] = collateral
+        self._created[account_id] = created
         self._total_shares = total_shares
 
     def deposit(self, account_id: str, collateral: Amount) -> Amount:
         """Add collateral to an existing wallet; returns the TRD minted."""
-        account = self._get(account_id)
+        held = self._collateral[account_id]
         if collateral.raw == 0:
             raise ZeroCollateralError("cannot deposit zero collateral")
         minted = self.minted_for(collateral)
-        new_collateral = account.collateral + collateral
+        new_collateral = held + collateral
         # The obligation, share total and collateral total are checked first.
         self.minted_for(new_collateral)
         shares = self._to_shares_ceil(minted.raw)
         total_shares = _capped(self._total_shares + shares, self.index)
         self.total_collateral += collateral
-        account.shares, account.collateral = account.shares + shares, new_collateral
+        self._shares[account_id] += shares
+        self._collateral[account_id] = new_collateral
         self._total_shares = total_shares
         return minted
 
@@ -252,17 +258,17 @@ class Ledger:
         """Move TRD between wallets; the share total does not change."""
         if src == dst:
             raise SelfTransferError(f"cannot transfer {src!r} to itself")
-        sender = self._get(src)
-        receiver = self._get(dst)
-        balance = self._balance_raw(sender.shares)
+        sender = self._shares[src]
+        receiver = self._shares[dst]
+        balance = self._balance_raw(sender)
         if balance < amount.raw:
             raise InsufficientBalanceError(
                 f"{src!r} holds {format_raw(balance)} TRD, "
                 f"cannot send {amount.tokens()}"
             )
         moved = self._to_shares_floor(amount.raw)
-        sender.shares -= moved
-        receiver.shares += moved
+        self._shares[src] = sender - moved
+        self._shares[dst] = receiver + moved
 
     def rebase(self, r: Rate) -> Amount:
         """Close the period: grow the index by (1 + r).
@@ -286,31 +292,31 @@ class Ledger:
         Interest (balance above the refund obligation) stays in the wallet.
         Returns the TRD burned.
         """
-        account = self._get(account_id)
+        collateral = self._collateral[account_id]
         if collateral_out.raw == 0:
             raise ZeroCollateralError("cannot withdraw zero collateral")
-        if collateral_out.raw > account.collateral.raw:
+        if collateral_out.raw > collateral.raw:
             raise ExceedsCollateralError(
-                f"{account_id!r} holds {account.collateral.tokens()} base, "
+                f"{account_id!r} holds {collateral.tokens()} base, "
                 f"cannot release {collateral_out.tokens()}"
             )
-        age = self.current_period - account.created_period
+        age = self.current_period - self._created[account_id]
         if age < MIN_HOLDING_PERIODS:
             raise HoldingPeriodNotMetError(
                 f"{account_id!r} is {age} periods old, "
                 f"minimum holding is {MIN_HOLDING_PERIODS}"
             )
         burned = self.minted_for(collateral_out)
-        balance = self._balance_raw(account.shares)
+        balance = self._balance_raw(self._shares[account_id])
         if balance < burned.raw:
             raise InsufficientForRefundError(
                 f"{account_id!r} holds {format_raw(balance)} TRD, "
                 f"refund requires burning {burned.tokens()}"
             )
         shares = self._to_shares_floor(burned.raw)
-        account.shares -= shares
+        self._shares[account_id] -= shares
         self._total_shares -= shares
-        account.collateral -= collateral_out
+        self._collateral[account_id] = collateral - collateral_out
         self.total_collateral -= collateral_out
         return burned
 
@@ -336,10 +342,10 @@ class Ledger:
                 f"bits exceed the interpreter's {sys.get_int_max_str_digits()}-digit "
                 "limit for int-to-str conversion"
             ) from exc
-        for account_id, account in self.accounts.items():
+        for account_id, shares in self._shares.items():
             lines.append(
-                f"{account_id},{account.shares},{account.collateral.raw},"
-                f"{account.created_period}"
+                f"{account_id},{shares},{self._collateral[account_id].raw},"
+                f"{self._created[account_id]}"
             )
         return "\n".join(lines) + "\n"
 
@@ -377,9 +383,9 @@ class Ledger:
             try:
                 if shares < 0:
                     raise NegativeAmountError(f"amount cannot be negative: {shares}")
-                account = Account(shares, Amount(collateral), created)
-                ledger.minted_for(account.collateral)
-                ledger._insert(fields[0], account)
+                locked = Amount(collateral)
+                ledger.minted_for(locked)
+                ledger._insert(fields[0], shares, locked, created)
             except ToroidError as exc:
                 raise SnapshotError(f"line {lineno}: {exc}") from exc
         return ledger

@@ -131,7 +131,7 @@ def apply_index(shares: Amount, idx: Index) -> Amount:
 def supply_by_division(ledger: Ledger) -> Amount:
     """Total supply as one floor division per account, over den * SHARE_SCALE."""
     num, den = ledger.index.num, ledger.index.den * SHARE_SCALE
-    return Amount(sum(a.shares * num // den for a in ledger.accounts.values()))
+    return Amount(sum(shares * num // den for shares in ledger._shares.values()))
 
 
 def volatility_ratio(

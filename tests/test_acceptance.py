@@ -200,12 +200,12 @@ class TestAcceptance:
                     assert 0 <= ledger.balance_of(account_id).raw - scaled <= slack
             else:
                 account_id = rng.choice(ids)
-                account = ledger.accounts[account_id]
-                if account.collateral.raw == 0:
+                collateral = ledger.collateral_of(account_id)
+                if collateral.raw == 0:
                     continue
-                if ledger.current_period - account.created_period < 1:
+                if ledger.current_period - ledger._created[account_id] < 1:
                     continue
-                out = rng.randrange(1, account.collateral.raw + 1) // 100 * 100
+                out = rng.randrange(1, collateral.raw + 1) // 100 * 100
                 if out == 0:
                     continue
                 burned = out * UNIT // PEG.ppb
@@ -217,25 +217,25 @@ class TestAcceptance:
         # exact collateral conservation and the peg obligation
         assert ledger.total_collateral.raw == expected_collateral
         assert ledger.total_collateral.raw == sum(
-            a.collateral.raw for a in ledger.accounts.values()
+            ledger.collateral_of(i).raw for i in ledger.account_ids()
         )
         # the obligations the collateral implies are exactly what the
         # operations minted and burned
         assert expected_minted == sum(
-            ledger.minted_for(a.collateral).raw for a in ledger.accounts.values()
+            ledger.minted_for(ledger.collateral_of(i)).raw for i in ledger.account_ids()
         )
         assert ledger.total_collateral.raw * UNIT == expected_minted * PEG.ppb
         # conservation: individual balances never exceed what the share
         # pool implies, and trail it by at most one raw unit per account
         implied = (
             apply_index(
-                Amount(sum(a.shares for a in ledger.accounts.values())),
+                Amount(sum(ledger._shares.values())),
                 ledger.index,
             ).raw
             // SHARE_SCALE
         )
         total = ledger.total_supply().raw
-        assert 0 <= implied - total <= len(ledger.accounts)
+        assert 0 <= implied - total <= len(ledger.account_ids())
 
     def test_5_peg_ceiling_over_random_series(self):
         # the period kernel over random series, the cap and the bootstrap
@@ -290,7 +290,7 @@ class TestAcceptance:
         assert minted == Amount.from_tokens(10)
         assert burned == Amount.from_tokens(10)
         assert ledger.balance_of(account_id) == Amount.from_tokens(1)
-        assert ledger.accounts[account_id].collateral == Amount(0)
+        assert ledger.collateral_of(account_id) == Amount(0)
         assert ledger.total_collateral == Amount(0)
         assert blocked
         assert partial == Amount.from_tokens(8)

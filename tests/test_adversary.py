@@ -328,7 +328,7 @@ def reference_report(sc, cfg, buy, sell, sale_price):
             v = sc.baseline_v + (sc.delta_v_per_period if inject and p > buy else 0)
             record = step_period(ledger, anchor, cfg, v, v_prev, 1.0, supply)
             anchor, supply, v_prev = record.anchor, record.supply, v
-        held = ledger.balance_of("attacker").raw if "attacker" in ledger.accounts else 0
+        held = ledger.balance_of("attacker").raw if "attacker" in ledger else 0
         return record, ledger, supply.raw, held
 
     record, ledger, supply, held = arm(True)

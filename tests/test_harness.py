@@ -283,13 +283,13 @@ class TestRunBacktest:
         record = step_period(ledger, ledger.index, cfg, 1, 100_000, 100.0, supply)
         assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.arb_minted.raw > 0
-        assert "arb" in ledger.accounts
+        assert "arb" in ledger
         assert record.supply == ledger.total_supply()
         # the arbitrageur opened after the rebase, so its balance is
         # exactly the obligation its collateral carries at the peg, and
         # that is the mint the record reports: a multiple of 10 raw, the
         # least with exact collateral at the 0.1 peg
-        arb_minted = ledger.minted_for(ledger.accounts["arb"].collateral)
+        arb_minted = ledger.minted_for(ledger.collateral_of("arb"))
         assert ledger.balance_of("arb") == arb_minted == record.arb_minted
         assert arb_minted.raw % 10 == 0
 
@@ -310,7 +310,7 @@ class TestRunBacktest:
         assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.anchor == ledger.index
         assert record.arb_minted == Amount(0)
-        assert "arb" not in ledger.accounts
+        assert "arb" not in ledger
         assert record.supply == ledger.total_supply()
 
     def test_nan_price_fails_peg_check(self, cfg):
@@ -404,7 +404,7 @@ class TestRunBacktest:
             Amount.from_tokens(10_000),
         )
         ledger = ledgers[-1]
-        assert "arb" in ledger.accounts
+        assert "arb" in ledger
         assert carried == scanned
         reported = [record.supply for _, record in series]
         assert reported == scanned[1:] + [ledger.total_supply()]
@@ -496,7 +496,7 @@ class TestPegClamp:
         mint = math.floor(supply * (ratio - 1))
         deposited = mint - mint % (UNIT // math.gcd(peg, UNIT))
         collateral = deposited * peg // UNIT
-        shares = ledger.accounts["genesis"].shares + math.ceil(deposited * SHARE_SCALE / index)
+        shares = ledger._shares["genesis"] + math.ceil(deposited * SHARE_SCALE / index)
         # the mint overflows before it is rounded, or the arb account's
         # collateral, the share total's worth, or the collateral total does
         overflow = next(
@@ -517,20 +517,20 @@ class TestPegClamp:
             if ratio > 1 and overflow:
                 with pytest.raises(AmountOverflowError, match=f"capacity: {overflow}$"):
                     step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
-                assert "arb" not in ledger.accounts
+                assert "arb" not in ledger
                 return
             record = step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
         if ratio <= 1:
             assert record.anchor == anchor
             assert (record.arb_minted, record.supply.raw) == (Amount(0), supply)
-            assert "arb" not in ledger.accounts
+            assert "arb" not in ledger
             return
         assert (record.trd_price, record.anchor) == (peg_ceiling(cfg, 100.0), twin.index)
         assert record.arb_minted == Amount(deposited)
         if deposited:
-            assert ledger.minted_for(ledger.accounts["arb"].collateral) == Amount(deposited)
+            assert ledger.minted_for(ledger.collateral_of("arb")) == Amount(deposited)
         else:
-            assert "arb" not in ledger.accounts
+            assert "arb" not in ledger
         assert record.supply == ledger.total_supply()
 
     def test_bad_price_raises_before_the_mint(self, cfg, monkeypatch):
@@ -541,7 +541,7 @@ class TestPegClamp:
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
         with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed"):
             step_period(ledger, ledger.index, cfg, 0, 0, 5e-324, ledger.total_supply())
-        assert list(ledger.accounts) == ["genesis"]
+        assert ledger.account_ids() == ["genesis"]
         assert ledger.total_collateral == Amount.from_tokens(1_000)
 
 
@@ -633,8 +633,8 @@ def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:
     minted = [record.arb_minted.raw for _, record in series if record.arb_minted.raw]
     # 10 raw is the least amount with exact collateral at the 0.1 peg
     assert minted and all(raw % 10 == 0 for raw in minted)
-    arb = ledgers[-1].accounts["arb"]
-    assert sum(minted) == ledgers[-1].minted_for(arb.collateral).raw
+    arb = ledgers[-1].collateral_of("arb")
+    assert sum(minted) == ledgers[-1].minted_for(arb).raw
     return ledgers[-1]
 
 
@@ -647,7 +647,7 @@ def test_arb_shares_pass_max_raw_on_a_collapsed_index(monkeypatch, seed):
     cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
     rows = random_walk(seed, 500, tx_sigma=0.3)
     ledger = records_sum_to_what_arb_received(monkeypatch, rows, cfg)
-    assert ledger.accounts["arb"].shares > MAX_RAW
+    assert ledger._shares["arb"] > MAX_RAW
 
 
 class TestSeriesCsv:

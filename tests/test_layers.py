@@ -2,6 +2,8 @@
 
 The attack layer (adversary) prices attacks on the ledger alone, so it
 sits beside the backtest (market, harness) and imports nothing from it.
+Only the ledger knows how an account is stored: other modules read it
+through balance_of, collateral_of, account_ids() and `in`.
 """
 
 import ast
@@ -27,6 +29,9 @@ ALLOWED = {
     "__init__": CORE | {"harness", "adversary"},
     "__main__": {"cli"},
 }
+
+# A Ledger's private account state.
+LEDGER_PRIVATE = {"_shares", "_collateral", "_created", "_total_shares"}
 
 
 def relative_imports(source: str) -> set[str]:
@@ -62,3 +67,31 @@ def test_imports_stay_in_layer(module):
 )
 def test_relative_imports_finds_every_form(source, modules):
     assert relative_imports(source) == modules
+
+
+def ledger_private_reads(source: str) -> set[str]:
+    """The Ledger private attributes a source text names, on any object."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in LEDGER_PRIVATE
+    }
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"ledger"}))
+def test_only_the_ledger_reads_its_account_state(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert ledger_private_reads(source) == set()
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("ledger._shares['a']", {"_shares"}),
+        ("total = ledger._total_shares + 1", {"_total_shares"}),
+        ("def f(led):\n    return led._collateral, led._created", {"_collateral", "_created"}),
+        ("ledger.balance_of('a')\n_shares = {}\nx._share = 0", set()),
+    ],
+)
+def test_ledger_private_reads_finds_every_form(source, names):
+    assert ledger_private_reads(source) == names

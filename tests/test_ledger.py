@@ -69,7 +69,7 @@ class TestOpenAccount:
         ledger.rebase(Rate.from_decimal("0.1"))
         account_id, minted = ledger.open_account(Amount.from_tokens("0.1"))
         assert minted == Amount.from_tokens(1)
-        assert ledger.accounts[account_id].shares // SHARE_SCALE == 909_090_909
+        assert ledger._shares[account_id] // SHARE_SCALE == 909_090_909
         assert ledger.balance_of(account_id) == minted
 
     def test_non_divisible_collateral(self):
@@ -94,7 +94,7 @@ class TestOpenAccount:
         ledger = fresh()
         with pytest.raises(ValueError):
             ledger.open_account(Amount.from_tokens(1), account_id=account_id)
-        assert ledger.accounts == {}
+        assert ledger.account_ids() == []
 
     @settings(max_examples=200, deadline=None)
     @given(account_id=st.text())
@@ -121,13 +121,13 @@ class TestOpenAccount:
         ledger = fresh()
         for account_id in ids + [None]:
             lowest = next(
-                f"a{n}" for n in itertools.count(1) if f"a{n}" not in ledger.accounts
+                f"a{n}" for n in itertools.count(1) if f"a{n}" not in ledger
             )
             if account_id is None:
                 restored = Ledger.restore(ledger.snapshot())
                 assert restored.open_account(Amount.from_tokens(1))[0] == lowest
                 assert ledger.open_account(Amount.from_tokens(1))[0] == lowest
-            elif account_id not in ledger.accounts:
+            elif account_id not in ledger:
                 ledger.open_account(Amount.from_tokens(1), account_id=account_id)
 
     def test_collateral_overflow_leaves_ledger_unchanged(self):
@@ -144,7 +144,7 @@ class TestOpenAccount:
             ledger.open_account(big)
         assert ledger.snapshot() == before
         assert ledger.total_collateral.raw == sum(
-            a.collateral.raw for a in ledger.accounts.values()
+            ledger.collateral_of(i).raw for i in ledger.account_ids()
         )
         # the refused auto open took no id
         assert ledger.open_account(Amount(10))[0] == "a11"
@@ -196,7 +196,7 @@ class TestDeposit:
         minted = ledger.deposit(account_id, Amount.from_tokens("0.5"))
         assert minted == Amount.from_tokens(5)
         assert ledger.balance_of(account_id) == Amount.from_tokens(15)
-        collateral = ledger.accounts[account_id].collateral
+        collateral = ledger.collateral_of(account_id)
         assert ledger.minted_for(collateral) == Amount.from_tokens(15)
 
     def test_minted_overflow_leaves_ledger_unchanged(self):
@@ -212,7 +212,7 @@ class TestDeposit:
             ledger.deposit(a, Amount(MAX_RAW // 20))
         assert ledger.snapshot() == before
         assert ledger.total_collateral.raw == sum(
-            acct.collateral.raw for acct in ledger.accounts.values()
+            ledger.collateral_of(i).raw for i in ledger.account_ids()
         )
 
     def test_zero_deposit_rejected(self):
@@ -224,6 +224,8 @@ class TestDeposit:
     def test_unknown_account(self):
         with pytest.raises(UnknownAccountError):
             fresh().deposit("ghost", Amount.from_tokens(1))
+        with pytest.raises(UnknownAccountError):
+            fresh().collateral_of("ghost")
 
 
 class TestTransfer:
@@ -276,11 +278,11 @@ class TestTransfer:
         collateral = Amount(MAX_RAW // (10 * SHARE_SCALE * UNIT // PEG.ppb) * 10)
         a, _ = ledger.open_account(collateral)
         b, _ = ledger.open_account(collateral)
-        assert ledger.accounts[a].shares > MAX_RAW // 2
+        assert ledger._shares[a] > MAX_RAW // 2
         supply, received = ledger.total_supply(), ledger.balance_of(b)
         half = Amount(ledger.balance_of(a).raw // 2)
         ledger.transfer(a, b, half)
-        assert ledger.accounts[b].shares > MAX_RAW
+        assert ledger._shares[b] > MAX_RAW
         assert ledger.balance_of(b) == received + half
         assert ledger.total_supply() == supply
 
@@ -360,9 +362,9 @@ class TestWithdraw:
         burned = ledger.withdraw(account_id, Amount.from_tokens(1))
         assert burned == Amount.from_tokens(10)
         assert ledger.balance_of(account_id) == Amount.from_tokens(1)
-        account = ledger.accounts[account_id]
-        assert account.collateral == Amount(0)
-        assert ledger.minted_for(account.collateral) == Amount(0)
+        collateral = ledger.collateral_of(account_id)
+        assert collateral == Amount(0)
+        assert ledger.minted_for(collateral) == Amount(0)
         assert ledger.total_collateral == Amount(0)
 
     def test_negative_interest_blocks_full_withdrawal(self):
@@ -375,7 +377,7 @@ class TestWithdraw:
         burned = ledger.withdraw(account_id, Amount.from_tokens("0.8"))
         assert burned == Amount.from_tokens(8)
         assert ledger.balance_of(account_id) == Amount(0)
-        collateral = ledger.accounts[account_id].collateral
+        collateral = ledger.collateral_of(account_id)
         assert collateral == Amount.from_tokens("0.2")
         assert ledger.minted_for(collateral) == Amount.from_tokens(2)
 
@@ -402,16 +404,18 @@ class TestWithdraw:
     def test_unknown_account(self):
         with pytest.raises(UnknownAccountError):
             fresh().withdraw("ghost", Amount.from_tokens(1))
+        with pytest.raises(UnknownAccountError):
+            fresh().collateral_of("ghost")
 
     def test_peg_obligation_after_partial(self):
         ledger = fresh()
         account_id, _ = ledger.open_account(Amount.from_tokens(2))
         ledger.rebase(Rate.from_decimal("0.05"))
         burned = ledger.withdraw(account_id, Amount.from_tokens("0.7"))
-        account = ledger.accounts[account_id]
+        collateral = ledger.collateral_of(account_id)
         assert burned == Amount.from_tokens(7)
-        assert account.collateral == Amount.from_tokens("1.3")
-        assert ledger.minted_for(account.collateral) == Amount.from_tokens(13)
+        assert collateral == Amount.from_tokens("1.3")
+        assert ledger.minted_for(collateral) == Amount.from_tokens(13)
 
 
 class TestTimestampInsulation:
@@ -551,7 +555,7 @@ class TestSnapshot:
         ledger.rebase(Rate.from_decimal("0.1"))
         restored = Ledger.restore(ledger.snapshot())
         new_id, _ = restored.open_account(Amount.from_tokens(1))
-        assert new_id not in ledger.accounts
+        assert new_id not in ledger
         assert restored.balance_of(new_id) == Amount.from_tokens(10)
 
     @pytest.mark.parametrize("digits", [639, 640, 5_000])
@@ -563,7 +567,7 @@ class TestSnapshot:
         restored = Ledger.restore(text)
         assert restored.snapshot() == text
         new_id, _ = restored.open_account(Amount.from_tokens(1))
-        assert new_id not in ledger.accounts
+        assert new_id not in ledger
         assert new_id == "a1"
 
     def test_duplicate_account_rejected(self):
@@ -688,7 +692,7 @@ class TestSnapshot:
         if text == "\n".join(text.splitlines()) + "\n":
             assert ledger.snapshot() == text
         assert ledger.total_collateral.raw == sum(
-            a.collateral.raw for a in ledger.accounts.values()
+            ledger.collateral_of(i).raw for i in ledger.account_ids()
         )
 
 
@@ -711,7 +715,7 @@ RENORMALISING_OPS = [("open", 0, 0, 10**12)] + [("rebase", 0, 0, 123_456_789)] *
 
 def assert_share_total(ledger: Ledger) -> None:
     """The running share total is the sum of the share counts."""
-    assert ledger._total_shares == sum(a.shares for a in ledger.accounts.values())
+    assert ledger._total_shares == sum(ledger._shares.values())
 
 
 def replay(ops):
@@ -735,7 +739,7 @@ def replay(ops):
                     amount = ledger.balance_of(src).raw * ppm // 10**6
                     ledger.transfer(src, dst, Amount(amount))
                 elif kind == "withdraw":
-                    out = ledger.accounts[src].collateral.raw * ppm // 10**6
+                    out = ledger.collateral_of(src).raw * ppm // 10**6
                     ledger.withdraw(src, Amount(out))
                 else:
                     r = Rate(c if c <= UNIT else c % UNIT)
@@ -756,10 +760,10 @@ def replay_checking_supply(ops) -> int:
     for ledger, renormalised_now in replay(ops):
         renormalised += renormalised_now
         supply = ledger.total_supply().raw
-        assert supply == sum(ledger.balance_of(i).raw for i in ledger.accounts)
+        assert supply == sum(ledger.balance_of(i).raw for i in ledger.account_ids())
         assert supply == sum(
-            apply_index(Amount(acct.shares), ledger.index).raw // SHARE_SCALE
-            for acct in ledger.accounts.values()
+            apply_index(Amount(shares), ledger.index).raw // SHARE_SCALE
+            for shares in ledger._shares.values()
         )
     return renormalised
 
@@ -787,7 +791,7 @@ class TestExactSupply:
                 ledger.transfer(src, dst, amount)
             ledger.rebase(Rate(rng.randrange(-300_000_000, 400_000_000)))
             balances = [
-                apply_index(Amount(ledger.accounts[i].shares), ledger.index).raw
+                apply_index(Amount(ledger._shares[i]), ledger.index).raw
                 // SHARE_SCALE
                 for i in ids
             ]
@@ -918,7 +922,9 @@ class TestBoundedIndex:
             ledger.snapshot()
         assert "index terms of 90/14291 bits" in str(exc.value)
         assert ledger.index == before.index
-        assert ledger.accounts == before.accounts
+        assert ledger._shares == before._shares
+        assert ledger._collateral == before._collateral
+        assert ledger._created == before._created
         assert ledger.total_supply() == before.total_supply()
 
     @settings(max_examples=200, deadline=None)
@@ -944,21 +950,31 @@ class TestBoundedIndex:
             assert ledger.total_supply() == supply_by_division(ledger)
 
 
-class TestAccount:
-    def test_misspelt_field_is_refused(self):
-        ledger = fresh()
-        account_id, _ = ledger.open_account(Amount.from_tokens(1))
-        with pytest.raises(AttributeError):
-            ledger.accounts[account_id].share = Amount(0)
+class TestAccountState:
+    """Only the ledger's own methods write its accounts.  When they sat in a
+    public dict of mutable records, storing one there left the share total
+    stale: total_supply() read 57,561,560,123 raw above the sum of the
+    balances, and the ledger disagreed with its own snapshot."""
 
-    def test_copy_gives_independent_accounts(self):
+    def test_no_public_attribute_is_a_mutable_container(self):
         ledger = busy_ledger()
-        clone = ledger.copy()
-        for account_id, account in ledger.accounts.items():
-            assert clone.accounts[account_id] == account
-            assert clone.accounts[account_id] is not account
-        clone.accounts["a1"].shares = 0
-        assert ledger.accounts["a1"].shares != 0
+        public = {k: v for k, v in vars(ledger).items() if not k.startswith("_")}
+        assert public
+        for name, value in public.items():
+            assert not isinstance(value, (dict, list, set)), name
+            # a mutable record (a dataclass that is not frozen) has no hash
+            hash(value)
+
+    def test_mutating_account_ids_leaves_the_ledger_unchanged(self):
+        ledger = busy_ledger()
+        ids, supply, text = ledger.account_ids(), ledger.total_supply(), ledger.snapshot()
+        listed = ledger.account_ids()
+        listed.append("z")
+        listed.reverse()
+        assert ledger.account_ids() == ids == ["a1", "a2", "a3"]
+        assert "z" not in ledger
+        assert ledger.total_supply() == supply
+        assert ledger.snapshot() == text
 
 
 # The largest collateral whose share count is at most MAX_RAW at index 1:
@@ -990,7 +1006,7 @@ class TestShareCounts:
         ledger = busy_ledger()
         FORK_OPS[op](ledger)
         for twin in (ledger, Ledger.restore(ledger.snapshot()), ledger.copy()):
-            assert {type(a.shares) for a in twin.accounts.values()} == {int}
+            assert {type(shares) for shares in twin._shares.values()} == {int}
 
     @pytest.mark.parametrize("op", sorted(SHARE_COUNTS_PAST_MAX_RAW))
     def test_share_count_past_max_raw_is_accepted(self, op):
@@ -998,7 +1014,7 @@ class TestShareCounts:
         ledger.open_account(FULL)
         ledger.open_account(FULL)
         SHARE_COUNTS_PAST_MAX_RAW[op](ledger)
-        assert max(a.shares for a in ledger.accounts.values()) > MAX_RAW
+        assert max(ledger._shares.values()) > MAX_RAW
         assert_share_total(ledger)
         assert ledger.total_supply() == supply_by_division(ledger)
         text = ledger.snapshot()
@@ -1043,9 +1059,14 @@ class TestSnapshotRoundTrip:
     def test_restore_and_copy_give_back_every_ledger(self, ops):
         for ledger, _ in replay(ops):
             text = ledger.snapshot()
+            ids = ledger.account_ids()
             for twin in (Ledger.restore(text), ledger.copy()):
                 assert twin.snapshot() == text
                 assert twin.total_collateral == ledger.total_collateral
+                assert twin.account_ids() == ids
+                for i in ids:
+                    assert twin.collateral_of(i) == ledger.collateral_of(i)
+                    assert twin.balance_of(i) == ledger.balance_of(i)
 
 
 class TestRandomizedInvariants:
@@ -1085,14 +1106,14 @@ class TestRandomizedInvariants:
             elif op < 0.9:
                 r = Rate(rng.randrange(-500_000_000, 1_000_000_000))
                 balances = {i: ledger.balance_of(i) for i in ids}
-                shares = {i: ledger.accounts[i].shares for i in ids}
+                shares = {i: ledger._shares[i] for i in ids}
                 ledger.rebase(r)
                 # proportionality: shares untouched; every balance scales by
                 # (1 + r) within one raw unit of quantization, plus one more
                 # when positive growth amplifies the pre-rebase floor loss
                 slack = 1 if r.ppb <= 0 else 2
                 for i in ids:
-                    assert ledger.accounts[i].shares == shares[i]
+                    assert ledger._shares[i] == shares[i]
                     scaled = apply_index(balances[i], one_plus(r)).raw
                     actual = ledger.balance_of(i).raw
                     assert 0 <= actual - scaled <= slack
@@ -1104,12 +1125,12 @@ class TestRandomizedInvariants:
                     assert abs(lhs - rhs) <= 2 * (balances[x].raw + balances[y].raw)
             else:
                 account_id = rng.choice(ids)
-                account = ledger.accounts[account_id]
-                if account.collateral.raw == 0:
+                collateral = ledger.collateral_of(account_id)
+                if collateral.raw == 0:
                     continue
-                if ledger.current_period - account.created_period < 1:
+                if ledger.current_period - ledger._created[account_id] < 1:
                     continue
-                out = Amount(rng.randrange(1, account.collateral.raw + 1) // 100 * 100)
+                out = Amount(rng.randrange(1, collateral.raw + 1) // 100 * 100)
                 if out.raw == 0:
                     continue
                 burned = Amount(out.raw * UNIT // PEG.ppb)
@@ -1122,20 +1143,20 @@ class TestRandomizedInvariants:
         # collateral conservation is exact
         assert ledger.total_collateral.raw == expected_collateral
         assert ledger.total_collateral.raw == sum(
-            a.collateral.raw for a in ledger.accounts.values()
+            ledger.collateral_of(i).raw for i in ledger.account_ids()
         )
         # peg obligation: the obligations the collateral implies are
         # exactly what the operations minted and burned
         assert expected_minted == sum(
-            ledger.minted_for(a.collateral).raw for a in ledger.accounts.values()
+            ledger.minted_for(ledger.collateral_of(i)).raw for i in ledger.account_ids()
         )
         assert ledger.total_collateral.raw * UNIT == expected_minted * PEG.ppb
         # conservation: balances match the share pool within floor dust
         implied = apply_index(
-            Amount(sum(a.shares for a in ledger.accounts.values())), ledger.index
+            Amount(sum(ledger._shares.values())), ledger.index
         ).raw // SHARE_SCALE
         total = ledger.total_supply().raw
-        assert 0 <= implied - total <= len(ledger.accounts)
+        assert 0 <= implied - total <= len(ledger.account_ids())
 
     def test_sequences(self):
         rng = random.Random(20_250_101)
