@@ -10,8 +10,10 @@ nothing else (no fees, no slippage), and Sybil gains are valued at the
 peg ceiling, the best price any sale could fetch.
 
 An arm is the ledger alone in a flat market.  Each of its periods is the
-controller's integer rate rule, _combined_ppb, and then Ledger.rebase,
-with no per-period record built.  k_v >= 0 and counts that never fall
+controller's integer rate rule, _combined_ppb, and then the ledger's
+integer period close, Ledger._rebase_raw: the supply passes between
+them as a raw int, and no record, Rate, Index or Amount is built per
+period.  k_v >= 0 and counts that never fall
 make every rate >= 0, so the peg clamp never binds and TRD trades at
 exactly peg / index.
 """
@@ -23,7 +25,7 @@ from collections.abc import Callable
 from .controller import RebaseConfig, _combined_ppb
 from .errors import ConfigError, InvalidArgumentError, InvariantViolationError
 from .ledger import Ledger, _valid_id
-from .numerics import UNIT, Amount, Rate, format_raw, record
+from .numerics import UNIT, Amount, format_raw, record
 
 _HONEST = "honest"
 _ATTACKER = "attacker"
@@ -131,14 +133,16 @@ def _step_flat(
     """Rebase that many periods at v transactions each.
 
     v_prev is the count of the period before the first; returns the supply
-    after the last period.
+    after the last period.  The supply is carried as a raw int and boxed
+    once, at the end.
     """
+    s_raw = supply.raw
     for _ in range(periods):
-        supply = ledger.rebase(
-            Rate(_combined_ppb(ledger.current_period, v, v_prev, supply.raw, cfg))
+        s_raw = ledger._rebase_raw(
+            _combined_ppb(ledger.current_period, v, v_prev, s_raw, cfg)
         )
         v_prev = v
-    return supply
+    return Amount(s_raw)
 
 
 def _price_attack(

@@ -12,7 +12,7 @@ ppb.  combined_rate boxes them into a RateBreakdown, volume_rate boxes
 the volume response alone, and PeriodMetrics is the one check that the
 period and counts are ints >= 0 and the supply an Amount.  _combined_ppb
 composes the rules into r_combined as a bare int: an attack arm's period
-is that integer rate rule and then Ledger.rebase, with no record built.
+is that integer rate rule and then Ledger._rebase_raw, with no record built.
 
 All functions here are pure and stateless; sweeps over scenarios can call
 them from as many threads as they like.

@@ -21,6 +21,13 @@ refund obligation is always minted_for(collateral) and needs no column of
 its own; deposits and withdrawals are pure integer addition on collateral.
 An account's shares, collateral and opening period each sit in a private
 map by id that only Ledger's own methods write.
+
+The index is two private int terms that only _rebase_raw and restore
+write; conversions read them, and the index property boxes them into an
+Index when read.  _rebase_raw(ppb) is the period close on ints: the
+terms grow through numerics._grow_terms and the raw supply comes back
+from _supply_raw.  rebase(r) and total_supply() box it into an Amount.
+An attack arm's period is controller._combined_ppb and then _rebase_raw.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .errors import (
     UnknownAccountError,
     ZeroCollateralError,
 )
-from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
+from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, _grow_terms, format_raw
 
 # Internal share units per raw token unit at index 1.
 SHARE_SCALE = 10**9
@@ -63,14 +70,6 @@ def _canonical_int(field: str) -> int:
     if str(value) != field:
         raise ValueError(f"not a canonical integer: {field!r}")
     return value
-
-
-def _capped(total_shares: int, index: Index) -> int:
-    """total_shares, or AmountOverflowError if worth more than MAX_RAW at index."""
-    worth = total_shares * index.num // (index.den * SHARE_SCALE)
-    if worth > MAX_RAW:
-        raise AmountOverflowError(f"amount exceeds capacity: {worth}")
-    return total_shares
 
 
 class _Field(dict):
@@ -100,7 +99,7 @@ class Ledger:
         self._shares: dict[str, int] = _Field()
         self._collateral: dict[str, Amount] = _Field()
         self._created: dict[str, int] = _Field()
-        self.index = Index.identity()
+        self._index_num, self._index_den = 1, 1
         self.current_period = start_period
         self.total_collateral = Amount(0)
         self._total_shares = 0
@@ -109,8 +108,9 @@ class Ledger:
     def copy(self) -> Ledger:
         """An independent ledger in the same state.
 
-        The per-account maps are copied; the ints and Amounts they hold and
-        the Index are immutable values, so both ledgers share them.
+        The per-account maps are copied; the ints and Amounts they hold
+        and the index terms are immutable values, so both ledgers share
+        them.
         """
         clone = object.__new__(type(self))
         vars(clone).update(vars(self))
@@ -118,6 +118,11 @@ class Ledger:
         clone._collateral = _Field(self._collateral)
         clone._created = _Field(self._created)
         return clone
+
+    @property
+    def index(self) -> Index:
+        """The rebase index Pi(1 + r), read-only: only rebase and restore move it."""
+        return Index(self._index_num, self._index_den)
 
     # -- conversions -------------------------------------------------
 
@@ -144,16 +149,23 @@ class Ledger:
 
     def _to_shares_ceil(self, raw: int) -> int:
         """Shares granted when raw tokens enter; ceiling keeps entry balances exact."""
-        return -((-raw * SHARE_SCALE * self.index.den) // self.index.num)
+        return -((-raw * SHARE_SCALE * self._index_den) // self._index_num)
 
     def _to_shares_floor(self, raw: int) -> int:
         """Shares removed when raw tokens leave; flooring never debits extra."""
-        return raw * SHARE_SCALE * self.index.den // self.index.num
+        return raw * SHARE_SCALE * self._index_den // self._index_num
 
     def _balance_raw(self, shares: int) -> int:
         # One floor over den * SHARE_SCALE equals flooring by den, then by
         # SHARE_SCALE: floor(floor(shares * num / den) / SHARE_SCALE).
-        return shares * self.index.num // (self.index.den * SHARE_SCALE)
+        return shares * self._index_num // (self._index_den * SHARE_SCALE)
+
+    def _capped(self, total_shares: int) -> int:
+        """total_shares, or AmountOverflowError if worth more than MAX_RAW."""
+        worth = self._balance_raw(total_shares)
+        if worth > MAX_RAW:
+            raise AmountOverflowError(f"amount exceeds capacity: {worth}")
+        return total_shares
 
     # -- queries -------------------------------------------------------
 
@@ -172,7 +184,11 @@ class Ledger:
         return self._collateral[account_id]
 
     def total_supply(self) -> Amount:
-        """Exact sum of every floored balance, in one integer pass.
+        """Exact sum of every floored balance; see _supply_raw."""
+        return Amount(self._supply_raw())
+
+    def _supply_raw(self) -> int:
+        """Exact sum of every floored balance as a raw int, in one integer pass.
 
         Each balance floor(s * num / d), d = den * SHARE_SCALE, is taken as
         s * m >> k with the reciprocal m = ceil(num * 2**k / d): one division
@@ -185,18 +201,21 @@ class Ledger:
           2. s * num / d is a multiple of 1/d, so its fractional part is at
              most 1 - 1/d.
           3. Adding less than 1/d to it cannot reach the next integer.
+
+        Past capacity it raises AmountOverflowError.
         """
-        d = self.index.den * SHARE_SCALE
+        num, den = self._index_num, self._index_den
+        d = den * SHARE_SCALE
         d_bits = d.bit_length()
         k = self._total_shares.bit_length() + d_bits
-        m = -((-self.index.num << k) // d)
+        m = -((-num << k) // d)
         # T's worth, T * m >> k, is at most m >> d_bits: check exactly past it.
         if m >> d_bits > MAX_RAW:
-            _capped(self._total_shares, self.index)
+            self._capped(self._total_shares)
         total = 0
         for shares in self._shares.values():
             total += shares * m >> k
-        return Amount(total)
+        return total
 
     # -- operations ------------------------------------------------------
 
@@ -230,7 +249,7 @@ class Ledger:
             )
         if account_id in self._shares:
             raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
-        total_shares = _capped(self._total_shares + shares, self.index)
+        total_shares = self._capped(self._total_shares + shares)
         self.total_collateral += collateral
         self._shares[account_id] = shares
         self._collateral[account_id] = collateral
@@ -247,7 +266,7 @@ class Ledger:
         # The obligation, share total and collateral total are checked first.
         self.minted_for(new_collateral)
         shares = self._to_shares_ceil(minted.raw)
-        total_shares = _capped(self._total_shares + shares, self.index)
+        total_shares = self._capped(self._total_shares + shares)
         self.total_collateral += collateral
         self._shares[account_id] += shares
         self._collateral[account_id] = new_collateral
@@ -277,11 +296,21 @@ class Ledger:
         untouched.  Returns the new total supply.  Past capacity it raises
         AmountOverflowError and leaves the ledger as it was.
         """
-        previous, self.index = self.index, grow_index(self.index, r)
+        return Amount(self._rebase_raw(r.ppb))
+
+    def _rebase_raw(self, ppb: int) -> int:
+        """rebase at a rate of ppb parts per billion; returns the raw supply.
+
+        The index grows as grow_index grows it, on its bare terms.  ppb is
+        taken as a Rate's; 1 + r <= 0 raises NonPositiveFactorError, and
+        past capacity the terms roll back before AmountOverflowError leaves.
+        """
+        num, den = self._index_num, self._index_den
+        self._index_num, self._index_den = _grow_terms(num, den, ppb)
         try:
-            supply = self.total_supply()
+            supply = self._supply_raw()
         except AmountOverflowError:
-            self.index = previous
+            self._index_num, self._index_den = num, den
             raise
         self.current_period += 1
         return supply
@@ -330,15 +359,12 @@ class Ledger:
         its terms to be written as decimal text (below about 10^-4270 at
         Python's default limit) raises SnapshotError.
         """
-        index = self.index
+        num, den = self._index_num, self._index_den
         try:
-            lines = [
-                f"v3,{self.peg_ratio.ppb},"
-                f"{index.num},{index.den},{self.current_period}"
-            ]
+            lines = [f"v3,{self.peg_ratio.ppb},{num},{den},{self.current_period}"]
         except ValueError as exc:
             raise SnapshotError(
-                f"index terms of {index.num.bit_length()}/{index.den.bit_length()} "
+                f"index terms of {num.bit_length()}/{den.bit_length()} "
                 f"bits exceed the interpreter's {sys.get_int_max_str_digits()}-digit "
                 "limit for int-to-str conversion"
             ) from exc
@@ -364,9 +390,10 @@ class Ledger:
             raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
         try:
             ledger = cls(Rate(peg), start_period=period)
-            ledger.index = Index(num, den)
+            Index(num, den)
         except ToroidError as exc:
             raise SnapshotError(f"line 1: {exc}") from exc
+        ledger._index_num, ledger._index_den = num, den
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
             if len(fields) != 4:

@@ -194,7 +194,15 @@ def grow_index(idx: Index, r: Rate) -> Index:
 
     The result's denominator is 10^(30+3j) for the smallest j >= 0 that
     keeps its numerator >= 10^27 (see _GRID).  An index already on the
-    grid grows at r = 0 unchanged; any other lands on the grid.
+    grid grows at r = 0 unchanged; any other lands on the grid.  This
+    boxes the terms of _grow_terms, the integer form that
+    Ledger._rebase_raw runs on the ledger's own index terms.
+    """
+    return Index(*_grow_terms(idx.num, idx.den, r.ppb))
+
+
+def _grow_terms(num: int, den: int, ppb: int) -> tuple[int, int]:
+    """grow_index on bare terms: num/den times 1 + ppb/10^9, on the grid.
 
     The search tries j = 0 and, on a miss, jumps to the lowest grid the
     terms' bit lengths allow.  They place num/den within a factor of four,
@@ -202,13 +210,13 @@ def grow_index(idx: Index, r: Rate) -> Index:
     the three digits between neighbouring grids, so the jump lands on j
     or j - 1: at most three divisions in all.
     """
-    factor = UNIT + r.ppb
+    factor = UNIT + ppb
     if factor <= 0:
-        raise NonPositiveFactorError(f"1 + r must be positive, got {r.ppb} ppb")
-    num, den = idx.num * factor, idx.den * UNIT
+        raise NonPositiveFactorError(f"1 + r must be positive, got {ppb} ppb")
+    num, den = num * factor, den * UNIT
     grid = _GRID
     while (rescaled := (num * grid + den // 2) // den) < _MIN_NUM:
         # den/num > 2^m > 10^(0.301029995663 m): no grid below this one holds.
         m = den.bit_length() - num.bit_length() - 1
         grid = max(grid * 1000, _GRID * 1000 ** -(-(m * 301029995663 // 10**12 - 3) // 3))
-    return Index(rescaled, grid)
+    return rescaled, grid

@@ -1,5 +1,6 @@
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, _volum
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
 from toroid.harness import load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
-from toroid.numerics import UNIT, Amount, Rate
+from toroid.numerics import UNIT, Amount, Index, Rate
 
 from oracles import sale_price_by_fraction
 
@@ -178,27 +179,43 @@ class TestRunSybil:
             run_sybil(sc, negative)
 
 
+@contextmanager
+def counting_built(*classes):
+    """How many instances of each class are built inside, by class name."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in classes:
+            original = vars(cls)["__init__"]
+
+            def spy(self, *args, _name=cls.__name__, _original=original, **kwargs):
+                built[_name] += 1
+                _original(self, *args, **kwargs)
+
+            mp.setattr(cls, "__init__", spy)
+        yield built
+
+
 @pytest.fixture
-def records_built(monkeypatch):
+def records_built():
     """How many PeriodMetrics and RateBreakdown records are built, by class name."""
-    built = {"PeriodMetrics": 0, "RateBreakdown": 0}
-    for cls in (PeriodMetrics, RateBreakdown):
-        original = vars(cls)["__init__"]
+    with counting_built(PeriodMetrics, RateBreakdown) as built:
+        yield built
 
-        def spy(self, *args, _name=cls.__name__, _original=original, **kwargs):
-            built[_name] += 1
-            _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", spy)
+def values_built(run, sc, *args):
+    """The Rate, Index and Amount objects run(sc, *args) builds, by class name."""
+    with counting_built(Rate, Index, Amount) as built:
+        run(sc, *args)
     return built
 
 
 class TestArmsBuildNoRecords:
-    """An arm period is the integer rate rule and then Ledger.rebase.
+    """An arm period is the integer rate rule and then Ledger._rebase_raw.
 
-    Counting records, not timing them, pins the arms' fast path: routing
-    them back through combined_rate builds a PeriodMetrics and a
-    RateBreakdown each period and fails here.
+    Counting records and values, not timing them, pins the arms' fast
+    path: routing them back through combined_rate builds a PeriodMetrics
+    and a RateBreakdown each period, and back through Ledger.rebase a
+    Rate, an Index and an Amount each period, and either fails here.
     """
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -220,6 +237,38 @@ class TestArmsBuildNoRecords:
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert len(series) == len(rows) - 1
         assert records_built == {"PeriodMetrics": len(series), "RateBreakdown": len(series)}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_sybil_values_do_not_grow_with_periods(self, cfg, enabled):
+        cfg = replace(cfg, gas_cap_enabled=enabled)
+        one = values_built(
+            run_sybil, scenario(10_000, periods=1, baseline_v=100, holdings=5_000), cfg
+        )
+        six = values_built(
+            run_sybil, scenario(10_000, periods=6, baseline_v=100, holdings=5_000), cfg
+        )
+        assert one == six
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_pump_and_dump_values_do_not_grow_with_periods(self, cfg, enabled):
+        cfg = replace(cfg, gas_cap_enabled=enabled)
+        # one injected period and none shared, against three of each
+        one = values_built(
+            run_pump_and_dump, scenario(10_000, periods=1, baseline_v=100, holdings=5_000),
+            0, 1, cfg,
+        )
+        six = values_built(
+            run_pump_and_dump, scenario(10_000, periods=6, baseline_v=100, holdings=5_000),
+            3, 6, cfg,
+        )
+        assert one == six
+
+    def test_backtest_builds_one_index_per_period_and_one_to_start(self, cfg, sample_market_path):
+        rows = load_market_csv(sample_market_path)
+        with counting_built(Index) as built:
+            series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        # the index read once before the first period and once in each
+        assert built == {"Index": len(series) + 1}
 
 
 class TestRunPumpAndDump:
@@ -640,20 +689,20 @@ def multi_period_attacks(draw):
 
 def arms(price, *args):
     """[(ledger, rates)] of the attacked arm, then of the baseline: each
-    arm's final ledger and the (current_period, r) of every period it
-    rebased, captured from Ledger.rebase.
+    arm's final ledger and the (current_period, Rate(ppb)) of every period
+    it rebased, captured from Ledger._rebase_raw.
 
     The attacked arm's list starts with the periods shared before the fork.
     """
     calls = {}
-    rebase = Ledger.rebase
+    rebase_raw = Ledger._rebase_raw
 
-    def capturing(ledger, r):
-        calls.setdefault(ledger, []).append((ledger.current_period, r))
-        return rebase(ledger, r)
+    def capturing(ledger, ppb):
+        calls.setdefault(ledger, []).append((ledger.current_period, Rate(ppb)))
+        return rebase_raw(ledger, ppb)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Ledger, "rebase", capturing)
+        mp.setattr(Ledger, "_rebase_raw", capturing)
         price(*args)
     return list(calls.items())
 

@@ -30,8 +30,10 @@ ALLOWED = {
     "__main__": {"cli"},
 }
 
-# A Ledger's private account state.
-LEDGER_PRIVATE = {"_shares", "_collateral", "_created", "_total_shares"}
+# A Ledger's private account state and index terms.
+LEDGER_PRIVATE = {
+    "_shares", "_collateral", "_created", "_total_shares", "_index_num", "_index_den"
+}
 
 
 def relative_imports(source: str) -> set[str]:
@@ -89,6 +91,7 @@ def test_only_the_ledger_reads_its_account_state(module):
     [
         ("ledger._shares['a']", {"_shares"}),
         ("total = ledger._total_shares + 1", {"_total_shares"}),
+        ("num, den = ledger._index_num, ledger._index_den", {"_index_num", "_index_den"}),
         ("def f(led):\n    return led._collateral, led._created", {"_collateral", "_created"}),
         ("ledger.balance_of('a')\n_shares = {}\nx._share = 0", set()),
     ],

@@ -26,7 +26,13 @@ from toroid.errors import (
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
-from oracles import apply_index, index_value, one_plus, supply_by_division
+from oracles import (
+    apply_index,
+    grow_index_by_search,
+    index_value,
+    one_plus,
+    supply_by_division,
+)
 
 PEG = Rate.from_decimal("0.1")
 
@@ -865,7 +871,9 @@ class TestSupplyReciprocal:
         whole = [MAX_RAW // 2, MAX_RAW - MAX_RAW // 2]
         ledger = restored(1, 1, [w * SHARE_SCALE + SHARE_SCALE // 2 - 1 for w in whole])
         assert ledger.total_supply() == Amount(MAX_RAW)
-        ledger.index = Index(10**60 + 10**14, 10**60)
+        # No public call or restore reaches an index past capacity: write
+        # the private terms, as _rebase_raw does.
+        ledger._index_num, ledger._index_den = 10**60 + 10**14, 10**60
         assert supply_by_division(ledger) == Amount(MAX_RAW)
         message = f"amount exceeds capacity: {MAX_RAW + 1}$"
         with pytest.raises(AmountOverflowError, match=f"^{message}"):
@@ -950,6 +958,80 @@ class TestBoundedIndex:
             assert ledger.total_supply() == supply_by_division(ledger)
 
 
+@st.composite
+def index_terms(draw):
+    """(num, den) on the first grid, at its 10^27 edge, on a grid down to
+    j = 1,000 (about 10^-3000), or any positive fraction, as restore takes."""
+    return draw(
+        st.integers(10**27, 10**30 - 1).map(lambda num: (num, 10**30))
+        | st.integers(10**27, 10**27 + 10**12).map(lambda num: (num, 10**30))
+        | st.tuples(st.integers(10**27, 10**30 - 1), st.integers(1, 1_000)).map(
+            lambda t: (t[0], 10 ** (30 + 3 * t[1]))
+        )
+        | st.tuples(st.integers(1, 2**64) | st.integers(1, 2**300),
+                    st.integers(1, 2**64) | st.integers(2**128, 2**300))
+    )
+
+
+RATES_PPB = (
+    st.integers(-UNIT - 2, -UNIT + 1_000)
+    | st.integers(-UNIT + 1, 3 * UNIT)
+    | st.sampled_from([0, -1, 1, -UNIT // 2, UNIT // 2])
+)
+
+
+def outcome(call, *args):
+    """call(*args), or the type of the ToroidError it raises."""
+    try:
+        return call(*args)
+    except ToroidError as exc:
+        return type(exc)
+
+
+class TestIntegerForms:
+    """The ledger's private integer forms against the oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), terms=index_terms(), ppb=RATES_PPB)
+    def test_rebase_raw_matches_the_oracles(self, data, terms, ppb):
+        num, den = terms
+        bound, shares = share_bound(num, den), []
+        for _ in range(data.draw(st.integers(0, 4))):
+            shares.append(data.draw(edge_shares(num, den, bound - sum(shares))))
+        ledger = restored(num, den, shares)
+        assert ledger._supply_raw() == supply_by_division(ledger).raw
+        text = ledger.snapshot()
+        grown = outcome(grow_index_by_search, ledger.index, Rate(ppb))
+        raw = outcome(ledger._rebase_raw, ppb)
+        if grown is NonPositiveFactorError:
+            assert raw is NonPositiveFactorError
+            assert ledger.snapshot() == text
+        elif sum(shares) > share_bound(grown.num, grown.den):
+            assert raw is AmountOverflowError
+            assert ledger.snapshot() == text
+        else:
+            assert ledger.index == grown
+            assert ledger.current_period == 1
+            assert raw == supply_by_division(ledger).raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=index_terms(), ppb=st.integers(1, 3 * UNIT))
+    def test_rebase_raw_past_capacity_changes_nothing(self, terms, ppb):
+        num, den = terms
+        # a share total at its bound: below 2^64 at the index, one share is
+        # worth under 2^64 / 10^9 raw, far less than 1 ppb of MAX_RAW
+        if num >= den * 2**64:
+            num, den = den, num
+        ledger = restored(num, den, [share_bound(num, den)])
+        index, text = ledger.index, ledger.snapshot()
+        with pytest.raises(AmountOverflowError, match=r"^amount exceeds capacity: \d+$"):
+            ledger._rebase_raw(ppb)
+        assert ledger.index == index
+        assert ledger.current_period == 0
+        assert ledger.snapshot() == text
+        assert ledger._supply_raw() == supply_by_division(ledger).raw
+
+
 class TestAccountState:
     """Only the ledger's own methods write its accounts.  When they sat in a
     public dict of mutable records, storing one there left the share total
@@ -964,6 +1046,14 @@ class TestAccountState:
             assert not isinstance(value, (dict, list, set)), name
             # a mutable record (a dataclass that is not frozen) has no hash
             hash(value)
+
+    def test_index_is_read_only(self):
+        # Set from outside, an index could pass the capacity rule unchecked.
+        ledger = busy_ledger()
+        text = ledger.snapshot()
+        with pytest.raises(AttributeError):
+            ledger.index = Index(10**60, 1)
+        assert ledger.snapshot() == text
 
     def test_mutating_account_ids_leaves_the_ledger_unchanged(self):
         ledger = busy_ledger()

@@ -29,7 +29,16 @@ from toroid.errors import (
     NonPositiveFactorError,
 )
 from toroid.market import MarketState
-from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, format_raw, grow_index
+from toroid.numerics import (
+    MAX_RAW,
+    UNIT,
+    Amount,
+    Index,
+    Rate,
+    _grow_terms,
+    format_raw,
+    grow_index,
+)
 
 from oracles import (
     apply_index,
@@ -211,7 +220,9 @@ class TestGrowIndex:
         # on the grid when off_grid is 1, anywhere in between otherwise;
         # values reach down to about 10^-5000
         idx = Index(num, off_grid * 10 ** (30 + 3 * j))
-        assert grow_index(idx, Rate(ppb)) == grow_index_by_search(idx, Rate(ppb))
+        expected = grow_index_by_search(idx, Rate(ppb))
+        assert grow_index(idx, Rate(ppb)) == expected
+        assert _grow_terms(num, idx.den, ppb) == (expected.num, expected.den)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 100, 1_656])
     def test_at_most_three_grids_tried(self, monkeypatch, j):
