@@ -13,9 +13,11 @@ An arm is the ledger alone in a flat market.  Each of its periods is the
 controller's integer rate rule, _combined_ppb, and then the ledger's
 integer period close, Ledger._rebase_raw: the supply passes between
 them as a raw int, and no record, Rate, Index or Amount is built per
-period.  k_v >= 0 and counts that never fall
-make every rate >= 0, so the peg clamp never binds and TRD trades at
-exactly peg / index.
+period.  The arms start from the scenario's start_supply, which the
+seeded ledger holds exactly because its index is still 1, and carry
+the supply as a raw int to the verdict, which boxes once.  k_v >= 0 and
+counts that never fall make every rate >= 0, so the peg clamp never
+binds and TRD trades at exactly peg / index.
 """
 
 from __future__ import annotations
@@ -112,37 +114,34 @@ def _seed_ledger(scenario: SybilScenario, cfg: RebaseConfig) -> Ledger:
     return ledger
 
 
-def _attacker_balance(ledger: Ledger) -> Amount:
-    if _ATTACKER not in ledger:
-        return Amount(0)
-    return ledger.balance_of(_ATTACKER)
+def _attacker_raw(ledger: Ledger) -> int:
+    return ledger.balance_of(_ATTACKER).raw if _ATTACKER in ledger else 0
 
 
-def _extra(post_attack: Amount, counterfactual: Amount, what: str) -> Amount:
-    if post_attack.raw < counterfactual.raw:
+def _extra(post_attack: int, counterfactual: int, what: str) -> Amount:
+    """The raw excess of post_attack over counterfactual, boxed."""
+    if post_attack < counterfactual:
         raise InvariantViolationError(
             f"injected volume reduced {what}: "
-            f"{post_attack.tokens()} < {counterfactual.tokens()}"
+            f"{format_raw(post_attack)} < {format_raw(counterfactual)}"
         )
-    return post_attack - counterfactual
+    return Amount(post_attack - counterfactual)
 
 
 def _step_flat(
-    ledger: Ledger, supply: Amount, cfg: RebaseConfig, periods: int, v: int, v_prev: int
-) -> Amount:
-    """Rebase that many periods at v transactions each.
+    ledger: Ledger, s_raw: int, cfg: RebaseConfig, periods: int, v: int, v_prev: int
+) -> int:
+    """Rebase that many periods at v transactions each, from raw supply s_raw.
 
-    v_prev is the count of the period before the first; returns the supply
-    after the last period.  The supply is carried as a raw int and boxed
-    once, at the end.
+    v_prev is the count of the period before the first; returns the raw
+    supply after the last period.  Each _rebase_raw advances the period
+    by one, so the ordinals are counted here and the ledger's is read once.
     """
-    s_raw = supply.raw
-    for _ in range(periods):
-        s_raw = ledger._rebase_raw(
-            _combined_ppb(ledger.current_period, v, v_prev, s_raw, cfg)
-        )
+    start = ledger.current_period
+    for t in range(start, start + periods):
+        s_raw = ledger._rebase_raw(_combined_ppb(t, v, v_prev, s_raw, cfg))
         v_prev = v
-    return Amount(s_raw)
+    return s_raw
 
 
 def _price_attack(
@@ -162,6 +161,10 @@ def _price_attack(
     floored to raw base units; the cost is the gas of every injected
     transaction.  A negative k_v, which would make injected volume
     shrink the supply, raises ConfigError.
+
+    The arms start from scenario.start_supply: at index 1 each seeded
+    balance is exactly its amount, and _insert has checked capacity.  The
+    supply stays a raw int through both arms, and the verdict boxes once.
     """
     if cfg.k_v.ppb < 0:
         raise ConfigError(
@@ -169,15 +172,15 @@ def _price_attack(
         )
     attacked = _seed_ledger(scenario, cfg)
     b = scenario.baseline_v
-    supply = _step_flat(attacked, attacked.total_supply(), cfg, buy, b, b)
+    s_raw = _step_flat(attacked, scenario.start_supply.raw, cfg, buy, b, b)
     baseline = attacked.copy()
-    attacked_supply = _step_flat(
-        attacked, supply, cfg, sell - buy, b + scenario.delta_v_per_period, b
+    attacked_raw = _step_flat(
+        attacked, s_raw, cfg, sell - buy, b + scenario.delta_v_per_period, b
     )
-    baseline_supply = _step_flat(baseline, supply, cfg, sell - buy, b, b)
-    extra_supply = _extra(attacked_supply, baseline_supply, "total supply")
+    baseline_raw = _step_flat(baseline, s_raw, cfg, sell - buy, b, b)
+    extra_supply = _extra(attacked_raw, baseline_raw, "total supply")
     extra_holdings = _extra(
-        _attacker_balance(attacked), _attacker_balance(baseline), "attacker balance"
+        _attacker_raw(attacked), _attacker_raw(baseline), "attacker balance"
     )
     num, den = sale_price(attacked)
     gain = Amount(extra_holdings.raw * num // den)
@@ -216,10 +219,12 @@ def run_pump_and_dump(
     if not buy_period < sell_period <= scenario.periods:
         raise InvalidArgumentError("need buy_period < sell_period <= periods")
     peg = cfg.peg_ratio.ppb
-    return _price_attack(
-        scenario, cfg, buy_period, sell_period,
-        lambda ledger: (peg * ledger.index.den, UNIT * ledger.index.num),
-    )
+
+    def at_index(ledger: Ledger) -> tuple[int, int]:
+        index = ledger.index
+        return peg * index.den, UNIT * index.num
+
+    return _price_attack(scenario, cfg, buy_period, sell_period, at_index)
 
 
 ATTACK_CSV_HEADER = (

@@ -24,7 +24,9 @@ map by id that only Ledger's own methods write.
 
 The index is two private int terms that only _rebase_raw and restore
 write; conversions read them, and the index property boxes them into an
-Index when read.  _rebase_raw(ppb) is the period close on ints: the
+Index when read.  The peg and the period ordinal are read-only
+properties as well: __init__ sets both, and only _rebase_raw advances
+the period.  _rebase_raw(ppb) is the period close on ints: the
 terms grow through numerics._grow_terms and the raw supply comes back
 from _supply_raw.  rebase(r) and total_supply() box it into an Amount.
 An attack arm's period is controller._combined_ppb and then _rebase_raw.
@@ -57,6 +59,9 @@ SHARE_SCALE = 10**9
 # Periods an account must exist before it may withdraw: the paper's
 # minimum investment period ("for example one day") is one period here.
 MIN_HOLDING_PERIODS = 1
+
+# Every new ledger's collateral total; an Amount is immutable, so all share it.
+_NO_COLLATERAL = Amount(0)
 
 
 def _valid_id(account_id: str) -> bool:
@@ -95,13 +100,13 @@ class Ledger:
             raise InvalidArgumentError("peg_ratio must be positive")
         if start_period < 0:
             raise InvalidArgumentError("start_period must be >= 0")
-        self.peg_ratio = peg_ratio
+        self._peg_ratio = peg_ratio
         self._shares: dict[str, int] = _Field()
         self._collateral: dict[str, Amount] = _Field()
         self._created: dict[str, int] = _Field()
         self._index_num, self._index_den = 1, 1
-        self.current_period = start_period
-        self.total_collateral = Amount(0)
+        self._current_period = start_period
+        self.total_collateral = _NO_COLLATERAL
         self._total_shares = 0
         self._next_account_seq = 1
 
@@ -124,6 +129,16 @@ class Ledger:
         """The rebase index Pi(1 + r), read-only: only rebase and restore move it."""
         return Index(self._index_num, self._index_den)
 
+    @property
+    def peg_ratio(self) -> Rate:
+        """Base coin locked per TRD minted, read-only: fixed at construction."""
+        return self._peg_ratio
+
+    @property
+    def current_period(self) -> int:
+        """The open period's ordinal, read-only: only _rebase_raw advances it."""
+        return self._current_period
+
     # -- conversions -------------------------------------------------
 
     def minted_for(self, collateral: Amount) -> Amount:
@@ -132,15 +147,15 @@ class Ledger:
         Must divide exactly at the peg; the inverse of collateral_for.
         """
         scaled = collateral.raw * UNIT
-        if scaled % self.peg_ratio.ppb != 0:
+        if scaled % self._peg_ratio.ppb != 0:
             raise NonDivisibleCollateralError(
                 f"{collateral.tokens()} base is not an exact multiple of the peg"
             )
-        return Amount(scaled // self.peg_ratio.ppb)
+        return Amount(scaled // self._peg_ratio.ppb)
 
     def collateral_for(self, minted: Amount) -> Amount:
         """Collateral that mints exactly minted TRD; the inverse of minted_for."""
-        scaled = minted.raw * self.peg_ratio.ppb
+        scaled = minted.raw * self._peg_ratio.ppb
         if scaled % UNIT != 0:
             raise NonDivisibleCollateralError(
                 f"{minted.tokens()} TRD has no exact collateral at the peg"
@@ -236,7 +251,7 @@ class Ledger:
                 self._next_account_seq += 1
             account_id = f"a{self._next_account_seq}"
         shares = self._to_shares_ceil(minted.raw)
-        self._insert(account_id, shares, collateral, self.current_period)
+        self._insert(account_id, shares, collateral, self._current_period)
         return account_id, minted
 
     def _insert(
@@ -312,7 +327,7 @@ class Ledger:
         except AmountOverflowError:
             self._index_num, self._index_den = num, den
             raise
-        self.current_period += 1
+        self._current_period += 1
         return supply
 
     def withdraw(self, account_id: str, collateral_out: Amount) -> Amount:
@@ -329,7 +344,7 @@ class Ledger:
                 f"{account_id!r} holds {collateral.tokens()} base, "
                 f"cannot release {collateral_out.tokens()}"
             )
-        age = self.current_period - self._created[account_id]
+        age = self._current_period - self._created[account_id]
         if age < MIN_HOLDING_PERIODS:
             raise HoldingPeriodNotMetError(
                 f"{account_id!r} is {age} periods old, "
@@ -361,7 +376,7 @@ class Ledger:
         """
         num, den = self._index_num, self._index_den
         try:
-            lines = [f"v3,{self.peg_ratio.ppb},{num},{den},{self.current_period}"]
+            lines = [f"v3,{self._peg_ratio.ppb},{num},{den},{self._current_period}"]
         except ValueError as exc:
             raise SnapshotError(
                 f"index terms of {num.bit_length()}/{den.bit_length()} "

@@ -12,6 +12,9 @@ from toroid.adversary import (
     ATTACK_CSV_HEADER,
     AttackReport,
     SybilScenario,
+    _extra,
+    _seed_ledger,
+    _step_flat,
     render_reports_csv,
     run_pump_and_dump,
     run_sybil,
@@ -21,7 +24,7 @@ from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, _volum
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
 from toroid.harness import load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
-from toroid.numerics import UNIT, Amount, Index, Rate
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
 from oracles import sale_price_by_fraction
 
@@ -96,15 +99,16 @@ class TestRunSybil:
     def test_counterfactual_arms_identical_without_injection(self, cfg):
         # with delta_v = 0 the attack arm and the baseline arm are the
         # same simulation; their final ledgers must match bit for bit
-        from toroid.adversary import _seed_ledger, _step_flat
-
         sc = scenario(0, periods=4, baseline_v=250, holdings=3_000)
         attacked = _seed_ledger(sc, cfg)
         baseline = attacked.copy()
-        supply = attacked.total_supply()
+        s_raw = sc.start_supply.raw
         b = sc.baseline_v
-        _step_flat(attacked, supply, cfg, sc.periods, b + sc.delta_v_per_period, b)
-        _step_flat(baseline, supply, cfg, sc.periods, b, b)
+        attacked_raw = _step_flat(
+            attacked, s_raw, cfg, sc.periods, b + sc.delta_v_per_period, b
+        )
+        baseline_raw = _step_flat(baseline, s_raw, cfg, sc.periods, b, b)
+        assert attacked_raw == baseline_raw == attacked.total_supply().raw
         assert attacked.snapshot() == baseline.snapshot()
 
     def test_unprotected_controller_is_exploitable(self, cfg):
@@ -177,6 +181,14 @@ class TestRunSybil:
         sc = scenario(1_000, baseline_v=100, holdings=5_000)
         with pytest.raises(ConfigError, match="k_v >= 0, got -0.100000000"):
             run_sybil(sc, negative)
+
+    def test_extra_refuses_a_shrunk_supply(self):
+        # k_v >= 0 keeps every run away from this raise, so it is pinned here
+        with pytest.raises(InvariantViolationError) as info:
+            _extra(5, 7, "total supply")
+        assert str(info.value) == (
+            "injected volume reduced total supply: 0.000000005 < 0.000000007"
+        )
 
 
 @contextmanager
@@ -263,12 +275,88 @@ class TestArmsBuildNoRecords:
         )
         assert one == six
 
+    @pytest.mark.parametrize(
+        "run, args",
+        [(run_sybil, ()), (run_pump_and_dump, (2, 5))],
+        ids=["sybil", "pump_and_dump"],
+    )
+    def test_arms_never_scan_the_supply(self, cfg, monkeypatch, run, args):
+        # the arms start from start_supply, which the seeded ledger holds
+        scans = []
+        scan = Ledger.total_supply
+
+        def spy(ledger):
+            scans.append(ledger)
+            return scan(ledger)
+
+        monkeypatch.setattr(Ledger, "total_supply", spy)
+        run(scenario(10_000, periods=6, baseline_v=100, holdings=5_000), *args, cfg)
+        assert scans == []
+
+    def test_sybil_values_built(self, cfg):
+        # Seeding: the honest share, then each of two accounts' collateral,
+        # minted TRD and collateral total.  The verdict: two attacker
+        # balances, the extra supply and holdings, the gain and the cost.
+        sc = scenario(10_000, periods=4, baseline_v=100, holdings=5_000)
+        assert values_built(run_sybil, sc, cfg) == {"Rate": 0, "Index": 0, "Amount": 13}
+
+    def test_pump_and_dump_values_built(self, cfg):
+        # as for the Sybil, and one Index for the sale price
+        sc = scenario(10_000, periods=6, baseline_v=100, holdings=5_000)
+        assert values_built(run_pump_and_dump, sc, 2, 5, cfg) == {
+            "Rate": 0, "Index": 1, "Amount": 13
+        }
+
     def test_backtest_builds_one_index_per_period_and_one_to_start(self, cfg, sample_market_path):
         rows = load_market_csv(sample_market_path)
         with counting_built(Index) as built:
             series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         # the index read once before the first period and once in each
         assert built == {"Index": len(series) + 1}
+
+
+@st.composite
+def seedings(draw):
+    """A peg and a valid scenario, its amounts mostly with exact collateral."""
+    peg = draw(st.sampled_from([100_000_000, UNIT, 2 * UNIT]) | st.integers(1, 2 * UNIT))
+    # the smallest raw TRD amount with exact collateral at the peg
+    step = UNIT // math.gcd(peg, UNIT)
+
+    def amount(low, top):
+        exact = st.integers(-(-low // step), top // step).map(lambda n: n * step)
+        return Amount(draw(exact | st.integers(low, top)))
+
+    supply = amount(1, MAX_RAW)
+    sc = SybilScenario(
+        delta_v_per_period=0,
+        periods=1,
+        baseline_v=0,
+        start_supply=supply,
+        attacker_holdings=supply if draw(st.booleans()) else amount(0, supply.raw),
+        start_period=draw(st.integers(0, 400)),
+    )
+    return RebaseConfig(peg_ratio=Rate(peg)), sc
+
+
+class TestSeedLedger:
+    """The arms start from start_supply without scanning the seeded ledger."""
+
+    @given(seedings())
+    @settings(max_examples=300, deadline=None)
+    def test_holds_the_scenario_exactly(self, case):
+        cfg, sc = case
+        try:
+            ledger = _seed_ledger(sc, cfg)
+        except ToroidError as exc:
+            # no exact collateral, or collateral past capacity: the
+            # verdict refuses the scenario the same way
+            with pytest.raises(type(exc)):
+                run_sybil(sc, cfg)
+            return
+        assert ledger.index == Index(1, 1)
+        assert ledger.total_supply() == sc.start_supply
+        held = ledger.balance_of("attacker") if "attacker" in ledger else Amount(0)
+        assert held == sc.attacker_holdings
 
 
 class TestRunPumpAndDump:

@@ -32,7 +32,8 @@ ALLOWED = {
 
 # A Ledger's private account state and index terms.
 LEDGER_PRIVATE = {
-    "_shares", "_collateral", "_created", "_total_shares", "_index_num", "_index_den"
+    "_shares", "_collateral", "_created", "_total_shares", "_index_num", "_index_den",
+    "_peg_ratio", "_current_period",
 }
 
 

@@ -1055,6 +1055,23 @@ class TestAccountState:
             ledger.index = Index(10**60, 1)
         assert ledger.snapshot() == text
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # Set from outside, each wrote a snapshot that restore refused:
+            # 1 base no longer a multiple of the peg, and a negative period.
+            ("peg_ratio", Rate(300_000_000)),
+            ("current_period", -5),
+        ],
+    )
+    def test_peg_and_period_are_read_only(self, name, value):
+        ledger = busy_ledger()
+        text = ledger.snapshot()
+        with pytest.raises(AttributeError):
+            setattr(ledger, name, value)
+        assert ledger.snapshot() == text
+        assert Ledger.restore(text).snapshot() == text
+
     def test_mutating_account_ids_leaves_the_ledger_unchanged(self):
         ledger = busy_ledger()
         ids, supply, text = ledger.account_ids(), ledger.total_supply(), ledger.snapshot()
