@@ -61,7 +61,7 @@ class SybilScenario:
             ("attacker_holdings", Amount),
             ("start_period", int),
         ):
-            if not isinstance(value := getattr(self, name), kind):
+            if type(value := getattr(self, name)) is not kind:
                 raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.periods < 1:
             raise InvalidArgumentError("periods must be >= 1")
@@ -95,7 +95,7 @@ class AttackReport:
 
 def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
     """Gas cost of v injected transactions, in base coin.  Exactly linear."""
-    if not isinstance(v, int):
+    if type(v) is not int:
         raise TypeError(f"v must be int, got {v!r}")
     if v < 0:
         raise InvalidArgumentError("transaction count must be >= 0")
@@ -139,7 +139,7 @@ def _step_flat(
     """
     start = ledger.current_period
     for t in range(start, start + periods):
-        s_raw = ledger._rebase_raw(_combined_ppb(t, v, v_prev, s_raw, cfg))
+        s_raw = ledger._rebase_raw(_combined_ppb(t, v, v_prev, s_raw, cfg)[3])
         v_prev = v
     return s_raw
 

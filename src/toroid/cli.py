@@ -129,7 +129,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _, last = series[-1]
         print(
             f"{len(series)} periods -> {args.out}; final supply "
-            f"{last.supply.tokens()} TRD, final price {last.trd_price:.9f}"
+            f"{format_raw(last.supply)} TRD, final price {last.trd_price:.9f}"
         )
     else:
         print(f"0 periods -> {args.out} (need at least two input rows)")

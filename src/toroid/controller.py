@@ -11,8 +11,9 @@ Each rule is written once, as a private integer form taking and giving
 ppb.  combined_rate boxes them into a RateBreakdown, volume_rate boxes
 the volume response alone, and PeriodMetrics is the one check that the
 period and counts are ints >= 0 and the supply an Amount.  _combined_ppb
-composes the rules into r_combined as a bare int: an attack arm's period
-is that integer rate rule and then Ledger._rebase_raw, with no record built.
+composes the rules into the four rates as bare ints: a backtest period
+and an attack arm's period are that integer rate rule and then
+Ledger._rebase_raw, with no rate record built.
 
 All functions here are pure and stateless; sweeps over scenarios can call
 them from as many threads as they like.
@@ -125,7 +126,7 @@ class PeriodMetrics:
 
     def __post_init__(self) -> None:
         t, v, v_prev = self.t, self.v, self.v_prev
-        if not (isinstance(t, int) and isinstance(v, int) and isinstance(v_prev, int)):
+        if not (type(t) is int and type(v) is int and type(v_prev) is int):
             raise TypeError(f"period and counts must be int, got {t!r}, {v!r}, {v_prev!r}")
         if not isinstance(self.s, Amount):
             raise TypeError(f"s must be Amount, got {self.s!r}")
@@ -225,20 +226,20 @@ def _combine_ppb(
     return combined
 
 
-def _combined_ppb(t: int, v: int, v_prev: int, s_raw: int, cfg: RebaseConfig) -> int:
-    """combined_rate(PeriodMetrics(t, v, v_prev, Amount(s_raw)), cfg).r_combined.ppb.
+def _combined_ppb(
+    t: int, v: int, v_prev: int, s_raw: int, cfg: RebaseConfig
+) -> tuple[int, int, int, int]:
+    """combined_rate(PeriodMetrics(t, v, v_prev, Amount(s_raw)), cfg) as bare ppb.
 
-    The attack arms' period rate, from the same four rules with no record
-    built.  The arguments are taken as valid: t, v and v_prev ints >= 0, and
-    s_raw an Amount's raw value.
+    (r_initial, r_vol, r_gas_cap, r_combined), from the same four rules
+    with no record built: the backtest kernel reads all four and the
+    attack arms the last.  The arguments are taken as valid: t, v and
+    v_prev ints >= 0, and s_raw an Amount's raw value.
     """
-    return _combine_ppb(
-        t,
-        _initial_ppb(t, cfg),
-        _volume_ppb(v, v_prev, cfg.k_v.ppb),
-        _gas_cap_ppb(v, s_raw, cfg),
-        cfg,
-    )
+    r_i = _initial_ppb(t, cfg)
+    r_v = _volume_ppb(v, v_prev, cfg.k_v.ppb)
+    r_cap = _gas_cap_ppb(v, s_raw, cfg)
+    return r_i, r_v, r_cap, _combine_ppb(t, r_i, r_v, r_cap, cfg)
 
 
 def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:

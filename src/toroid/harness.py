@@ -5,8 +5,12 @@ The loop feeds the transaction count to the controller, rebases the
 ledger, clamps TRD/base at the peg, prices TRD from the row's base price
 and the ledger's index, deposits the clamp's arbitrage mint, and pairs
 the row with the period's PeriodRecord.  step_period is that one period.
-Identical inputs produce byte-identical output files, and write_output
-is the one way the package writes a file.
+Like an attack arm's period, it runs the controller's private integer
+rules, _combined_ppb, and the ledger's integer period close,
+Ledger._rebase_raw, so a PeriodRecord carries their raw ints: rates in
+ppb and TRD amounts in nano-units, which write_series_csv renders with
+format_raw.  Identical inputs produce byte-identical output files, and
+write_output is the one way the package writes a file.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import stat
 from pathlib import Path
 
-from .controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
+from .controller import PeriodMetrics, RebaseConfig, _combined_ppb
 from .errors import (
     InvalidArgumentError,
     InvariantViolationError,
@@ -28,7 +32,7 @@ from .errors import (
 )
 from .ledger import Ledger
 from .market import peg_ceiling, step_price
-from .numerics import UNIT, Amount, Index, record
+from .numerics import UNIT, Amount, Index, format_raw, record
 
 MARKET_CSV_HEADER = "date,price,tx_count"
 SERIES_CSV_HEADER = (
@@ -94,20 +98,22 @@ def load_market_csv(path: str | Path) -> list[MarketRow]:
 class PeriodRecord:
     """What one period produced: its rates, TRD's price, anchor and supply.
 
-    run_backtest pairs one with each input row after the first; anchor is
-    the index at the last clamp, and arb_minted is the TRD the peg clamp
-    deposited into the "arb" account.
+    run_backtest pairs one with each input row after the first.  The four
+    rates are the controller's rules in ppb, as combined_rate's
+    RateBreakdown holds them; supply is the end-of-period total and
+    arb_minted the TRD the peg clamp deposited into the "arb" account,
+    both in raw nano-units.  anchor is the index at the last clamp: the
+    same Index from period to period, and a new one only at a clamp.
     """
 
-    breakdown: RateBreakdown
+    r_initial: int
+    r_vol: int
+    r_gas_cap: int
+    r_combined: int
     trd_price: float
     anchor: Index
-    supply: Amount
-    arb_minted: Amount
-
-
-# Shared by every period that deposits nothing.
-_NO_MINT = Amount(0)
+    supply: int
+    arb_minted: int
 
 
 def step_period(
@@ -117,25 +123,31 @@ def step_period(
     v: int,
     v_prev: int,
     base_price: float,
-    supply: Amount,
+    supply: int,
 ) -> PeriodRecord:
     """Run one period: set the rate from the counts, rebase, price TRD.
 
-    TRD/base is peg * anchor / index, anchor being the index at the last
-    clamp.  Past the peg the clamp binds: the anchor moves to the index,
-    pricing TRD at the ceiling, and once the price has passed its check
-    the mint supply * (anchor / index - 1), floored, then rounded down to
-    exact collateral, is deposited into the "arb" account.  supply is the
-    ledger's total at period start, as the previous period returned it,
-    so no caller rescans every account.  Bad counts or a bad base price
-    or ceiling raise before the ledger moves; a TRD price that underflows
-    depends on the new index, so it raises after the rebase.
+    The rates are the controller's integer rules, _combined_ppb, and the
+    rebase is the ledger's integer period close, Ledger._rebase_raw, as in
+    an attack arm; no Rate, RateBreakdown or supply Amount is built past
+    the checks.  TRD/base is peg * anchor / index, anchor being the index
+    at the last clamp.  Past the peg the clamp binds: the anchor moves to
+    the index, pricing TRD at the ceiling, and once the price has passed
+    its check the mint supply * (anchor / index - 1), floored, then
+    rounded down to exact collateral, is deposited into the "arb" account.
+    supply is the ledger's raw total at period start, as the previous
+    period returned it, so no caller rescans every account.  Bad counts,
+    a bad supply, or a bad base price or ceiling raise before the ledger
+    moves; a TRD price that underflows depends on the new index, so it
+    raises after the rebase.
     """
     ceiling = peg_ceiling(cfg, base_price)
-    breakdown = combined_rate(
-        PeriodMetrics(ledger.current_period, v, v_prev, supply), cfg
-    )
-    supply = ledger.rebase(breakdown.r_combined)
+    t = ledger.current_period
+    # The input check on the period, the counts and the supply, kept only
+    # for its raise: the rules below take their bare ints.
+    PeriodMetrics(t, v, v_prev, Amount(supply))
+    r_initial, r_vol, r_gas_cap, r_combined = _combined_ppb(t, v, v_prev, supply, cfg)
+    supply = ledger._rebase_raw(r_combined)
     index = ledger.index
     den = anchor.den * index.num
     excess = anchor.num * index.den - den
@@ -145,20 +157,21 @@ def step_period(
     # Written so that a NaN price fails the check too.
     if not trd_price <= ceiling:
         raise InvariantViolationError("TRD price escaped the peg ceiling")
-    minted = _NO_MINT
+    minted = 0
     if excess > 0:
         # Amount checks the floored mint for overflow before it is rounded.
-        mint = Amount(supply.raw * excess // den).raw
-        mint -= mint % (UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT))
-        if mint:
-            minted = Amount(mint)
-            collateral = ledger.collateral_for(minted)
+        minted = Amount(supply * excess // den).raw
+        minted -= minted % (UNIT // math.gcd(ledger.peg_ratio.ppb, UNIT))
+        if minted:
+            collateral = ledger.collateral_for(Amount(minted))
             if _ARBITRAGEUR in ledger:
                 ledger.deposit(_ARBITRAGEUR, collateral)
             else:
                 ledger.open_account(collateral, account_id=_ARBITRAGEUR)
-            supply = ledger.total_supply()
-    return PeriodRecord(breakdown, trd_price, anchor, supply, minted)
+            supply = ledger._supply_raw()
+    return PeriodRecord(
+        r_initial, r_vol, r_gas_cap, r_combined, trd_price, anchor, supply, minted
+    )
 
 
 def run_backtest(
@@ -182,7 +195,7 @@ def run_backtest(
     ledger = Ledger(cfg.peg_ratio)
     ledger.open_account(ledger.collateral_for(initial_supply), account_id=_GENESIS)
 
-    anchor, supply = ledger.index, ledger.total_supply()
+    anchor, supply = ledger.index, ledger._supply_raw()
     out: list[tuple[MarketRow, PeriodRecord]] = []
     for prev, row in zip(rows, rows[1:]):
         record = step_period(
@@ -203,11 +216,11 @@ def write_series_csv(
     """
     lines = [SERIES_CSV_HEADER]
     for row, record in series:
-        rates = record.breakdown
         lines.append(
-            f"{row.date.isoformat()},{record.trd_price:.9f},{record.supply.tokens()},"
-            f"{rates.r_initial.decimal()},{rates.r_vol.decimal()},"
-            f"{rates.r_gas_cap.decimal()},{rates.r_combined.decimal()},{row.tx_count}"
+            f"{row.date.isoformat()},{record.trd_price:.9f},{format_raw(record.supply)},"
+            f"{format_raw(record.r_initial)},{format_raw(record.r_vol)},"
+            f"{format_raw(record.r_gas_cap)},{format_raw(record.r_combined)},"
+            f"{row.tx_count}"
         )
     write_output(path, "\n".join(lines) + "\n")
 

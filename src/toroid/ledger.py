@@ -94,7 +94,7 @@ class Ledger:
     def __init__(self, peg_ratio: Rate, start_period: int = 0):
         if not isinstance(peg_ratio, Rate):
             raise TypeError(f"peg_ratio must be Rate, got {peg_ratio!r}")
-        if not isinstance(start_period, int):
+        if type(start_period) is not int:
             raise TypeError(f"start_period must be int, got {start_period!r}")
         if peg_ratio.ppb <= 0:
             raise InvalidArgumentError("peg_ratio must be positive")

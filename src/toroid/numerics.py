@@ -117,7 +117,7 @@ class Amount:
     raw: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.raw, int):
+        if type(self.raw) is not int:
             raise TypeError(f"raw must be int, got {type(self.raw).__name__}")
         if self.raw < 0:
             raise NegativeAmountError(f"amount cannot be negative: {self.raw}")
@@ -153,7 +153,7 @@ class Rate:
     ppb: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ppb, int):
+        if type(self.ppb) is not int:
             raise TypeError(f"ppb must be int, got {type(self.ppb).__name__}")
 
     @classmethod
@@ -177,7 +177,7 @@ class Index:
     den: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num, int) and isinstance(self.den, int)):
+        if not (type(self.num) is int and type(self.den) is int):
             raise TypeError(f"index terms must be int, got {self.num!r}/{self.den!r}")
         if self.den <= 0:
             raise NonPositiveFactorError(f"index denominator must be > 0: {self.den}")

@@ -103,6 +103,21 @@ def exact_backtest(
     return out
 
 
+def ppb_of(breakdown: RateBreakdown) -> tuple[int, int, int, int]:
+    """A RateBreakdown's four rates as bare ppb, in field order."""
+    return (
+        breakdown.r_initial.ppb,
+        breakdown.r_vol.ppb,
+        breakdown.r_gas_cap.ppb,
+        breakdown.r_combined.ppb,
+    )
+
+
+def rates_of(record) -> tuple[int, int, int, int]:
+    """A PeriodRecord's four rates in ppb, in RateBreakdown's field order."""
+    return record.r_initial, record.r_vol, record.r_gas_cap, record.r_combined
+
+
 def combine_by_min_max(
     t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
 ) -> Rate:

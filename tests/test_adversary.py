@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 import random
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from toroid.adversary import (
 )
 from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, _volume_rate_exact
 from toroid.errors import ConfigError, InvariantViolationError, ToroidError
-from toroid.harness import load_market_csv, run_backtest, step_period
+from toroid.harness import MarketRow, load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
@@ -221,13 +222,23 @@ def values_built(run, sc, *args):
     return built
 
 
-class TestArmsBuildNoRecords:
-    """An arm period is the integer rate rule and then Ledger._rebase_raw.
+def flat_rows(count: int) -> list[MarketRow]:
+    """count daily rows at one price and one count: every rate is the
+    incentive's, > 0, so the index only rises and the peg never clamps."""
+    return [
+        MarketRow(dt.date(2020, 1, 1) + dt.timedelta(days=day), 100.0, 1_000)
+        for day in range(count)
+    ]
 
-    Counting records and values, not timing them, pins the arms' fast
-    path: routing them back through combined_rate builds a PeriodMetrics
-    and a RateBreakdown each period, and back through Ledger.rebase a
-    Rate, an Index and an Amount each period, and either fails here.
+
+class TestArmsBuildNoRecords:
+    """An arm or backtest period is the integer rate rule and then
+    Ledger._rebase_raw.
+
+    Counting records and values, not timing them, pins that fast path:
+    routing it back through combined_rate builds a PeriodMetrics, a
+    RateBreakdown and four Rates each period, and back through
+    Ledger.rebase a Rate and an Amount each period, and either fails here.
     """
 
     @pytest.mark.parametrize("enabled", [True, False])
@@ -242,13 +253,22 @@ class TestArmsBuildNoRecords:
         run_pump_and_dump(sc, 2, 5, replace(cfg, gas_cap_enabled=enabled))
         assert records_built == {"PeriodMetrics": 0, "RateBreakdown": 0}
 
-    def test_backtest_builds_one_breakdown_per_period(
-        self, cfg, records_built, sample_market_path
-    ):
+    def test_backtest_builds_no_rates(self, cfg, sample_market_path):
         rows = load_market_csv(sample_market_path)
-        series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+        with counting_built(RateBreakdown, Rate) as built:
+            series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert len(series) == len(rows) - 1
-        assert records_built == {"PeriodMetrics": len(series), "RateBreakdown": len(series)}
+        assert built == {"RateBreakdown": 0, "Rate": 0}
+
+    def test_backtest_values_per_period_do_not_grow_with_rows(self, cfg):
+        # A clamp-free period builds one Amount, the supply PeriodMetrics
+        # checks, and one Index, the ledger's that step_price reads; the
+        # anchor is boxed only at a clamp.
+        supply = Amount.from_tokens(10_000)
+        short = values_built(run_backtest, flat_rows(50), cfg, supply)
+        long = values_built(run_backtest, flat_rows(500), cfg, supply)
+        per_period = {name: (long[name] - short[name]) / 450 for name in long}
+        assert per_period == {"Rate": 0, "Index": 1, "Amount": 1}
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_sybil_values_do_not_grow_with_periods(self, cfg, enabled):
@@ -459,14 +479,14 @@ def reference_report(sc, cfg, buy, sell, sale_price):
             ledger.open_account(
                 ledger.collateral_for(sc.attacker_holdings), account_id="attacker"
             )
-        anchor, supply = ledger.index, ledger.total_supply()
+        anchor, supply = ledger.index, ledger.total_supply().raw
         v_prev = sc.baseline_v
         for p in range(1, sell + 1):
             v = sc.baseline_v + (sc.delta_v_per_period if inject and p > buy else 0)
             record = step_period(ledger, anchor, cfg, v, v_prev, 1.0, supply)
             anchor, supply, v_prev = record.anchor, record.supply, v
         held = ledger.balance_of("attacker").raw if "attacker" in ledger else 0
-        return record, ledger, supply.raw, held
+        return record, ledger, supply, held
 
     record, ledger, supply, held = arm(True)
     _, _, base_supply, base_held = arm(False)

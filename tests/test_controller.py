@@ -22,7 +22,7 @@ from toroid.controller import (
 from toroid.errors import ConfigError, ZeroSupplyError
 from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
-from oracles import combine_by_min_max
+from oracles import combine_by_min_max, ppb_of
 
 
 # The 50-digit Decimal evaluation, bound before any test replaces it.
@@ -334,7 +334,7 @@ def period_inputs(draw):
 
 
 class TestIntegerComposition:
-    """The attack arms' integer rate and combined_rate box one rule."""
+    """The kernel's and arms' integer rates and combined_rate box one rule."""
 
     @settings(max_examples=600, deadline=None)
     @given(period_inputs())
@@ -349,7 +349,8 @@ class TestIntegerComposition:
         t, v, v_prev, s, cfg = inputs
         m = PeriodMetrics(t, v, v_prev, Amount(s))
         bd = combined_rate(m, cfg)
-        assert controller._combined_ppb(t, v, v_prev, s, cfg) == bd.r_combined.ppb
+        # all four rates, not only the combined one the arms read
+        assert controller._combined_ppb(t, v, v_prev, s, cfg) == ppb_of(bd)
         # and the shared rule itself holds to builtin min/max bounds
         assert bd.r_combined == combine_by_min_max(
             t, bd.r_initial, bd.r_vol, bd.r_gas_cap, cfg

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from toroid import harness
 from toroid.controller import (
     PeriodMetrics,
-    RateBreakdown,
     RebaseConfig,
     combined_rate,
     load_config,
@@ -39,7 +38,7 @@ from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.market import MarketState, peg_ceiling
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
-from oracles import CLAMP_CFG, exact_backtest
+from oracles import CLAMP_CFG, exact_backtest, ppb_of, rates_of
 
 
 def flat_rows(periods: int, price: float = 100.0, tx: int = 0) -> list[MarketRow]:
@@ -186,10 +185,10 @@ class TestRunBacktest:
         for t, (_, record) in enumerate(series):
             r_ppb = UNIT // (t + cfg.t0)
             exact *= Fraction(UNIT + r_ppb, UNIT)
-            assert record.breakdown.r_initial == Rate(r_ppb)
-            assert record.breakdown.r_vol == Rate(0)
-            assert record.breakdown.r_combined == Rate(r_ppb)
-            assert record.supply.raw == exact.__floor__()
+            assert record.r_initial == r_ppb
+            assert record.r_vol == 0
+            assert record.r_combined == r_ppb
+            assert record.supply == exact.__floor__()
 
     def test_price_diluted_by_same_chain(self, cfg):
         rows = flat_rows(5)
@@ -226,13 +225,13 @@ class TestRunBacktest:
         # of (t, tx_count, supply at period start)
         rows = load_market_csv(sample_market_path)[:120]
         series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        supply = Amount.from_tokens(10_000)
+        supply = Amount.from_tokens(10_000).raw
         v_prev = rows[0].tx_count
         for t, (row, record) in enumerate(series):
             bd = combined_rate(
-                PeriodMetrics(t=t, v=row.tx_count, v_prev=v_prev, s=supply), cfg
+                PeriodMetrics(t=t, v=row.tx_count, v_prev=v_prev, s=Amount(supply)), cfg
             )
-            assert bd == record.breakdown
+            assert ppb_of(bd) == rates_of(record)
             supply = record.supply
             v_prev = row.tx_count
 
@@ -244,9 +243,9 @@ class TestRunBacktest:
             replace(cfg, gas_cost_base=Amount.from_tokens("0.01")),
             Amount.from_tokens(10_000),
         )
-        boosted_cap = boosted[0][1].breakdown.r_gas_cap
-        plain_cap = plain[0][1].breakdown.r_gas_cap
-        assert boosted_cap.ppb == 25 * plain_cap.ppb
+        boosted_cap = boosted[0][1].r_gas_cap
+        plain_cap = plain[0][1].r_gas_cap
+        assert boosted_cap == 25 * plain_cap
 
     def test_gas_cap_contrast_on_volume_ramp(self, cfg):
         # volume doubling daily: the uncapped controller chases the ramp
@@ -261,14 +260,14 @@ class TestRunBacktest:
             rows, replace(cfg, gas_cap_enabled=False), Amount.from_tokens(10_000)
         )
         assert all(
-            abs(b.r_combined.ppb - b.r_initial.ppb) <= b.r_gas_cap.ppb
-            for b in (r.breakdown for _, r in capped)
+            abs(b.r_combined - b.r_initial) <= b.r_gas_cap
+            for _, b in capped
         )
         assert any(
-            abs(b.r_combined.ppb - b.r_initial.ppb) > b.r_gas_cap.ppb
-            for b in (r.breakdown for _, r in uncapped)
+            abs(b.r_combined - b.r_initial) > b.r_gas_cap
+            for _, b in uncapped
         )
-        assert capped[-1][1].supply.raw < uncapped[-1][1].supply.raw
+        assert capped[-1][1].supply < uncapped[-1][1].supply
 
     def test_step_period_mints_clamp_arbitrage(self):
         # crash the volume with the cap off and no bootstrap floor: the
@@ -279,18 +278,18 @@ class TestRunBacktest:
         )
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
-        supply = ledger.total_supply()
+        supply = ledger.total_supply().raw
         record = step_period(ledger, ledger.index, cfg, 1, 100_000, 100.0, supply)
         assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
-        assert record.arb_minted.raw > 0
+        assert record.arb_minted > 0
         assert "arb" in ledger
-        assert record.supply == ledger.total_supply()
+        assert record.supply == ledger.total_supply().raw
         # the arbitrageur opened after the rebase, so its balance is
         # exactly the obligation its collateral carries at the peg, and
         # that is the mint the record reports: a multiple of 10 raw, the
         # least with exact collateral at the 0.1 peg
         arb_minted = ledger.minted_for(ledger.collateral_of("arb"))
-        assert ledger.balance_of("arb") == arb_minted == record.arb_minted
+        assert ledger.balance_of("arb") == arb_minted == Amount(record.arb_minted)
         assert arb_minted.raw % 10 == 0
 
     def test_step_period_skips_arbitrage_that_rounds_to_zero(self):
@@ -305,13 +304,13 @@ class TestRunBacktest:
         ledger.open_account(ledger.collateral_for(Amount.from_tokens(5)),
                             account_id="genesis")
         record = step_period(
-            ledger, ledger.index, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply()
+            ledger, ledger.index, cfg, 999_999_999, 10**9, 100.0, ledger.total_supply().raw
         )
         assert record.trd_price == (cfg.peg_ratio.ppb / UNIT) * 100.0
         assert record.anchor == ledger.index
-        assert record.arb_minted == Amount(0)
+        assert record.arb_minted == 0
         assert "arb" not in ledger
-        assert record.supply == ledger.total_supply()
+        assert record.supply == ledger.total_supply().raw
 
     def test_nan_price_fails_peg_check(self, cfg):
         # rows built in code skip the parser's finiteness check
@@ -332,7 +331,7 @@ class TestRunBacktest:
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000))
         with pytest.raises(InvariantViolationError):
-            step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply())
+            step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply().raw)
 
     @pytest.mark.parametrize(
         "first", [5e-324, 1.7e308, 0.0, -1.0, math.inf, math.nan]
@@ -346,7 +345,7 @@ class TestRunBacktest:
         for price in (rows[0].price, first):
             rows[0] = replace(rows[0], price=price)
             series = run_backtest(rows, CLAMP_CFG, Amount.from_tokens(10_000))
-            assert any(record.arb_minted.raw for _, record in series)
+            assert any(record.arb_minted for _, record in series)
             paths.append(tmp_path / f"{len(paths)}.csv")
             write_series_csv(series, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -369,7 +368,7 @@ class TestRunBacktest:
         rows = [MarketRow(dt.date(2020, 1, 1), 1e-300, 100),
                 MarketRow(dt.date(2020, 1, 2), 1e300, 100)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        assert record.supply == Amount.from_tokens(11_000)
+        assert record.supply == Amount.from_tokens(11_000).raw
         assert record.trd_price == pytest.approx(1e299 / 1.1, rel=2**-52)
 
     def test_crash_at_the_largest_prices_clamps(self):
@@ -379,9 +378,9 @@ class TestRunBacktest:
         rows = [MarketRow(dt.date(2020, 1, 1), 1.7e308, 1_000_000),
                 MarketRow(dt.date(2020, 1, 2), 1.7e308, 1)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        assert record.breakdown.r_combined == Rate(-990_000_000)
+        assert record.r_combined == -990_000_000
         assert record.trd_price == peg_ceiling(cfg, 1.7e308)
-        assert record.supply == Amount.from_tokens(10_000)
+        assert record.supply == Amount.from_tokens(10_000).raw
 
     def test_carried_supply_matches_ledger_scan(self, sample_market_path, monkeypatch):
         # periods take the supply the previous one reported instead of
@@ -393,7 +392,7 @@ class TestRunBacktest:
 
         def scanning(ledger, anchor, cfg, v, v_prev, base_price, supply):
             carried.append(supply)
-            scanned.append(ledger.total_supply())
+            scanned.append(ledger.total_supply().raw)
             ledgers.append(ledger)
             return step_period(ledger, anchor, cfg, v, v_prev, base_price, supply)
 
@@ -407,7 +406,7 @@ class TestRunBacktest:
         assert "arb" in ledger
         assert carried == scanned
         reported = [record.supply for _, record in series]
-        assert reported == scanned[1:] + [ledger.total_supply()]
+        assert reported == scanned[1:] + [ledger.total_supply().raw]
 
     def test_empty_rows_rejected(self, cfg):
         with pytest.raises(MarketDataError):
@@ -418,11 +417,11 @@ def forced_rates(monkeypatch, *ppb: int) -> None:
     """Make the kernel's controller return these combined rates in turn."""
     rates = iter(ppb)
 
-    def controller(metrics, cfg):
-        r = Rate(next(rates))
-        return RateBreakdown(r, Rate(0), Rate(0), r)
+    def controller(t, v, v_prev, s_raw, cfg):
+        r = next(rates)
+        return r, 0, 0, r
 
-    monkeypatch.setattr(harness, "combined_rate", controller)
+    monkeypatch.setattr(harness, "_combined_ppb", controller)
 
 
 # Indexes from 1e-30 to 1e30: anchors well above and below the index.
@@ -440,11 +439,13 @@ class TestPegClamp:
         forced_rates(monkeypatch, -200_000_000)
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
-        record = step_period(ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply())
+        record = step_period(
+            ledger, ledger.index, cfg, 0, 0, 100.0, ledger.total_supply().raw
+        )
         assert (record.trd_price, record.anchor) == (10.0, ledger.index)
-        assert record.arb_minted == Amount.from_tokens(2_000)
+        assert record.arb_minted == Amount.from_tokens(2_000).raw
         assert ledger.balance_of("arb") == Amount.from_tokens(2_000)
-        assert record.supply == Amount.from_tokens(10_000)
+        assert record.supply == Amount.from_tokens(10_000).raw
 
     def test_anchor_holds_until_the_next_clamp(self, cfg, monkeypatch):
         # after a clamp, TRD/base is measured from the clamped index: a
@@ -453,7 +454,7 @@ class TestPegClamp:
         forced_rates(monkeypatch, -200_000_000, 250_000_000, -200_000_000, -500_000_000)
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
-        anchor, supply, records = ledger.index, ledger.total_supply(), []
+        anchor, supply, records = ledger.index, ledger.total_supply().raw, []
         for _ in range(4):
             record = step_period(ledger, anchor, cfg, 0, 0, 100.0, supply)
             anchor, supply = record.anchor, record.supply
@@ -462,11 +463,11 @@ class TestPegClamp:
         assert risen.trd_price == pytest.approx(8.0, rel=2**-52)
         assert risen.anchor == clamped.anchor
         assert (back.trd_price, back.anchor, back.arb_minted) == (
-            clamped.trd_price, clamped.anchor, Amount(0)
+            clamped.trd_price, clamped.anchor, 0
         )
         assert again.trd_price == 10.0
-        assert again.arb_minted == Amount.from_tokens(5_000)
-        assert again.supply == Amount.from_tokens(10_000)
+        assert again.arb_minted == Amount.from_tokens(5_000).raw
+        assert again.supply == Amount.from_tokens(10_000).raw
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -516,22 +517,22 @@ class TestPegClamp:
             forced_rates(mp, r)
             if ratio > 1 and overflow:
                 with pytest.raises(AmountOverflowError, match=f"capacity: {overflow}$"):
-                    step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
+                    step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply().raw)
                 assert "arb" not in ledger
                 return
-            record = step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply())
+            record = step_period(ledger, anchor, cfg, 0, 0, 100.0, ledger.total_supply().raw)
         if ratio <= 1:
             assert record.anchor == anchor
-            assert (record.arb_minted, record.supply.raw) == (Amount(0), supply)
+            assert (record.arb_minted, record.supply) == (0, supply)
             assert "arb" not in ledger
             return
         assert (record.trd_price, record.anchor) == (peg_ceiling(cfg, 100.0), twin.index)
-        assert record.arb_minted == Amount(deposited)
+        assert record.arb_minted == deposited
         if deposited:
             assert ledger.minted_for(ledger.collateral_of("arb")) == Amount(deposited)
         else:
             assert "arb" not in ledger
-        assert record.supply == ledger.total_supply()
+        assert record.supply == ledger.total_supply().raw
 
     def test_bad_price_raises_before_the_mint(self, cfg, monkeypatch):
         # a clamped period whose ceiling underflows raises before any
@@ -540,7 +541,7 @@ class TestPegClamp:
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000), account_id="genesis")
         with pytest.raises(NonFinitePriceError, match="peg ceiling underflowed"):
-            step_period(ledger, ledger.index, cfg, 0, 0, 5e-324, ledger.total_supply())
+            step_period(ledger, ledger.index, cfg, 0, 0, 5e-324, ledger.total_supply().raw)
         assert ledger.account_ids() == ["genesis"]
         assert ledger.total_collateral == Amount.from_tokens(1_000)
 
@@ -567,8 +568,8 @@ class TestExactReference:
         exact = exact_backtest(rows, cfg, Amount.from_tokens(10_000))
         assert len(series) == len(exact) == len(rows) - 1
         for (row, record), (breakdown, minted, supply, price) in zip(series, exact):
-            got = (record.breakdown, record.arb_minted.raw, record.supply.raw)
-            assert got == (breakdown, minted, supply), row.date
+            got = (rates_of(record), record.arb_minted, record.supply)
+            assert got == (ppb_of(breakdown), minted, supply), row.date
             assert abs(Fraction(record.trd_price) - price) <= price / 2**52
         return sum(1 for _, minted, _, _ in exact if minted)
 
@@ -594,9 +595,9 @@ class TestExactReference:
         rows = [MarketRow(dt.date(2017, 1, 1), 100.0, 3843),
                 MarketRow(dt.date(2017, 1, 2), 100.0, 3801)]
         [(_, record)] = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        assert record.breakdown.r_combined == Rate(-10_988_122)
-        assert record.arb_minted == Amount(109_881_220_000)
-        assert record.supply.tokens() == "10000.000000000"
+        assert record.r_combined == -10_988_122
+        assert record.arb_minted == 109_881_220_000
+        assert Amount(record.supply).tokens() == "10000.000000000"
 
     def test_clamp_mint_is_exact_on_the_bundled_data(self, sample_market_path):
         series = run_backtest(
@@ -604,7 +605,7 @@ class TestExactReference:
         )
         # the clamp's floored mint is 18,500,837,331 raw; the record holds
         # the multiple of 10 raw deposited into the arb account
-        minted = {row.date: record.arb_minted.raw for row, record in series}
+        minted = {row.date: record.arb_minted for row, record in series}
         assert minted[dt.date(2017, 11, 16)] == 18_500_837_330
 
     @pytest.mark.parametrize("seed", [None, *range(8)])
@@ -630,7 +631,7 @@ def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:
     monkeypatch.setattr(harness, "step_period", capturing)
     series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
     assert len(series) == len(rows) - 1
-    minted = [record.arb_minted.raw for _, record in series if record.arb_minted.raw]
+    minted = [record.arb_minted for _, record in series if record.arb_minted]
     # 10 raw is the least amount with exact collateral at the 0.1 peg
     assert minted and all(raw % 10 == 0 for raw in minted)
     arb = ledgers[-1].collateral_of("arb")

@@ -270,7 +270,7 @@ def test_negative_tx_count_row_is_refused_before_the_rebase(cfg):
     with pytest.raises(InvalidArgumentError, match="transaction counts must be >= 0"):
         step_period(
             ledger, ledger.index, cfg, row.tx_count, prev.tx_count, row.price,
-            ledger.total_supply(),
+            ledger.total_supply().raw,
         )
     assert ledger.snapshot() == before
     with pytest.raises(InvalidArgumentError):
@@ -294,7 +294,7 @@ def test_bad_base_price_is_refused_before_the_rebase(cfg, price, message):
     ledger.open_account(ledger.collateral_for(Amount.from_tokens(1000)), account_id="g")
     before = ledger.snapshot()
     with pytest.raises(NonFinitePriceError, match=message):
-        step_period(ledger, ledger.index, cfg, 5, 3, price, ledger.total_supply())
+        step_period(ledger, ledger.index, cfg, 5, 3, price, ledger.total_supply().raw)
     assert (ledger.current_period, ledger.index) == (0, Ledger(cfg.peg_ratio).index)
     assert ledger.snapshot() == before
 
@@ -309,6 +309,14 @@ NOT_INT = {
     "SybilScenario periods": lambda: SybilScenario(1, 2.0, 0, Amount(1), Amount(0), 0),
     "SybilScenario baseline_v": lambda: SybilScenario(1, 1, None, Amount(1), Amount(0), 0),
     "SybilScenario start_period": lambda: SybilScenario(1, 1, 0, Amount(1), Amount(0), 9.0),
+    # bool is a subclass of int, and True was written out as "True"
+    "PeriodMetrics t bool": lambda: PeriodMetrics(True, 2, 1, Amount(1)),
+    "PeriodMetrics v bool": lambda: PeriodMetrics(0, True, 1, Amount(1)),
+    "SybilScenario delta_v bool": lambda: SybilScenario(True, 1, 0, Amount(1), Amount(0), 0),
+    "SybilScenario periods bool": lambda: SybilScenario(1, True, 0, Amount(1), Amount(0), 0),
+    "Amount raw bool": lambda: Amount(True),
+    "Rate ppb bool": lambda: Rate(False),
+    "Index num bool": lambda: Index(True, 1),
 }
 
 
@@ -330,6 +338,7 @@ WRONG_TYPE = {
         "attacker_holdings must be Amount, got 0",
     ),
     "sybil_cost v": (lambda: sybil_cost(1.5, RebaseConfig()), "v must be int, got 1.5"),
+    "sybil_cost v bool": (lambda: sybil_cost(True, RebaseConfig()), "v must be int, got True"),
     "RebaseConfig gas_cap_enabled": (
         lambda: RebaseConfig(gas_cap_enabled="no"), "gas_cap_enabled must be bool, got 'no'"
     ),
@@ -338,6 +347,9 @@ WRONG_TYPE = {
     "Ledger peg_ratio": (lambda: Ledger(0.1), "peg_ratio must be Rate, got 0.1"),
     "Ledger start_period": (
         lambda: Ledger(Rate(1), start_period=1.5), "start_period must be int, got 1.5"
+    ),
+    "Ledger start_period bool": (
+        lambda: Ledger(Rate(1), start_period=True), "start_period must be int, got True"
     ),
 }
 
@@ -360,16 +372,22 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("wrong", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize(
+    "wrong", [1.5, "1", None, True], ids=["float", "str", "None", "bool"]
+)
 @pytest.mark.parametrize("valid", RECORDS.values(), ids=RECORDS)
 def test_every_record_field_refuses_a_wrong_type(valid, wrong):
     # an AttributeError from deeper in escapes pytest.raises and fails
     for field in fields(valid):
+        if type(getattr(valid, field.name)) is type(wrong):
+            continue  # True is a valid gas_cap_enabled
         with pytest.raises((TypeError, ToroidError)):
             replace(valid, **{field.name: wrong})
 
 
-@pytest.mark.parametrize("wrong", [1.5, "1", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize(
+    "wrong", [1.5, "1", None, True], ids=["float", "str", "None", "bool"]
+)
 def test_ledger_refuses_a_wrong_type(wrong):
     with pytest.raises((TypeError, ToroidError)):
         Ledger(wrong)

@@ -1160,6 +1160,27 @@ class TestShareCounts:
 
 
 class TestSnapshotRoundTrip:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Ledger(Rate(100_000_000), start_period=True),
+            lambda: Ledger(Rate(100_000_000)).open_account(Amount(True)),
+        ],
+        ids=["start_period", "collateral"],
+    )
+    def test_a_bool_never_reaches_a_snapshot(self, build):
+        # True passed isinstance(x, int) and was written out as "True",
+        # a header or collateral field that restore refused
+        with pytest.raises(TypeError, match="must be int, got "):
+            build()
+
+    def test_the_int_twins_of_those_bools_round_trip(self):
+        ledger = Ledger(Rate(100_000_000), start_period=1)
+        ledger.open_account(Amount(1), account_id="a")
+        text = ledger.snapshot()
+        assert text == "v3,100000000,1,1,1\na,10000000000,1,1\n"
+        assert Ledger.restore(text).snapshot() == text
+
     @settings(max_examples=200, deadline=None)
     @given(ops=OPS)
     @example(ops=RENORMALISING_OPS)

@@ -182,7 +182,7 @@ class TestPegCeiling:
             for row, record in run_backtest(rows, cfg, supply):
                 ceiling = peg_ceiling(cfg, row.price)
                 assert record.trd_price <= ceiling
-                if record.arb_minted.raw:
+                if record.arb_minted:
                     assert record.trd_price == ceiling
                     clamps += 1
         assert clamps > 1_000

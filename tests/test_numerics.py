@@ -329,8 +329,8 @@ RECORDS = [
     (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
     (
         PeriodRecord,
-        (RateBreakdown(*_RATES), 1.0, Index(1, 1), Amount(9), Amount(0)),
-        (RateBreakdown(*_RATES[::-1]), 0.5, Index(5, 4), Amount(10), Amount(3)),
+        (1, 2, 3, 4, 1.0, Index(1, 1), 9, 0),
+        (4, 3, 2, 1, 0.5, Index(5, 4), 10, 3),
     ),
     (SybilScenario, (10, 2, 0, Amount(100), Amount(5), 90), (20, 3, 1, Amount(9), Amount(0), 0)),
     (AttackReport, (Amount(1), Amount(2), Amount(3)), (Amount(5), Amount(6), Amount(7))),
