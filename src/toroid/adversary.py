@@ -53,16 +53,6 @@ class SybilScenario:
     start_period: int
 
     def __post_init__(self) -> None:
-        for name, kind in (
-            ("delta_v_per_period", int),
-            ("periods", int),
-            ("baseline_v", int),
-            ("start_supply", Amount),
-            ("attacker_holdings", Amount),
-            ("start_period", int),
-        ):
-            if type(value := getattr(self, name)) is not kind:
-                raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
         if self.periods < 1:
             raise InvalidArgumentError("periods must be >= 1")
         if self.delta_v_per_period < 0 or self.baseline_v < 0:

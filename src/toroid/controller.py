@@ -9,11 +9,11 @@ clamp is what makes count manipulation uneconomical.
 
 Each rule is written once, as a private integer form taking and giving
 ppb.  combined_rate boxes them into a RateBreakdown, volume_rate boxes
-the volume response alone, and PeriodMetrics is the one check that the
-period and counts are ints >= 0 and the supply an Amount.  _combined_ppb
-composes the rules into the four rates as bare ints: a backtest period
-and an attack arm's period are that integer rate rule and then
-Ledger._rebase_raw, with no rate record built.
+the volume response alone, and PeriodMetrics, a record of int period and
+counts and an Amount supply, is the one check that they are >= 0.
+_combined_ppb composes the rules into the four rates as bare ints: a
+backtest period and an attack arm's period are that integer rate rule
+and then Ledger._rebase_raw, with no rate record built.
 
 All functions here are pure and stateless; sweeps over scenarios can call
 them from as many threads as they like.
@@ -90,11 +90,6 @@ class RebaseConfig:
     gas_cap_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for f in fields(RebaseConfig):
-            if type(value := getattr(self, f.name)) is not type(f.default):
-                raise TypeError(
-                    f"{f.name} must be {type(f.default).__name__}, got {value!r}"
-                )
         if self.t0 < 1:
             raise ConfigError(f"t0: must be >= 1, got {self.t0}")
         if self.peg_ratio.ppb <= 0:
@@ -126,10 +121,6 @@ class PeriodMetrics:
 
     def __post_init__(self) -> None:
         t, v, v_prev = self.t, self.v, self.v_prev
-        if not (type(t) is int and type(v) is int and type(v_prev) is int):
-            raise TypeError(f"period and counts must be int, got {t!r}, {v!r}, {v_prev!r}")
-        if not isinstance(self.s, Amount):
-            raise TypeError(f"s must be Amount, got {self.s!r}")
         if t < 0:
             raise InvalidArgumentError(f"period must be >= 0, got {t}")
         if v < 0 or v_prev < 0:

@@ -92,7 +92,7 @@ class Ledger:
     """
 
     def __init__(self, peg_ratio: Rate, start_period: int = 0):
-        if not isinstance(peg_ratio, Rate):
+        if type(peg_ratio) is not Rate:
             raise TypeError(f"peg_ratio must be Rate, got {peg_ratio!r}")
         if type(start_period) is not int:
             raise TypeError(f"start_period must be int, got {start_period!r}")

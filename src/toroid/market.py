@@ -34,10 +34,12 @@ class MarketState:
 def peg_ceiling(cfg: RebaseConfig, base_price: float) -> float:
     """The one-way peg: TRD never trades above peg_ratio units of base coin.
 
-    Raises NonFinitePriceError unless the base price and the ceiling are
-    finite and positive: a subnormal base price can underflow the ceiling
-    to zero, under which no positive TRD price would fit.
+    Raises TypeError unless the base price is a float, NonFinitePriceError
+    unless it and the ceiling are finite and positive: a subnormal base
+    price can underflow the ceiling to zero, under which no TRD price fits.
     """
+    if type(base_price) is not float:
+        raise TypeError(f"base_price must be float, got {base_price!r}")
     if not 0 < base_price < math.inf:
         raise NonFinitePriceError(f"base price must be finite and > 0: {base_price}")
     ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price

@@ -10,13 +10,17 @@ from inside int(), float() or bytes.decode.
 
 import ast
 import datetime as dt
+import importlib
 import math
+import pkgutil
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
+import toroid
 from toroid import (
     Amount,
     Index,
@@ -39,6 +43,7 @@ from toroid.errors import (
     ToroidError,
 )
 from toroid.harness import MARKET_CSV_HEADER, MarketRow, run_backtest, step_period
+from toroid.market import MarketState
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toroid"
 
@@ -299,8 +304,20 @@ def test_bad_base_price_is_refused_before_the_rebase(cfg, price, message):
     assert ledger.snapshot() == before
 
 
+@pytest.mark.parametrize("price", [100, "100.0", None], ids=["int", "str", "None"])
+def test_wrongly_typed_base_price_is_refused_before_the_rebase(cfg, price):
+    # MarketState refuses it too, but only after the rebase
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(Amount.from_tokens(1000)), account_id="g")
+    before = ledger.snapshot()
+    with pytest.raises(TypeError) as info:
+        step_period(ledger, ledger.index, cfg, 5, 3, price, ledger.total_supply().raw)
+    assert str(info.value) == f"base_price must be float, got {price!r}"
+    assert ledger.snapshot() == before
+
+
 # Refused at construction, before it reaches an integer rule and fails
-# there as "ppb must be int, got float".
+# there as another record's "ppb must be int, got ...".
 NOT_INT = {
     "PeriodMetrics t": lambda: PeriodMetrics(1.0, 2, 1, Amount(1)),
     "PeriodMetrics v": lambda: PeriodMetrics(0, 2.5, 1, Amount(1)),
@@ -351,6 +368,33 @@ WRONG_TYPE = {
     "Ledger start_period bool": (
         lambda: Ledger(Rate(1), start_period=True), "start_period must be int, got True"
     ),
+    "Ledger peg_ratio bool": (lambda: Ledger(True), "peg_ratio must be Rate, got True"),
+    # True once parsed as one whole token; the rest reached str.strip
+    "Amount.from_tokens bool": (
+        lambda: Amount.from_tokens(True), "tokens must be int or str, got True"
+    ),
+    "Amount.from_tokens float": (
+        lambda: Amount.from_tokens(1.5), "tokens must be int or str, got 1.5"
+    ),
+    "Amount.from_tokens None": (
+        lambda: Amount.from_tokens(None), "tokens must be int or str, got None"
+    ),
+    "Rate.from_decimal float": (lambda: Rate.from_decimal(0.5), "text must be str, got 0.5"),
+    "Rate.from_decimal int": (lambda: Rate.from_decimal(5), "text must be str, got 5"),
+    # A datetime is a date subclass, and an int price is not a float.
+    "MarketRow date datetime": (
+        lambda: MarketRow(dt.datetime(2017, 1, 2), 2.0, 3),
+        "date must be date, got datetime.datetime(2017, 1, 2, 0, 0)",
+    ),
+    "MarketRow price int": (
+        lambda: MarketRow(dt.date(2017, 1, 2), 100, 3), "price must be float, got 100"
+    ),
+    "MarketRow price str": (
+        lambda: MarketRow(dt.date(2017, 1, 2), "2.0", 3), "price must be float, got '2.0'"
+    ),
+    "MarketState base_price int": (
+        lambda: MarketState(1.0, 100), "base_price must be float, got 100"
+    ),
 }
 
 
@@ -361,30 +405,6 @@ def test_a_wrongly_typed_input_is_a_type_error_naming_it(call, message):
     assert str(info.value) == message
 
 
-# One valid value of each input record.
-RECORDS = {
-    "Amount": Amount(1),
-    "Rate": Rate(1),
-    "Index": Index(1, 1),
-    "PeriodMetrics": PeriodMetrics(0, 1, 1, Amount(1)),
-    "SybilScenario": SybilScenario(1, 1, 0, Amount(10), Amount(0), 0),
-    "RebaseConfig": RebaseConfig(),
-}
-
-
-@pytest.mark.parametrize(
-    "wrong", [1.5, "1", None, True], ids=["float", "str", "None", "bool"]
-)
-@pytest.mark.parametrize("valid", RECORDS.values(), ids=RECORDS)
-def test_every_record_field_refuses_a_wrong_type(valid, wrong):
-    # an AttributeError from deeper in escapes pytest.raises and fails
-    for field in fields(valid):
-        if type(getattr(valid, field.name)) is type(wrong):
-            continue  # True is a valid gas_cap_enabled
-        with pytest.raises((TypeError, ToroidError)):
-            replace(valid, **{field.name: wrong})
-
-
 @pytest.mark.parametrize(
     "wrong", [1.5, "1", None, True], ids=["float", "str", "None", "bool"]
 )
@@ -393,3 +413,61 @@ def test_ledger_refuses_a_wrong_type(wrong):
         Ledger(wrong)
     with pytest.raises((TypeError, ToroidError)):
         Ledger(Rate(1), start_period=wrong)
+
+
+def test_a_string_date_row_is_refused_before_the_backtest():
+    # run_backtest once took it, and write_series_csv then failed with
+    # "'str' object has no attribute 'isoformat'"
+    with pytest.raises(TypeError) as info:
+        MarketRow("2017-01-02", 2.0, 3)
+    assert str(info.value) == "date must be date, got '2017-01-02'"
+
+
+def package_records() -> dict[str, type]:
+    """Every dataclass defined in a toroid module, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(toroid.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"toroid.{info.name}")
+        for obj in vars(module).values():
+            if is_dataclass(obj) and isinstance(obj, type) and obj.__module__ == module.__name__:
+                found[obj.__name__] = obj
+    return found
+
+
+PACKAGE_RECORDS = package_records()
+
+# One valid value per declared field type; a record is built from these
+# alone, so a new record over these types needs no new example.
+EXAMPLE_OF_TYPE = {
+    int: 1,
+    float: 1.0,
+    bool: True,
+    dt.date: dt.date(2017, 1, 1),
+    Amount: Amount(1),
+    Rate: Rate(1),
+    Index: Index(1, 1),
+}
+
+
+def test_package_records_finds_every_record():
+    assert {
+        "Amount", "Rate", "Index", "RebaseConfig", "PeriodMetrics", "RateBreakdown",
+        "MarketState", "MarketRow", "PeriodRecord", "SybilScenario", "AttackReport",
+    } <= set(PACKAGE_RECORDS)
+
+
+@pytest.mark.parametrize("cls", PACKAGE_RECORDS.values(), ids=PACKAGE_RECORDS)
+def test_each_field_holds_exactly_its_declared_type(cls):
+    hints = get_type_hints(cls)
+    values = [EXAMPLE_OF_TYPE[hints[f.name]] for f in fields(cls)]
+    cls(*values)
+    for i, f in enumerate(fields(cls)):
+        kind = hints[f.name]
+        for wrong in (object(), True, 1.0, "1", None):
+            if type(wrong) is kind:
+                continue
+            args = values[:i] + [wrong] + values[i + 1:]
+            with pytest.raises(TypeError, match=f"^{f.name} must be {kind.__name__}, got "):
+                cls(*args)

@@ -3,7 +3,9 @@
 The attack layer (adversary) prices attacks on the ledger alone, so it
 sits beside the backtest (market, harness) and imports nothing from it.
 Only the ledger knows how an account is stored: other modules read it
-through balance_of, collateral_of, account_ids() and `in`.
+through balance_of, collateral_of, account_ids() and `in`.  Only
+numerics.record checks a record field's type: a __post_init__ checks
+ranges.
 """
 
 import ast
@@ -99,3 +101,55 @@ def test_only_the_ledger_reads_its_account_state(module):
 )
 def test_ledger_private_reads_finds_every_form(source, names):
     assert ledger_private_reads(source) == names
+
+
+def post_init_type_tests(source: str) -> list[str]:
+    """Each isinstance() call or type() comparison inside a __post_init__."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "__post_init__"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and _calls(node, "isinstance"):
+                found.append(ast.unparse(node))
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and _calls(side, "type")
+                for side in (node.left, *node.comparators)
+            ):
+                found.append(ast.unparse(node))
+    return found
+
+
+def _calls(node: ast.Call, name: str) -> bool:
+    return isinstance(node.func, ast.Name) and node.func.id == name
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_post_init_tests_a_type(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert post_init_type_tests(source) == []
+
+
+_POST_INIT = "class R:\n    def __post_init__(self):\n        "
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        (_POST_INIT + "if type(self.raw) is not int: raise TypeError",
+         ["type(self.raw) is not int"]),
+        (_POST_INIT + "if not isinstance(self.s, Amount): raise TypeError",
+         ["isinstance(self.s, Amount)"]),
+        (_POST_INIT + "ok = int is type(self.t)", ["int is type(self.t)"]),
+        (_POST_INIT + "for f in fields(self):\n"
+         "            assert type(getattr(self, f.name)) is type(f.default)",
+         ["type(getattr(self, f.name)) is type(f.default)"]),
+        (_POST_INIT + "def check():\n            return isinstance(self.v, int)",
+         ["isinstance(self.v, int)"]),
+        (_POST_INIT + "if self.raw < 0: raise ValueError", []),
+        ("def from_tokens(t):\n    if type(t) is int: return t", []),
+        ("def __init__(self, p):\n    assert isinstance(p, Rate)", []),
+    ],
+)
+def test_post_init_type_tests_finds_every_form(source, found):
+    assert post_init_type_tests(source) == found
