@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .controller import RebaseConfig, _combined_ppb
-from .errors import ConfigError, InvalidArgumentError, InvariantViolationError
-from .ledger import Ledger, _valid_id
+from .errors import ConfigError, InvalidArgumentError, InvariantViolationError, check_id
+from .ledger import Ledger
 from .numerics import UNIT, Amount, format_raw, record
 
 _HONEST = "honest"
@@ -233,11 +233,7 @@ def render_reports_csv(
     """
     lines = [ATTACK_CSV_HEADER]
     for scenario_id, scenario, report in entries:
-        if not _valid_id(scenario_id):
-            raise InvalidArgumentError(
-                "scenario id may not be empty or contain ',' or a line break: "
-                f"{scenario_id!r}"
-            )
+        check_id(scenario_id, "scenario")
         lines.append(
             f"{scenario_id},{scenario.delta_v_per_period},{scenario.periods},"
             f"{report.cost_base.tokens()},{report.extra_supply_trd.tokens()},"

@@ -289,29 +289,29 @@ def parse_config(text: str) -> RebaseConfig:
             continue
         key, eq, raw = stripped.partition("=")
         if not eq:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
+            raise ConfigError(f"expected key = value, got {line!r}", line=lineno)
         key = key.strip()
         if key not in defaults:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in kwargs:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
         read = _CODECS[type(defaults[key])][0]
         try:
             kwargs[key] = read(raw.strip())
         except (ValueError, AmountOverflowError) as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
+            raise ConfigError(f"{key}: {exc}", line=lineno) from exc
         try:
             # Every range check involves one field, so the defaults with
             # this one value replaced fail exactly when the value does.
             RebaseConfig(**{key: kwargs[key]})
         except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
+            raise ConfigError(str(exc), line=lineno) from exc
     return RebaseConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RebaseConfig:
     data = Path(path).read_bytes()
-    return parse_config(decode_utf8(data, lambda msg, n: ConfigError(f"line {n}: {msg}")))
+    return parse_config(decode_utf8(data, ConfigError))
 
 
 def dump_config(cfg: RebaseConfig) -> str:

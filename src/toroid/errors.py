@@ -3,14 +3,18 @@
 Everything raised on purpose derives from ToroidError.  Input-shaped
 problems (bad files, bad arguments, rejected operations) are ordinary
 subclasses; InvariantViolationError is reserved for internal consistency
-failures and maps to a distinct process exit code in the CLI.
+failures and maps to a distinct process exit code in the CLI.  Every
+parse error names its input line in .line and its message; the line
+prefix and the id refusal are written only here.
 """
-
-from collections.abc import Callable
 
 
 class ToroidError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors; .line is the input line, or None."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class InvariantViolationError(ToroidError):
@@ -21,14 +25,22 @@ class InvalidArgumentError(ToroidError, ValueError):
     """A library call got an argument outside its domain; also a ValueError."""
 
 
-def decode_utf8(data: bytes, error: Callable[[str, int], ToroidError]) -> str:
-    """data as UTF-8 text, or error(message, line) raised at its first bad byte."""
+def decode_utf8(data: bytes, error: type[ToroidError]) -> str:
+    """data as UTF-8 text, or error naming the line of its first bad byte."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Lines as str.splitlines() counts them; "." stands in for the byte.
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise error(f"invalid UTF-8 byte {data[exc.start]:#04x}", line) from exc
+        raise error(f"invalid UTF-8 byte {data[exc.start]:#04x}", line=line) from exc
+
+
+def check_id(value: str, what: str) -> None:
+    """Refuse an id a comma- and line-separated format cannot round-trip."""
+    if "," in value or value.splitlines() != [value]:
+        raise InvalidArgumentError(
+            f"{what} id may not be empty or contain ',' or a line break: {value!r}"
+        )
 
 
 # --- numerics ---------------------------------------------------------------
@@ -112,13 +124,7 @@ class NonFinitePriceError(ToroidError):
 # --- harness ----------------------------------------------------------------
 
 class MarketDataError(ToroidError):
-    """A market data file could not be parsed; carries the offending line."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A market data file could not be parsed or held no rows."""
 
 
 class NonMonotoneDatesError(MarketDataError):

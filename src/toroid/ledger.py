@@ -50,6 +50,7 @@ from .errors import (
     ToroidError,
     UnknownAccountError,
     ZeroCollateralError,
+    check_id,
 )
 from .numerics import MAX_RAW, UNIT, Amount, Index, Rate, _grow_terms, format_raw
 
@@ -62,11 +63,6 @@ MIN_HOLDING_PERIODS = 1
 
 # Every new ledger's collateral total; an Amount is immutable, so all share it.
 _NO_COLLATERAL = Amount(0)
-
-
-def _valid_id(account_id: str) -> bool:
-    """An id the snapshot's comma- and line-separated format round-trips."""
-    return "," not in account_id and account_id.splitlines() == [account_id]
 
 
 def _canonical_int(field: str) -> int:
@@ -258,10 +254,7 @@ class Ledger:
         self, account_id: str, shares: int, collateral: Amount, created: int
     ) -> None:
         """Store a new account under a free, well-formed id; nothing on failure."""
-        if not _valid_id(account_id):
-            raise InvalidArgumentError(
-                f"account id may not be empty or contain ',' or a line break: {account_id!r}"
-            )
+        check_id(account_id, "account")
         if account_id in self._shares:
             raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
         total_shares = self._capped(self._total_shares + shares)
@@ -398,29 +391,29 @@ class Ledger:
             raise SnapshotError("empty snapshot")
         version, *header = lines[0].split(",")
         if version != "v3" or len(header) != 4:
-            raise SnapshotError(f"line 1: not a v3 header: {lines[0]!r}")
+            raise SnapshotError(f"not a v3 header: {lines[0]!r}", line=1)
         try:
             peg, num, den, period = map(_canonical_int, header)
         except ValueError as exc:
-            raise SnapshotError(f"line 1: bad header: {lines[0]!r}") from exc
+            raise SnapshotError(f"bad header: {lines[0]!r}", line=1) from exc
         try:
             ledger = cls(Rate(peg), start_period=period)
             Index(num, den)
         except ToroidError as exc:
-            raise SnapshotError(f"line 1: {exc}") from exc
+            raise SnapshotError(str(exc), line=1) from exc
         ledger._index_num, ledger._index_den = num, den
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
             if len(fields) != 4:
-                raise SnapshotError(f"line {lineno}: expected 4 fields: {line!r}")
+                raise SnapshotError(f"expected 4 fields: {line!r}", line=lineno)
             try:
                 shares, collateral, created = map(_canonical_int, fields[1:])
             except ValueError as exc:
-                raise SnapshotError(f"line {lineno}: bad integer: {line!r}") from exc
+                raise SnapshotError(f"bad integer: {line!r}", line=lineno) from exc
             if not 0 <= created <= period:
                 raise SnapshotError(
-                    f"line {lineno}: created_period {created} is negative or after "
-                    f"period {period}"
+                    f"created_period {created} is negative or after period {period}",
+                    line=lineno,
                 )
             try:
                 if shares < 0:
@@ -429,5 +422,5 @@ class Ledger:
                 ledger.minted_for(locked)
                 ledger._insert(fields[0], shares, locked, created)
             except ToroidError as exc:
-                raise SnapshotError(f"line {lineno}: {exc}") from exc
+                raise SnapshotError(str(exc), line=lineno) from exc
         return ledger

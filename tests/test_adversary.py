@@ -22,7 +22,12 @@ from toroid.adversary import (
     sybil_cost,
 )
 from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, _volume_rate_exact
-from toroid.errors import ConfigError, InvariantViolationError, ToroidError
+from toroid.errors import (
+    ConfigError,
+    InvalidArgumentError,
+    InvariantViolationError,
+    ToroidError,
+)
 from toroid.harness import MarketRow, load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
@@ -454,6 +459,15 @@ class TestReportRendering:
         report = run_sybil(sc, cfg)
         with pytest.raises(ValueError, match="scenario id"):
             render_reports_csv([("ok", sc, report), (scenario_id, sc, report)])
+
+    def test_id_refusal_text(self, cfg):
+        sc = scenario(10_000)
+        report = run_sybil(sc, cfg)
+        with pytest.raises(InvalidArgumentError) as info:
+            render_reports_csv([("x\ny", sc, report)])
+        assert str(info.value) == (
+            "scenario id may not be empty or contain ',' or a line break: 'x\\ny'"
+        )
 
 
 # --- the fork against two independently seeded arms --------------------------

@@ -711,6 +711,13 @@ class TestOutputFile:
         assert "scenario id" in capsys.readouterr().err
         assert out.read_bytes() == OLD_BYTES
 
+    def test_refused_id_names_the_id(self, tmp_path, capsys):
+        argv, _, _ = OUTPUT_RUNS["attack"]
+        assert main([*argv, "--id", "x,y", "--out", str(tmp_path / "r.csv")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: scenario id may not be empty or contain ',' or a line break: 'x,y'\n"
+        )
+
 
 # Every byte `toroid ledger demo` prints; the minted column is derived
 # from each account's collateral at the peg.

@@ -1,3 +1,4 @@
+import argparse
 import datetime as dt
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid import harness
+from toroid import cli, harness
 from toroid.controller import (
     PeriodMetrics,
     RebaseConfig,
@@ -28,6 +29,7 @@ from toroid.harness import (
     MARKET_CSV_HEADER,
     SERIES_CSV_HEADER,
     MarketRow,
+    PeriodRecord,
     load_market_csv,
     run_backtest,
     step_period,
@@ -617,6 +619,39 @@ class TestExactReference:
         else:
             rows, cfg = random_walk(seed), replace(CLAMP_CFG, gas_cap_enabled=False)
         records_sum_to_what_arb_received(monkeypatch, rows, cfg)
+
+
+def resumed_backtest(rows, cfg, initial_supply) -> list[tuple[MarketRow, PeriodRecord]]:
+    """run_backtest with the ledger rebuilt from its snapshot before each
+    period, carrying only the anchor and the supply across the restore."""
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(initial_supply), account_id="genesis")
+    anchor, supply = ledger.index, ledger.total_supply().raw
+    out = []
+    for prev, row in zip(rows, rows[1:]):
+        ledger = Ledger.restore(ledger.snapshot())
+        record = step_period(
+            ledger, anchor, cfg, row.tx_count, prev.tx_count, row.price, supply
+        )
+        anchor, supply = record.anchor, record.supply
+        out.append((row, record))
+    return out
+
+
+@pytest.mark.parametrize("config, clamps", [("simulate", 0), ("clamp", 5)])
+def test_resume_through_snapshot_changes_no_record(sample_market_path, default_cfg_path,
+                                                   config, clamps):
+    # the README's simulate command (--gas-cost-trd 0.1), and a config
+    # whose peg clamp binds, so the restored ledger carries an arb account
+    if config == "simulate":
+        args = argparse.Namespace(config=default_cfg_path, no_gas_cap=False, gas_cost_trd="0.1")
+        cfg = cli._load_cfg(args)
+    else:
+        cfg = CLAMP_CFG
+    rows = load_market_csv(sample_market_path)
+    series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+    assert resumed_backtest(rows, cfg, Amount.from_tokens(10_000)) == series
+    assert sum(1 for _, record in series if record.arb_minted) == clamps
 
 
 def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:

@@ -216,8 +216,85 @@ def test_invalid_utf8_names_its_line(tmp_path, load, error, data, message):
     with pytest.raises(error) as info:
         load(path)
     assert str(info.value) == message
-    if error is MarketDataError:
-        assert info.value.line == int(message.split()[1].rstrip(":"))
+    assert info.value.line == int(message.split()[1].rstrip(":"))
+
+
+def _snapshot() -> str:
+    ledger = Ledger(Rate(10**9))
+    for account_id in "ab":
+        ledger.open_account(Amount(10**9), account_id=account_id)
+    return ledger.snapshot()
+
+
+# Each text parser's refusals: the error's .line is the number its message names.
+LINE_ERRORS = {
+    "config no equals": (
+        lambda: parse_config("t0 = 5\nnoeq\n"), ConfigError,
+        "line 2: expected key = value, got 'noeq'",
+    ),
+    "config unknown key": (
+        lambda: parse_config("t0 = 1\nbogus = 2\n"), ConfigError, "line 2: unknown key 'bogus'"
+    ),
+    "config duplicate key": (
+        lambda: parse_config("t0 = 5\n\nt0 = 6\n"), ConfigError, "line 3: duplicate key 't0'"
+    ),
+    "config bad value": (
+        lambda: parse_config("k_v = x\n"), ConfigError,
+        "line 1: k_v: malformed decimal string: 'x'",
+    ),
+    "config out of range": (
+        lambda: parse_config("# c\nt0 = 0\n"), ConfigError, "line 2: t0: must be >= 1, got 0"
+    ),
+    "snapshot bad header": (
+        lambda: Ledger.restore("v2,1,1,1,0\n"), SnapshotError,
+        "line 1: not a v3 header: 'v2,1,1,1,0'",
+    ),
+    "snapshot bad header integer": (
+        lambda: Ledger.restore("v3,1,1,01,0\n"), SnapshotError,
+        "line 1: bad header: 'v3,1,1,01,0'",
+    ),
+    "snapshot bad row": (
+        lambda: Ledger.restore(_snapshot() + "c,1\n"), SnapshotError,
+        "line 4: expected 4 fields: 'c,1'",
+    ),
+    "snapshot bad integer": (
+        lambda: Ledger.restore(_snapshot().replace("\nb,", "\nb,x", 1)), SnapshotError,
+        "line 3: bad integer: 'b,x1000000000000000000,1000000000,0'",
+    ),
+    "snapshot negative shares": (
+        lambda: Ledger.restore(_snapshot().replace("\nb,", "\nb,-", 1)), SnapshotError,
+        "line 3: amount cannot be negative: -1000000000000000000",
+    ),
+    "snapshot bad id": (
+        lambda: Ledger.restore(_snapshot().replace("\nb,", "\n,", 1)), SnapshotError,
+        "line 3: account id may not be empty or contain ',' or a line break: ''",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", LINE_ERRORS.values(), ids=LINE_ERRORS)
+def test_every_parse_error_names_its_line(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+    assert info.value.line == int(message.split()[1].rstrip(":"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Ledger.restore(""), SnapshotError, "empty snapshot"),
+        (lambda: run_backtest([], RebaseConfig(), Amount.from_tokens(1)), MarketDataError,
+         "no market rows"),
+        (lambda: RebaseConfig(t0=0), ConfigError, "t0: must be >= 1, got 0"),
+    ],
+    ids=["empty snapshot", "no market rows", "config value"],
+)
+def test_an_error_without_a_line_is_unprefixed(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+    assert info.value.line is None
 
 
 def test_cli_reports_a_superscript_supply(tmp_path, default_cfg_path, capsys):

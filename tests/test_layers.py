@@ -5,10 +5,12 @@ sits beside the backtest (market, harness) and imports nothing from it.
 Only the ledger knows how an account is stored: other modules read it
 through balance_of, collateral_of, account_ids() and `in`.  Only
 numerics.record checks a record field's type: a __post_init__ checks
-ranges.
+ranges.  Only errors writes a refusal's "line <n>: " prefix or the id
+refusal's text.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,61 @@ _POST_INIT = "class R:\n    def __post_init__(self):\n        "
 )
 def test_post_init_type_tests_finds_every_form(source, found):
     assert post_init_type_tests(source) == found
+
+
+# A refusal's line prefix, its number a field or a literal; ToroidError writes it.
+LINE_PREFIX = re.compile(r"line (\{\}|\d)")
+# The id refusal's fixed text; errors.check_id writes it.
+ID_REFUSAL = "may not be empty or contain"
+
+
+def _template(node: ast.AST) -> str | None:
+    """A string literal's text, each f-string field read as {}; else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def refusal_formats(source: str) -> list[str]:
+    """Each string literal that writes a line prefix or the id refusal."""
+    tree = ast.parse(source)
+    parts = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for v in n.values}
+    found = []
+    for node in ast.walk(tree):
+        text = _template(node) if id(node) not in parts else None
+        if text is not None and (LINE_PREFIX.match(text) or ID_REFUSAL in text):
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - {"errors"}))
+def test_only_errors_writes_a_refusal_format(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert refusal_formats(source) == []
+
+
+def test_errors_writes_each_refusal_format_once():
+    source = (SRC / "errors.py").read_text(encoding="utf-8")
+    assert len(refusal_formats(source)) == 2
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ('raise ConfigError(f"line {lineno}: unknown key {key!r}")',
+         ["f'line {lineno}: unknown key {key!r}'"]),
+        ('msg = f"line {n}"', ["f'line {n}'"]),
+        ('raise SnapshotError(f"line 1: bad header: {h!r}")', ["f'line 1: bad header: {h!r}'"]),
+        ('text = "line {}: {}".format(n, msg)', ["'line {}: {}'"]),
+        ('raise E("account id may not be empty or contain \',\' or a line break: "\n'
+         '        f"{value!r}")',
+         ['f"account id may not be empty or contain \',\' or a line break: {value!r}"']),
+        ('m = "may not be empty " "or contain a comma"', ["'may not be empty or contain a comma'"]),
+        ('raise ConfigError(f"unknown key {key!r}", line=lineno)', []),
+        ('f"{n} line {m}"\nf"deadline {t}"\n"a line break"\n"line x"', []),
+    ],
+)
+def test_refusal_formats_finds_every_form(source, found):
+    assert refusal_formats(source) == found

@@ -14,6 +14,7 @@ from toroid.errors import (
     HoldingPeriodNotMetError,
     InsufficientBalanceError,
     InsufficientForRefundError,
+    InvalidArgumentError,
     NegativeAmountError,
     NonDivisibleCollateralError,
     NonPositiveFactorError,
@@ -101,6 +102,16 @@ class TestOpenAccount:
         with pytest.raises(ValueError):
             ledger.open_account(Amount.from_tokens(1), account_id=account_id)
         assert ledger.account_ids() == []
+
+    @pytest.mark.parametrize(
+        "account_id, shown", [("a,b", "'a,b'"), ("", "''"), ("a\u2028b", r"'a\u2028b'")]
+    )
+    def test_id_refusal_text(self, account_id, shown):
+        with pytest.raises(InvalidArgumentError) as info:
+            fresh().open_account(Amount.from_tokens(1), account_id=account_id)
+        assert str(info.value) == (
+            "account id may not be empty or contain ',' or a line break: " + shown
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(account_id=st.text())
