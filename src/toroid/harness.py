@@ -7,7 +7,8 @@ and the ledger's index, deposits the clamp's arbitrage mint, and pairs
 the row with the period's PeriodRecord.  step_period is that one period.
 Like an attack arm's period, it runs the controller's private integer
 rules, _combined_ppb, and the ledger's integer period close,
-Ledger._rebase_raw, so a PeriodRecord carries their raw ints: rates in
+Ledger._rebase_raw, then prices TRD with the market's rule on bare
+terms, _trd_price, so a PeriodRecord carries their raw ints: rates in
 ppb and TRD amounts in nano-units, which write_series_csv renders with
 format_raw.  Identical inputs produce byte-identical output files, and
 write_output is the one way the package writes a file.
@@ -31,8 +32,8 @@ from .errors import (
     decode_utf8,
 )
 from .ledger import Ledger
-from .market import peg_ceiling, step_price
-from .numerics import UNIT, Amount, Index, format_raw, record
+from .market import _trd_price, peg_ceiling
+from .numerics import MAX_RAW, UNIT, Amount, Index, format_raw, record
 
 MARKET_CSV_HEADER = "date,price,tx_count"
 SERIES_CSV_HEADER = (
@@ -129,31 +130,42 @@ def step_period(
 
     The rates are the controller's integer rules, _combined_ppb, and the
     rebase is the ledger's integer period close, Ledger._rebase_raw, as in
-    an attack arm; no Rate, RateBreakdown or supply Amount is built past
-    the checks.  TRD/base is peg * anchor / index, anchor being the index
-    at the last clamp.  Past the peg the clamp binds: the anchor moves to
-    the index, pricing TRD at the ceiling, and once the price has passed
-    its check the mint supply * (anchor / index - 1), floored, then
-    rounded down to exact collateral, is deposited into the "arb" account.
-    supply is the ledger's raw total at period start, as the previous
-    period returned it, so no caller rescans every account.  Bad counts,
-    a bad supply, or a bad base price or ceiling raise before the ledger
-    moves; a TRD price that underflows depends on the new index, so it
-    raises after the rebase.
+    an attack arm; the price is market's rule on bare terms, _trd_price,
+    read from the ledger's index terms.  So a period boxes nothing but
+    its PeriodRecord, and the new anchor at a clamp.  TRD/base is
+    peg * anchor / index, anchor being the index at the last clamp.  Past
+    the peg the clamp binds: the anchor moves to the index, pricing TRD
+    at the ceiling, and once the price has passed its check the mint
+    supply * (anchor / index - 1), floored, then rounded down to exact
+    collateral, is deposited into the "arb" account.  supply is the
+    ledger's raw total at period start, as the previous period returned
+    it, so no caller rescans every account.  A bad anchor, counts or
+    supply, or a bad base price or ceiling raise before the ledger moves,
+    each as peg_ceiling, PeriodMetrics or Amount would raise it; a TRD
+    price that underflows depends on the new index, so it raises after
+    the rebase.
     """
     ceiling = peg_ceiling(cfg, base_price)
     t = ledger.current_period
-    # The input check on the period, the counts and the supply, kept only
-    # for its raise: the rules below take their bare ints.
-    PeriodMetrics(t, v, v_prev, Amount(supply))
+    # The input check on bare values; the records it stands for are
+    # built only to raise their own refusal.
+    if not (
+        type(anchor) is Index
+        and type(t) is int and type(v) is int and type(v_prev) is int and type(supply) is int
+        and t >= 0 and v >= 0 and v_prev >= 0 and 0 <= supply <= MAX_RAW
+    ):
+        if type(anchor) is not Index:
+            raise TypeError(f"anchor must be Index, got {anchor!r}")
+        PeriodMetrics(t, v, v_prev, Amount(supply))
     r_initial, r_vol, r_gas_cap, r_combined = _combined_ppb(t, v, v_prev, supply, cfg)
     supply = ledger._rebase_raw(r_combined)
-    index = ledger.index
-    den = anchor.den * index.num
-    excess = anchor.num * index.den - den
+    index_num, index_den = ledger._index_terms()
+    # anchor / index as cross products
+    num, den = anchor.num * index_den, anchor.den * index_num
+    excess = num - den
     if excess > 0:
-        anchor = index
-    trd_price = step_price(anchor, base_price, index, cfg).trd_price
+        anchor, num = Index(index_num, index_den), den
+    trd_price = _trd_price(cfg, num, den, base_price)
     # Written so that a NaN price fails the check too.
     if not trd_price <= ceiling:
         raise InvariantViolationError("TRD price escaped the peg ceiling")

@@ -125,6 +125,10 @@ class Ledger:
         """The rebase index Pi(1 + r), read-only: only rebase and restore move it."""
         return Index(self._index_num, self._index_den)
 
+    def _index_terms(self) -> tuple[int, int]:
+        """index's numerator and denominator, unboxed."""
+        return self._index_num, self._index_den
+
     @property
     def peg_ratio(self) -> Rate:
         """Base coin locked per TRD minted, read-only: fixed at construction."""

@@ -9,7 +9,9 @@ peg).  The peg is a pure ceiling, and the period kernel
 (harness.step_period) owns it: when the ratio would pass the peg,
 arbitrageurs fund the contract for cheap TRD, their mint dilutes the
 price back down, and the kernel moves the anchor to the index, so this
-module prices that period at exactly the ceiling.
+module prices that period at exactly the ceiling.  The price rule is
+written once, on bare terms, as _trd_price: step_period runs it on the
+ledger's index terms and step_price boxes it.
 
 Prices are floats, deliberately outside the fixed-point core.
 """
@@ -68,10 +70,21 @@ def step_price(
     num, den = anchor.num * index.den, anchor.den * index.num
     if num > den:
         raise InvalidArgumentError("anchor must not exceed the index")
+    return MarketState(_trd_price(cfg, num, den, base_price), base_price)
+
+
+def _trd_price(cfg: RebaseConfig, num: int, den: int, base_price: float) -> float:
+    """step_price on bare terms: peg * num / den units of base coin.
+
+    num/den is anchor / index as the cross products anchor.num * index.den
+    over anchor.den * index.num, which step_period forms from the ledger's
+    own index terms.  Raises as step_price does on a bad base price or
+    ceiling, or a price that underflows to 0.
+    """
     trd_price = cfg.peg_ratio.ppb * num / (UNIT * den) * base_price
     if not 0 < trd_price < math.inf:
         # A bad base price or ceiling raises there; under a finite
         # ceiling, the price can only have underflowed.
         peg_ceiling(cfg, base_price)
         raise NonFinitePriceError(f"TRD price underflowed to 0 at base {base_price}")
-    return MarketState(trd_price, base_price)
+    return trd_price

@@ -13,8 +13,9 @@ integer math and therefore bit-reproducible across hosts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, fields
-from typing import get_origin, get_type_hints
+from typing import get_origin
 
 from .errors import (
     AmountOverflowError,
@@ -53,7 +54,11 @@ def record(cls):
     dataclass's own; records are unordered, so ``<`` raises TypeError.
     """
     cls = dataclass(cls, frozen=True, slots=True)
-    stock, params, hints = cls.__init__, fields(cls), get_type_hints(cls)
+    stock, params = cls.__init__, fields(cls)
+    # A string annotation names a type in the class's module, as
+    # typing.get_type_hints reads it, at about half its cost.
+    scope = getattr(sys.modules.get(cls.__module__), "__dict__", {})
+    hints = {f.name: eval(f.type, scope) if type(f.type) is str else f.type for f in params}
     if any(f.default_factory is not MISSING or not f.init or f.kw_only for f in params):
         raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
     if any(not isinstance(hints[f.name], type) or get_origin(hints[f.name]) for f in params):

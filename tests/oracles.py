@@ -58,6 +58,23 @@ def sale_price_by_fraction(trd_price: float, base_price: float) -> Fraction:
 CLAMP_CFG = RebaseConfig(k_v=Rate.from_decimal("1"), t0=10**6, bootstrap_periods=0)
 
 
+def random_walk(seed: int, periods: int = 250, tx_sigma: float = 0.15) -> list[MarketRow]:
+    """A seeded series: log-normal daily moves in price and in count."""
+    rng = random.Random(seed)
+    price, tx = rng.uniform(1.0, 1000.0), rng.randrange(1_000, 100_000)
+    rows = []
+    for day in range(periods):
+        rows.append(MarketRow(dt.date(2020, 1, 1) + dt.timedelta(days=day), price, tx))
+        price *= math.exp(rng.gauss(0.0, 0.05))
+        tx = round(tx * math.exp(rng.gauss(0.0, tx_sigma)))
+    return rows
+
+
+# Seeds of 500-row walks whose count moves 0.3 in log a period: the
+# index falls near 1e-16 while the supply stays near 10,000 TRD.
+COLLAPSED_SEEDS = (1, 2, 8, 12, 14, 26, 50)
+
+
 def exact_backtest(
     rows: list[MarketRow], cfg: RebaseConfig, initial_supply: Amount
 ) -> list[tuple[RateBreakdown, int, int, Fraction]]:

@@ -32,7 +32,7 @@ from toroid.harness import MarketRow, load_market_csv, run_backtest, step_period
 from toroid.ledger import Ledger
 from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
 
-from oracles import sale_price_by_fraction
+from oracles import CLAMP_CFG, sale_price_by_fraction
 
 
 def scenario(
@@ -266,14 +266,13 @@ class TestArmsBuildNoRecords:
         assert built == {"RateBreakdown": 0, "Rate": 0}
 
     def test_backtest_values_per_period_do_not_grow_with_rows(self, cfg):
-        # A clamp-free period builds one Amount, the supply PeriodMetrics
-        # checks, and one Index, the ledger's that step_price reads; the
-        # anchor is boxed only at a clamp.
+        # A clamp-free period checks its inputs and prices TRD on bare
+        # ints: the anchor is boxed only at a clamp.
         supply = Amount.from_tokens(10_000)
         short = values_built(run_backtest, flat_rows(50), cfg, supply)
         long = values_built(run_backtest, flat_rows(500), cfg, supply)
         per_period = {name: (long[name] - short[name]) / 450 for name in long}
-        assert per_period == {"Rate": 0, "Index": 1, "Amount": 1}
+        assert per_period == {"Rate": 0, "Index": 0, "Amount": 0}
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_sybil_values_do_not_grow_with_periods(self, cfg, enabled):
@@ -332,12 +331,18 @@ class TestArmsBuildNoRecords:
             "Rate": 0, "Index": 1, "Amount": 13
         }
 
-    def test_backtest_builds_one_index_per_period_and_one_to_start(self, cfg, sample_market_path):
+    @pytest.mark.parametrize(
+        "cfg, clamps", [(RebaseConfig(), 0), (CLAMP_CFG, 5)], ids=["default", "clamp"]
+    )
+    def test_backtest_builds_one_index_to_start_and_one_per_clamp(
+        self, cfg, sample_market_path, clamps
+    ):
         rows = load_market_csv(sample_market_path)
         with counting_built(Index) as built:
             series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
-        # the index read once before the first period and once in each
-        assert built == {"Index": len(series) + 1}
+        # the launch anchor, and the anchor each clamp moves to the index
+        assert sum(1 for _, record in series if record.arb_minted) == clamps
+        assert built == {"Index": 1 + clamps}
 
 
 @st.composite

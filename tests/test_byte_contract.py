@@ -4,9 +4,10 @@ Each Python 3.10-3.13 that starts on this host runs the README's
 simulate command, its three attack commands, `toroid ledger demo` and the
 sample series generator in one stdlib-only subprocess, and every file it
 writes, and the demo's stdout, must match the committed bytes.  The child
-also renders acceptance test 3's 1,050 attack reports, and writes the
+also renders acceptance test 3's 1,050 attack reports, writes the
 bundled data's series under oracles.CLAMP_CFG, where the peg clamp
-binds 5 times; each SHA-256 must match the pinned one.  The four
+binds 5 times, and writes the series of 15 clamp-heavy random walks, 961
+clamps in all; each SHA-256 must match the pinned one.  The four
 README commands run twice, the second round in reverse order, so each
 runs after the others on the parser main() keeps for the process; the
 child also holds format_raw to the divmod rendering on 10,000 seeded
@@ -55,20 +56,25 @@ SWEEP = "sweep-reports.csv"
 # The bundled data's series under the clamp config, and its SHA-256.
 CLAMPED = "clamped-series.csv"
 CLAMPED_SERIES_SHA256 = "dee0d81f6764d12c098795dc3401b228de6212a5de4d68c3a8e46b057e34a11e"
+# The series of oracles.random_walk seeds 0-7, then of the collapsed-index
+# seeds' 500-row walks, one after another under CLAMP_CFG with no gas cap.
+WALKS = "walk-series.csv"
+WALK_SERIES_SHA256 = "af6cd785e5ac91a84c45cb12e38b99e2ca41d8e119589c36a5c2de01c5d27de9"
 
 # Run with -S, so nothing but the standard library, src/ and tests/ is
 # importable.
 CHILD = """
 import contextlib, io, json, random, sys
 from pathlib import Path
-from oracles import CLAMP_CFG, format_raw_by_divmod
+from dataclasses import replace
+from oracles import CLAMP_CFG, COLLAPSED_SEEDS, format_raw_by_divmod, random_walk
 from test_acceptance import infeasibility_sweep
 from toroid import cli, datagen
 from toroid.adversary import render_reports_csv
 from toroid.controller import RebaseConfig
 from toroid.harness import load_market_csv, run_backtest, write_series_csv
 from toroid.numerics import MAX_RAW, UNIT, Amount, format_raw
-out, runs, again, sweep, clamped = Path(sys.argv[1]), json.loads(sys.argv[2]), *sys.argv[3:]
+out, runs, again, sweep, clamped, walked = Path(sys.argv[1]), json.loads(sys.argv[2]), *sys.argv[3:]
 (out / again).mkdir()
 for where, names in ((out, list(runs)), (out / again, list(runs)[::-1])):
     for name in names:
@@ -92,6 +98,13 @@ with contextlib.redirect_stdout(demo):
 (out / sweep).write_text(render_reports_csv(infeasibility_sweep(RebaseConfig())))
 rows = load_market_csv("data/sample_market.csv")
 write_series_csv(run_backtest(rows, CLAMP_CFG, Amount.from_tokens(10_000)), out / clamped)
+walks = [random_walk(seed) for seed in range(8)]
+walks += [random_walk(seed, 500, tx_sigma=0.3) for seed in COLLAPSED_SEEDS]
+walk_cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
+with open(out / walked, "wb") as series:
+    for rows in walks:
+        write_series_csv(run_backtest(rows, walk_cfg, Amount.from_tokens(10_000)), out / "walk.csv")
+        series.write((out / "walk.csv").read_bytes())
 """
 
 
@@ -126,7 +139,7 @@ def test_outputs_byte_identical(minor, tmp_path):
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(
         [exe, "-S", "-c", CHILD, str(tmp_path), json.dumps(README_RUNS), AGAIN, SWEEP,
-         CLAMPED],
+         CLAMPED, WALKS],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
@@ -137,7 +150,9 @@ def test_outputs_byte_identical(minor, tmp_path):
         name for name, path in written.items()
         if path.read_bytes() != EXPECTED[path.name]
     ]
-    for name, sha256 in ((SWEEP, SWEEP_REPORTS_SHA256), (CLAMPED, CLAMPED_SERIES_SHA256)):
+    pins = ((SWEEP, SWEEP_REPORTS_SHA256), (CLAMPED, CLAMPED_SERIES_SHA256),
+            (WALKS, WALK_SERIES_SHA256))
+    for name, sha256 in pins:
         if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != sha256:
             differ.append(name)
     assert differ == [], f"Python 3.{minor} ({exe}) changed {differ}"

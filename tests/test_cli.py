@@ -19,7 +19,6 @@ from toroid.harness import (
     load_market_csv,
     run_backtest,
 )
-from toroid.market import MarketState
 from toroid.numerics import UNIT, Amount, Rate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -385,11 +384,10 @@ class TestSimulate:
     ):
         # a price model that lets the TRD price escape the ceiling is an
         # internal fault, the one class of error that exits 2
-        def escaping(anchor, base_price, index, cfg):
-            ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * 2, base_price)
+        def escaping(cfg, num, den, base_price):
+            return (cfg.peg_ratio.ppb / UNIT) * base_price * 2
 
-        monkeypatch.setattr(harness, "step_price", escaping)
+        monkeypatch.setattr(harness, "_trd_price", escaping)
         code = main(
             [
                 "simulate",

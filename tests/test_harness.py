@@ -2,7 +2,6 @@ import argparse
 import datetime as dt
 import math
 import os
-import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from toroid.errors import (
     NonFinitePriceError,
     NonMonotoneDatesError,
     NonPositivePriceError,
+    ToroidError,
 )
 from toroid.harness import (
     MARKET_CSV_HEADER,
@@ -37,10 +37,17 @@ from toroid.harness import (
     write_series_csv,
 )
 from toroid.ledger import SHARE_SCALE, Ledger
-from toroid.market import MarketState, peg_ceiling
-from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate
+from toroid.market import peg_ceiling, step_price
+from toroid.numerics import MAX_RAW, UNIT, Amount, Index, Rate, grow_index
 
-from oracles import CLAMP_CFG, exact_backtest, ppb_of, rates_of
+from oracles import (
+    CLAMP_CFG,
+    COLLAPSED_SEEDS,
+    exact_backtest,
+    ppb_of,
+    random_walk,
+    rates_of,
+)
 
 
 def flat_rows(periods: int, price: float = 100.0, tx: int = 0) -> list[MarketRow]:
@@ -325,11 +332,10 @@ class TestRunBacktest:
     def test_step_period_checks_peg_ceiling(self, cfg, monkeypatch, excess):
         # a price model that lets the TRD price escape the ceiling, or go
         # NaN, is an internal fault the kernel must still catch
-        def escaping(anchor, base_price, index, cfg):
-            ceiling = (cfg.peg_ratio.ppb / UNIT) * base_price
-            return MarketState(ceiling * excess, base_price)
+        def escaping(cfg, num, den, base_price):
+            return (cfg.peg_ratio.ppb / UNIT) * base_price * excess
 
-        monkeypatch.setattr(harness, "step_price", escaping)
+        monkeypatch.setattr(harness, "_trd_price", escaping)
         ledger = Ledger(cfg.peg_ratio)
         ledger.open_account(Amount.from_tokens(1_000))
         with pytest.raises(InvariantViolationError):
@@ -548,18 +554,6 @@ class TestPegClamp:
         assert ledger.total_collateral == Amount.from_tokens(1_000)
 
 
-def random_walk(seed: int, periods: int = 250, tx_sigma: float = 0.15) -> list[MarketRow]:
-    """A seeded series: log-normal daily moves in price and in count."""
-    rng = random.Random(seed)
-    price, tx = rng.uniform(1.0, 1000.0), rng.randrange(1_000, 100_000)
-    rows = []
-    for day in range(periods):
-        rows.append(MarketRow(dt.date(2020, 1, 1) + dt.timedelta(days=day), price, tx))
-        price *= math.exp(rng.gauss(0.0, 0.05))
-        tx = round(tx * math.exp(rng.gauss(0.0, tx_sigma)))
-    return rows
-
-
 class TestExactReference:
     """run_backtest against exact_backtest, its gridless Fraction twin."""
 
@@ -654,6 +648,62 @@ def test_resume_through_snapshot_changes_no_record(sample_market_path, default_c
     assert sum(1 for _, record in series if record.arb_minted) == clamps
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    periods=st.integers(2, 250),
+    tx_sigma=st.sampled_from([0.15, 0.3]),
+)
+@example(seed=0, periods=250, tx_sigma=0.15)  # clamps: see test_random_walk
+def test_resume_and_public_price_on_walks(seed, periods, tx_sigma):
+    # a restore between periods changes no record, clamps included; and
+    # each record's price is step_price's, bit for bit, at the index the
+    # records' own rates grow from the launch index
+    cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
+    rows = random_walk(seed, periods, tx_sigma)
+    series = run_backtest(rows, cfg, Amount.from_tokens(10_000))
+    assert resumed_backtest(rows, cfg, Amount.from_tokens(10_000)) == series
+    index = Index.identity()
+    for row, record in series:
+        index = grow_index(index, Rate(record.r_combined))
+        assert record.trd_price == step_price(record.anchor, row.price, index, cfg).trd_price
+
+
+def refusal(call) -> tuple[type, str] | None:
+    """What call() refuses with, as (type, text), or None if it returns."""
+    try:
+        call()
+    except (TypeError, ToroidError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# A count or a supply: negative, either side of each bound, or no int.
+PERIOD_INPUTS = st.one_of(
+    st.integers(max_value=-1),
+    st.sampled_from([0, 1, 1_000, MAX_RAW, MAX_RAW + 1, True, 1.0, "1", None]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=PERIOD_INPUTS, v_prev=PERIOD_INPUTS, supply=PERIOD_INPUTS)
+@example(v=5, v_prev=4, supply=0)
+def test_step_period_refuses_as_the_records_do(v, v_prev, supply):
+    # the kernel checks bare values; it refuses exactly what the boxed
+    # path refuses, PeriodMetrics(t, v, v_prev, Amount(supply)) and then
+    # combined_rate (a zero supply has no gas cap), text included, and
+    # before the ledger moves
+    cfg = RebaseConfig()
+    expected = refusal(lambda: combined_rate(PeriodMetrics(0, v, v_prev, Amount(supply)), cfg))
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(Amount.from_tokens(1_000)), account_id="g")
+    before = ledger.snapshot()
+    got = refusal(lambda: step_period(ledger, ledger.index, cfg, v, v_prev, 100.0, supply))
+    assert got == expected
+    if expected is not None:
+        assert ledger.snapshot() == before
+
+
 def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:
     """Run rows from 10,000 TRD, check that the records' arb_minted sum to
     the arb account's obligation, and return the ledger at the end."""
@@ -674,11 +724,9 @@ def records_sum_to_what_arb_received(monkeypatch, rows, cfg) -> Ledger:
     return ledgers[-1]
 
 
-# Seeds of 500-row walks whose count moves 0.3 in log a period: the
-# index falls near 1e-16 while the supply stays near 10,000 TRD, and
-# a clamp's deposit gives the arb account more than MAX_RAW shares,
-# worth a few thousand TRD.
-@pytest.mark.parametrize("seed", [1, 2, 8, 12, 14, 26, 50])
+# On a collapsed index, a clamp's deposit gives the arb account more
+# than MAX_RAW shares, worth a few thousand TRD.
+@pytest.mark.parametrize("seed", COLLAPSED_SEEDS)
 def test_arb_shares_pass_max_raw_on_a_collapsed_index(monkeypatch, seed):
     cfg = replace(CLAMP_CFG, gas_cap_enabled=False)
     rows = random_walk(seed, 500, tx_sigma=0.3)

@@ -393,6 +393,18 @@ def test_wrongly_typed_base_price_is_refused_before_the_rebase(cfg, price):
     assert ledger.snapshot() == before
 
 
+@pytest.mark.parametrize("anchor", ["x", None, (1, 1)], ids=["str", "None", "tuple"])
+def test_wrongly_typed_anchor_is_refused_before_the_rebase(cfg, anchor):
+    # it used to advance the ledger a period and then fail reading its terms
+    ledger = Ledger(cfg.peg_ratio)
+    ledger.open_account(ledger.collateral_for(Amount.from_tokens(1000)), account_id="g")
+    before = ledger.snapshot()
+    with pytest.raises(TypeError) as info:
+        step_period(ledger, anchor, cfg, 5, 4, 100.0, ledger.total_supply().raw)
+    assert str(info.value) == f"anchor must be Index, got {anchor!r}"
+    assert ledger.snapshot() == before
+
+
 # Refused at construction, before it reaches an integer rule and fails
 # there as another record's "ppb must be int, got ...".
 NOT_INT = {
