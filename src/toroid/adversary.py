@@ -13,11 +13,46 @@ An arm is the ledger alone in a flat market.  Each of its periods is the
 controller's integer rate rule, _combined_ppb, and then the ledger's
 integer period close, Ledger._rebase_raw: the supply passes between
 them as a raw int, and no record, Rate, Index or Amount is built per
-period.  The arms start from the scenario's start_supply, which the
-seeded ledger holds exactly because its index is still 1, and carry
-the supply as a raw int to the verdict, which boxes once.  k_v >= 0 and
-counts that never fall make every rate >= 0, so the peg clamp never
-binds and TRD trades at exactly peg / index.
+period.  The seed opens each account from its raw TRD amount through
+Ledger._open_minted, boxing only the collateral the ledger stores.  The
+arms start from the scenario's start_supply, which the seeded ledger
+holds exactly because its index is still 1, and carry the supply and
+the attacker's balances as raw ints to the verdict, which boxes only
+the report's three amounts.  k_v >= 0 and counts that never fall make
+every rate >= 0, so the peg clamp never binds and TRD trades at
+exactly peg / index.
+
+The gap attack's worst case.  With honest volume b > 0 a funded attacker
+can profit: under the default cap, with k_v >= 0 and d transactions
+injected in every attacked period, the net is at most
+
+    b * gas_cost_base * Pi(1 + r_initial(t)) + periods raw base units,
+
+the product taken over the attacked periods after the first.  Write s
+for the supply and h for the attacker's balance when injection starts,
+c = gas_cost_base / peg for the gas of one transaction in TRD, and Pi
+for that product.
+  1. The first attacked period counts b + d against b the period
+     before; the counterfactual counts b again and grows at r_initial
+     alone.  On top of r_initial the attacked arm's volume response is
+     capped at (b + d) * c / s, which adds at most (b + d) * c to its
+     supply, pro rata, so at most (h / s) * (b + d) * c <= (b + d) * c to
+     the attacker's balance.
+  2. Each later attacked period counts b + d against b + d, and the
+     counterfactual b against b: both arms grow at r_initial(t) alone,
+     so the attacker's extra balance grows by exactly Pi.
+  3. The extra TRD sells at the peg or below (peg / index, index >= 1),
+     so the gain is at most (b + d) * gas_cost_base * Pi, and the cost is
+     periods * d * gas_cost_base, periods the number attacked.  Since
+     1 + 1/(t + t0) = (t + t0 + 1) / (t + t0), Pi telescopes to at most
+     periods, so the net is at most b * gas_cost_base * Pi.
+  4. Floors move each arm's balances by under one raw unit a period,
+     which the "+ periods" absorbs.
+An attacker holding all the supply, injecting d << b under a binding
+cap, comes within 1% of the bound; one holding at most d / (b + d) of
+the supply nets at most the rounding slack, by the same steps.  Pi is
+largest at launch, where r_initial is 1/t0: the gap is widest during
+bootstrap.
 """
 
 from __future__ import annotations
@@ -93,29 +128,35 @@ def sybil_cost(v: int, cfg: RebaseConfig) -> Amount:
 
 
 def _seed_ledger(scenario: SybilScenario, cfg: RebaseConfig) -> Ledger:
+    """A fresh ledger holding the scenario: the honest rest, then the attacker.
+
+    Each account is opened from its raw TRD amount by Ledger._open_minted,
+    which is open_account(collateral_for(amount)) unboxed: the same
+    snapshot, and the same refusal, type and text, for an amount with no
+    exact collateral at the peg or a supply past capacity.
+    """
     ledger = Ledger(cfg.peg_ratio, start_period=scenario.start_period)
-    honest = scenario.start_supply - scenario.attacker_holdings
-    if honest.raw > 0:
-        ledger.open_account(ledger.collateral_for(honest), account_id=_HONEST)
-    if scenario.attacker_holdings.raw > 0:
-        ledger.open_account(
-            ledger.collateral_for(scenario.attacker_holdings), account_id=_ATTACKER
-        )
+    held = scenario.attacker_holdings.raw
+    honest = scenario.start_supply.raw - held
+    if honest > 0:
+        ledger._open_minted(_HONEST, honest)
+    if held > 0:
+        ledger._open_minted(_ATTACKER, held)
     return ledger
 
 
 def _attacker_raw(ledger: Ledger) -> int:
-    return ledger.balance_of(_ATTACKER).raw if _ATTACKER in ledger else 0
+    return ledger._held_raw(_ATTACKER) if _ATTACKER in ledger else 0
 
 
-def _extra(post_attack: int, counterfactual: int, what: str) -> Amount:
-    """The raw excess of post_attack over counterfactual, boxed."""
+def _extra(post_attack: int, counterfactual: int, what: str) -> int:
+    """The raw excess of post_attack over counterfactual."""
     if post_attack < counterfactual:
         raise InvariantViolationError(
             f"injected volume reduced {what}: "
             f"{format_raw(post_attack)} < {format_raw(counterfactual)}"
         )
-    return Amount(post_attack - counterfactual)
+    return post_attack - counterfactual
 
 
 def _step_flat(
@@ -173,9 +214,9 @@ def _price_attack(
         _attacker_raw(attacked), _attacker_raw(baseline), "attacker balance"
     )
     num, den = sale_price(attacked)
-    gain = Amount(extra_holdings.raw * num // den)
+    gain = Amount(extra_holdings * num // den)
     cost = sybil_cost(scenario.delta_v_per_period * (sell - buy), cfg)
-    return AttackReport(cost, extra_supply, gain)
+    return AttackReport(cost, Amount(extra_supply), gain)
 
 
 def run_sybil(scenario: SybilScenario, cfg: RebaseConfig) -> AttackReport:

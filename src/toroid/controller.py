@@ -150,8 +150,8 @@ def _gas_cap_ppb(v: int, s_raw: int, cfg: RebaseConfig) -> int:
 
 
 def _volume_ppb(v: int, v_prev: int, k: int) -> int:
-    v = max(v, 1)
-    v_prev = max(v_prev, 1)
+    v = v if v > 1 else 1
+    v_prev = v_prev if v_prev > 1 else 1
     if v == v_prev:
         return 0
     if (

@@ -155,12 +155,16 @@ class Ledger:
 
     def collateral_for(self, minted: Amount) -> Amount:
         """Collateral that mints exactly minted TRD; the inverse of minted_for."""
-        scaled = minted.raw * self._peg_ratio.ppb
+        return Amount(self._collateral_raw(minted.raw))
+
+    def _collateral_raw(self, minted: int) -> int:
+        """collateral_for on a raw TRD count, unboxed."""
+        scaled = minted * self._peg_ratio.ppb
         if scaled % UNIT != 0:
             raise NonDivisibleCollateralError(
-                f"{minted.tokens()} TRD has no exact collateral at the peg"
+                f"{format_raw(minted)} TRD has no exact collateral at the peg"
             )
-        return Amount(scaled // UNIT)
+        return scaled // UNIT
 
     def _to_shares_ceil(self, raw: int) -> int:
         """Shares granted when raw tokens enter; ceiling keeps entry balances exact."""
@@ -192,7 +196,11 @@ class Ledger:
         return list(self._shares)
 
     def balance_of(self, account_id: str) -> Amount:
-        return Amount(self._balance_raw(self._shares[account_id]))
+        return Amount(self._held_raw(account_id))
+
+    def _held_raw(self, account_id: str) -> int:
+        """balance_of as a raw int, unboxed."""
+        return self._balance_raw(self._shares[account_id])
 
     def collateral_of(self, account_id: str) -> Amount:
         """Collateral locked by an account; its obligation is minted_for of it."""
@@ -253,6 +261,16 @@ class Ledger:
         shares = self._to_shares_ceil(minted.raw)
         self._insert(account_id, shares, collateral, self._current_period)
         return account_id, minted
+
+    def _open_minted(self, account_id: str, minted: int) -> None:
+        """open_account(collateral_for(Amount(minted)), account_id), minted > 0.
+
+        The same checks, in the same order and with the same text, on the
+        raw TRD count: only the collateral is boxed, as _insert stores it.
+        """
+        collateral = Amount(self._collateral_raw(minted))
+        shares = self._to_shares_ceil(minted)
+        self._insert(account_id, shares, collateral, self._current_period)
 
     def _insert(
         self, account_id: str, shares: int, collateral: Amount, created: int

@@ -7,8 +7,10 @@ numerator over a power-of-ten denominator.  Token arithmetic floors
 toward negative infinity, so its quantization error is one-sided:
 conversions can round value away but never mint unbacked dust.  The one
 exception is the index itself, which each rebase rounds half up onto its
-grid, a relative error below 5e-28 per step.  Every operation is pure
-integer math and therefore bit-reproducible across hosts.
+grid, a relative error below 5e-28 per step; an index on the first grid
+(any index of at least 10^-3) grows with one division by UNIT.  Every
+operation is pure integer math and therefore bit-reproducible across
+hosts.
 """
 
 from __future__ import annotations
@@ -222,19 +224,24 @@ def grow_index(idx: Index, r: Rate) -> Index:
 def _grow_terms(num: int, den: int, ppb: int) -> tuple[int, int]:
     """grow_index on bare terms: num/den times 1 + ppb/10^9, on the grid.
 
-    The search tries j = 0 and, on a miss, jumps to the lowest grid the
-    terms' bit lengths allow.  They place num/den within a factor of four,
-    and flooring the digit count loses under one digit more, less than
-    the three digits between neighbouring grids, so the jump lands on j
-    or j - 1: at most three divisions in all.
+    The search tries j = 0 first.  From grid 0 (den == _GRID) that try is
+    one division by UNIT: (n * _GRID + _GRID * UNIT // 2) // (_GRID * UNIT),
+    n = num * (UNIT + ppb), has _GRID in every term and UNIT is even, so
+    it equals (n + UNIT // 2) // UNIT.  On a miss the search jumps to the
+    lowest grid the terms' bit lengths allow.  They place num/den within
+    a factor of four, and flooring the digit count loses under one digit
+    more, less than the three digits between neighbouring grids, so the
+    jump lands on j or j - 1: at most three tries in all.
     """
     factor = UNIT + ppb
     if factor <= 0:
         raise NonPositiveFactorError(f"1 + r must be positive, got {ppb} ppb")
-    num, den = num * factor, den * UNIT
-    grid = _GRID
-    while (rescaled := (num * grid + den // 2) // den) < _MIN_NUM:
+    on_grid_0 = den == _GRID
+    num, den, grid = num * factor, den * UNIT, _GRID
+    rescaled = (num + UNIT // 2) // UNIT if on_grid_0 else (num * grid + den // 2) // den
+    while rescaled < _MIN_NUM:
         # den/num > 2^m > 10^(0.301029995663 m): no grid below this one holds.
         m = den.bit_length() - num.bit_length() - 1
         grid = max(grid * 1000, _GRID * 1000 ** -(-(m * 301029995663 // 10**12 - 3) // 3))
+        rescaled = (num * grid + den // 2) // den
     return rescaled, grid

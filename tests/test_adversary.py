@@ -26,6 +26,7 @@ from toroid.errors import (
     ConfigError,
     InvalidArgumentError,
     InvariantViolationError,
+    NonDivisibleCollateralError,
     ToroidError,
 )
 from toroid.harness import MarketRow, load_market_csv, run_backtest, step_period
@@ -318,17 +319,18 @@ class TestArmsBuildNoRecords:
         assert scans == []
 
     def test_sybil_values_built(self, cfg):
-        # Seeding: the honest share, then each of two accounts' collateral,
-        # minted TRD and collateral total.  The verdict: two attacker
-        # balances, the extra supply and holdings, the gain and the cost.
+        # Seeding opens two accounts from raw TRD, each boxing two: its
+        # collateral, which the ledger stores, and the new collateral
+        # total.  The verdict boxes only the report's three fields: the
+        # cost, the extra supply and the gain.
         sc = scenario(10_000, periods=4, baseline_v=100, holdings=5_000)
-        assert values_built(run_sybil, sc, cfg) == {"Rate": 0, "Index": 0, "Amount": 13}
+        assert values_built(run_sybil, sc, cfg) == {"Rate": 0, "Index": 0, "Amount": 7}
 
     def test_pump_and_dump_values_built(self, cfg):
         # as for the Sybil, and one Index for the sale price
         sc = scenario(10_000, periods=6, baseline_v=100, holdings=5_000)
         assert values_built(run_pump_and_dump, sc, 2, 5, cfg) == {
-            "Rate": 0, "Index": 1, "Amount": 13
+            "Rate": 0, "Index": 1, "Amount": 7
         }
 
     @pytest.mark.parametrize(
@@ -368,25 +370,83 @@ def seedings(draw):
     return RebaseConfig(peg_ratio=Rate(peg)), sc
 
 
+def public_seed(sc: SybilScenario, cfg: RebaseConfig) -> Ledger:
+    """_seed_ledger's ledger built through the public calls, boxed."""
+    ledger = Ledger(cfg.peg_ratio, start_period=sc.start_period)
+    honest = sc.start_supply - sc.attacker_holdings
+    if honest.raw > 0:
+        ledger.open_account(ledger.collateral_for(honest), account_id="honest")
+    if sc.attacker_holdings.raw > 0:
+        ledger.open_account(
+            ledger.collateral_for(sc.attacker_holdings), account_id="attacker"
+        )
+    return ledger
+
+
+def refusal(build, *args):
+    """build(*args)'s ToroidError as (type, text), or None if it returns."""
+    try:
+        build(*args)
+    except ToroidError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def overflowing(holdings: int) -> tuple[RebaseConfig, SybilScenario]:
+    """A near-capacity supply at a peg of 1.5, whose collateral cannot fit.
+
+    Every even amount has exact collateral at that peg.
+    """
+    sc = SybilScenario(
+        delta_v_per_period=0,
+        periods=1,
+        baseline_v=0,
+        start_supply=Amount(MAX_RAW - 1),
+        attacker_holdings=Amount(holdings),
+        start_period=0,
+    )
+    return RebaseConfig(peg_ratio=Rate(3 * UNIT // 2)), sc
+
+
 class TestSeedLedger:
     """The arms start from start_supply without scanning the seeded ledger."""
 
     @given(seedings())
     @settings(max_examples=300, deadline=None)
+    @example(overflowing(MAX_RAW - 1))  # one account's collateral past capacity
+    @example(overflowing(2**126 - 2))  # each fits, their total does not
     def test_holds_the_scenario_exactly(self, case):
         cfg, sc = case
-        try:
-            ledger = _seed_ledger(sc, cfg)
-        except ToroidError as exc:
+        refused = refusal(_seed_ledger, sc, cfg)
+        # the raw seed refuses exactly as the public calls do
+        assert refused == refusal(public_seed, sc, cfg)
+        if refused is not None:
             # no exact collateral, or collateral past capacity: the
             # verdict refuses the scenario the same way
-            with pytest.raises(type(exc)):
-                run_sybil(sc, cfg)
+            assert refusal(run_sybil, sc, cfg) == refused
             return
+        ledger = _seed_ledger(sc, cfg)
+        assert ledger.snapshot() == public_seed(sc, cfg).snapshot()
         assert ledger.index == Index(1, 1)
         assert ledger.total_supply() == sc.start_supply
         held = ledger.balance_of("attacker") if "attacker" in ledger else Amount(0)
         assert held == sc.attacker_holdings
+
+    def test_refusal_text(self):
+        # 9 raw TRD at a peg of 0.3 would lock 2.7 raw base: the honest
+        # account, opened first, is refused
+        cfg = RebaseConfig(peg_ratio=Rate(300_000_000))
+        sc = SybilScenario(
+            delta_v_per_period=0,
+            periods=1,
+            baseline_v=0,
+            start_supply=Amount(10),
+            attacker_holdings=Amount(1),
+            start_period=0,
+        )
+        with pytest.raises(NonDivisibleCollateralError) as info:
+            run_sybil(sc, cfg)
+        assert str(info.value) == "0.000000009 TRD has no exact collateral at the peg"
 
 
 class TestRunPumpAndDump:
@@ -490,14 +550,7 @@ def reference_report(sc, cfg, buy, sell, sale_price):
     """
 
     def arm(inject):
-        ledger = Ledger(cfg.peg_ratio, start_period=sc.start_period)
-        honest = sc.start_supply - sc.attacker_holdings
-        if honest.raw:
-            ledger.open_account(ledger.collateral_for(honest), account_id="genesis")
-        if sc.attacker_holdings.raw:
-            ledger.open_account(
-                ledger.collateral_for(sc.attacker_holdings), account_id="attacker"
-            )
+        ledger = public_seed(sc, cfg)
         anchor, supply = ledger.index, ledger.total_supply().raw
         v_prev = sc.baseline_v
         for p in range(1, sell + 1):
@@ -893,3 +946,83 @@ class TestSalePriceAtIndex:
         )
         exact = math.floor(extra * Fraction(cfg.peg_ratio.ppb, UNIT) / growth)
         assert report.attacker_gain_base.raw == exact == gain
+
+
+# --- the gap attack's worst case: the honest gas bill -------------------------
+
+
+def gap_bound(sc: SybilScenario, cfg: RebaseConfig, buy: int, sell: int) -> Fraction:
+    """b * gas_cost_base * Pi(1 + r_initial(t)) + periods raw base units.
+
+    The product runs over the attacked periods after the first, at the
+    incentive rate the controller applies, 1/(t + t0) floored to ppb.
+    """
+    first = sc.start_period + buy
+    growth = math.prod(
+        Fraction(UNIT + UNIT // (t + cfg.t0), UNIT)
+        for t in range(first + 1, sc.start_period + sell)
+    )
+    return sc.baseline_v * cfg.gas_cost_base.raw * growth + sc.periods
+
+
+@st.composite
+def gap_attacks(draw):
+    """A scenario in the gap acceptance test 3 never draws from.
+
+    Honest volume b > 0 and an attacker's share h/s > d/(b+d), under the
+    default cap and peg, from 1e-8 to 10^10 TRD, starting inside and past
+    the bootstrap window.  Amounts step by 10 raw TRD, which has exact
+    collateral at the peg of 0.1.
+    """
+    cfg = RebaseConfig(t0=draw(st.just(10) | st.integers(1, 20)))
+    b = draw(st.integers(1, 10**6))
+    d = draw(st.integers(1, 10**6))
+    tens = draw(st.integers(1, 10**18))
+    # the least h, in tens, with h * (b + d) > s * d
+    held = draw(st.integers(tens * d // (b + d) + 1, tens))
+    periods = draw(st.integers(1, 6))
+    sc = SybilScenario(
+        delta_v_per_period=d,
+        periods=periods,
+        baseline_v=b,
+        start_supply=Amount(10 * tens),
+        attacker_holdings=Amount(10 * held),
+        start_period=draw(st.integers(0, 400)),
+    )
+    buy = draw(st.integers(0, periods - 1))
+    sell = draw(st.integers(buy + 1, periods))
+    return cfg, sc, buy, sell
+
+
+# The attacker holds all of a 10^9-TRD supply and adds one transaction to
+# 10^4 honest ones for three periods, past the bootstrap window: the cap
+# binds, the net is (b + d) * gas * Pi - 3 * d * gas, and the sale at
+# peg / index costs the pump-and-dump under 0.5%.
+TIGHT = (
+    RebaseConfig(),
+    scenario(1, periods=3, baseline_v=10_000, supply=10**9, holdings=10**9, start_period=1_000),
+    0,
+    3,
+)
+
+
+class TestGapAttackBound:
+    """Under the default cap, with k_v >= 0 and constant injection, an
+    attack nets at most the honest users' gas bill of its first period,
+    compounded by the incentive (see the adversary module docstring)."""
+
+    @given(gap_attacks())
+    @settings(max_examples=300, deadline=None)
+    @example(TIGHT)
+    def test_net_is_at_most_the_honest_gas_bill(self, case):
+        cfg, sc, buy, sell = case
+        assert run_sybil(sc, cfg).net_profit_base <= gap_bound(sc, cfg, 0, sc.periods)
+        report = run_pump_and_dump(sc, buy, sell, cfg)
+        assert report.net_profit_base <= gap_bound(sc, cfg, buy, sell)
+
+    def test_the_bound_is_tight(self):
+        cfg, sc, buy, sell = TIGHT
+        sybil = run_sybil(sc, cfg).net_profit_base
+        assert sybil >= gap_bound(sc, cfg, 0, sc.periods) * Fraction(99, 100)
+        dump = run_pump_and_dump(sc, buy, sell, cfg).net_profit_base
+        assert dump >= gap_bound(sc, cfg, buy, sell) * Fraction(99, 100)

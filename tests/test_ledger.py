@@ -1026,6 +1026,30 @@ class TestIntegerForms:
             assert raw == supply_by_division(ledger).raw
 
     @settings(max_examples=200, deadline=None)
+    @given(
+        terms=index_terms(),
+        # multiples of 10 raw have exact collateral at the peg of 0.1
+        minted=st.integers(1, 10**20).map(lambda m: 10 * m) | st.integers(1, MAX_RAW),
+    )
+    def test_open_minted_is_open_account_of_collateral_for(self, terms, minted):
+        # at any index: the same shares and collateral, or the same refusal
+        def opened(ledger, open_):
+            try:
+                open_(ledger)
+            except ToroidError as exc:
+                return type(exc), str(exc)
+            return ledger.snapshot()
+
+        raw = opened(restored(*terms, []), lambda ledger: ledger._open_minted("x", minted))
+        public = opened(
+            restored(*terms, []),
+            lambda ledger: ledger.open_account(
+                ledger.collateral_for(Amount(minted)), account_id="x"
+            ),
+        )
+        assert raw == public
+
+    @settings(max_examples=200, deadline=None)
     @given(terms=index_terms(), ppb=st.integers(1, 3 * UNIT))
     def test_rebase_raw_past_capacity_changes_nothing(self, terms, ppb):
         num, den = terms

@@ -224,6 +224,32 @@ class TestGrowIndex:
         assert grow_index(idx, Rate(ppb)) == expected
         assert _grow_terms(num, idx.den, ppb) == (expected.num, expected.den)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.integers(-2, 2),
+        offset=st.integers(-1, 1),
+        ppb=st.integers(-UNIT + 1, -UNIT + 20_000_000) | st.integers(-UNIT + 1, UNIT),
+    )
+    # at -99%: num * factor / UNIT is 10^27 - 0.51, 10^27 - 0.5 (a tie),
+    # 10^27 and 10^27 + 0.5
+    @example(target=0, offset=-1, ppb=-990_000_000)
+    @example(target=0, offset=0, ppb=-990_000_000)
+    @example(target=0, offset=50, ppb=-990_000_000)
+    @example(target=1, offset=0, ppb=-990_000_000)
+    @example(target=0, offset=0, ppb=-UNIT + 1)  # 1 + r at one ppb
+    def test_grid_0_rounds_at_the_boundary_as_the_search_does(self, target, offset, ppb):
+        # From grid 0, num is the least whose growth rounds half up to
+        # 10^27 + target, moved by offset: the one division by UNIT lands
+        # just below, at or just above the least numerator grid 0 keeps.
+        factor = UNIT + ppb
+        num = -(-((10**27 + target) * UNIT - UNIT // 2) // factor) + offset
+        idx = Index(num, 10**30)
+        expected = grow_index_by_search(idx, Rate(ppb))
+        assert grow_index(idx, Rate(ppb)) == expected
+        # grid 0 holds the result exactly when it rounds to 10^27 or more
+        on_grid_0 = num * factor + UNIT // 2 >= 10**27 * UNIT
+        assert expected.den == (10**30 if on_grid_0 else 10**33)
+
     @pytest.mark.parametrize("j", [0, 1, 2, 100, 1_656])
     def test_at_most_three_grids_tried(self, monkeypatch, j):
         # Each grid tried compares its numerator with _MIN_NUM once, and an
