@@ -46,6 +46,13 @@ _ARBITRAGEUR = "arb"
 
 @record
 class MarketRow:
+    """One period of market data: a date, the base coin's price, a tx count.
+
+    load_market_csv reads one from each line of a date,price,tx_count
+    file and checks each field: the date is YYYY-MM-DD and later than the
+    row before, the price is finite and > 0, and the count is >= 0.
+    """
+
     date: dt.date
     price: float
     tx_count: int

@@ -16,7 +16,8 @@ hosts.
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 from typing import get_origin
 
 from .errors import (
@@ -43,20 +44,35 @@ _MIN_NUM = 10**27
 
 
 def record(cls):
-    """``@dataclass(frozen=True, slots=True)`` whose fields hold their types.
+    """A frozen slots dataclass whose fields hold their types.
 
-    Its ``__init__``, generated per class as dataclasses generates its own,
-    raises ``TypeError("<field> must be <T>, got <value!r>")`` unless
-    ``type(value) is T`` for each field's declared class T (so a bool is no
-    int; a T that is no plain class, such as ``int | None``, is refused at
-    decoration), then stores through each slot's own setter, not
-    ``object.__setattr__``, and calls ``self.__post_init__()``, the range
-    checks, if the class defines one.  Everything else (frozen assignment,
-    eq, hash, repr, fields, replace, pickling, the signature) is
-    dataclass's own; records are unordered, so ``<`` raises TypeError.
+    ``dataclass(cls, init=False, repr=False, eq=False, slots=True)`` makes
+    the fields, the slots and ``__match_args__``, so ``fields``,
+    ``replace``, ``is_dataclass`` and 3.13's ``copy.replace`` work as on a
+    stock ``dataclass(frozen=True, slots=True)``; it generates no code.
+    The methods the stock one would generate come from here instead:
+
+    - ``__init__``, compiled per class, raises ``TypeError("<field> must
+      be <T>, got <value!r>")`` unless ``type(value) is T`` for each
+      field's declared class T (so a bool is no int; a T that is no plain
+      class, such as ``int | None``, is refused at decoration), then
+      stores through each slot's own setter and calls
+      ``self.__post_init__()``, the range checks, if the class defines one.
+    - ``__repr__``, ``__eq__`` and ``__hash__`` read the fields as one
+      tuple, as stock does; ``==`` is 3.10-3.12's tuple comparison on
+      every interpreter (3.13's stock compares field by field, which
+      differs only for a NaN field).
+    - ``__setattr__`` and ``__delattr__`` raise ``FrozenInstanceError``
+      with the stock text, and ``__getstate__`` and ``__setstate__``
+      pickle as stock does, restoring through the slot setters.
+
+    All but ``__init__`` are closures built once per class, with no
+    ``exec``; a method the class defines itself is kept.  Records are
+    unordered, so ``<`` raises TypeError.  ``__dataclass_params__`` reads
+    ``frozen=False``, yet every instance refuses assignment.
     """
-    cls = dataclass(cls, frozen=True, slots=True)
-    stock, params = cls.__init__, fields(cls)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
+    params = fields(cls)
     # A string annotation names a type in the class's module, as
     # typing.get_type_hints reads it, at about half its cost.
     scope = getattr(sys.modules.get(cls.__module__), "__dict__", {})
@@ -65,7 +81,11 @@ def record(cls):
         raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
     if any(not isinstance(hints[f.name], type) or get_origin(hints[f.name]) for f in params):
         raise TypeError(f"{cls.__name__}: record fields take plain classes only")
-    names = [f.name for f in params]
+    defaults = tuple(f.default for f in params if f.default is not MISSING)
+    if any(f.default is MISSING for f in params[len(params) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: record fields with defaults come last")
+    names = tuple(f.name for f in params)
+    setters = [vars(cls)[name].__set__ for name in names]
 
     def refuse(*values):
         for name, value in zip(names, values):
@@ -79,16 +99,52 @@ def record(cls):
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     namespace = {"_refuse": refuse}
-    for name in names:
+    for name, setter in zip(names, setters):
         namespace[f"_T_{name}"] = hints[name]
-        namespace[f"_set_{name}"] = vars(cls)[name].__set__
+        namespace[f"_set_{name}"] = setter
     exec(f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body), namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = stock.__defaults__
-    init.__annotations__ = stock.__annotations__
-    init.__qualname__ = stock.__qualname__
-    init.__module__ = stock.__module__
-    cls.__init__ = init
+    __init__ = namespace["__init__"]
+    __init__.__defaults__ = defaults or None
+    __init__.__annotations__ = {f.name: f.type for f in params} | {"return": None}
+
+    get = attrgetter(*names)
+    field_values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __repr__(self):
+        items = ", ".join(map("{}={!r}".format, names, field_values(self)))
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return field_values(self) == field_values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(field_values(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    def __getstate__(self):
+        return list(field_values(self))
+
+    def __setstate__(self, state):
+        for setter, value in zip(setters, state):
+            setter(self, value)
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__,
+                   __getstate__, __setstate__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        if vars(cls).get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
     return cls
 
 

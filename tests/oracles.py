@@ -5,18 +5,24 @@ one_plus and grow_index_by_search keep their own 1 + r > 0 check rather
 than borrowing numerics.grow_index's.
 """
 
+import copy
 import csv
 import datetime as dt
+import inspect
+import io
 import math
+import pickle
 import random
 import statistics
-from dataclasses import field, fields, make_dataclass
+from dataclasses import field, fields, make_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+from toroid.adversary import AttackReport, SybilScenario
 from toroid.controller import PeriodMetrics, RateBreakdown, RebaseConfig, combined_rate
 from toroid.errors import NonPositiveFactorError
-from toroid.harness import MarketRow
+from toroid.harness import MarketRow, PeriodRecord
+from toroid.market import MarketState
 from toroid.ledger import SHARE_SCALE, Ledger
 from toroid.numerics import UNIT, Amount, Index, Rate
 
@@ -271,3 +277,86 @@ def stock_twin(cls: type) -> type:
         frozen=True,
         slots=True,
     )
+
+
+# Two instances of every value type, as positional arguments.
+_RATES = (Rate(1), Rate(2), Rate(3), Rate(4))
+RECORDS = [
+    (Amount, (5,), (7,)),
+    (Rate, (-3,), (4,)),
+    (Index, (3, 2), (5, 4)),
+    (RebaseConfig, (), (11, 0, Rate(5), Amount(6), Rate(7), False)),
+    (PeriodMetrics, (1, 2, 3, Amount(4)), (5, 6, 7, Amount(8))),
+    (RateBreakdown, _RATES, _RATES[::-1]),
+    (MarketState, (1.0, 1.0), (0.5, 2.0)),
+    (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
+    (
+        PeriodRecord,
+        (1, 2, 3, 4, 1.0, Index(1, 1), 9, 0),
+        (4, 3, 2, 1, 0.5, Index(5, 4), 10, 3),
+    ),
+    (SybilScenario, (10, 2, 0, Amount(100), Amount(5), 90), (20, 3, 1, Amount(9), Amount(0), 0)),
+    (AttackReport, (Amount(1), Amount(2), Amount(3)), (Amount(5), Amount(6), Amount(7))),
+]
+
+
+class _KindPickler(pickle.Pickler):
+    """Pickles the class self.kind by a persistent id, so a stock_twin,
+    which no module holds, pickles as its record does."""
+
+    def persistent_id(self, obj):
+        return "kind" if obj is self.kind else None
+
+
+class _KindUnpickler(pickle.Unpickler):
+    def persistent_load(self, pid):
+        return self.kind
+
+
+def _pickle_round_trip(obj) -> tuple[bytes, object]:
+    """obj's pickle, with type(obj) as a persistent id, and what it loads as."""
+    buffer = io.BytesIO()
+    pickler = _KindPickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.kind = type(obj)
+    pickler.dump(obj)
+    unpickler = _KindUnpickler(io.BytesIO(buffer.getvalue()))
+    unpickler.kind = type(obj)
+    return buffer.getvalue(), unpickler.load()
+
+
+def record_behaviour(kind: type, args: tuple, other: tuple) -> dict:
+    """What instances of kind built from args and other show, by aspect.
+
+    A record and its stock_twin must show the same: repr, hash, == and
+    !=, copy, deepcopy and pickling, dataclasses.replace (and
+    copy.replace where it exists), the FrozenInstanceError on setting or
+    deleting each field, the signature and __match_args__.
+    """
+    a, b = kind(*args), kind(*other)
+    changes = {f.name: getattr(b, f.name) for f in fields(kind)}
+    pickled, loaded = _pickle_round_trip(b)
+    seen = {
+        "repr": [repr(a), repr(b)],
+        "hash": [hash(a), hash(b)],
+        "eq": [a == b, a == kind(*args), a != b, a != kind(*args), a == args],
+        "copies": [
+            [type(clone) is kind, clone == b, hash(clone) == hash(b), repr(clone)]
+            for clone in (copy.copy(b), copy.deepcopy(b), loaded)
+        ],
+        "pickle": pickled,
+        "replace": [repr(replace(a, **changes)), replace(a) == a],
+        "signature": inspect.signature(kind),
+        "match_args": kind.__match_args__,
+        "frozen": [],
+    }
+    if hasattr(copy, "replace"):
+        seen["copy.replace"] = [repr(copy.replace(a, **changes)), copy.replace(a) == a]
+    for name in changes:
+        for refused in (lambda: setattr(a, name, 0), lambda: delattr(a, name)):
+            try:
+                refused()
+            except AttributeError as exc:
+                seen["frozen"].append((type(exc).__name__, str(exc)))
+            else:
+                seen["frozen"].append(None)
+    return seen

@@ -11,7 +11,10 @@ clamps in all; each SHA-256 must match the pinned one.  The four
 README commands run twice, the second round in reverse order, so each
 runs after the others on the parser main() keeps for the process; the
 child also holds format_raw to the divmod rendering on 10,000 seeded
-values.  An interpreter that is missing, or that is found but does not
+values, and each record in oracles.RECORDS to a stock
+dataclass(frozen=True, slots=True) twin: repr, hash, ==, copies,
+pickling, replace, the frozen refusals and the signature (see
+oracles.record_behaviour).  An interpreter that is missing, or that is found but does not
 start (a version shim with no version behind it), is skipped by name.
 """
 
@@ -67,7 +70,8 @@ CHILD = """
 import contextlib, io, json, random, sys
 from pathlib import Path
 from dataclasses import replace
-from oracles import CLAMP_CFG, COLLAPSED_SEEDS, format_raw_by_divmod, random_walk
+from oracles import (CLAMP_CFG, COLLAPSED_SEEDS, RECORDS, format_raw_by_divmod, random_walk,
+                     record_behaviour, stock_twin)
 from test_acceptance import infeasibility_sweep
 from toroid import cli, datagen
 from toroid.adversary import render_reports_csv
@@ -88,6 +92,12 @@ values = [*edges, *(-v for v in edges)] + [
 differ = [v for v in values if format_raw(v) != format_raw_by_divmod(v)]
 if differ:
     sys.exit(f"format_raw differs from divmod at {differ[:3]}")
+for kind, args, other in RECORDS:
+    ours = record_behaviour(kind, args, other)
+    stock = record_behaviour(stock_twin(kind), args, other)
+    differ = [aspect for aspect in ours if ours[aspect] != stock[aspect]]
+    if differ:
+        sys.exit(f"{kind.__name__} differs from its stock dataclass twin in {differ}")
 if datagen.main([str(out / "sample_market.csv")]) != 0:
     sys.exit("sample_market.csv: nonzero exit")
 demo = io.StringIO()

@@ -11,8 +11,10 @@ from inside int(), float() or bytes.decode.
 import ast
 import datetime as dt
 import importlib
+import inspect
 import math
 import pkgutil
+import textwrap
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -44,6 +46,8 @@ from toroid.errors import (
 )
 from toroid.harness import MARKET_CSV_HEADER, MarketRow, run_backtest, step_period
 from toroid.market import MarketState
+
+from oracles import RECORDS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toroid"
 
@@ -545,6 +549,17 @@ def test_package_records_finds_every_record():
         "Amount", "Rate", "Index", "RebaseConfig", "PeriodMetrics", "RateBreakdown",
         "MarketState", "MarketRow", "PeriodRecord", "SybilScenario", "AttackReport",
     } <= set(PACKAGE_RECORDS)
+
+
+def test_every_record_has_stock_twin_examples():
+    assert {kind for kind, _, _ in RECORDS} == set(PACKAGE_RECORDS.values())
+
+
+@pytest.mark.parametrize("cls", PACKAGE_RECORDS.values(), ids=PACKAGE_RECORDS)
+def test_each_record_has_its_own_docstring(cls):
+    # without one, dataclass writes "Name(<signature>)" at import time
+    source = textwrap.dedent(inspect.getsource(cls))
+    assert ast.get_docstring(ast.parse(source).body[0])
 
 
 @pytest.mark.parametrize("cls", PACKAGE_RECORDS.values(), ids=PACKAGE_RECORDS)

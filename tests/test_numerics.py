@@ -1,26 +1,21 @@
 import copy
-import datetime as dt
 import inspect
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroid import (
-    AttackReport,
-    MarketRow,
-    PeriodMetrics,
-    PeriodRecord,
-    RateBreakdown,
-    RebaseConfig,
-    SybilScenario,
-    numerics,
-)
+from toroid import RebaseConfig, SybilScenario, numerics
 from toroid.errors import (
     AmountOverflowError,
     ConfigError,
@@ -28,7 +23,6 @@ from toroid.errors import (
     NegativeAmountError,
     NonPositiveFactorError,
 )
-from toroid.market import MarketState
 from toroid.numerics import (
     MAX_RAW,
     UNIT,
@@ -41,6 +35,7 @@ from toroid.numerics import (
 )
 
 from oracles import (
+    RECORDS,
     apply_index,
     format_raw_by_divmod,
     grow_index_by_search,
@@ -342,25 +337,6 @@ class TestRoundTrip:
             assert 0 <= chained - stepwise <= 1
 
 
-# Two instances of every value type, as positional arguments.
-_RATES = (Rate(1), Rate(2), Rate(3), Rate(4))
-RECORDS = [
-    (Amount, (5,), (7,)),
-    (Rate, (-3,), (4,)),
-    (Index, (3, 2), (5, 4)),
-    (RebaseConfig, (), (11, 0, Rate(5), Amount(6), Rate(7), False)),
-    (PeriodMetrics, (1, 2, 3, Amount(4)), (5, 6, 7, Amount(8))),
-    (RateBreakdown, _RATES, _RATES[::-1]),
-    (MarketState, (1.0, 1.0), (0.5, 2.0)),
-    (MarketRow, (dt.date(2017, 1, 1), 100.0, 3929), (dt.date(2017, 1, 2), 87.9, 3995)),
-    (
-        PeriodRecord,
-        (1, 2, 3, 4, 1.0, Index(1, 1), 9, 0),
-        (4, 3, 2, 1, 0.5, Index(5, 4), 10, 3),
-    ),
-    (SybilScenario, (10, 2, 0, Amount(100), Amount(5), 90), (20, 3, 1, Amount(9), Amount(0), 0)),
-    (AttackReport, (Amount(1), Amount(2), Amount(3)), (Amount(5), Amount(6), Amount(7))),
-]
 TWINS = {cls: stock_twin(cls) for cls, _, _ in RECORDS}
 
 
@@ -424,6 +400,52 @@ class TestFrozenRecords:
             assert str(ours.value) == str(stock.value)
 
 
+# Run with -S, so nothing but the standard library and src/ is importable.
+# The first import loads the stdlib modules toroid uses; the second, with
+# the hook set, counts the compiles that define a function (exec'd code,
+# not module files): those of one bare code-free dataclass call (3.13
+# compiles one) and then those of importing every toroid module.
+COMPILE_BUDGET_CHILD = """
+import dataclasses, importlib, json, pkgutil, re, sys
+def import_toroid():
+    import toroid
+    return [importlib.import_module(f"toroid.{m.name}")
+            for m in pkgutil.iter_modules(toroid.__path__) if m.name != "__main__"]
+import_toroid()
+for name in [n for n in sys.modules if n.partition(".")[0] == "toroid"]:
+    del sys.modules[name]
+defines = re.compile(rb"\\b(?:def|lambda)\\b")
+compiled = []
+def count(event, args):
+    if event == "compile" and not str(args[1]).endswith(".py"):
+        source = args[0].encode() if isinstance(args[0], str) else args[0]
+        if isinstance(source, bytes) and defines.search(source):
+            compiled.append(source)
+sys.addaudithook(count)
+bare = type("Bare", (), {"__doc__": "A bare record.", "__annotations__": {"x": int}})
+dataclasses.dataclass(bare, init=False, repr=False, eq=False, slots=True)
+bare_compiles = len(compiled)
+records = [obj for module in import_toroid() for obj in vars(module).values()
+           if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+           and obj.__module__ == module.__name__]
+print(json.dumps([bare_compiles, len(records), len(compiled) - bare_compiles]))
+"""
+
+
+def test_importing_toroid_compiles_one_function_per_record():
+    # record compiles each class's __init__ and nothing else; a stock
+    # dataclass(frozen=True, slots=True) compiled six methods more on 3.10-3.12
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", COMPILE_BUDGET_CHILD],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    bare_compiles, records, compiled = json.loads(child.stdout)
+    assert records >= 11
+    assert compiled <= records * (1 + bare_compiles)
+
+
 def test_record_takes_no_keyword():
     # records are unordered: Amount and Rate compare through .raw and .ppb
     with pytest.raises(TypeError):
@@ -437,6 +459,12 @@ def test_record_refuses_a_field_type_that_is_not_a_plain_class(hint):
     # a string annotation is read as the type it names
     cls = type("Maybe", (), {"__annotations__": {"n": hint}})
     with pytest.raises(TypeError, match="^Maybe: record fields take plain classes only$"):
+        numerics.record(cls)
+
+
+def test_record_refuses_a_field_without_default_after_one_with_it():
+    cls = type("Late", (), {"__annotations__": {"a": "int", "b": "int"}, "a": 1})
+    with pytest.raises(TypeError, match="^Late: record fields with defaults come last$"):
         numerics.record(cls)
 
 
