@@ -252,8 +252,8 @@ def run_pump_and_dump(
     peg = cfg.peg_ratio.ppb
 
     def at_index(ledger: Ledger) -> tuple[int, int]:
-        index = ledger.index
-        return peg * index.den, UNIT * index.num
+        num, den = ledger._index_terms()
+        return peg * den, UNIT * num
 
     return _price_attack(scenario, cfg, buy_period, sell_period, at_index)
 
@@ -275,10 +275,11 @@ def render_reports_csv(
     lines = [ATTACK_CSV_HEADER]
     for scenario_id, scenario, report in entries:
         check_id(scenario_id, "scenario")
+        net = report.net_profit_base
         lines.append(
             f"{scenario_id},{scenario.delta_v_per_period},{scenario.periods},"
-            f"{report.cost_base.tokens()},{report.extra_supply_trd.tokens()},"
-            f"{report.attacker_gain_base.tokens()},{format_raw(report.net_profit_base)},"
-            f"{'true' if report.profitable else 'false'}"
+            f"{format_raw(report.cost_base.raw)},{format_raw(report.extra_supply_trd.raw)},"
+            f"{format_raw(report.attacker_gain_base.raw)},{format_raw(net)},"
+            f"{'true' if net > 0 else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -7,12 +7,13 @@ that the supply change attributable to transaction count, valued at the
 peg, can never exceed the gas burned to produce those transactions.  That
 clamp is what makes count manipulation uneconomical.
 
-Each rule is written once, as a private integer form taking and giving
-ppb.  combined_rate boxes them into a RateBreakdown, volume_rate boxes
-the volume response alone, and PeriodMetrics, a record of int period and
-counts and an Amount supply, is the one check that they are >= 0.
-_combined_ppb composes the rules into the four rates as bare ints: a
-backtest period and an attack arm's period are that integer rate rule
+Each rule is written once, on ints in ppb.  _combined_ppb holds the
+incentive and the gas cap, _volume_ppb the volume response and
+_combine_ppb the clamp and floors; _combined_ppb returns all four rates
+as bare ints.  combined_rate boxes them into a RateBreakdown, volume_rate
+boxes the volume response alone, and PeriodMetrics, a record of int
+period and counts and an Amount supply, is the one check that they are
+>= 0.  A backtest period and an attack arm's period are _combined_ppb
 and then Ledger._rebase_raw, with no rate record built.
 
 All functions here are pure and stateless; sweeps over scenarios can call
@@ -99,10 +100,6 @@ class RebaseConfig:
         if self.bootstrap_periods < 0:
             raise ConfigError("bootstrap_periods: must be >= 0")
 
-    def _gas_cost_trd_raw(self) -> int:
-        """Per-transaction gas cost in raw TRD at the peg, flooring."""
-        return self.gas_cost_base.raw * UNIT // self.peg_ratio.ppb
-
 
 @record
 class PeriodMetrics:
@@ -137,16 +134,6 @@ class RateBreakdown:
     r_vol: Rate
     r_gas_cap: Rate
     r_combined: Rate
-
-
-def _initial_ppb(t: int, cfg: RebaseConfig) -> int:
-    return UNIT // (t + cfg.t0)
-
-
-def _gas_cap_ppb(v: int, s_raw: int, cfg: RebaseConfig) -> int:
-    if s_raw == 0:
-        raise ZeroSupplyError("gas cap undefined at zero supply")
-    return v * cfg._gas_cost_trd_raw() * UNIT // s_raw
 
 
 def _volume_ppb(v: int, v_prev: int, k: int) -> int:
@@ -222,14 +209,18 @@ def _combined_ppb(
 ) -> tuple[int, int, int, int]:
     """combined_rate(PeriodMetrics(t, v, v_prev, Amount(s_raw)), cfg) as bare ppb.
 
-    (r_initial, r_vol, r_gas_cap, r_combined), from the same four rules
-    with no record built: the backtest kernel reads all four and the
-    attack arms the last.  The arguments are taken as valid: t, v and
-    v_prev ints >= 0, and s_raw an Amount's raw value.
+    (r_initial, r_vol, r_gas_cap, r_combined), with no record built: the
+    backtest kernel reads all four and the attack arms the last.  The
+    incentive is 1/(t + t0).  The gas cap is v transactions' gas, each
+    gas_cost_base floored to raw TRD at the peg, over the supply s.  The
+    arguments are taken as valid: t, v and v_prev ints >= 0, and s_raw an
+    Amount's raw value.
     """
-    r_i = _initial_ppb(t, cfg)
+    r_i = UNIT // (t + cfg.t0)
     r_v = _volume_ppb(v, v_prev, cfg.k_v.ppb)
-    r_cap = _gas_cap_ppb(v, s_raw, cfg)
+    if s_raw == 0:
+        raise ZeroSupplyError("gas cap undefined at zero supply")
+    r_cap = v * (cfg.gas_cost_base.raw * UNIT // cfg.peg_ratio.ppb) * UNIT // s_raw
     return r_i, r_v, r_cap, _combine_ppb(t, r_i, r_v, r_cap, cfg)
 
 
@@ -237,16 +228,15 @@ def combined_rate(m: PeriodMetrics, cfg: RebaseConfig) -> RateBreakdown:
     """Full per-period rate: incentive plus gas-capped volume response.
 
     The gas cap is computed (and reported) even when clamping is disabled,
-    so uncapped runs still expose how far they stray past it.  The volume
-    response comes from volume_rate itself, so a caller that wraps it sees
-    every period; PeriodMetrics has already checked the period and counts.
+    so uncapped runs still expose how far they stray past it.  The rates
+    are _combined_ppb's, boxed; PeriodMetrics has already checked the
+    period and counts.
     """
-    r_i = _initial_ppb(m.t, cfg)
-    r_v = volume_rate(m, cfg)
-    r_cap = _gas_cap_ppb(m.v, m.s.raw, cfg)
-    return RateBreakdown(
-        Rate(r_i), r_v, Rate(r_cap), Rate(_combine_ppb(m.t, r_i, r_v.ppb, r_cap, cfg))
-    )
+    r_i, _, r_cap, r_combined = _combined_ppb(m.t, m.v, m.v_prev, m.s.raw, cfg)
+    # The volume response is _combined_ppb's, taken again from volume_rate
+    # so that a caller wrapping volume_rate sees every period.  ROADMAP
+    # direction 9 drops this call once direction 1 lands.
+    return RateBreakdown(Rate(r_i), volume_rate(m, cfg), Rate(r_cap), Rate(r_combined))
 
 
 # --- configuration files ------------------------------------------------

@@ -214,16 +214,18 @@ class Ledger:
         """Exact sum of every floored balance as a raw int, in one integer pass.
 
         Each balance floor(s * num / d), d = den * SHARE_SCALE, is taken as
-        s * m >> k with the reciprocal m = ceil(num * 2**k / d): one division
-        per call, none per account (Granlund & Montgomery, "Division by
-        Invariant Integers using Multiplication", 1994).  Every share count
-        s lies in 0..T, T the share total, and k makes 2**k > T * d.  Then
-        the two floors are equal:
-          1. s * m / 2**k - s * num / d = s * (m - num * 2**k / d) / 2**k,
-             which lies in [0, T / 2**k), inside [0, 1/d).
-          2. s * num / d is a multiple of 1/d, so its fractional part is at
+        s * m >> k with the reciprocal m = floor(num * 2**k / d) + 1: one
+        division per call, none per account (Granlund & Montgomery,
+        "Division by Invariant Integers using Multiplication", 1994).
+        Every share count s lies in 0..T, T the share total, and k makes
+        2**k > T * d.  Then the two floors are equal:
+          1. m - num * 2**k / d lies in (0, 1]: it is 1 exactly when d
+             divides num * 2**k, and below 1 otherwise.
+          2. s * m / 2**k - s * num / d = s * (m - num * 2**k / d) / 2**k,
+             which lies in [0, T / 2**k], inside [0, 1/d).
+          3. s * num / d is a multiple of 1/d, so its fractional part is at
              most 1 - 1/d.
-          3. Adding less than 1/d to it cannot reach the next integer.
+          4. Adding less than 1/d to it cannot reach the next integer.
 
         Past capacity it raises AmountOverflowError.
         """
@@ -231,7 +233,7 @@ class Ledger:
         d = den * SHARE_SCALE
         d_bits = d.bit_length()
         k = self._total_shares.bit_length() + d_bits
-        m = -((-num << k) // d)
+        m = (num << k) // d + 1
         # T's worth, T * m >> k, is at most m >> d_bits: check exactly past it.
         if m >> d_bits > MAX_RAW:
             self._capped(self._total_shares)
@@ -258,6 +260,8 @@ class Ledger:
             while f"a{self._next_account_seq}" in self._shares:
                 self._next_account_seq += 1
             account_id = f"a{self._next_account_seq}"
+        else:
+            check_id(account_id, "account")
         shares = self._to_shares_ceil(minted.raw)
         self._insert(account_id, shares, collateral, self._current_period)
         return account_id, minted
@@ -267,6 +271,7 @@ class Ledger:
 
         The same checks, in the same order and with the same text, on the
         raw TRD count: only the collateral is boxed, as _insert stores it.
+        account_id is taken as well-formed: the callers pass constants.
         """
         collateral = Amount(self._collateral_raw(minted))
         shares = self._to_shares_ceil(minted)
@@ -275,8 +280,7 @@ class Ledger:
     def _insert(
         self, account_id: str, shares: int, collateral: Amount, created: int
     ) -> None:
-        """Store a new account under a free, well-formed id; nothing on failure."""
-        check_id(account_id, "account")
+        """Store a new account under a free id; nothing on failure."""
         if account_id in self._shares:
             raise InvalidArgumentError(f"duplicate account id: {account_id!r}")
         total_shares = self._capped(self._total_shares + shares)
@@ -442,6 +446,7 @@ class Ledger:
                     raise NegativeAmountError(f"amount cannot be negative: {shares}")
                 locked = Amount(collateral)
                 ledger.minted_for(locked)
+                check_id(fields[0], "account")
                 ledger._insert(fields[0], shares, locked, created)
             except ToroidError as exc:
                 raise SnapshotError(str(exc), line=lineno) from exc

@@ -141,6 +141,22 @@ def rates_of(record) -> tuple[int, int, int, int]:
     return record.r_initial, record.r_vol, record.r_gas_cap, record.r_combined
 
 
+def initial_rate_by_fraction(t: int, cfg: RebaseConfig) -> int:
+    """The incentive 1/(t + t0) in ppb, floored as an exact Fraction."""
+    return math.floor(Fraction(UNIT, t + cfg.t0))
+
+
+def gas_cap_by_fraction(v: int, s_raw: int, cfg: RebaseConfig) -> int:
+    """The gas cap in ppb: v transactions' gas in TRD over the supply.
+
+    One transaction's gas is gas_cost_base at the peg, floored to a whole
+    raw TRD unit; the ratio is floored to ppb.  Both floors are Fractions.
+    """
+    peg = Fraction(cfg.peg_ratio.ppb, UNIT)
+    gas_raw = math.floor(Fraction(cfg.gas_cost_base.raw) / peg)
+    return math.floor(Fraction(v * gas_raw, s_raw) * UNIT)
+
+
 def combine_by_min_max(
     t: int, r_initial: Rate, r_vol: Rate, r_gas_cap: Rate, cfg: RebaseConfig
 ) -> Rate:

@@ -327,10 +327,10 @@ class TestArmsBuildNoRecords:
         assert values_built(run_sybil, sc, cfg) == {"Rate": 0, "Index": 0, "Amount": 7}
 
     def test_pump_and_dump_values_built(self, cfg):
-        # as for the Sybil, and one Index for the sale price
+        # as for the Sybil: the sale price reads the index's bare terms
         sc = scenario(10_000, periods=6, baseline_v=100, holdings=5_000)
         assert values_built(run_pump_and_dump, sc, 2, 5, cfg) == {
-            "Rate": 0, "Index": 1, "Amount": 7
+            "Rate": 0, "Index": 0, "Amount": 7
         }
 
     @pytest.mark.parametrize(

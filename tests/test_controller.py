@@ -22,7 +22,12 @@ from toroid.controller import (
 from toroid.errors import ConfigError, ZeroSupplyError
 from toroid.numerics import MAX_RAW, UNIT, Amount, Rate
 
-from oracles import combine_by_min_max, ppb_of
+from oracles import (
+    combine_by_min_max,
+    gas_cap_by_fraction,
+    initial_rate_by_fraction,
+    ppb_of,
+)
 
 
 # The 50-digit Decimal evaluation, bound before any test replaces it.
@@ -62,7 +67,7 @@ class TestInitialRate:
         assert r_initial(40, cfg) == Rate(20_000_000)
 
     def test_strictly_decreasing(self, cfg):
-        rates = [controller._initial_ppb(t, cfg) for t in range(1000)]
+        rates = [controller._combined_ppb(t, 1, 1, 1, cfg)[0] for t in range(1000)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_custom_offset(self):
@@ -96,8 +101,8 @@ class TestGasCapRate:
         assert r_gas_cap(metrics(1_000, 0, 20_000), cfg).ppb == base // 2
 
     def test_gas_cost_trd_conversion(self, cfg):
-        # 0.0004 base at peg 0.1 is 0.004 TRD
-        assert cfg._gas_cost_trd_raw() == Amount.from_tokens("0.004").raw
+        # 0.0004 base at peg 0.1 is 0.004 TRD: one transaction over 1 TRD
+        assert r_gas_cap(metrics(1, 0, 1), cfg).ppb == Amount.from_tokens("0.004").raw
 
 
 class TestVolumeRate:
@@ -355,6 +360,27 @@ class TestIntegerComposition:
         assert bd.r_combined == combine_by_min_max(
             t, bd.r_initial, bd.r_vol, bd.r_gas_cap, cfg
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        t=st.integers(0, 400) | st.integers(0, 10**12),
+        t0=st.integers(1, 20) | st.integers(1, 10**12),
+        v=st.just(0) | st.integers(1, 1000) | st.integers(0, 10**20),
+        s=st.just(1) | st.just(MAX_RAW) | st.integers(1, 10**22) | st.integers(1, MAX_RAW),
+        # gas and peg whose conversion to raw TRD floors, and exact ones
+        gas=st.integers(1, 10**12) | st.sampled_from([400_000, 1, 7]),
+        peg=st.integers(1, 3 * UNIT) | st.sampled_from([100_000_000, UNIT, 3]),
+    )
+    # the floored conversion: 7 raw base at a peg of 3 is 2,333,333,333.3 raw TRD
+    @example(t=0, t0=10, v=1, s=1, gas=7, peg=3)
+    # a zero count, and one raw unit of supply
+    @example(t=0, t0=10, v=0, s=1, gas=400_000, peg=100_000_000)
+    @example(t=5, t0=1, v=10**20, s=1, gas=10**12, peg=1)
+    def test_incentive_and_gas_cap_match_fraction_oracles(self, t, t0, v, s, gas, peg):
+        cfg = RebaseConfig(t0=t0, gas_cost_base=Amount(gas), peg_ratio=Rate(peg))
+        r_i, _, r_cap, _ = controller._combined_ppb(t, v, v, s, cfg)
+        assert r_i == initial_rate_by_fraction(t, cfg)
+        assert r_cap == gas_cap_by_fraction(v, s, cfg)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_zero_supply_raises_from_both(self, enabled):

@@ -6,7 +6,8 @@ Only the ledger knows how an account is stored: other modules read it
 through balance_of, collateral_of, account_ids() and `in`.  Only
 numerics.record checks a record field's type: a __post_init__ checks
 ranges.  Only errors writes a refusal's "line <n>: " prefix or the id
-refusal's text.
+refusal's text.  Ids are checked where they enter the ledger, so only
+the adversary's constant ids reach Ledger._open_minted.
 """
 
 import ast
@@ -213,3 +214,46 @@ def test_errors_writes_each_refusal_format_once():
 )
 def test_refusal_formats_finds_every_form(source, found):
     assert refusal_formats(source) == found
+
+
+# The ids open_account and restore check where they enter; _insert admits
+# the rest unchecked, so _open_minted may take only these constants.
+CONSTANT_IDS = {"adversary": ["_HONEST", "_ATTACKER"]}
+
+
+def open_minted_ids(source: str) -> list[str]:
+    """The account id argument of each _open_minted call, as source text."""
+    return [
+        ast.unparse(node.args[0] if node.args else node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_open_minted"
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_open_minted_takes_only_constant_ids(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert open_minted_ids(source) == CONSTANT_IDS.get(module, [])
+
+
+def test_constant_ids_pass_check_id():
+    from toroid import adversary
+    from toroid.errors import check_id
+
+    for name in CONSTANT_IDS["adversary"]:
+        check_id(getattr(adversary, name), "account")
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ('ledger._open_minted(_HONEST, honest)', ["_HONEST"]),
+        ('self._open_minted(f"a{n}", 5)\nx._open_minted(account_id=i, minted=1)',
+         ["f'a{n}'", "x._open_minted(account_id=i, minted=1)"]),
+        ('ledger.open_account(c, "x")\n_open_minted("y", 1)', []),
+    ],
+)
+def test_open_minted_ids_finds_every_form(source, found):
+    assert open_minted_ids(source) == found

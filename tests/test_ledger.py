@@ -875,6 +875,23 @@ class TestSupplyReciprocal:
             assert ledger.total_supply() == supply_by_division(ledger)
         refused_past(num, den, [])
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [(7 * 5**39, 10**30), (5**39 * 10**3, 10**30), (3 * 10**9, 1), (10**18, 1)],
+        ids=["grid-0", "grid-0-whole", "den-1", "den-1-whole"],
+    )
+    def test_matches_where_d_divides_the_shifted_numerator(self, num, den):
+        # num * 2^k is a multiple of d = den * SHARE_SCALE, so the reciprocal
+        # floor(num * 2^k / d) + 1 is one above the exact quotient: the one
+        # case where it differs from the ceiling, and where the proof's
+        # error s / 2^k comes nearest its bound 1/d
+        d = den * SHARE_SCALE
+        assert (num << d.bit_length()) % d == 0
+        bound = share_bound(num, den)
+        for shares in ([1], [bound], [1, bound - 1], [bound // 3] * 3, [d - 1, d, d + 1]):
+            ledger = restored(num, den, shares)
+            assert ledger.total_supply() == supply_by_division(ledger)
+
     def test_refuses_an_index_the_share_total_is_worth_past(self):
         # two counts just under half a raw unit past whole balances: their
         # floors sum to MAX_RAW at either index, while the total is worth
